@@ -33,6 +33,7 @@ from .productivity import ProductivityStatus, check_productive
 from .program import Clause, Program, check_universal, clause_instance
 from .terms import (
     FreshVars,
+    Struct,
     Substitution,
     Term,
     Var,
@@ -175,16 +176,19 @@ def restricted_loop(
     entry = g[atom_index]
     if ancestor not in entry.ancestors:
         raise ValueError("ancestor is not on the entry's ancestor list")
-    solved = _rational_solve(entry.atom, ancestor)
-    if isinstance(solved, str):
-        return LoopFailure(LoopFailReason.NO_RATIONAL_UNIFIER, entry.atom, ancestor)
     # The instance condition is stated against a fresh-variable variant of
     # the ancestor, but matching is invariant under renaming either side (it
     # binds pattern variables without an occurs check), so the ancestor can
-    # be used directly.  Checking it before extracting the unifier keeps
-    # failing candidates cheap.
+    # be used directly.  Matching is the cheap test, so it runs before the
+    # rational solve and keeps failing candidates cheap.
     if not is_instance(entry.atom, ancestor):
         return LoopFailure(LoopFailReason.NOT_AN_INSTANCE, entry.atom, ancestor)
+    # Once the ancestor is an instance, the equations reduce to one binding
+    # per variable of the atom, which always has a rational solution; the
+    # clash branch is a defensive check only.
+    solved = _rational_solve(entry.atom, ancestor)
+    if isinstance(solved, str):
+        return LoopFailure(LoopFailReason.NO_RATIONAL_UNIFIER, entry.atom, ancestor)
     theta = _rational_extract(solved, [entry.atom, ancestor])
     if not theta.circular:
         # The loop closed without tying any infinite value; accepting it
@@ -220,6 +224,8 @@ class CoResult:
     answers: list[tuple[CoTrace, CoAnswer]]
     status: Status
     warnings: list[str] = field(default_factory=list)
+    # Failed restricted_loop calls; candidates co_refute's filters drop
+    # before the call are charged but not listed.
     loop_failures: list[LoopFailure] = field(default_factory=list)
     steps_used: int = 0
     diverged: bool = False
@@ -284,7 +290,8 @@ def co_refute(
     query_vars = tuple(variables_in_order(query))
     initial = annotate(query)
 
-    warnings = preflight_warnings(p) if (preflight and mode == "restricted") else []
+    restricted = mode == "restricted"
+    warnings = preflight_warnings(p) if (preflight and restricted) else []
 
     result = CoResult([], Status.FAILED, warnings)
     limit_hit = False
@@ -304,9 +311,8 @@ def co_refute(
         seq = tuple(
             st.subst for st in steps if st.kind in (StepKind.SUBST, StepKind.LOOP)
         )
-        goals = co_replay(initial, steps, mode)
         uses = tuple(
-            LoopUse(i, goals[i][st.atom_index].atom, st.ancestor, st.subst)
+            LoopUse(i, st.atom, st.ancestor, st.subst)
             for i, st in enumerate(steps)
             if st.kind is StepKind.LOOP
         )
@@ -328,27 +334,44 @@ def co_refute(
             return
         i = moves % len(g) if limits.fair else 0
         entry = g[i]
+        atom = entry.atom
+        # Cheap filters drop candidates that cannot close a loop before any
+        # unification: a different predicate symbol always clashes; a ground
+        # atom's only instance is itself, whose unifier is not circular, so
+        # it never closes a restricted loop; two distinct ground atoms have
+        # no rational unifier.  (A variable atom has no symbol to compare;
+        # ancestors never are variables, each was rewritten against a head.)
+        symbol = atom.symbol if isinstance(atom, Struct) else None
+        ground = atom._ground
         for ancestor in reversed(entry.ancestors):
             if done():
                 return
             # Attempts are charged, not just applications: a divergent
             # derivation grows its ancestor lists without bound, and the
             # quadratically many candidate checks are real work the budget
-            # must see.
+            # must see.  Candidates the filters drop are charged the same, so
+            # steps_used and every limit verdict do not depend on them.
             if not charge(1):
                 return
-            if mode == "colp":
-                got = colp_loop(g, i, ancestor)
-                if got is None:
-                    continue
-                g2, theta = got
-            else:
+            if restricted and ground:
+                continue
+            other = ancestor.symbol
+            if symbol is not None and other is not symbol and other != symbol:
+                continue
+            if restricted:
                 res = restricted_loop(g, i, ancestor)
                 if isinstance(res, LoopFailure):
                     result.loop_failures.append(res)
                     continue
                 g2, theta = res
-            st = Step(StepKind.LOOP, i, None, None, theta, ancestor)
+            else:
+                if ground and ancestor._ground and atom != ancestor:
+                    continue
+                got = colp_loop(g, i, ancestor)
+                if got is None:
+                    continue
+                g2, theta = got
+            st = Step(StepKind.LOOP, i, None, None, theta, ancestor, atom)
             search(g2, steps + [st], moves + 1, 0)
             if done():
                 return

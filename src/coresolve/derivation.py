@@ -63,6 +63,7 @@ class Step:
     clause: Optional[Clause]
     subst: Substitution
     ancestor: Optional[Term] = None
+    atom: Optional[Term] = None  # LOOP steps: the selected atom that closed
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,9 @@ class GuardOutcome(Enum):
 
 
 def guard_rewrite_chain(chain: Sequence[Term], nxt: Term) -> GuardOutcome:
-    """Online check used by the engines: is the next rewritten atom a
-    variant of something already on the chain?"""
+    """Online check for a rewriting chain: is the next rewritten atom a
+    variant of something already on the chain?  (No engine calls it yet;
+    the engines bound chains by length.)"""
     if any(is_variant(prev, nxt) for prev in chain):
         return GuardOutcome.LOOP_WITNESS
     return GuardOutcome.CONTINUE

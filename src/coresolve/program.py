@@ -68,13 +68,6 @@ class Program:
     signature: dict[str, Symbol] = field(default_factory=dict, compare=False)
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
-    def clauses_for(self, symbol: Symbol) -> list[tuple[int, Clause]]:
-        return [
-            (i, c)
-            for i, c in enumerate(self.clauses)
-            if isinstance(c.head, Struct) and c.head.symbol == symbol
-        ]
-
     def predicates(self) -> list[Symbol]:
         out: list[Symbol] = []
         for c in self.clauses:
@@ -187,9 +180,11 @@ class _Parser:
                 span.line,
                 span.column,
             )
+        if prior is not None:
+            # One object per symbol in a parse, so most symbol tests pass on identity.
+            return prior[0]
         sym = Symbol(name, arity)
-        if prior is None:
-            self.signature[name] = (sym, span)
+        self.signature[name] = (sym, span)
         return sym
 
     def term(self) -> Term:

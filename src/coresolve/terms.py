@@ -9,6 +9,7 @@ source; display names are hints only and never affect identity.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,8 @@ class Var:
     id: int
     hint: Optional[str] = field(default=None, compare=False)
 
+    _ground = False  # class constant, not a field; see Struct._ground
+
     @property
     def display(self) -> str:
         return self.hint if self.hint else f"_G{self.id}"
@@ -47,10 +50,13 @@ class Var:
         return self.display
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Struct:
     symbol: Symbol
     args: tuple["Term", ...] = ()
+    # Set once in __post_init__; slots keep the per-term cost of both low.
+    _hash: int = field(init=False, repr=False)
+    _ground: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.args) != self.symbol.arity:
@@ -58,8 +64,10 @@ class Struct:
                 f"symbol {self.symbol} applied to {len(self.args)} arguments"
             )
         # Terms nest deeply; cache the structural hash so dict/set lookups
-        # don't rehash the whole subtree on every probe.
+        # don't rehash the whole subtree on every probe, and groundness so
+        # the loop check can skip candidates without walking the atom.
         object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
+        object.__setattr__(self, "_ground", all(map(_is_ground, self.args)))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -80,6 +88,8 @@ class Struct:
 
 
 Term = Union[Var, Struct]
+
+_is_ground = operator.attrgetter("_ground")
 
 # Reserved leaf symbol marking cut branches of a truncation.  The parser never
 # accepts it, so user programs cannot mention it.

@@ -162,6 +162,14 @@ class TestVariables:
     def test_repeated_once(self):
         assert variables_of(mk("p", X, X)) == {X}
 
+    def test_cached_groundness(self, rng):
+        assert not X._ground
+        assert mk("nat", mk("s", zero))._ground
+        pool = var_pool(3)
+        for _ in range(300):
+            t = random_term(rng, 4, pool)
+            assert t._ground == (not variables_of(t))
+
 
 class TestRenameApart:
     def test_single_variable(self):
