@@ -18,6 +18,22 @@ PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 DEFAULT_SEED = 20260823
 
+# One query per corpus program, the one its header comment is about.
+CORPUS_QUERIES = {
+    "bad": "bad(f(X))",
+    "case1": "resource(X,Y), zeros(Y)",
+    "case2": "resource(X,Y), zeros(Y)",
+    "case3": "resource(X,Y,Z)",
+    "ex21": "p(s(X1),X2,Y1,Y2)",
+    "ex51": "p(X,s(X))",
+    "ex52": "p(Y,s(X))",
+    "fibs": "fibs(0,s(0),S)",
+    "nat": "nat(X)",
+    "nats": "nats(X)",
+    "r": "r(X,Y)",
+    "server": "resource(X,Y), zeros(Y)",
+}
+
 
 def seed() -> int:
     return int(os.environ.get("CORESOLVE_SEED", DEFAULT_SEED))

@@ -35,6 +35,14 @@ class TestRun:
         assert code == 0
         assert out == "true\n"
 
+    def test_deep_ground_term_sld(self, capsys):
+        # Term operations recurse over term depth; a 500-deep query needs
+        # more stack than CPython's default recursion limit gives.
+        query = "nat(" + "s(" * 500 + "0" + ")" * 500 + ")"
+        code, out, _ = run(capsys, "run", lp("nat"), "-q", query, "--mode", "sld")
+        assert code == 0
+        assert out == "true\n"
+
     def test_finite_failure(self, capsys):
         code, _, _ = run(capsys, "run", lp("nat"), "-q", "nat(f(0))", "--mode", "sld")
         assert code == 1

@@ -3,7 +3,7 @@ and the full search."""
 
 import pytest
 
-from conftest import PROGRAMS, load_query, random_term, var_pool
+from conftest import CORPUS_QUERIES, PROGRAMS, load_query, random_term, var_pool
 from coresolve.coengine import (
     Entry,
     LoopFailReason,
@@ -307,23 +307,6 @@ class TestLoopFilters:
             assert colp_loop(g, 0, ancestor) is None
             assert isinstance(restricted_loop(g, 0, ancestor), LoopFailure)
         assert checked >= 200
-
-
-# One query per corpus program, the one its header comment is about.
-CORPUS_QUERIES = {
-    "bad": "bad(f(X))",
-    "case1": "resource(X,Y), zeros(Y)",
-    "case2": "resource(X,Y), zeros(Y)",
-    "case3": "resource(X,Y,Z)",
-    "ex21": "p(s(X1),X2,Y1,Y2)",
-    "ex51": "p(X,s(X))",
-    "ex52": "p(Y,s(X))",
-    "fibs": "fibs(0,s(0),S)",
-    "nat": "nat(X)",
-    "nats": "nats(X)",
-    "r": "r(X,Y)",
-    "server": "resource(X,Y), zeros(Y)",
-}
 
 
 def nat_term(n):
