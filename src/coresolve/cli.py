@@ -19,8 +19,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import decirc
-from .coengine import CoResult, co_refute, preflight_warnings
-from .derivation import Limits, RefuteResult, Status, StepKind, refute
+from .coengine import co_refute, preflight_warnings
+from .derivation import Limits, Status, StepKind, refute
 from .productivity import ProductivityStatus, check_productive
 from .program import ParseError, Program, check_universal, parse_program, parse_query
 from .rational import solved_answer
@@ -42,6 +42,19 @@ EXIT_FAILED = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 3
 EXIT_CHECK = 4
+
+# Bounds from the command line or ``:set``: each must be positive, except
+# the unfolding depth, where 0 means no unfolding.
+BOUNDS = ("max_steps", "max_rewrite", "max_answers", "unfold_depth",
+          "bound", "cap", "depth", "rounds")
+
+
+def _bound_error(key: str, value: int) -> Optional[str]:
+    """The usage error for a bound out of range, or None."""
+    flag = "--" + key.replace("_", "-")
+    if key == "unfold_depth":
+        return f"error: {flag} must not be negative" if value < 0 else None
+    return f"error: {flag} must be positive" if value <= 0 else None
 
 
 def _canonical_names(query_vars: Sequence[Var], terms: Sequence[Term]) -> Substitution:
@@ -342,9 +355,15 @@ def repl(args, out=None, err=None, inp=None) -> int:
                 config["mode"] = value
             elif key in ("max_steps", "max_answers", "unfold_depth"):
                 try:
-                    config[key] = int(value)
+                    number = int(value)
                 except ValueError:
                     print("value must be an integer", file=out)
+                    continue
+                error = _bound_error(key, number)
+                if error:
+                    print(error, file=out)
+                else:
+                    config[key] = number
             else:
                 print(f"unknown setting {key}", file=out)
             continue
@@ -442,9 +461,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_ANSWER
-    for key in ("max_steps", "max_rewrite", "max_answers", "bound", "cap"):
-        if getattr(args, key, 1) is not None and getattr(args, key, 1) <= 0:
-            print(f"error: --{key.replace('_', '-')} must be positive", file=sys.stderr)
+    for key in BOUNDS:
+        value = getattr(args, key, None)
+        error = None if value is None else _bound_error(key, value)
+        if error:
+            print(error, file=sys.stderr)
             return EXIT_USAGE
     return args.func(args)
 

@@ -17,20 +17,22 @@ check, the entry can be closed by a loop:
 Rule priority per selected atom is fixed: loop detection first (scanning
 ancestors most recent first), then rewriting, then the substitution-plus-
 rewrite production step.  Loop detection must come first, otherwise a
-non-terminating derivation would never reach it.
+non-terminating derivation would never reach it.  ``co_refute`` gives these
+rules, in that order, to ``derivation.search``, the driver all four modes
+share.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 from . import rational
-from .derivation import Limits, Status, Step, StepKind
+from .derivation import Limits, Move, Status, Step, StepKind
+from .derivation import _SearchState, clause_moves, search
 from .productivity import ProductivityStatus, check_productive
-from .program import Clause, Program, check_universal, clause_instance
+from .program import Program, check_universal, clause_instance
 from .terms import (
     FreshVars,
     Struct,
@@ -112,20 +114,6 @@ def co_rewrite(
     )
     g2 = g[:atom_index] + new_entries + g[atom_index + 1 :]
     return g2, Step(StepKind.REWRITE, atom_index, clause_index, clause, sigma)
-
-
-def co_subst(
-    p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars
-) -> Optional[tuple[AnnotatedGoal, Step]]:
-    clause = clause_instance(p.clauses[clause_index], fresh)
-    out = mgu(clause.head, g[atom_index].atom)
-    if out.kind is not UnifyKind.PROPER_UNIFIER:
-        return None
-    theta = out.substitution
-    assert theta is not None
-    return apply_to_annotated(theta, g), Step(
-        StepKind.SUBST, atom_index, clause_index, clause, theta
-    )
 
 
 def co_s_compound(
@@ -274,6 +262,52 @@ def preflight_warnings(p: Program, bound: int = 64) -> list[str]:
     return warnings
 
 
+def _loop_moves(
+    state: _SearchState, g: AnnotatedGoal, i: int,
+    restricted: bool, failures: list[LoopFailure],
+) -> Generator[Move, None, bool]:
+    """The loops that close at ``g[i]``, trying the most recent ancestor
+    first and charging each attempt.  Returns False if the budget ran out."""
+    entry = g[i]
+    atom = entry.atom
+    # Cheap filters drop candidates that cannot close a loop before any
+    # unification: a different predicate symbol always clashes; a ground
+    # atom's only instance is itself, whose unifier is not circular, so
+    # it never closes a restricted loop; two distinct ground atoms have
+    # no rational unifier.  (A variable atom has no symbol to compare;
+    # ancestors never are variables, each was rewritten against a head.)
+    symbol = atom.symbol if isinstance(atom, Struct) else None
+    ground = atom._ground
+    for ancestor in reversed(entry.ancestors):
+        # Attempts are charged, not just applications: a divergent
+        # derivation grows its ancestor lists without bound, and the
+        # quadratically many candidate checks are real work the budget
+        # must see.  Candidates the filters drop are charged the same, so
+        # steps_used and every limit verdict do not depend on them.
+        if not state.charge(1):
+            return False
+        if restricted and ground:
+            continue
+        other = ancestor.symbol
+        if symbol is not None and other is not symbol and other != symbol:
+            continue
+        if restricted:
+            res = restricted_loop(g, i, ancestor)
+            if isinstance(res, LoopFailure):
+                failures.append(res)
+                continue
+            g2, theta = res
+        else:
+            if ground and ancestor._ground and atom != ancestor:
+                continue
+            got = colp_loop(g, i, ancestor)
+            if got is None:
+                continue
+            g2, theta = got
+        yield g2, Step(StepKind.LOOP, i, None, None, theta, ancestor, atom), False
+    return True
+
+
 def co_refute(
     p: Program,
     query: Sequence[Term],
@@ -283,7 +317,8 @@ def co_refute(
     preflight: bool = True,
 ) -> CoResult:
     """Depth-first co-S-refutation search, loop > rewrite > production per
-    selected atom; returns answers in solved form over the query variables."""
+    selected atom; returns answers in solved form over the query variables.
+    Unlike ``refute``, the search stops at any limit, even after answers."""
     if mode not in ("colp", "restricted"):
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
@@ -294,20 +329,14 @@ def co_refute(
     warnings = preflight_warnings(p) if (preflight and restricted) else []
 
     result = CoResult([], Status.FAILED, warnings)
-    limit_hit = False
+    clauses = clause_moves(p, ((co_rewrite, 1, True), (co_s_compound, 2, False)), fresh)
 
-    def charge(n: int) -> bool:
-        nonlocal limit_hit
-        result.steps_used += n
-        if result.steps_used > limits.max_steps:
-            limit_hit = True
-            return False
-        return True
+    def expand(state: _SearchState, g: AnnotatedGoal, i: int, chain: int) -> Iterator[Move]:
+        # The clause moves run only if the loop attempts left some budget.
+        if (yield from _loop_moves(state, g, i, restricted, result.loop_failures)):
+            yield from clauses(state, g, i, chain)
 
-    def done() -> bool:
-        return len(result.answers) >= limits.max_answers or limit_hit
-
-    def record(steps: list[Step]) -> None:
+    def record(steps: tuple[Step, ...]) -> None:
         seq = tuple(
             st.subst for st in steps if st.kind in (StepKind.SUBST, StepKind.LOOP)
         )
@@ -317,108 +346,13 @@ def co_refute(
             if st.kind is StepKind.LOOP
         )
         solved = rational.solved_answer(query_vars, list(seq), fresh)
-        trace = CoTrace(initial, tuple(steps), Status.REFUTED, mode)
+        trace = CoTrace(initial, steps, Status.REFUTED, mode)
         result.answers.append(
             (trace, CoAnswer(query_vars, seq, uses, solved))
         )
 
-    def search(g: AnnotatedGoal, steps: list[Step], moves: int, rw_chain: int) -> None:
-        if done():
-            return
-        if not g:
-            record(steps)
-            return
-        if moves >= limits.max_depth:
-            nonlocal limit_hit
-            limit_hit = True
-            return
-        i = moves % len(g) if limits.fair else 0
-        entry = g[i]
-        atom = entry.atom
-        # Cheap filters drop candidates that cannot close a loop before any
-        # unification: a different predicate symbol always clashes; a ground
-        # atom's only instance is itself, whose unifier is not circular, so
-        # it never closes a restricted loop; two distinct ground atoms have
-        # no rational unifier.  (A variable atom has no symbol to compare;
-        # ancestors never are variables, each was rewritten against a head.)
-        symbol = atom.symbol if isinstance(atom, Struct) else None
-        ground = atom._ground
-        for ancestor in reversed(entry.ancestors):
-            if done():
-                return
-            # Attempts are charged, not just applications: a divergent
-            # derivation grows its ancestor lists without bound, and the
-            # quadratically many candidate checks are real work the budget
-            # must see.  Candidates the filters drop are charged the same, so
-            # steps_used and every limit verdict do not depend on them.
-            if not charge(1):
-                return
-            if restricted and ground:
-                continue
-            other = ancestor.symbol
-            if symbol is not None and other is not symbol and other != symbol:
-                continue
-            if restricted:
-                res = restricted_loop(g, i, ancestor)
-                if isinstance(res, LoopFailure):
-                    result.loop_failures.append(res)
-                    continue
-                g2, theta = res
-            else:
-                if ground and ancestor._ground and atom != ancestor:
-                    continue
-                got = colp_loop(g, i, ancestor)
-                if got is None:
-                    continue
-                g2, theta = got
-            st = Step(StepKind.LOOP, i, None, None, theta, ancestor, atom)
-            search(g2, steps + [st], moves + 1, 0)
-            if done():
-                return
-        for ci in range(len(p.clauses)):
-            if done():
-                return
-            got = co_rewrite(p, g, i, ci, fresh)
-            if got is None:
-                continue
-            if rw_chain + 1 > limits.max_rewrite_chain:
-                result.diverged = True
-                continue
-            if not charge(1):
-                return
-            g2, st = got
-            search(g2, steps + [st], moves + 1, rw_chain + 1)
-            if done():
-                return
-        for ci in range(len(p.clauses)):
-            if done():
-                return
-            got2 = co_s_compound(p, g, i, ci, fresh)
-            if got2 is None:
-                continue
-            if not charge(2):
-                return
-            g3, pair = got2
-            search(g3, steps + pair, moves + 1, 0)
-            if done():
-                return
-
-    # The DFS recurses once per move and term operations recurse over term
-    # depth; both can legitimately exceed CPython's default stack budget.
-    floor = 4 * limits.max_depth + 10_000
-    previous = sys.getrecursionlimit()
-    if previous < floor:
-        sys.setrecursionlimit(floor)
-    try:
-        search(initial, [], 0, 0)
-    finally:
-        if previous < floor:
-            sys.setrecursionlimit(previous)
-
-    if result.answers:
-        result.status = Status.REFUTED
-    elif limit_hit or result.diverged:
-        result.status = Status.LIMIT_EXCEEDED
-    else:
-        result.status = Status.FAILED
+    state = search(initial, expand, limits, record, stop_at_any_limit=True)
+    result.status = state.status
+    result.steps_used = state.steps_used
+    result.diverged = state.diverged
     return result

@@ -13,28 +13,27 @@ Three single-step reductions are distinguished:
 
 An S-step is exhaustive rewriting, then one substitution step, then one
 rewriting step with the same clause at the now-instantiated atom.
+
+``search`` is the one depth-first driver for all four modes: ``refute``
+runs it with the SLD or S rules, ``coengine.co_refute`` with the colp or
+restricted loop rule ahead of the co-S rules.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .program import Clause, Program, clause_instance
 from .terms import (
     FreshVars,
-    Struct,
     Substitution,
     Term,
-    Var,
     apply_raw,
-    compose,
-    is_variant,
     restrict,
     variables_in_order,
-    variables_of,
 )
 from .unify import UnifyKind, mgm, mgu
 
@@ -76,20 +75,22 @@ class Trace:
 
 @dataclass(frozen=True)
 class Limits:
+    """Bounds on one search.
+
+    ``max_steps`` (charged moves) and ``max_depth`` (moves on one branch)
+    are limits.  In sld and s mode the search stops at a limit only while
+    it has no answer yet; after one, it goes on with the branches the limit
+    did not cut.  In colp and cos mode it stops at any limit.  A rewriting
+    chain longer than ``max_rewrite_chain`` is pruned as divergence and the
+    search goes on.  A search that ends without an answer reports
+    LIMIT_EXCEEDED if a limit fired or a chain was pruned.
+    """
+
     max_steps: int = 10000
     max_depth: int = 2000
     max_answers: int = 1
     max_rewrite_chain: int = 64
     fair: bool = False
-
-
-class RewriteDiverged(Exception):
-    """The rewrite-chain bound was hit: evidence of a rewriting loop, which
-    a productive program cannot exhibit."""
-
-    def __init__(self, chain: list[Term]):
-        super().__init__(f"rewriting chain exceeded bound at {chain[-1]}")
-        self.chain = chain
 
 
 def apply_to_goal(s: Substitution, g: Goal) -> Goal:
@@ -125,20 +126,6 @@ def rewrite_step(
     return new_goal, Step(StepKind.REWRITE, atom_index, clause_index, clause, sigma)
 
 
-def subst_step(
-    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
-) -> Optional[tuple[Goal, Step]]:
-    clause = clause_instance(p.clauses[clause_index], fresh)
-    out = mgu(clause.head, g[atom_index])
-    if out.kind is not UnifyKind.PROPER_UNIFIER:
-        return None
-    sigma = out.substitution
-    assert sigma is not None
-    return apply_to_goal(sigma, g), Step(
-        StepKind.SUBST, atom_index, clause_index, clause, sigma
-    )
-
-
 def s_compound(
     p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[Goal, list[Step]]]:
@@ -159,69 +146,6 @@ def s_compound(
     return g3, [st1, st2]
 
 
-def replay(g: Goal, steps: Sequence[Step]) -> list[Goal]:
-    """All intermediate goals of a derivation, starting with the initial
-    goal; used by tests to confirm traces are honest."""
-    goals = [g]
-    for st in steps:
-        cur = goals[-1]
-        i = st.atom_index
-        if st.kind is StepKind.SUBST:
-            goals.append(apply_to_goal(st.subst, cur))
-        elif st.kind is StepKind.REWRITE:
-            assert st.clause is not None
-            body = tuple(apply_raw(st.subst, b) for b in st.clause.body)
-            goals.append(cur[:i] + body + cur[i + 1 :])
-        elif st.kind is StepKind.SLD:
-            assert st.clause is not None
-            goals.append(
-                apply_to_goal(st.subst, cur[:i] + st.clause.body + cur[i + 1 :])
-            )
-        else:
-            goals.append(cur[:i] + cur[i + 1 :])
-    return goals
-
-
-def s_step(
-    p: Program, g: Goal, limits: Limits, fresh: FreshVars
-) -> Optional[tuple[Goal, list[Step]]]:
-    """One deterministic S-step at the first available position: exhaust
-    rewriting (first clause, leftmost rewritable atom), then the first
-    substitution step followed by a rewrite with the same clause.
-
-    Raises RewriteDiverged when the rewriting phase exceeds the chain
-    bound; returns None when the goal is stuck.
-    """
-    steps: list[Step] = []
-    chain = 0
-    while True:
-        if not g:
-            return g, steps
-        progressed = False
-        for i in range(len(g)):
-            for ci in range(len(p.clauses)):
-                got = rewrite_step(p, g, i, ci, fresh)
-                if got is not None:
-                    g, st = got
-                    steps.append(st)
-                    chain += 1
-                    if chain > limits.max_rewrite_chain:
-                        raise RewriteDiverged([s for s in g])
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            break
-    for i in range(len(g)):
-        for ci in range(len(p.clauses)):
-            got = s_compound(p, g, i, ci, fresh)
-            if got is not None:
-                g3, pair = got
-                return g3, steps + pair
-    return None
-
-
 @dataclass
 class RefuteResult:
     traces: list[Trace]
@@ -230,13 +154,19 @@ class RefuteResult:
     diverged: bool = False
 
 
+# A move at a selected atom: the next goal, the step or steps to it, and
+# whether it extends the rewriting chain.
+Move = tuple[Any, Union[Step, list[Step]], bool]
+
+
 class _SearchState:
-    def __init__(self, limits: Limits):
+    def __init__(self, limits: Limits, stop_at_any_limit: bool):
         self.limits = limits
+        self.stop_at_any_limit = stop_at_any_limit
         self.steps_used = 0
         self.limit_hit = False
         self.diverged = False
-        self.answers: list[tuple[Step, ...]] = []
+        self.answers = 0
 
     def charge(self, n: int) -> bool:
         self.steps_used += n
@@ -247,13 +177,104 @@ class _SearchState:
 
     @property
     def done(self) -> bool:
-        return len(self.answers) >= self.limits.max_answers or (
-            self.limit_hit and not self.answers
+        return self.answers >= self.limits.max_answers or (
+            self.limit_hit and (self.stop_at_any_limit or not self.answers)
         )
 
+    @property
+    def status(self) -> Status:
+        if self.answers:
+            return Status.REFUTED
+        if self.limit_hit or self.diverged:
+            return Status.LIMIT_EXCEEDED
+        return Status.FAILED
 
-def _select(g: Goal, moves: int, fair: bool) -> int:
-    return moves % len(g) if fair else 0
+
+# Yields a mode's moves at the selected atom g[i] of a goal reached by a
+# rewriting chain of the given length, charging each move to the state.
+Expand = Callable[[_SearchState, Sequence, int, int], Iterator[Move]]
+
+
+def clause_moves(
+    p: Program, rules: Sequence[tuple[Callable, int, bool]], fresh: FreshVars
+) -> Expand:
+    """An ``expand`` for ``search`` that tries each ``(rule, charge,
+    rewrite)`` in turn, each in clause order.  A rewrite past
+    ``max_rewrite_chain`` is pruned as divergence; each other move is
+    charged, and the moves end when the budget does."""
+
+    def expand(state: _SearchState, g: Sequence, i: int, chain: int) -> Iterator[Move]:
+        for rule, cost, rewrite in rules:
+            for ci in range(len(p.clauses)):
+                got = rule(p, g, i, ci, fresh)
+                if got is None:
+                    continue
+                if rewrite and chain + 1 > state.limits.max_rewrite_chain:
+                    state.diverged = True
+                    continue
+                if not state.charge(cost):
+                    return
+                yield got[0], got[1], rewrite
+
+    return expand
+
+
+def search(
+    initial: Sequence, expand: Expand, limits: Limits,
+    record: Callable[[tuple[Step, ...]], None], stop_at_any_limit: bool,
+) -> _SearchState:
+    """The depth-first search behind every mode, on an explicit stack.
+
+    ``expand(state, g, i, chain)`` yields a mode's moves at the selected
+    atom ``g[i]`` in rule order, charging each to ``state`` and ending when
+    a charge fails; ``chain`` is the rewriting chain that reached ``g``.
+    ``record`` receives the steps of each refutation.  This is the one place
+    that selects atoms, bounds move depth and decides when to stop: at
+    ``max_answers``, or at a limit -- any limit when ``stop_at_any_limit``,
+    otherwise only while no answer has been found.
+    """
+    state = _SearchState(limits, stop_at_any_limit)
+    path: list[Step] = []
+    # One frame per goal on the branch: its moves, its depth in moves, its
+    # rewriting chain and the length of ``path`` at it.
+    stack: list[tuple[Iterator[Move], int, int, int]] = []
+
+    def enter(g: Sequence, moves: int, chain: int) -> None:
+        if not g:
+            state.answers += 1
+            record(tuple(path))
+        elif moves >= limits.max_depth:
+            state.limit_hit = True
+        else:
+            i = moves % len(g) if limits.fair else 0
+            stack.append((expand(state, g, i, chain), moves, chain, len(path)))
+
+    # The search itself does not recurse, but term operations recurse over
+    # term depth, which can exceed CPython's default stack budget.
+    floor = 4 * limits.max_depth + 10_000
+    previous = sys.getrecursionlimit()
+    if previous < floor:
+        sys.setrecursionlimit(floor)
+    try:
+        if not state.done:
+            enter(initial, 0, 0)
+        while stack and not state.done:
+            frame_moves, moves, chain, mark = stack[-1]
+            move = next(frame_moves, None)
+            if move is None:
+                stack.pop()
+                continue
+            g2, taken, rewrite = move
+            del path[mark:]
+            if isinstance(taken, Step):
+                path.append(taken)
+            else:
+                path.extend(taken)
+            enter(g2, moves + 1, chain + 1 if rewrite else 0)
+    finally:
+        if previous < floor:
+            sys.setrecursionlimit(previous)
+    return state
 
 
 def refute(
@@ -270,97 +291,20 @@ def refute(
     S-move each).  Rewriting chains longer than the bound are pruned and
     reported as divergence.
     """
-    if mode not in ("sld", "s"):
+    if mode == "sld":
+        rules = ((sld_step, 1, False),)
+    elif mode == "s":
+        rules = ((rewrite_step, 1, True), (s_compound, 2, False))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
-    state = _SearchState(limits)
     initial: Goal = tuple(query)
-
-    def search(g: Goal, steps: list[Step], moves: int, rw_chain: int) -> None:
-        if state.done:
-            return
-        if not g:
-            state.answers.append(tuple(steps))
-            return
-        if moves >= limits.max_depth:
-            state.limit_hit = True
-            return
-        i = _select(g, moves, limits.fair)
-        if mode == "sld":
-            for ci in range(len(p.clauses)):
-                got = sld_step(p, g, i, ci, fresh)
-                if got is None:
-                    continue
-                if not state.charge(1):
-                    return
-                g2, st = got
-                search(g2, steps + [st], moves + 1, 0)
-                if state.done:
-                    return
-            return
-        # S mode: plain rewrites first (clause order), then compound
-        # substitution+rewrite moves.
-        for ci in range(len(p.clauses)):
-            got = rewrite_step(p, g, i, ci, fresh)
-            if got is None:
-                continue
-            if rw_chain + 1 > limits.max_rewrite_chain:
-                state.diverged = True
-                continue
-            if not state.charge(1):
-                return
-            g2, st = got
-            search(g2, steps + [st], moves + 1, rw_chain + 1)
-            if state.done:
-                return
-        for ci in range(len(p.clauses)):
-            got = s_compound(p, g, i, ci, fresh)
-            if got is None:
-                continue
-            if not state.charge(2):
-                return
-            g3, pair = got
-            search(g3, steps + pair, moves + 1, 0)
-            if state.done:
-                return
-
-    # The DFS recurses once per move and term operations recurse over term
-    # depth; both can legitimately exceed CPython's default stack budget.
-    floor = 4 * limits.max_depth + 10_000
-    previous = sys.getrecursionlimit()
-    if previous < floor:
-        sys.setrecursionlimit(floor)
-    try:
-        search(initial, [], 0, 0)
-    finally:
-        if previous < floor:
-            sys.setrecursionlimit(previous)
-
-    if state.answers:
-        status = Status.REFUTED
-    elif state.limit_hit or state.diverged:
-        status = Status.LIMIT_EXCEEDED
-    else:
-        status = Status.FAILED
-    traces = [Trace(initial, ans, Status.REFUTED) for ans in state.answers]
+    answers: list[tuple[Step, ...]] = []
+    expand = clause_moves(p, rules, fresh)
+    state = search(initial, expand, limits, answers.append, stop_at_any_limit=False)
+    status = state.status
+    traces = [Trace(initial, ans, Status.REFUTED) for ans in answers]
     if not traces:
         traces = [Trace(initial, (), status, diverged=state.diverged)]
     return RefuteResult(traces, status, state.steps_used, state.diverged)
 
-
-def answer_substitution(steps: Sequence[Step], query_vars: Sequence[Var]) -> Substitution:
-    """Composed step substitutions restricted to the query variables."""
-    acc = Substitution()
-    for st in steps:
-        acc = compose(st.subst, acc)
-    return restrict(acc, query_vars)
-
-
-def partial_answer(steps: Sequence[Step], k: int, query: Term) -> Term:
-    """The query under the composition of the first k step substitutions."""
-    if k > len(steps):
-        raise ValueError("k exceeds the number of recorded steps")
-    t = query
-    for st in steps[:k]:
-        t = apply_raw(st.subst, t)
-    return t

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from coresolve.derivation import StepKind, apply_to_goal
 from coresolve.program import parse_program, parse_query
-from coresolve.terms import FreshVars, Struct, Symbol, Var
+from coresolve.terms import FreshVars, Struct, Symbol, Var, apply_raw
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -57,6 +58,27 @@ def load_query(name: str, query: str):
     text = (PROGRAMS / f"{name}.lp").read_text(encoding="utf-8")
     prog = parse_program(text, fresh)
     return prog, parse_query(query, fresh), fresh
+
+
+def replay(g, steps):
+    """All intermediate goals of a derivation, starting with the initial
+    goal; confirms that a trace is honest."""
+    goals = [g]
+    for st in steps:
+        cur = goals[-1]
+        i = st.atom_index
+        if st.kind is StepKind.SUBST:
+            goals.append(apply_to_goal(st.subst, cur))
+        elif st.kind is StepKind.REWRITE:
+            body = tuple(apply_raw(st.subst, b) for b in st.clause.body)
+            goals.append(cur[:i] + body + cur[i + 1 :])
+        elif st.kind is StepKind.SLD:
+            goals.append(
+                apply_to_goal(st.subst, cur[:i] + st.clause.body + cur[i + 1 :])
+            )
+        else:
+            goals.append(cur[:i] + cur[i + 1 :])
+    return goals
 
 
 # --- random term generation ---------------------------------------------------

@@ -20,7 +20,7 @@ from conftest import PROGRAMS, load_query, random_term, seed, var_pool
 from coresolve.cli import main
 from coresolve.coengine import LoopFailReason, co_refute
 from coresolve.decirc import apply_prefix, decircularize, unfold
-from coresolve.derivation import Limits, Status, answer_substitution, refute
+from coresolve.derivation import Limits, Status, refute
 from coresolve.models import gfp_local_check, lfp_enumerate
 from coresolve.productivity import ProductivityStatus, check_productive
 from coresolve.program import (
@@ -37,10 +37,12 @@ from coresolve.terms import (
     Var,
     apply,
     apply_raw,
+    compose,
     const,
     distance,
     is_variant,
     mk,
+    restrict,
     term_to_text,
     truncate,
     variables_in_order,
@@ -244,6 +246,14 @@ def random_query(rnd, preds, fresh):
         return ground_term(rnd, 2)
 
     return Struct(sym, tuple(arg() for _ in range(sym.arity)))
+
+
+def answer_substitution(steps, query_vars):
+    """Composed step substitutions restricted to the query variables."""
+    acc = Substitution()
+    for st in steps:
+        acc = compose(st.subst, acc)
+    return restrict(acc, query_vars)
 
 
 def answers_of(p, query, mode, limits, fresh):

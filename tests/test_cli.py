@@ -149,9 +149,18 @@ class TestUsage:
         assert code == 3
 
     def test_nonpositive_bound(self, capsys):
-        code, _, err = run(capsys, "run", lp("nat"), "-q", "nat(0)", "--max-steps", "0")
-        assert code == 3
-        assert "positive" in err
+        cases = [
+            (["run", lp("nat"), "-q", "nat(0)", "--max-steps", "0"],
+             "--max-steps must be positive"),
+            (["validate", lp("r"), "-q", "r(X,Y)", "--rounds", "-1"],
+             "--rounds must be positive"),
+            (["validate", lp("r"), "-q", "r(X,Y)", "--depth", "0"],
+             "--depth must be positive"),
+            (["run", lp("nats"), "-q", "nats(X)", "--unfold-depth", "-1"],
+             "--unfold-depth must not be negative"),
+        ]
+        for argv, message in cases:
+            assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
 class TestRepl:
@@ -171,3 +180,21 @@ class TestRepl:
         assert "X = scons(0,X)" in text
         assert "limit exceeded" in text
         assert "no rewriting loop" in text
+
+    def test_set_rejects_out_of_range_bounds(self):
+        inp = io.StringIO(
+            ":set max_answers 0\n"
+            ":set max_steps -5\n"
+            ":set unfold_depth -1\n"
+            ":set unfold_depth 0\n"
+            "nat(0).\n"
+        )
+        out, err = io.StringIO(), io.StringIO()
+        code = repl(argparse.Namespace(file=lp("nat")), out, err, inp)
+        assert code == 0
+        assert out.getvalue().splitlines()[1:] == [
+            "error: --max-answers must be positive",
+            "error: --max-steps must be positive",
+            "error: --unfold-depth must not be negative",
+            "true",
+        ]

@@ -13,7 +13,6 @@ from coresolve.coengine import (
     co_replay,
     co_rewrite,
     co_s_compound,
-    co_subst,
     colp_loop,
     preflight_warnings,
     restricted_loop,
@@ -76,24 +75,28 @@ class TestCoRewrite:
 
 
 class TestCoSubst:
+    """The substitution half of ``co_s_compound``."""
+
     def test_ancestors_instantiated_in_lockstep(self):
         p, g, fresh = setup("p(X,s(X)) :- q(X). q(s(X)) :- p(X,X).", "q(X)")
-        # Give the entry an ancestor mentioning X by rewriting first.
-        from coresolve.coengine import Entry
-
+        # Give the entry an ancestor mentioning X, as rewriting would.
         x = g[0].atom.args[0]
         g = (Entry(g[0].atom, (mk("p", x, mk("s", x)),)),)
-        got = co_subst(p, g, 0, 1, fresh)
+        got = co_s_compound(p, g, 0, 1, fresh)
         assert got is not None
-        g2, st = got
+        g3, (st, _) = got
+        assert st.kind is StepKind.SUBST
         img = st.subst.get(x)
         assert img is not None and img.symbol.name == "s"
+        g2 = co_replay(g, [st], "restricted")[1]
         # The ancestor saw the same substitution as the atom.
         assert g2[0].ancestors[0].args[0] == img
+        # The body entry inherits both, atom last.
+        assert g3[0].ancestors == g2[0].ancestors + (g2[0].atom,)
 
     def test_matcher_classified_out(self):
         p, g, fresh = setup("nat(0).", "nat(0)")
-        assert co_subst(p, g, 0, 0, fresh) is None
+        assert co_s_compound(p, g, 0, 0, fresh) is None
 
 
 class TestColpLoop:

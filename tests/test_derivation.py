@@ -2,24 +2,20 @@
 
 import pytest
 
-from conftest import load_query
+from conftest import load_query, replay
 from coresolve.derivation import (
     Limits,
-    RewriteDiverged,
     Status,
     StepKind,
-    partial_answer,
     refute,
-    replay,
     rewrite_step,
     s_compound,
-    s_step,
     sld_step,
-    subst_step,
 )
 from coresolve.program import parse_program, parse_query
 from coresolve.terms import (
     FreshVars,
+    apply_raw,
     const,
     is_variant,
     mk,
@@ -39,6 +35,25 @@ def setup(text, query):
 
 NATS = "nat(0). nat(s(X)) :- nat(X). nats(scons(X,Y)) :- nat(X), nats(Y)."
 BAD = "bad(f(X)) :- bad(f(X))."
+
+
+def partial_answer(steps, k, query):
+    """The query under the composition of the first k step substitutions."""
+    if k > len(steps):
+        raise ValueError("k exceeds the number of recorded steps")
+    t = query
+    for st in steps[:k]:
+        t = apply_raw(st.subst, t)
+    return t
+
+
+def produce(p, goal, i, fresh):
+    """The first clause's substitution-plus-rewrite at ``goal[i]``."""
+    for ci in range(len(p.clauses)):
+        got = s_compound(p, goal, i, ci, fresh)
+        if got is not None:
+            return got
+    raise AssertionError(f"no production step at atom {i}")
 
 
 class TestSldStep:
@@ -89,47 +104,56 @@ class TestRewriteStep:
 
 
 class TestSubstStep:
+    """The substitution half of ``s_compound``, seen through ``replay``."""
+
     def test_instantiates_whole_goal(self):
         p, g, fresh = setup(NATS, "nats(X), other(X)")
-        got = subst_step(p, g, 0, 2, fresh)
+        got = s_compound(p, g, 0, 2, fresh)
         assert got is not None
-        g2, st = got
+        g3, pair = got
+        assert [st.kind for st in pair] == [StepKind.SUBST, StepKind.REWRITE]
+        g2 = replay(g, pair)[1]
         assert len(g2) == len(g)
         assert g2[0].args[0].symbol.name == "scons"
         assert g2[1].args[0] == g2[0].args[0]  # lockstep instantiation
+        assert [t.symbol.name for t in g3] == ["nat", "nats", "other"]
 
     def test_fact_instantiation(self):
         p, g, fresh = setup(NATS, "nat(Xp)")
-        g2, _ = subst_step(p, g, 0, 0, fresh)
-        assert g2 == (mk("nat", zero),)
+        g3, pair = s_compound(p, g, 0, 0, fresh)
+        assert replay(g, pair)[1] == (mk("nat", zero),)
+        assert g3 == ()
 
     def test_matcher_classified_out(self):
         p, g, fresh = setup(NATS, "nat(0)")
-        assert subst_step(p, g, 0, 0, fresh) is None
+        assert s_compound(p, g, 0, 0, fresh) is None
 
 
 class TestSStep:
+    """S-moves as the S-mode search takes them."""
+
     def test_production_after_rewrites(self):
-        p, g, fresh = setup(NATS, "nats(X)")
-        got = s_step(p, g, Limits(), fresh)
-        assert got is not None
-        g2, steps = got
-        kinds = [st.kind for st in steps]
-        assert StepKind.SUBST in kinds and StepKind.REWRITE in kinds
-        assert [t.symbol.name for t in g2] == ["nat", "nats"]
+        p, g, fresh = setup(NATS, "nat(s(X))")
+        result = refute(p, g, "s", Limits(), fresh)
+        assert result.status is Status.REFUTED
+        kinds = [st.kind for st in result.traces[0].steps]
+        assert kinds == [StepKind.REWRITE, StepKind.SUBST, StepKind.REWRITE]
 
     def test_ground_goal_closes(self):
         p, g, fresh = setup(NATS, "nat(s(0))")
-        g2, steps = s_step(p, g, Limits(), fresh)
-        assert g2 == ()
-        # The rewriting phase consumed nat(s(0)) -> nat(0) and the fact
-        # closed the goal without a substitution step.
+        result = refute(p, g, "s", Limits(), fresh)
+        steps = result.traces[0].steps
+        assert replay(g, steps)[-1] == ()
+        # Rewriting consumed nat(s(0)) -> nat(0) and the fact closed the
+        # goal without a substitution step.
         assert all(st.kind is StepKind.REWRITE for st in steps)
 
     def test_rewrite_divergence(self):
         p, g, fresh = setup(BAD, "bad(f(X))")
-        with pytest.raises(RewriteDiverged):
-            s_step(p, g, Limits(max_rewrite_chain=1), fresh)
+        result = refute(p, g, "s", Limits(max_rewrite_chain=1), fresh)
+        assert result.status is Status.LIMIT_EXCEEDED
+        assert result.diverged and result.traces[0].diverged
+        assert result.steps_used == 1
 
 
 class TestRefute:
@@ -169,17 +193,14 @@ class TestPartialAnswer:
 
     def test_nats_prefix_grows(self):
         p, g, fresh = setup(NATS, "nats(X)")
-        # Drive deterministic S-steps and watch the partial answer extend.
+        # Production steps at the leftmost atom; nothing here rewrites.
         steps = []
         goal = g
         for _ in range(6):
-            got = s_step(p, goal, Limits(), fresh)
-            if got is None:
-                break
-            goal, new = got
-            steps = steps + new
+            goal, pair = produce(p, goal, 0, fresh)
+            steps += pair
         t = partial_answer(steps, len(steps), g[0])
-        assert term_to_text(t).startswith("nats(scons(")
+        assert term_to_text(t).startswith("nats(scons(0,scons(0,")
 
     def test_server_partial_answer(self):
         # Fair round-robin production steps: both the resource and the
@@ -188,14 +209,7 @@ class TestPartialAnswer:
         goal = tuple(q)
         steps = []
         for k in range(4):
-            i = k % len(goal)
-            got = None
-            for ci in range(len(p.clauses)):
-                got = s_compound(p, goal, i, ci, fresh)
-                if got is not None:
-                    break
-            assert got is not None
-            goal, pair = got
+            goal, pair = produce(p, goal, k % len(goal), fresh)
             steps += pair
         t = partial_answer(steps, len(steps), q[0])
         assert term_to_text(t).startswith("resource(cons(get(0),")

@@ -3,10 +3,10 @@ properties."""
 
 import pytest
 
-from conftest import load_query
+from conftest import load_query, replay
 from coresolve import decirc
 from coresolve.coengine import co_refute
-from coresolve.derivation import Limits, Status, StepKind, replay
+from coresolve.derivation import Limits, Status, StepKind
 from coresolve.terms import term_to_text
 from coresolve.validation import (
     ValidationRefused,
