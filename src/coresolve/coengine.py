@@ -18,8 +18,8 @@ Rule priority per selected atom is fixed: loop detection first (scanning
 ancestors most recent first), then rewriting, then the substitution-plus-
 rewrite production step.  Loop detection must come first, otherwise a
 non-terminating derivation would never reach it.  ``co_refute`` gives these
-rules, in that order, to ``derivation.search``, the driver all four modes
-share.
+rules, in that order, to ``derivation.search``, the search loop all four
+modes share.
 """
 
 from __future__ import annotations

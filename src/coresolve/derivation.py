@@ -14,7 +14,7 @@ Three single-step reductions are distinguished:
 An S-step is exhaustive rewriting, then one substitution step, then one
 rewriting step with the same clause at the now-instantiated atom.
 
-``search`` is the one depth-first driver for all four modes: ``refute``
+``search`` is the one depth-first search loop of all four modes: ``refute``
 runs it with the SLD or S rules, ``coengine.co_refute`` with the colp or
 restricted loop rule ahead of the co-S rules.
 """
