@@ -1,9 +1,15 @@
-"""Golden behaviour pin: one query per corpus program in every mode.
+"""Golden behaviour pins: one query per corpus program in every mode, and
+a wide edge/path program whose steps skip most clauses.
 
 ``tests/golden/corpus.json`` records, for each call, what
 ``coresolve run --max-answers 3 --trace structured`` prints on stdout, its
-exit code, and the ``steps_used`` of the engine call behind it.  Any change
-to the search (step order, charges, limit verdicts, answers) shows here.
+exit code, and the ``steps_used`` of the engine call behind it.
+``tests/golden/wide.json`` records the same for ``tests/golden/wide.lp``
+at ``--max-answers 5``.  The corpus programs have at most three clauses, so
+only the wide pin shows that clause selection tries the clauses that can
+fit and skips the ones that cannot, in the same order and at the same
+charges.  Any change to the search (step order, charges, limit verdicts,
+answers) shows here.
 
 Regenerate only when a behaviour change is intended, and say so:
 
@@ -17,49 +23,66 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_QUERIES, PROGRAMS, load_query
+from conftest import CORPUS_QUERIES, PROGRAMS
 from coresolve.cli import main
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, refute
+from coresolve.program import parse_program, parse_query
+from coresolve.terms import FreshVars
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
+WIDE = GOLDEN.parent / "wide.lp"
+WIDE_GOLDEN = GOLDEN.parent / "wide.json"
 MODES = ("sld", "s", "colp", "cos")
 MAX_ANSWERS = 3
 # These searches never end and grow their terms as they go, so at the
 # default budget some of their runs take minutes; 200 steps keeps each short.
 MAX_STEPS = {"case2": 200, "ex52": 200, "fibs": 200, "server": 200}
+WIDE_MAX_ANSWERS = 5
+# Reachable, unreachable, reachable only through the bridge rule, and the
+# two open ends.
+WIDE_QUERIES = ("path(a,b)", "path(a,c)", "path(i2,c)", "path(a,Y)", "path(X,b)")
 
 
-def observe(name: str, mode: str) -> dict:
-    query = CORPUS_QUERIES[name]
-    max_steps = MAX_STEPS.get(name, Limits.max_steps)
+def observe(path: Path, query: str, mode: str, max_answers: int, max_steps: int) -> dict:
     argv = [
-        "run", str(PROGRAMS / f"{name}.lp"), "-q", query, "--mode", mode,
-        "--max-answers", str(MAX_ANSWERS), "--max-steps", str(max_steps),
+        "run", str(path), "-q", query, "--mode", mode,
+        "--max-answers", str(max_answers), "--max-steps", str(max_steps),
         "--trace", "structured",
     ]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    p, q, fresh = load_query(name, query)
-    limits = Limits(max_steps=max_steps, max_answers=MAX_ANSWERS)
+    fresh = FreshVars()
+    p = parse_program(path.read_text(encoding="utf-8"), fresh)
+    q = parse_query(query, fresh)
+    limits = Limits(max_steps=max_steps, max_answers=max_answers)
     if mode in ("sld", "s"):
         result = refute(p, q, mode, limits, fresh)
     else:
         engine_mode = "restricted" if mode == "cos" else "colp"
         result = co_refute(p, q, engine_mode, limits, fresh, preflight=False)
-    return {
-        "program": name,
-        "query": query,
-        "mode": mode,
-        "exit": code,
-        "steps_used": result.steps_used,
-        "stdout": out.getvalue(),
-    }
+    return {"exit": code, "steps_used": result.steps_used, "stdout": out.getvalue()}
+
+
+def observe_corpus(name: str, mode: str) -> dict:
+    query = CORPUS_QUERIES[name]
+    max_steps = MAX_STEPS.get(name, Limits.max_steps)
+    got = observe(PROGRAMS / f"{name}.lp", query, mode, MAX_ANSWERS, max_steps)
+    return {"program": name, "query": query, "mode": mode, **got}
+
+
+def observe_wide(query: str, mode: str) -> dict:
+    got = observe(WIDE, query, mode, WIDE_MAX_ANSWERS, Limits.max_steps)
+    return {"query": query, "mode": mode, **got}
 
 
 def calls():
     return [(name, mode) for name in sorted(CORPUS_QUERIES) for mode in MODES]
+
+
+def wide_calls():
+    return [(query, mode) for query in WIDE_QUERIES for mode in MODES]
 
 
 def load_golden() -> dict:
@@ -67,18 +90,36 @@ def load_golden() -> dict:
     return {(r["program"], r["mode"]): r for r in records}
 
 
+def load_wide_golden() -> dict:
+    records = json.loads(WIDE_GOLDEN.read_text(encoding="utf-8"))
+    return {(r["query"], r["mode"]): r for r in records}
+
+
 def test_golden_covers_every_call():
     assert sorted(load_golden()) == sorted(calls())
 
 
+def test_wide_golden_covers_every_call():
+    assert sorted(load_wide_golden()) == sorted(wide_calls())
+
+
 @pytest.mark.parametrize("name,mode", calls())
 def test_matches_golden(name, mode):
-    assert observe(name, mode) == load_golden()[(name, mode)]
+    assert observe_corpus(name, mode) == load_golden()[(name, mode)]
+
+
+@pytest.mark.parametrize("query,mode", wide_calls())
+def test_wide_matches_golden(query, mode):
+    assert observe_wide(query, mode) == load_wide_golden()[(query, mode)]
+
+
+def _write(path: Path, records: list) -> None:
+    path.write_text(
+        json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
 
 
 if __name__ == "__main__":
-    records = [observe(name, mode) for name, mode in calls()]
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    _write(GOLDEN, [observe_corpus(name, mode) for name, mode in calls()])
+    _write(WIDE_GOLDEN, [observe_wide(query, mode) for query, mode in wide_calls()])
