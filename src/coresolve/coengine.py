@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Generator, Iterator, Optional, Sequence
 
 from . import rational
@@ -329,7 +330,10 @@ def co_refute(
     warnings = preflight_warnings(p) if (preflight and restricted) else []
 
     result = CoResult([], Status.FAILED, warnings)
-    clauses = clause_moves(p, ((co_rewrite, 1, True), (co_s_compound, 2, False)), fresh)
+    clauses = clause_moves(
+        p, ((co_rewrite, 1, True), (co_s_compound, 2, False)), fresh,
+        atom_of=attrgetter("atom"),
+    )
 
     def expand(state: _SearchState, g: AnnotatedGoal, i: int, chain: int) -> Iterator[Move]:
         # The clause moves run only if the loop attempts left some budget.

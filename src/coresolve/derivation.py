@@ -16,7 +16,10 @@ rewriting step with the same clause at the now-instantiated atom.
 
 ``search`` is the one depth-first search loop of all four modes: ``refute``
 runs it with the SLD or S rules, ``coengine.co_refute`` with the colp or
-restricted loop rule ahead of the co-S rules.
+restricted loop rule ahead of the co-S rules.  Each rule is tried only on
+the clauses the program's first-argument index (``Program.candidates``)
+offers for the selected atom; the ones it leaves out would fail uncharged,
+so the index changes no step, charge or answer.
 """
 
 from __future__ import annotations
@@ -196,16 +199,22 @@ Expand = Callable[[_SearchState, Sequence, int, int], Iterator[Move]]
 
 
 def clause_moves(
-    p: Program, rules: Sequence[tuple[Callable, int, bool]], fresh: FreshVars
+    p: Program,
+    rules: Sequence[tuple[Callable, int, bool]],
+    fresh: FreshVars,
+    atom_of: Callable[[Any], Term] = lambda entry: entry,
 ) -> Expand:
     """An ``expand`` for ``search`` that tries each ``(rule, charge,
-    rewrite)`` in turn, each in clause order.  A rewrite past
+    rewrite)`` in turn, each over the clauses the index offers for the
+    selected atom ``atom_of(g[i])``, in clause order; a rewrite rule only
+    matches, so it gets the index's matching lookup.  A rewrite past
     ``max_rewrite_chain`` is pruned as divergence; each other move is
     charged, and the moves end when the budget does."""
 
     def expand(state: _SearchState, g: Sequence, i: int, chain: int) -> Iterator[Move]:
+        atom = atom_of(g[i])
         for rule, cost, rewrite in rules:
-            for ci in range(len(p.clauses)):
+            for ci in p.candidates(atom, matching=rewrite):
                 got = rule(p, g, i, ci, fresh)
                 if got is None:
                     continue

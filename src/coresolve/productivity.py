@@ -75,8 +75,9 @@ def default_roots(p: Program, fresh: FreshVars) -> list[Term]:
     roots: list[Term] = []
     for sym in p.predicates():
         roots.append(Struct(sym, tuple(fresh.new() for _ in range(sym.arity))))
-    for c in p.clauses:
-        roots.append(clause_instance(c, fresh).head)
+    # The heads need no renaming: ``explore`` only matches renamed clauses
+    # against them, so they share no variable with what they meet.
+    roots.extend(c.head for c in p.clauses)
     return roots
 
 
@@ -94,7 +95,7 @@ def check_productive(
     root_list = list(roots) if roots is not None else default_roots(p, fresh)
 
     def explore(atom: Term, chain: list[Term], steps: list[WitnessStep]) -> Optional[RewritingWitness]:
-        for ci in range(len(p.clauses)):
+        for ci in p.candidates(atom, matching=True):
             clause = clause_instance(p.clauses[ci], fresh)
             out = mgm(clause.head, atom)
             if not out.ok:

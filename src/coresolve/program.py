@@ -11,7 +11,8 @@ negation, cut, or built-ins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .terms import (
     DIAMOND,
@@ -62,19 +63,68 @@ class Clause:
         return clause_to_text(self)
 
 
+class _PredicateIndex:
+    """The clauses of one predicate, as indices in clause order: all of
+    them, those whose head has a variable first argument (or no argument),
+    and per principal symbol of a bound first argument, the clauses with
+    that symbol there together with the variable-first ones."""
+
+    __slots__ = ("every", "var_first", "by_first")
+
+    def __init__(self) -> None:
+        self.every: list[int] = []
+        self.var_first: list[int] = []
+        self.by_first: dict[Symbol, list[int]] = {}
+
+
 @dataclass(frozen=True)
 class Program:
     clauses: tuple[Clause, ...]
     signature: dict[str, Symbol] = field(default_factory=dict, compare=False)
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
-    def predicates(self) -> list[Symbol]:
-        out: list[Symbol] = []
-        for c in self.clauses:
+    @cached_property
+    def _index(self) -> dict[Symbol, _PredicateIndex]:
+        # First-argument indexing (Warren 1983): built on the first lookup,
+        # so parsing a program does not pay for it.
+        index: dict[Symbol, _PredicateIndex] = {}
+        for ci, c in enumerate(self.clauses):
             assert isinstance(c.head, Struct)
-            if c.head.symbol not in out:
-                out.append(c.head.symbol)
-        return out
+            pred = index.setdefault(c.head.symbol, _PredicateIndex())
+            pred.every.append(ci)
+            first = c.head.args[0] if c.head.args else None
+            if isinstance(first, Struct):
+                bucket = pred.by_first.get(first.symbol)
+                if bucket is None:
+                    bucket = pred.by_first[first.symbol] = list(pred.var_first)
+                bucket.append(ci)
+            else:
+                pred.var_first.append(ci)
+                for bucket in pred.by_first.values():
+                    bucket.append(ci)
+        return index
+
+    def predicates(self) -> list[Symbol]:
+        """Head predicate symbols in first-occurrence order."""
+        return list(self._index)
+
+    def candidates(self, atom: Term, matching: bool = False) -> Sequence[int]:
+        """Indices, in clause order, of the clauses whose head may unify
+        with ``atom`` -- or, with ``matching``, may match it (the head is
+        the pattern).  Every clause left out fails: its head has another
+        predicate, or a first argument whose symbol clashes with the
+        atom's; and a bound first argument never matches a variable."""
+        if isinstance(atom, Var):
+            return () if matching else range(len(self.clauses))
+        pred = self._index.get(atom.symbol)
+        if pred is None:
+            return ()
+        if not atom.args:
+            return pred.every
+        first = atom.args[0]
+        if isinstance(first, Var):
+            return pred.var_first if matching else pred.every
+        return pred.by_first.get(first.symbol, pred.var_first)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def build_loop_unrolling(
         if guard > 200 * (rounds + 1) * (len(initial) + 1):
             raise ValidationRefused("unrolling did not progress")
         got_r = None
-        for ci in range(len(p.clauses)):
+        for ci in p.candidates(goal[0], matching=True):
             got_r = rewrite_step(p, goal, 0, ci, fresh)
             if got_r is not None:
                 break
@@ -145,7 +145,7 @@ def build_loop_unrolling(
             stuck = 0
             continue
         got_c = None
-        for ci in range(len(p.clauses)):
+        for ci in p.candidates(goal[0]):
             got_c = s_compound(p, goal, 0, ci, fresh)
             if got_c is not None:
                 break

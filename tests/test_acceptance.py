@@ -358,6 +358,53 @@ class TestCriterion2RefutationEquivalence:
         assert skipped <= 200
 
 
+def random_indexed_program(rnd, fresh):
+    """A random program for the clause index: predicates of arity 0 to 2
+    whose heads have variable, constant or compound first arguments, in
+    random order."""
+    preds = [Symbol(f"q{i}", rnd.choice([0, 1, 2, 2])) for i in range(rnd.randint(1, 3))]
+    clauses = []
+    for _ in range(rnd.randint(1, 12)):
+        sym = rnd.choice(preds)
+        pool = [fresh.new(f"H{k}") for k in range(3)]
+        head = Struct(sym, tuple(random_term(rnd, 2, pool) for _ in range(sym.arity)))
+        clauses.append(Clause(head))
+    return Program(tuple(clauses)), preds
+
+
+class TestClauseIndexSoundness:
+    def test_left_out_clauses_never_fit(self):
+        rnd = random.Random(seed() + 7)
+        stray = Symbol("stray", 1)
+        left_out = {False: 0, True: 0}
+        for pi in range(200):
+            fresh = FreshVars(10**4)
+            if pi % 2:
+                p, preds = random_program(rnd, fresh)
+            else:
+                p, preds = random_indexed_program(rnd, fresh)
+            heads = [c.head.symbol for c in p.clauses]
+            assert p.predicates() == list(dict.fromkeys(heads))
+            for _ in range(10):
+                r = rnd.random()
+                if r < 0.05:
+                    atom = fresh.new("Q")
+                else:
+                    sym = stray if r < 0.1 else rnd.choice(preds)
+                    pool = [fresh.new("Q") for _ in range(2)]
+                    atom = Struct(sym, tuple(random_term(rnd, 2, pool) for _ in range(sym.arity)))
+                for matching in (False, True):
+                    offered = list(p.candidates(atom, matching=matching))
+                    assert offered == sorted(set(offered))
+                    for ci in set(range(len(p.clauses))) - set(offered):
+                        left_out[matching] += 1
+                        head = clause_instance(p.clauses[ci], fresh).head
+                        fits = mgm(head, atom) if matching else mgu(head, atom)
+                        assert not fits.ok, (term_to_text(atom), ci, matching)
+        # Both lookups leave clauses out, so the checks above are not vacuous.
+        assert left_out[False] > 500 and left_out[True] > left_out[False]
+
+
 # --- criterion 3: loop answers correspond to derivations -----------------------
 
 

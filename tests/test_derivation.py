@@ -217,3 +217,41 @@ class TestPartialAnswer:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             partial_answer((), 1, zero)
+
+
+def tree_program() -> str:
+    """300 edge/2 facts, last to first: a ternary tree of 300 nodes under
+    ``a`` with ``b`` its last leaf, and one stray edge; plus path/2."""
+    names = ["a"] + [f"n{i}" for i in range(1, 299)] + ["b"]
+    facts = [f"edge({names[(i - 1) // 3]},{names[i]})." for i in range(1, 300)]
+    facts.append("edge(c,d).")
+    rules = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
+    return "\n".join(reversed(facts)) + "\n" + rules
+
+
+class TestClauseIndex:
+    @pytest.mark.parametrize("mode,steps", [("sld", 104), ("cos", 560)])
+    def test_renames_only_clauses_that_fit(self, monkeypatch, mode, steps):
+        # Without the index every charged step renamed all 302 clauses
+        # (about 300 renames per step in sld, 110 in cos) at these same
+        # step counts.
+        from coresolve import coengine, derivation
+
+        renames = 0
+        rename = derivation.clause_instance
+
+        def counted(c, fresh):
+            nonlocal renames
+            renames += 1
+            return rename(c, fresh)
+
+        monkeypatch.setattr(derivation, "clause_instance", counted)
+        monkeypatch.setattr(coengine, "clause_instance", counted)
+        p, q, fresh = setup(tree_program(), "path(a,b)")
+        if mode == "sld":
+            result = refute(p, q, "sld", Limits(), fresh)
+        else:
+            result = coengine.co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        assert result.status is Status.REFUTED
+        assert result.steps_used == steps
+        assert renames <= 3 * steps
