@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import load_query, replay
+from coresolve import coengine, derivation
 from coresolve.derivation import (
     Limits,
     Status,
@@ -232,11 +233,9 @@ def tree_program() -> str:
 class TestClauseIndex:
     @pytest.mark.parametrize("mode,steps", [("sld", 104), ("cos", 560)])
     def test_renames_only_clauses_that_fit(self, monkeypatch, mode, steps):
-        # Without the index every charged step renamed all 302 clauses
-        # (about 300 renames per step in sld, 110 in cos) at these same
-        # step counts.
-        from coresolve import coengine, derivation
-
+        # A scan of every clause renames all 302 at each selected atom:
+        # about 300 renames per charged step in sld and 110 in cos, at
+        # these same step counts.
         renames = 0
         rename = derivation.clause_instance
 
