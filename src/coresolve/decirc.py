@@ -29,7 +29,6 @@ from .terms import (
     Term,
     Var,
     apply,
-    iter_subterms,
     truncate,
     variables_in_order,
 )
@@ -80,37 +79,6 @@ def unfold(
     return truncate(depth, apply_prefix(decircularize(sigma, depth), t))
 
 
-def circular_components(s: Substitution) -> set[Var]:
-    """The bound variables that lie on a binding cycle.  Variables that
-    merely reach a cycle keep one non-circular binding (their image with
-    cycle variables at generation 1) and need no chain of their own."""
-    color: dict[Var, int] = {}
-    circ: set[Var] = set()
-
-    def visit(v: Var, stack: list[Var]) -> None:
-        color[v] = 1
-        stack.append(v)
-        img = s.get(v)
-        if img is not None:
-            for sub in iter_subterms(img):
-                if not isinstance(sub, Var) or sub not in s:
-                    continue
-                state = color.get(sub)
-                if state == 1:
-                    # Everything from sub up the stack is on a cycle.
-                    for w in stack[stack.index(sub):]:
-                        circ.add(w)
-                elif state is None:
-                    visit(sub, stack)
-        stack.pop()
-        color[v] = 2
-
-    for v in s.domain():
-        if v not in color:
-            visit(v, [])
-    return circ
-
-
 def decircularize(
     s: Substitution, k: int, fresh: Optional[FreshVars] = None
 ) -> list[Substitution]:
@@ -121,7 +89,9 @@ def decircularize(
     if not s.circular:
         return [s]
     fresh = fresh or FreshVars(10**5)
-    circ = sorted(circular_components(s), key=lambda v: v.id)
+    # Variables that merely reach a cycle keep one non-circular binding
+    # (their image with cycle variables at generation 1) and need no chain.
+    circ = sorted(s.cycle_vars(), key=lambda v: v.id)
     circ_set = set(circ)
 
     gen_cache: dict[tuple[Var, int], Var] = {}
@@ -169,8 +139,6 @@ def decircularize(
 def apply_prefix(prefix: Sequence[Substitution], t: Term) -> Term:
     """Apply decircularized generations in order (each is non-circular and
     idempotent, so plain application suffices)."""
-    from .terms import apply
-
     for s in prefix:
         t = apply(s, t)
     return t

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .program import Clause, Program, clause_instance
-from .terms import FreshVars, Struct, Term, Var, apply_raw, is_variant
+from .terms import FreshVars, Struct, Term, apply_raw, is_variant
 from .unify import mgm
 
 

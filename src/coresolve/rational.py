@@ -3,9 +3,9 @@
 A (possibly circular) substitution denotes, for each variable, a rational
 term tree.  This module resolves terms against an ordered list of
 substitutions into a finite graph of value nodes, minimizes that graph by
-bisimulation, unfolds nodes to depth-bounded truncations, and renders
-solved-form answers whose circular bindings come out as fixpoint equations
-such as ``X = scons(0,X)``.
+bisimulation, and renders solved-form answers whose circular bindings come
+out as fixpoint equations such as ``X = scons(0,X)``.  Bounded unfolding
+lives in ``decirc``.
 
 Resolution is stratified: a variable is looked up in the first substitution
 of the list; cycles are followed within one substitution (that is what makes
@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .terms import (
-    DIAMOND,
-    TRUNCATED,
     FreshVars,
     Struct,
     Substitution,
     Symbol,
     Term,
     Var,
+    cycle_members,
 )
 
 
@@ -126,37 +125,6 @@ def minimize(roots: Iterable[Node]) -> dict[int, int]:
         block = new_block
 
 
-def nodes_bisimilar(a: Node, b: Node) -> bool:
-    block = minimize([a, b])
-    return block[id(a)] == block[id(b)]
-
-
-def rational_equal(s: Term, t: Term, substs: Sequence[Substitution] = ()) -> bool:
-    return nodes_bisimilar(build_node(s, substs), build_node(t, substs))
-
-
-def unfold_node(node: Node, depth: int) -> Term:
-    """Depth-bounded truncation of the rational tree a node denotes: nodes
-    at the cut depth become the reserved leaf, free variables stay."""
-    if depth < 0:
-        raise ValueError("unfold depth must be non-negative")
-    if depth == 0:
-        return TRUNCATED
-    if node.is_leaf_var:
-        assert node.var is not None
-        return node.var
-    assert node.symbol is not None
-    return Struct(
-        node.symbol, tuple(unfold_node(c, depth - 1) for c in node.children)
-    )
-
-
-def unfold(substs: Sequence[Substitution] | Substitution, t: Term, depth: int) -> Term:
-    if isinstance(substs, Substitution):
-        substs = [substs]
-    return unfold_node(build_node(t, substs), depth)
-
-
 def solved_answer(
     query_vars: Sequence[Var],
     substs: Sequence[Substitution],
@@ -177,20 +145,7 @@ def solved_answer(
         succ.setdefault(block[id(n)], set()).update(
             block[id(c)] for c in n.children
         )
-
-    def block_cyclic(b: int) -> bool:
-        seen: set[int] = set()
-        stack = list(succ.get(b, ()))
-        while stack:
-            c = stack.pop()
-            if c == b:
-                return True
-            if c not in seen:
-                seen.add(c)
-                stack.extend(succ.get(c, ()))
-        return False
-
-    cyclic = {b for b in succ if block_cyclic(b)}
+    cyclic = cycle_members(succ, succ.__getitem__)
 
     name_of: dict[int, Var] = {}
     for v in query_vars:

@@ -1,5 +1,7 @@
 """First-order terms as finite trees, plus substitutions, truncation and the
-dyadic ultrametric distance on terms.
+dyadic ultrametric distance on terms, and ``cycle_members``: the one cycle
+analysis that circular substitutions, rational unification and solved-form
+answers share.
 
 Terms are immutable values; structural sharing is allowed but never observable.
 Variables carry globally unique integer ids handed out by a ``FreshVars``
@@ -14,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,58 @@ class FreshVars:
         return Var(n, hint)
 
 
+N = TypeVar("N")
+
+
+def cycle_members(nodes: Iterable[N], succ: Callable[[N], Iterable[N]]) -> set[N]:
+    """The nodes, among those reachable from ``nodes`` along ``succ``, that lie
+    on a cycle: members of a strongly connected component with more than one
+    node or with a self-edge.  Tarjan's algorithm (1972) with an explicit
+    stack, so graph depth is not bounded by the interpreter's recursion."""
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    on_stack: set[N] = set()
+    stack: list[N] = []
+    out: set[N] = set()
+
+    def enter(n: N) -> tuple[N, Iterator[N]]:
+        index[n] = low[n] = len(index)
+        stack.append(n)
+        on_stack.add(n)
+        return n, iter(succ(n))
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = [enter(root)]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child == node:
+                    out.add(node)
+                elif child not in index:
+                    work.append(enter(child))
+                    break
+                elif child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1:
+                        out.update(component)
+    return out
+
+
 class CircularSubstitutionError(ValueError):
     """Raised when a circular substitution is applied directly; circular
     bindings must go through bounded unfolding instead."""
@@ -174,12 +228,13 @@ class CircularSubstitutionError(ValueError):
 class Substitution:
     """A finite map from variables to terms.  Identity bindings are dropped.
 
-    ``circular`` is true iff some bound variable is reachable from its own
-    image by chasing bindings; such substitutions represent rational
-    (infinite) trees and are rejected by ``apply``/``compose``.
+    ``cycle_vars()`` are the bound variables reachable from their own image
+    by chasing bindings; ``circular`` is true iff there are any.  Circular
+    substitutions represent rational (infinite) trees and are rejected by
+    ``apply``/``compose``.
     """
 
-    __slots__ = ("_bindings", "_circular")
+    __slots__ = ("_bindings", "_cycle_vars")
 
     def __init__(self, bindings: Optional[Mapping[Var, Term]] = None):
         b: dict[Var, Term] = {}
@@ -188,7 +243,7 @@ class Substitution:
                 if t != v:
                     b[v] = t
         self._bindings = b
-        self._circular: Optional[bool] = None
+        self._cycle_vars: Optional[frozenset[Var]] = None
 
     @property
     def bindings(self) -> Mapping[Var, Term]:
@@ -212,33 +267,19 @@ class Substitution:
     def is_identity(self) -> bool:
         return not self._bindings
 
+    def cycle_vars(self) -> frozenset[Var]:
+        if self._cycle_vars is None:
+            b = self._bindings
+
+            def succ(v: Var) -> list[Var]:
+                return [w for w in iter_subterms(b[v]) if isinstance(w, Var) and w in b]
+
+            self._cycle_vars = frozenset(cycle_members(b, succ))
+        return self._cycle_vars
+
     @property
     def circular(self) -> bool:
-        if self._circular is None:
-            self._circular = self._detect_circular()
-        return self._circular
-
-    def _detect_circular(self) -> bool:
-        # A variable is circular when it is reachable from its own image.
-        color: dict[Var, int] = {}  # 1 = on stack, 2 = done
-
-        def reaches_cycle(v: Var) -> bool:
-            state = color.get(v)
-            if state == 1:
-                return True
-            if state == 2:
-                return False
-            color[v] = 1
-            img = self._bindings.get(v)
-            if img is not None:
-                for sub in iter_subterms(img):
-                    if isinstance(sub, Var) and sub in self._bindings:
-                        if reaches_cycle(sub):
-                            return True
-            color[v] = 2
-            return False
-
-        return any(reaches_cycle(v) for v in self._bindings)
+        return bool(self.cycle_vars())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Substitution):

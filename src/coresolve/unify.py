@@ -20,6 +20,7 @@ from .terms import (
     Term,
     Var,
     apply_raw,
+    cycle_members,
     iter_subterms,
     match,
     variables_of,
@@ -253,53 +254,8 @@ def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
         edges[c] = tuple(class_of(arg) for arg in w.args) if w is not None else ()
 
     # Classes on a cycle of that graph must be rendered through their
-    # canonical variable to stay finite: a class is cyclic iff its strongly
-    # connected component has more than one node or a self-edge.
-    cyclic: set[int] = set()
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    scc_stack: list[int] = []
-    counter = 0
-    for start in all_classes:
-        if start in index:
-            continue
-        # Iterative Tarjan: (node, iterator position) frames.
-        work = [(start, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                scc_stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = edges[node]
-            while pos < len(children):
-                child = children[pos]
-                pos += 1
-                if child not in index:
-                    work.append((node, pos))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or node in edges[node]:
-                    cyclic.update(component)
-            if work:
-                parent_node, _ = work[-1]
-                low[parent_node] = min(low[parent_node], low[node])
+    # canonical variable to stay finite.
+    cyclic = cycle_members(all_classes, edges.__getitem__)
 
     def render(cls: int, on_path: frozenset) -> Term:
         w = uf.witness[cls]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import decirc
-from .coengine import CoAnswer, CoResult, CoTrace, co_refute
+from .coengine import CoAnswer, CoTrace, co_refute
 from .derivation import (
     Goal,
     Limits,
@@ -37,14 +37,12 @@ from .terms import (
     Distance,
     FreshVars,
     Struct,
-    Substitution,
     Symbol,
     Term,
     apply_raw,
     distance,
     is_variant,
     truncate,
-    variables_in_order,
 )
 
 

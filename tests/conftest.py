@@ -13,6 +13,7 @@ import pytest
 
 from coresolve.derivation import StepKind, apply_to_goal
 from coresolve.program import parse_program, parse_query
+from coresolve.rational import minimize
 from coresolve.terms import FreshVars, Struct, Symbol, Var, apply_raw
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -79,6 +80,12 @@ def replay(g, steps):
         else:
             goals.append(cur[:i] + cur[i + 1 :])
     return goals
+
+
+def nodes_bisimilar(a, b) -> bool:
+    """Whether two value-graph nodes denote the same rational tree."""
+    block = minimize([a, b])
+    return block[id(a)] == block[id(b)]
 
 
 # --- random term generation ---------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import random_term, var_pool
-from coresolve.decirc import apply_prefix, circular_components, decircularize, unfold
+from coresolve.decirc import apply_prefix, decircularize, unfold
 from coresolve.terms import (
     TRUNCATED,
     Substitution,
@@ -75,16 +75,27 @@ class TestDecircularize:
         assert A not in introduced and B not in introduced
 
 
+# Chains of 10,000 bindings X_i ↦ f(X_{i+1}), once left open at X_10000 and
+# once closed back to X_0: deep enough to overflow a recursive analysis.
+CHAIN = [Var(100 + i, f"X{i}") for i in range(10_001)]
+OPEN_CHAIN = Substitution({v: mk("f", w) for v, w in zip(CHAIN, CHAIN[1:])})
+CLOSED_CHAIN = Substitution({**OPEN_CHAIN.bindings, CHAIN[-1]: mk("f", CHAIN[0])})
+
+
 class TestCircularComponents:
     def test_cycle_members(self):
-        assert circular_components(SIGMA_AB) == {A, B}
+        assert SIGMA_AB.cycle_vars() == {A, B}
+        assert CLOSED_CHAIN.circular
+        assert CLOSED_CHAIN.cycle_vars() == set(CHAIN)
 
     def test_reaching_a_cycle_is_not_on_it(self):
         sigma = Substitution({X: mk("f", Y, Y, C), Y: s_(Y)})
-        assert circular_components(sigma) == {Y}
+        assert sigma.cycle_vars() == {Y}
 
     def test_acyclic_empty(self):
-        assert circular_components(Substitution({X: s_(Y)})) == set()
+        assert Substitution({X: s_(Y)}).cycle_vars() == set()
+        assert OPEN_CHAIN.cycle_vars() == set()
+        assert not OPEN_CHAIN.circular
 
 
 class TestUnfold:
@@ -106,6 +117,18 @@ class TestUnfold:
 
     def test_depth_zero(self):
         assert unfold(SIGMA_AB, A, 0) is TRUNCATED
+
+    def test_substitution_sequence_stratified(self):
+        # X resolves through the first substitution; variables it leaves
+        # free advance to the next one.
+        first = Substitution({X: mk("scons", Y, X)})
+        second = Substitution({Y: zero})
+        got = unfold([first, second], X, 3)
+        assert term_to_text(got) == "scons(0,scons(0,scons(◇,◇)))"
+
+    def test_free_variables_copied_per_round(self):
+        got = unfold(Substitution({X: mk("f", X, Y)}), X, 3)
+        assert term_to_text(got) == "f(f(f(◇,◇),Y_1),Y)"
 
     def test_truncation_coherence(self):
         for sigma, t in [

@@ -1,13 +1,8 @@
-"""Value graphs for rational trees: bisimulation, unfolding, solved answers."""
+"""Value graphs for rational trees: bisimulation and solved answers."""
 
-from coresolve.rational import (
-    build_node,
-    nodes_bisimilar,
-    rational_equal,
-    solved_answer,
-    unfold,
-)
-from coresolve.terms import TRUNCATED, Substitution, Var, const, mk, term_to_text
+from conftest import nodes_bisimilar
+from coresolve.rational import build_node, solved_answer
+from coresolve.terms import Substitution, Var, const, mk
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
 zero = const("0")
@@ -15,6 +10,10 @@ zero = const("0")
 
 def s_(t):
     return mk("s", t)
+
+
+def rational_equal(s, t, substs=()):
+    return nodes_bisimilar(build_node(s, substs), build_node(t, substs))
 
 
 class TestBisimulation:
@@ -38,29 +37,6 @@ class TestBisimulation:
     def test_free_variables_by_identity(self):
         assert rational_equal(mk("p", X, X), mk("p", X, X))
         assert not rational_equal(mk("p", X, X), mk("p", X, Y))
-
-
-class TestUnfold:
-    def test_circular_binding(self):
-        sigma = Substitution({X: mk("scons", zero, X)})
-        got = unfold(sigma, mk("nats", X), 4)
-        assert term_to_text(got) == "nats(scons(0,scons(0,scons(◇,◇))))"
-
-    def test_depth_zero(self):
-        assert unfold(Substitution(), zero, 0) is TRUNCATED
-
-    def test_keeps_free_variables(self):
-        sigma = Substitution({X: mk("f", X, Y)})
-        got = unfold(sigma, X, 3)
-        assert term_to_text(got) == "f(f(f(◇,◇),Y),Y)"
-
-    def test_substitution_sequence_stratified(self):
-        # X resolves through the first substitution; variables it leaves
-        # free advance to the next one.
-        first = Substitution({X: mk("scons", Y, X)})
-        second = Substitution({Y: zero})
-        got = unfold([first, second], X, 3)
-        assert term_to_text(got) == "scons(0,scons(0,scons(◇,◇)))"
 
 
 class TestSolvedAnswer:

@@ -13,6 +13,7 @@ from coresolve.terms import (
     apply,
     compose,
     const,
+    cycle_members,
     distance,
     is_instance,
     is_variant,
@@ -225,6 +226,45 @@ class TestInstanceVariant:
             a = random_term(rng, 3, pool)
             b = random_term(rng, 3, pool)
             assert is_variant(a, b) == (is_instance(a, b) and is_instance(b, a))
+
+
+class TestCycleMembers:
+    @staticmethod
+    def reachable_from(starts, succ):
+        seen, stack = set(), list(starts)
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(succ[n])
+        return seen
+
+    def test_agrees_with_reachability_oracle(self, rng):
+        # A node lies on a cycle iff it is reachable from one of its
+        # successors.  Graphs mix self-edges, rings (multi-node components)
+        # and acyclic tails whose edges only point to later nodes.
+        shapes = {"self_edge": 0, "ring": 0, "off_cycle": 0}
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            succ = {}
+            for i in range(n):
+                pool = range(i + 1, n) if rng.random() < 0.4 else range(n)
+                succ[i] = [rng.choice(pool) for _ in range(rng.randint(0, 3)) if pool]
+                if rng.random() < 0.1:
+                    succ[i].append(i)
+            if n > 1 and rng.random() < 0.3:
+                ring = rng.sample(range(n), rng.randint(2, n))
+                for a, b in zip(ring, ring[1:] + ring[:1]):
+                    succ[a].append(b)
+            roots = rng.sample(range(n), rng.randint(1, n))
+            got = cycle_members(roots, succ.__getitem__)
+            scope = self.reachable_from(roots, succ)
+            want = {v for v in scope if v in self.reachable_from(succ[v], succ)}
+            assert got == want
+            shapes["self_edge"] += sum(v in succ[v] for v in got)
+            shapes["ring"] += sum(v not in succ[v] for v in got)
+            shapes["off_cycle"] += len(scope - got)
+        assert min(shapes.values()) > 50, shapes
 
 
 def test_term_text_round_shape():
