@@ -52,10 +52,6 @@ class ProductivityVerdict:
     witness: Optional[RewritingWitness] = None
     roots: tuple[Term, ...] = ()
 
-    @property
-    def productive_so_far(self) -> bool:
-        return self.status is ProductivityStatus.NO_LOOP_FOUND
-
 
 class GuardOutcome(Enum):
     CONTINUE = "continue"

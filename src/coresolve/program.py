@@ -2,20 +2,23 @@
 universality static check (every body variable must occur in the head).
 
 Syntax: a Prolog-like subset.  Clauses are ``head :- b1, ..., bn.`` or
-facts ``head.``; ``%`` starts a line comment; functors and constants begin
-with a lowercase letter, variables with an uppercase letter or ``_``; list
-sugar ``[]``/``[H|T]`` desugars to ``nil``/``cons(H,T)``.  No operators,
-negation, cut, or built-ins.
+facts ``head.``; ``%`` starts a line comment.  A name is ``\\w+``; it is a
+variable when it starts with an uppercase letter or ``_``, and a symbol
+otherwise.  List sugar ``[]``/``[H|T]`` desugars to ``nil``/``cons(H,T)``.
+No operators, negation, cut, or built-ins.  A ``ParseError`` gives the
+``line:col`` of the token where the error was found, or of the end of the
+input.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .terms import (
-    DIAMOND,
     FreshVars,
     Struct,
     Substitution,
@@ -136,79 +139,73 @@ class UniversalityReport:
         return not self.violations
 
 
-_RESERVED = {DIAMOND.name}
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.line, self.col)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "%":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif c.isspace():
-                self._advance()
-            else:
-                return
-
-    def peek(self) -> Optional[str]:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def eat(self, expected: str) -> None:
-        self.skip_space()
-        if not self.text.startswith(expected, self.pos):
-            raise self.error(f"expected {expected!r}")
-        self._advance(len(expected))
-
-    def try_eat(self, expected: str) -> bool:
-        self.skip_space()
-        if self.text.startswith(expected, self.pos):
-            self._advance(len(expected))
-            return True
-        return False
-
-    def span(self) -> Span:
-        self.skip_space()
-        return Span(self.line, self.col)
-
-    def name(self) -> str:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self._advance()
-        if start == self.pos:
-            raise self.error("expected a name")
-        return self.text[start:self.pos]
+# One pass over the text (Python ``re`` docs, "Writing a Tokenizer"): each
+# match is the whitespace and ``%`` comments before one token, then the
+# token.  The ``end`` alternative matches the trailing skip at the end of
+# the text, so that finditer never rescans it.  Its text is "", and an
+# error token is one character that is not punctuation, so comparing a
+# token's text with a punctuation string never needs its kind.
+_TOKEN = re.compile(
+    r"(?:\s|%[^\n]*)*"
+    r"(?:(?P<name>\w+)|(?P<punct>:-|[()\[\],.|])|(?P<end>\Z)|(?P<error>.))",
+    re.DOTALL,
+)
+_NAME = "name"
+_END = "end"
 
 
 class _Parser:
+    """An explicit-stack reader over the token list of one text.
+
+    Token ``i`` has kind ``kinds[i]`` (``name``, ``punct``, ``error``, or
+    ``end`` for the last one), text ``texts[i]`` and offset ``offsets[i]``.
+    Line and column are worked out from an offset only when a ``Span`` or a
+    ``ParseError`` is built.  Each parse makes one ``Struct`` per nullary
+    symbol and shares it.
+    """
+
     def __init__(self, text: str, fresh: Optional[FreshVars] = None):
-        self.lx = _Lexer(text)
+        self.text = text
+        self.kinds: list[Optional[str]] = []
+        self.texts: list[str] = []
+        self.offsets: list[int] = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            self.kinds.append(kind)
+            self.texts.append(m[kind])
+            self.offsets.append(m.start(kind))
+            if kind == _END:
+                break
+        self.i = 0
+        self._newlines: Optional[list[int]] = None
         self.fresh = fresh or FreshVars()
         self.scope: dict[str, Var] = {}
-        self.signature: dict[str, tuple[Symbol, Span]] = {}
+        self.signature: dict[str, tuple[Symbol, int]] = {}
+        self.constants: dict[str, Struct] = {}
         self.warnings: list[str] = []
+
+    def span(self, offset: int) -> Span:
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self._newlines, offset)
+        start = self._newlines[line - 1] if line else -1
+        return Span(line + 1, offset - start)
+
+    def error(self, message: str, offset: Optional[int] = None) -> ParseError:
+        """A ParseError at ``offset``, by default that of the next token."""
+        span = self.span(self.offsets[self.i] if offset is None else offset)
+        return ParseError(message, span.line, span.column)
+
+    def expect(self, punct: str) -> None:
+        if self.texts[self.i] != punct:
+            raise self.error(f"expected {punct!r}")
+        self.i += 1
+
+    def accept(self, punct: str) -> bool:
+        if self.texts[self.i] == punct:
+            self.i += 1
+            return True
+        return False
 
     def _variable(self, name: str) -> Var:
         if name == "_":
@@ -219,78 +216,122 @@ class _Parser:
             self.scope[name] = v
         return v
 
-    def _symbol(self, name: str, arity: int, span: Span) -> Symbol:
-        if name in _RESERVED:
-            raise ParseError(f"symbol {name!r} is reserved", span.line, span.column)
+    def _symbol(self, name: str, arity: int, offset: int) -> Symbol:
         prior = self.signature.get(name)
-        if prior is not None and prior[0].arity != arity:
-            raise ParseError(
+        if prior is None:
+            sym = Symbol(name, arity)
+            self.signature[name] = (sym, offset)
+            return sym
+        if prior[0].arity != arity:
+            raise self.error(
                 f"symbol {name!r} used with arity {arity} but "
-                f"declared with arity {prior[0].arity} at {prior[1]}",
-                span.line,
-                span.column,
+                f"declared with arity {prior[0].arity} at {self.span(prior[1])}",
+                offset,
             )
-        if prior is not None:
-            # One object per symbol in a parse, so most symbol tests pass on identity.
-            return prior[0]
-        sym = Symbol(name, arity)
-        self.signature[name] = (sym, span)
-        return sym
+        # One object per symbol in a parse, so most symbol tests pass on identity.
+        return prior[0]
+
+    def _constant(self, name: str, offset: int) -> Struct:
+        const = self.constants.get(name)
+        if const is None:
+            const = Struct(self._symbol(name, 0, offset))
+            self.constants[name] = const
+        return const
 
     def term(self) -> Term:
-        c = self.lx.peek()
-        if c is None:
-            raise self.lx.error("unexpected end of input")
-        if c == "[":
-            return self._list()
-        span = self.lx.span()
-        name = self.lx.name()
-        if name[0].isupper() or name[0] == "_":
-            return self._variable(name)
-        args: list[Term] = []
-        if self.lx.try_eat("("):
-            args.append(self.term())
-            while self.lx.try_eat(","):
-                args.append(self.term())
-            self.lx.eat(")")
-        sym = self._symbol(name, len(args), span)
-        return Struct(sym, tuple(args))
-
-    def _list(self) -> Term:
-        span = self.lx.span()
-        self.lx.eat("[")
-        if self.lx.try_eat("]"):
-            return Struct(self._symbol("nil", 0, span))
-        items = [self.term()]
-        while self.lx.try_eat(","):
-            items.append(self.term())
-        if self.lx.try_eat("|"):
-            tail = self.term()
-        else:
-            tail = Struct(self._symbol("nil", 0, span))
-        self.lx.eat("]")
-        cons = self._symbol("cons", 2, span)
-        for item in reversed(items):
-            tail = Struct(cons, (item, tail))
-        return tail
+        """Read one term.  A frame on the stack is an open compound
+        ``[name, offset, args]`` or an open list ``[None, offset, items,
+        tail]``, where ``tail`` stays ``None`` until ``|`` is read.  Symbols
+        are declared when their term closes, inner terms first."""
+        kinds, texts, offsets = self.kinds, self.texts, self.offsets
+        i = self.i
+        stack: list[list] = []
+        while True:
+            # Read the start of a term: a complete leaf, or an open frame.
+            kind, tok = kinds[i], texts[i]
+            if kind == _NAME:
+                i += 1
+                c = tok[0]
+                if c.isupper() or c == "_":
+                    t: Term = self._variable(tok)
+                elif texts[i] == "(":
+                    stack.append([tok, offsets[i - 1], []])
+                    i += 1
+                    continue
+                else:
+                    t = self._constant(tok, offsets[i - 1])
+            elif tok == "[":
+                i += 1
+                if texts[i] == "]":
+                    i += 1
+                    t = self._constant("nil", offsets[i - 2])
+                else:
+                    stack.append([None, offsets[i - 1], [], None])
+                    continue
+            else:
+                self.i = i
+                if kind == _END:
+                    raise self.error("unexpected end of input")
+                raise self.error("expected a name")
+            # Hand the finished term to the open frames, closing each one
+            # that the next token ends.
+            while stack:
+                frame = stack[-1]
+                tok = texts[i]
+                if frame[0] is not None:
+                    frame[2].append(t)
+                    if tok == ",":
+                        i += 1
+                        break
+                    if tok != ")":
+                        self.i = i
+                        raise self.error("expected ')'")
+                    i += 1
+                    stack.pop()
+                    name, offset, args = frame
+                    t = Struct(self._symbol(name, len(args), offset), tuple(args))
+                    continue
+                _, offset, items, tail = frame
+                if tail is None:
+                    items.append(t)
+                    if tok == ",":
+                        i += 1
+                        break
+                    if tok == "|":
+                        i += 1
+                        frame[3] = True
+                        break
+                    t = self._constant("nil", offset)
+                if tok != "]":
+                    self.i = i
+                    raise self.error("expected ']'")
+                i += 1
+                stack.pop()
+                cons = self._symbol("cons", 2, offset)
+                for item in reversed(items):
+                    t = Struct(cons, (item, t))
+            else:
+                self.i = i
+                return t
 
     def clause(self) -> Clause:
-        span = self.lx.span()
+        offset = self.offsets[self.i]
         self.scope = {}
         head = self.term()
         if isinstance(head, Var):
+            span = self.span(offset)
             raise ParseError("clause head must not be a variable", span.line, span.column)
         body: list[Term] = []
-        if self.lx.try_eat(":-"):
+        if self.accept(":-"):
             body.append(self.term())
-            while self.lx.try_eat(","):
+            while self.accept(","):
                 body.append(self.term())
-        self.lx.eat(".")
-        return Clause(head, tuple(body), span)
+        self.expect(".")
+        return Clause(head, tuple(body), self.span(offset))
 
     def program(self) -> Program:
         clauses: list[Clause] = []
-        while self.lx.peek() is not None:
+        while self.kinds[self.i] != _END:
             clauses.append(self.clause())
         if clauses and not any(
             sym.arity == 0 for sym, _ in self.signature.values()
@@ -307,11 +348,11 @@ class _Parser:
     def query(self) -> list[Term]:
         self.scope = {}
         atoms = [self.term()]
-        while self.lx.try_eat(","):
+        while self.accept(","):
             atoms.append(self.term())
-        self.lx.try_eat(".")
-        if self.lx.peek() is not None:
-            raise self.lx.error("trailing input after query")
+        self.accept(".")
+        if self.kinds[self.i] != _END:
+            raise self.error("trailing input after query")
         return atoms
 
 

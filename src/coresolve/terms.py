@@ -99,15 +99,6 @@ DIAMOND = Symbol("◇", 0)
 TRUNCATED = Struct(DIAMOND)
 
 
-def mk(name: str, *args: Term) -> Struct:
-    """Build ``name(args...)`` deriving the arity from the argument count."""
-    return Struct(Symbol(name, len(args)), tuple(args))
-
-
-def const(name: str) -> Struct:
-    return Struct(Symbol(name, 0))
-
-
 def term_to_text(t: Term) -> str:
     """Render a term in the program syntax (no whitespace, no list sugar)."""
     parts: list[str] = []
@@ -312,11 +303,12 @@ def apply_raw(s: Substitution, t: Term) -> Term:
 
 
 def _apply1(s: Substitution, t: Term) -> Term:
+    # A ground term, nullary symbols included, is its own image.
+    if t._ground:
+        return t
     if isinstance(t, Var):
         img = s.get(t)
         return img if img is not None else t
-    if not t.args:
-        return t
     new_args = tuple(_apply1(s, a) for a in t.args)
     if all(n is o for n, o in zip(new_args, t.args)):
         return t
@@ -455,12 +447,3 @@ def is_instance(general: Term, specific: Term) -> bool:
 def is_variant(a: Term, b: Term) -> bool:
     """Equality up to bijective renaming of variables."""
     return is_instance(a, b) and is_instance(b, a)
-
-
-def rename_apart(t: Term, fresh: FreshVars) -> tuple[Term, Substitution]:
-    """A copy of ``t`` over fresh variables, plus the bijective renaming."""
-    mapping: dict[Var, Term] = {}
-    for v in variables_in_order([t]):
-        mapping[v] = fresh.new(v.hint)
-    renaming = Substitution(mapping)
-    return apply_raw(renaming, t), renaming

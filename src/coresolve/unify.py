@@ -90,17 +90,17 @@ def _occurs_resolved(v: Var, t: Term, bind: dict[Var, Term]) -> bool:
         cur = _walk(stack.pop(), bind)
         if cur == v:
             return True
-        if isinstance(cur, Struct):
+        # A ground subterm holds no variable: skip it without a walk.
+        if isinstance(cur, Struct) and not cur._ground:
             stack.extend(cur.args)
     return False
 
 
 def _resolve_full(t: Term, bind: dict[Var, Term]) -> Term:
-    """Fully resolve a term through an acyclic triangular binding map."""
+    """Fully resolve a term through an acyclic triangular binding map.
+    Ground subterms come back as they are, not rebuilt."""
     t = _walk(t, bind)
-    if isinstance(t, Var):
-        return t
-    if not t.args:
+    if t._ground or isinstance(t, Var):
         return t
     return Struct(t.symbol, tuple(_resolve_full(a, bind) for a in t.args))
 

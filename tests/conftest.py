@@ -14,7 +14,16 @@ import pytest
 from coresolve.derivation import StepKind, apply_to_goal
 from coresolve.program import parse_program, parse_query
 from coresolve.rational import minimize
-from coresolve.terms import FreshVars, Struct, Symbol, Var, apply_raw
+from coresolve.terms import (
+    FreshVars,
+    Struct,
+    Substitution,
+    Symbol,
+    Term,
+    Var,
+    apply_raw,
+    variables_in_order,
+)
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -59,6 +68,24 @@ def load_query(name: str, query: str):
     text = (PROGRAMS / f"{name}.lp").read_text(encoding="utf-8")
     prog = parse_program(text, fresh)
     return prog, parse_query(query, fresh), fresh
+
+
+def mk(name: str, *args: Term) -> Struct:
+    """Build ``name(args...)`` deriving the arity from the argument count."""
+    return Struct(Symbol(name, len(args)), tuple(args))
+
+
+def const(name: str) -> Struct:
+    return Struct(Symbol(name, 0))
+
+
+def rename_apart(t: Term, fresh: FreshVars) -> tuple[Term, Substitution]:
+    """A copy of ``t`` over fresh variables, plus the bijective renaming."""
+    mapping: dict[Var, Term] = {}
+    for v in variables_in_order([t]):
+        mapping[v] = fresh.new(v.hint)
+    renaming = Substitution(mapping)
+    return apply_raw(renaming, t), renaming
 
 
 def replay(g, steps):

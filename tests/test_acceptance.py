@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from conftest import PROGRAMS, load_query, random_term, seed, var_pool
+from conftest import PROGRAMS, const, load_query, mk, random_term, seed, var_pool
 from coresolve.cli import main
 from coresolve.coengine import LoopFailReason, co_refute
 from coresolve.decirc import apply_prefix, decircularize, unfold
@@ -28,6 +28,8 @@ from coresolve.program import (
     Program,
     check_universal,
     clause_instance,
+    parse_program,
+    program_to_text,
 )
 from coresolve.terms import (
     FreshVars,
@@ -38,10 +40,8 @@ from coresolve.terms import (
     apply,
     apply_raw,
     compose,
-    const,
     distance,
     is_variant,
-    mk,
     restrict,
     term_to_text,
     truncate,
@@ -179,20 +179,20 @@ LIM_SLD = Limits(max_steps=4000, max_depth=12, max_answers=30)
 LIM_S = Limits(max_steps=8000, max_depth=12, max_answers=30)
 
 
-def ground_term(rnd, depth):
+def ground_term(rnd, depth, consts=CONSTS, funcs=FUNCS):
     if depth <= 0 or rnd.random() < 0.45:
-        return Struct(rnd.choice(CONSTS))
-    sym = rnd.choice(FUNCS)
+        return Struct(rnd.choice(consts))
+    sym = rnd.choice(funcs)
     return Struct(
-        sym, tuple(ground_term(rnd, depth - 1) for _ in range(sym.arity))
+        sym, tuple(ground_term(rnd, depth - 1, consts, funcs) for _ in range(sym.arity))
     )
 
 
-def random_program(rnd, fresh):
+def random_program(rnd, fresh, consts=CONSTS, funcs=FUNCS):
     """A random program whose rules shrink their arguments: every body
     argument is either ground or a variable guarded by a constructor in
     the head, and clause bodies only call predicates of the same or lower
-    index."""
+    index.  Terms are built from ``consts`` and ``funcs``."""
     preds = [
         Symbol(f"p{i}", rnd.choice([1, 2])) for i in range(rnd.randint(1, 4))
     ]
@@ -203,8 +203,8 @@ def random_program(rnd, fresh):
 
             def head_arg():
                 if rnd.random() < 0.4:
-                    return ground_term(rnd, 2)
-                f = rnd.choice(FUNCS)
+                    return ground_term(rnd, 2, consts, funcs)
+                f = rnd.choice(funcs)
                 vs = [
                     fresh.new(f"H{len(guarded) + k}") for k in range(f.arity)
                 ]
@@ -222,7 +222,7 @@ def random_program(rnd, fresh):
                     args = tuple(
                         rnd.choice(guarded)
                         if rnd.random() < 0.7
-                        else ground_term(rnd, 1)
+                        else ground_term(rnd, 1, consts, funcs)
                         for _ in range(q.arity)
                     )
                     body.append(Struct(q, args))
@@ -356,6 +356,107 @@ class TestCriterion2RefutationEquivalence:
         # The generator is tuned so truncated searches stay a small
         # minority of the 1500 comparisons.
         assert skipped <= 200
+
+
+# --- parse and print are inverse ------------------------------------------------
+
+NIL = Symbol("nil", 0)
+CONS = Symbol("cons", 2)
+# Spacing the reader must skip, comments with punctuation in them included.
+GAPS = ["", "", " ", "  ", "\t", "\n", "\r\n", " % a (comment) [x|y] :- .\n", "%\n"]
+
+
+def noisy_text(p, rnd):
+    """``p`` as text with list sugar for ``cons``/``nil`` and random
+    whitespace and comments between tokens."""
+    out = []
+
+    def gap():
+        out.append(rnd.choice(GAPS))
+
+    def term(t):
+        gap()
+        if isinstance(t, Var):
+            out.append(t.display)
+        elif t.symbol in (CONS, NIL):
+            out.append("[")
+            first = True
+            while t.symbol == CONS:
+                if not first:
+                    gap()
+                    out.append(",")
+                first = False
+                term(t.args[0])
+                t = t.args[1]
+                if isinstance(t, Var):
+                    break
+            if not (isinstance(t, Struct) and t.symbol == NIL):
+                gap()
+                out.append("|")
+                term(t)
+            gap()
+            out.append("]")
+        else:
+            out.append(t.symbol.name)
+            if t.args:
+                gap()
+                out.append("(")
+                for i, a in enumerate(t.args):
+                    if i:
+                        gap()
+                        out.append(",")
+                    term(a)
+                gap()
+                out.append(")")
+
+    for c in p.clauses:
+        term(c.head)
+        if c.body:
+            gap()
+            out.append(":-")
+            for i, b in enumerate(c.body):
+                if i:
+                    gap()
+                    out.append(",")
+                term(b)
+        gap()
+        out.append(".")
+    gap()
+    return "".join(out)
+
+
+def same_clauses(p, q):
+    """Clause for clause equal, up to a renaming of variables that keeps
+    their names."""
+    if len(p.clauses) != len(q.clauses):
+        return False
+    for c, d in zip(p.clauses, q.clauses):
+        vs, ws = c.variables(), d.variables()
+        if [v.hint for v in vs] != [w.hint for w in ws]:
+            return False
+        renaming = Substitution(dict(zip(vs, ws)))
+        if apply_raw(renaming, c.head) != d.head:
+            return False
+        if tuple(apply_raw(renaming, b) for b in c.body) != d.body:
+            return False
+    return True
+
+
+class TestParsePrintRoundTrip:
+    def test_parse_of_printed_program_is_the_program(self):
+        rnd = random.Random(seed() + 11)
+        sugar = 0
+        for pi in range(300):
+            fresh = FreshVars(10**4)
+            if pi % 2:
+                p, _ = random_program(rnd, fresh)
+            else:
+                p, _ = random_program(rnd, fresh, CONSTS + [NIL], FUNCS + [CONS])
+            assert same_clauses(p, parse_program(program_to_text(p)))
+            text = noisy_text(p, rnd)
+            sugar += "[" in text
+            assert same_clauses(p, parse_program(text)), text
+        assert sugar > 100
 
 
 def random_indexed_program(rnd, fresh):

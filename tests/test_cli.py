@@ -43,6 +43,14 @@ class TestRun:
         assert code == 0
         assert out == "true\n"
 
+    def test_depth_1200_ground_term_sld(self, capsys):
+        # Past the depth at which the recursive query reader used to raise
+        # RecursionError; mgu leaves the ground bindings as they are.
+        query = "nat(" + "s(" * 1200 + "0" + ")" * 1200 + ")"
+        code, out, _ = run(capsys, "run", lp("nat"), "-q", query, "--mode", "sld")
+        assert code == 0
+        assert out == "true\n"
+
     def test_finite_failure(self, capsys):
         code, _, _ = run(capsys, "run", lp("nat"), "-q", "nat(f(0))", "--mode", "sld")
         assert code == 1

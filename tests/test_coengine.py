@@ -3,7 +3,7 @@ and the full search."""
 
 import pytest
 
-from conftest import CORPUS_QUERIES, PROGRAMS, load_query, random_term, var_pool
+from conftest import CORPUS_QUERIES, PROGRAMS, load_query, mk, random_term, var_pool
 from coresolve.coengine import (
     Entry,
     LoopFailReason,
@@ -27,7 +27,6 @@ from coresolve.terms import (
     apply_raw,
     is_instance,
     is_variant,
-    mk,
     term_to_text,
 )
 from coresolve.unify import _rational_solve

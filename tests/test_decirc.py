@@ -2,14 +2,12 @@
 
 import pytest
 
-from conftest import random_term, var_pool
+from conftest import const, mk, random_term, var_pool
 from coresolve.decirc import apply_prefix, decircularize, unfold
 from coresolve.terms import (
     TRUNCATED,
     Substitution,
     Var,
-    const,
-    mk,
     term_to_text,
     truncate,
     variables_of,

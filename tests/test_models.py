@@ -1,11 +1,11 @@
 """Bounded model oracles: forward closure and local backward closure."""
 
-from conftest import load, load_query
+from conftest import const, load, load_query, mk
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, refute
 from coresolve.models import gfp_local_check, ground_terms, lfp_enumerate, term_depth
 from coresolve.program import parse_program
-from coresolve.terms import FreshVars, Substitution, Var, apply_raw, const, mk
+from coresolve.terms import FreshVars, Substitution, Var, apply_raw
 
 X = Var(1, "X")
 zero = const("0")

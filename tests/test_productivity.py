@@ -1,6 +1,6 @@
 """Bounded productivity check: loop witnesses and their pumping."""
 
-from conftest import load
+from conftest import load, mk
 from coresolve.productivity import (
     GuardOutcome,
     ProductivityStatus,
@@ -8,7 +8,7 @@ from coresolve.productivity import (
     guard_rewrite_chain,
 )
 from coresolve.program import parse_program
-from coresolve.terms import FreshVars, Var, apply_raw, is_variant, mk
+from coresolve.terms import FreshVars, Var, apply_raw, is_variant
 from coresolve.unify import mgm
 
 X, Y = Var(1, "X"), Var(2, "Y")

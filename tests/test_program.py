@@ -63,10 +63,48 @@ class TestParse:
         assert program_to_text(p1) == program_to_text(p2)
         assert len(p1.clauses) == len(p2.clauses)
 
+    def test_nullary_symbols_shared(self):
+        p = parse_program("p(a). q(a, [a]). r([]). s([]).")
+        a = p.clauses[0].head.args[0]
+        assert p.clauses[1].head.args[0] is a
+        assert p.clauses[1].head.args[1].args[0] is a
+        assert p.clauses[2].head.args[0] is p.clauses[3].head.args[0]
+
     def test_query_conjunction(self):
         atoms = parse_query("resource(X,Y), zeros(Y)")
         assert len(atoms) == 2
         assert variables_of(atoms[0]) >= variables_of(atoms[1])
+
+
+def depth(t) -> int:
+    """Depth of a term along its last arguments, without recursion."""
+    n = 0
+    while t.args:
+        t = t.args[-1]
+        n += 1
+    return n
+
+
+class TestDeepInputs:
+    # The reader keeps open terms on an explicit stack, so input depth is
+    # not bounded by the interpreter's recursion limit.
+    N = 100_000
+
+    def test_deep_query(self):
+        (atom,) = parse_query("nat(" + "s(" * self.N + "0" + ")" * self.N + ")")
+        assert depth(atom) == self.N + 1
+
+    def test_long_list_fact(self):
+        p = parse_program("p([" + ",".join(["a"] * self.N) + "]).")
+        assert depth(p.clauses[0].head) == self.N + 1
+
+    def test_nested_brackets(self):
+        p = parse_program("p(" + "[" * self.N + "]" * self.N + ").")
+        t = p.clauses[0].head.args[0]
+        for _ in range(self.N - 1):
+            assert t.symbol == Symbol("cons", 2)
+            t = t.args[0]
+        assert t == Struct(Symbol("nil", 0))
 
 
 class TestCheckUniversal:

@@ -1,8 +1,8 @@
 """Value graphs for rational trees: bisimulation and solved answers."""
 
-from conftest import nodes_bisimilar
+from conftest import const, mk, nodes_bisimilar
 from coresolve.rational import build_node, solved_answer
-from coresolve.terms import Substitution, Var, const, mk
+from coresolve.terms import Substitution, Var
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
 zero = const("0")

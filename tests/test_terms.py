@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import random_term, var_pool
+from conftest import const, mk, random_term, rename_apart, var_pool
 from coresolve.terms import (
     TRUNCATED,
     CircularSubstitutionError,
@@ -12,13 +12,10 @@ from coresolve.terms import (
     Var,
     apply,
     compose,
-    const,
     cycle_members,
     distance,
     is_instance,
     is_variant,
-    mk,
-    rename_apart,
     term_to_text,
     truncate,
     variables_of,

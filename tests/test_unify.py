@@ -1,19 +1,18 @@
 """Matching, unification with occurs check, and rational-tree unification."""
 
-from conftest import nodes_bisimilar, random_term, var_pool
+from conftest import const, mk, nodes_bisimilar, random_term, var_pool
 from coresolve.rational import build_node
 from coresolve.terms import (
+    Struct,
     Substitution,
     Var,
     apply,
     apply_raw,
-    const,
     is_variant,
-    mk,
     truncate,
     variables_of,
 )
-from coresolve.unify import UnifyKind, mgm, mgu, occurs_in, rational_unify
+from coresolve.unify import UnifyKind, UnifyOutcome, mgm, mgu, occurs_in, rational_unify
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
 Xp, Yp = Var(4, "Xp"), Var(5, "Yp")
@@ -159,3 +158,102 @@ class TestCrossLaws:
             sigma = u.substitution
             t = random_term(rng, 3, pool)
             assert apply(sigma, apply(sigma, t)) == apply(sigma, t)
+
+
+# The mgu as it was before its kernels left ground subterms alone: every
+# binding is resolved and rebuilt in full, and the occurs check walks
+# ground subterms too.  Kept as the oracle of TestGroundShortcuts.
+def _old_apply(s, t):
+    if isinstance(t, Var):
+        img = s.get(t)
+        return img if img is not None else t
+    if not t.args:
+        return t
+    new_args = tuple(_old_apply(s, a) for a in t.args)
+    if all(n is o for n, o in zip(new_args, t.args)):
+        return t
+    return Struct(t.symbol, new_args)
+
+
+def _old_walk(t, bind):
+    while isinstance(t, Var):
+        nxt = bind.get(t)
+        if nxt is None:
+            return t
+        t = nxt
+    return t
+
+
+def _old_occurs(v, t, bind):
+    stack = [t]
+    while stack:
+        cur = _old_walk(stack.pop(), bind)
+        if cur == v:
+            return True
+        if isinstance(cur, Struct):
+            stack.extend(cur.args)
+    return False
+
+
+def _old_resolve(t, bind):
+    t = _old_walk(t, bind)
+    if isinstance(t, Var) or not t.args:
+        return t
+    return Struct(t.symbol, tuple(_old_resolve(a, bind) for a in t.args))
+
+
+def old_mgu(a, b):
+    bind = {}
+    stack = [(a, b)]
+    while stack:
+        s, t = stack.pop()
+        s = _old_walk(s, bind)
+        t = _old_walk(t, bind)
+        if s == t:
+            continue
+        if isinstance(s, Var) and isinstance(t, Var):
+            if s.id < t.id:
+                bind[t] = s
+            else:
+                bind[s] = t
+            continue
+        if isinstance(s, Var) or isinstance(t, Var):
+            v, u = (s, t) if isinstance(s, Var) else (t, s)
+            if _old_occurs(v, u, bind):
+                return UnifyOutcome(UnifyKind.FAIL, reason="occurs check")
+            bind[v] = u
+            continue
+        if s.symbol != t.symbol:
+            return UnifyOutcome(UnifyKind.FAIL, reason=f"clash: {s.symbol} vs {t.symbol}")
+        stack.extend(zip(s.args, t.args))
+    solved = Substitution({v: _old_resolve(t, bind) for v, t in bind.items()})
+    if _old_apply(solved, a) == b and solved.domain() <= variables_of(a):
+        return UnifyOutcome(UnifyKind.MATCHER, solved)
+    return UnifyOutcome(UnifyKind.PROPER_UNIFIER, solved)
+
+
+class TestGroundShortcuts:
+    def test_apply_returns_ground_terms_themselves(self, rng):
+        pool = var_pool(4)
+        ground = 0
+        for _ in range(500):
+            t = random_term(rng, 4, pool if rng.random() < 0.5 else [])
+            sigma = Substitution({v: random_term(rng, 2, pool) for v in pool if rng.random() < 0.6})
+            got = apply_raw(sigma, t)
+            assert got == _old_apply(sigma, t)
+            if not variables_of(t):
+                ground += 1
+                assert got is t
+        assert ground > 100
+
+    def test_mgu_agrees_with_the_old_mgu(self, rng):
+        pool = var_pool(4)
+        kinds = set()
+        for _ in range(1000):
+            # Deep ground subterms on both sides, sharing variables.
+            a = mk("p", random_term(rng, 3, pool), random_term(rng, 5, []))
+            b = mk("p", random_term(rng, 3, pool), random_term(rng, 2, pool))
+            got, want = mgu(a, b), old_mgu(a, b)
+            assert got == want, (a, b)
+            kinds.add(got.kind)
+        assert kinds == {UnifyKind.MATCHER, UnifyKind.PROPER_UNIFIER, UnifyKind.FAIL}
