@@ -241,8 +241,8 @@ class _Parser:
     def term(self) -> Term:
         """Read one term.  A frame on the stack is an open compound
         ``[name, offset, args]`` or an open list ``[None, offset, items,
-        tail]``, where ``tail`` stays ``None`` until ``|`` is read.  Symbols
-        are declared when their term closes, inner terms first."""
+        after_bar]``, where ``after_bar`` turns true when ``|`` is read.
+        Symbols are declared when their term closes, inner terms first."""
         kinds, texts, offsets = self.kinds, self.texts, self.offsets
         i = self.i
         stack: list[list] = []
@@ -266,13 +266,12 @@ class _Parser:
                     i += 1
                     t = self._constant("nil", offsets[i - 2])
                 else:
-                    stack.append([None, offsets[i - 1], [], None])
+                    stack.append([None, offsets[i - 1], [], False])
                     continue
+            elif kind == _END:
+                raise self.error("unexpected end of input", offsets[i])
             else:
-                self.i = i
-                if kind == _END:
-                    raise self.error("unexpected end of input")
-                raise self.error("expected a name")
+                raise self.error("expected a name", offsets[i])
             # Hand the finished term to the open frames, closing each one
             # that the next token ends.
             while stack:
@@ -284,15 +283,14 @@ class _Parser:
                         i += 1
                         break
                     if tok != ")":
-                        self.i = i
-                        raise self.error("expected ')'")
+                        raise self.error("expected ')'", offsets[i])
                     i += 1
                     stack.pop()
                     name, offset, args = frame
                     t = Struct(self._symbol(name, len(args), offset), tuple(args))
                     continue
-                _, offset, items, tail = frame
-                if tail is None:
+                _, offset, items, after_bar = frame
+                if not after_bar:
                     items.append(t)
                     if tok == ",":
                         i += 1
@@ -303,8 +301,7 @@ class _Parser:
                         break
                     t = self._constant("nil", offset)
                 if tok != "]":
-                    self.i = i
-                    raise self.error("expected ']'")
+                    raise self.error("expected ']'", offsets[i])
                 i += 1
                 stack.pop()
                 cons = self._symbol("cons", 2, offset)
@@ -319,8 +316,7 @@ class _Parser:
         self.scope = {}
         head = self.term()
         if isinstance(head, Var):
-            span = self.span(offset)
-            raise ParseError("clause head must not be a variable", span.line, span.column)
+            raise self.error("clause head must not be a variable", offset)
         body: list[Term] = []
         if self.accept(":-"):
             body.append(self.term())

@@ -259,9 +259,9 @@ class TestGroundShortcut:
     @pytest.mark.parametrize("n", [200, 800])
     def test_structs_per_step_do_not_grow_with_depth(self, monkeypatch, n):
         # Each sld step on nat(s^n(0)) binds the clause variable to a ground
-        # subterm of the goal.  Rebuilding that binding in mgu, or the
-        # ground goal atom when the unifier is applied, made about n/2
-        # Structs per charged step (105 at n = 200, 405 at n = 800).
+        # subterm of the goal.  Rebuilding that binding for mgu's solved
+        # form made about n/2 Structs per charged step (105 at n = 200, 405
+        # at n = 800).
         built = 0
         post_init = Struct.__post_init__
 
@@ -271,7 +271,8 @@ class TestGroundShortcut:
             post_init(self)
 
         monkeypatch.setattr(Struct, "__post_init__", counted)
-        p, q, fresh = setup("nat(0). nat(s(X)) :- nat(X).", "nat(" + "s(" * n + "0" + ")" * n + ")")
+        query = "nat(" + "s(" * n + "0" + ")" * n + ")"
+        p, q, fresh = setup("nat(0). nat(s(X)) :- nat(X).", query)
         built = 0
         result = refute(p, q, "sld", Limits(), fresh)
         assert result.status is Status.REFUTED

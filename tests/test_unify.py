@@ -238,7 +238,8 @@ class TestGroundShortcuts:
         ground = 0
         for _ in range(500):
             t = random_term(rng, 4, pool if rng.random() < 0.5 else [])
-            sigma = Substitution({v: random_term(rng, 2, pool) for v in pool if rng.random() < 0.6})
+            bound = [v for v in pool if rng.random() < 0.6]
+            sigma = Substitution({v: random_term(rng, 2, pool) for v in bound})
             got = apply_raw(sigma, t)
             assert got == _old_apply(sigma, t)
             if not variables_of(t):
