@@ -1,5 +1,6 @@
-"""Golden behaviour pins: one query per corpus program in every mode, and
-a wide edge/path program whose steps skip most clauses.
+"""Golden behaviour pins: one query per corpus program in every mode, a
+wide edge/path program whose steps skip most clauses, and the streams of
+circular answers with their unfoldings.
 
 ``tests/golden/corpus.json`` records, for each call, what
 ``coresolve run --max-answers 3 --trace structured`` prints on stdout, its
@@ -9,7 +10,10 @@ at ``--max-answers 5``.  The corpus programs have at most three clauses, so
 only the wide pin shows that clause selection tries the clauses that can
 fit and skips the ones that cannot, in the same order and at the same
 charges.  Any change to the search (step order, charges, limit verdicts,
-answers) shows here.
+answers) shows here.  ``tests/golden/streams.json`` records stdout and exit
+code for the three stream queries in cos and colp, at ``--max-answers 60
+--unfold-depth 5`` and at ``--max-answers 10`` with unfolding depths 1 and
+12: every printed ``~`` line of a circular answer shows here.
 
 Regenerate only when a behaviour change is intended, and say so:
 
@@ -33,6 +37,7 @@ from coresolve.terms import FreshVars
 GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
 WIDE = GOLDEN.parent / "wide.lp"
 WIDE_GOLDEN = GOLDEN.parent / "wide.json"
+STREAMS_GOLDEN = GOLDEN.parent / "streams.json"
 MODES = ("sld", "s", "colp", "cos")
 MAX_ANSWERS = 3
 # These searches never end and grow their terms as they go, so at the
@@ -42,17 +47,28 @@ WIDE_MAX_ANSWERS = 5
 # Reachable, unreachable, reachable only through the bridge rule, and the
 # two open ends.
 WIDE_QUERIES = ("path(a,b)", "path(a,c)", "path(i2,c)", "path(a,Y)", "path(X,b)")
+STREAM_QUERIES = (("nats", "nats(X)"), ("server", "resource(X,Y)"), ("r", "r(X,Y)"))
+# (max answers, unfolding depth)
+STREAM_BOUNDS = ((60, 5), (10, 1), (10, 12))
 
 
-def observe(path: Path, query: str, mode: str, max_answers: int, max_steps: int) -> dict:
+def observe(
+    path: Path, query: str, mode: str, max_answers: int, max_steps: int,
+    unfold_depth: int = 0,
+) -> dict:
+    """What one call prints and exits with.  Without unfolding, the call
+    also prints its structured trace, and the record holds the engine's
+    ``steps_used``; with unfolding, only the answers are recorded."""
     argv = [
         "run", str(path), "-q", query, "--mode", mode,
         "--max-answers", str(max_answers), "--max-steps", str(max_steps),
-        "--trace", "structured",
     ]
+    argv += ["--unfold-depth", str(unfold_depth)] if unfold_depth else ["--trace", "structured"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
+    if unfold_depth:
+        return {"exit": code, "stdout": out.getvalue()}
     fresh = FreshVars()
     p = parse_program(path.read_text(encoding="utf-8"), fresh)
     q = parse_query(query, fresh)
@@ -77,12 +93,32 @@ def observe_wide(query: str, mode: str) -> dict:
     return {"query": query, "mode": mode, **got}
 
 
+def observe_stream(name: str, mode: str, max_answers: int, unfold_depth: int) -> dict:
+    query = dict(STREAM_QUERIES)[name]
+    got = observe(
+        PROGRAMS / f"{name}.lp", query, mode, max_answers, Limits.max_steps, unfold_depth
+    )
+    return {
+        "program": name, "query": query, "mode": mode,
+        "max_answers": max_answers, "unfold_depth": unfold_depth, **got,
+    }
+
+
 def calls():
     return [(name, mode) for name in sorted(CORPUS_QUERIES) for mode in MODES]
 
 
 def wide_calls():
     return [(query, mode) for query in WIDE_QUERIES for mode in MODES]
+
+
+def stream_calls():
+    return [
+        (name, mode, k, depth)
+        for name, _ in STREAM_QUERIES
+        for mode in ("cos", "colp")
+        for k, depth in STREAM_BOUNDS
+    ]
 
 
 def load_golden() -> dict:
@@ -95,12 +131,24 @@ def load_wide_golden() -> dict:
     return {(r["query"], r["mode"]): r for r in records}
 
 
+def load_streams_golden() -> dict:
+    records = json.loads(STREAMS_GOLDEN.read_text(encoding="utf-8"))
+    return {
+        (r["program"], r["mode"], r["max_answers"], r["unfold_depth"]): r
+        for r in records
+    }
+
+
 def test_golden_covers_every_call():
     assert sorted(load_golden()) == sorted(calls())
 
 
 def test_wide_golden_covers_every_call():
     assert sorted(load_wide_golden()) == sorted(wide_calls())
+
+
+def test_streams_golden_covers_every_call():
+    assert sorted(load_streams_golden()) == sorted(stream_calls())
 
 
 @pytest.mark.parametrize("name,mode", calls())
@@ -113,6 +161,12 @@ def test_wide_matches_golden(query, mode):
     assert observe_wide(query, mode) == load_wide_golden()[(query, mode)]
 
 
+@pytest.mark.parametrize("name,mode,max_answers,unfold_depth", stream_calls())
+def test_streams_match_golden(name, mode, max_answers, unfold_depth):
+    got = observe_stream(name, mode, max_answers, unfold_depth)
+    assert got == load_streams_golden()[(name, mode, max_answers, unfold_depth)]
+
+
 def _write(path: Path, records: list) -> None:
     path.write_text(
         json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
@@ -123,3 +177,4 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     _write(GOLDEN, [observe_corpus(name, mode) for name, mode in calls()])
     _write(WIDE_GOLDEN, [observe_wide(query, mode) for query, mode in wide_calls()])
+    _write(STREAMS_GOLDEN, [observe_stream(*call) for call in stream_calls()])
