@@ -1,19 +1,25 @@
-"""Decircularization of circular substitutions and bounded unfolding.
+"""Bounded unfolding of circular substitutions, and their decircularization.
 
 A circular binding such as ``X ↦ scons(0,X)`` stands for the infinite
 succession of non-circular bindings ``X ↦ scons(0,X₁)``,
-``X₁ ↦ scons(0,X₂)``, ...  ``decircularize`` materializes a finite prefix
-of that succession; applying the prefix in order reproduces the circular
-substitution's value exactly up to the corresponding depth, which
-``unfold`` computes directly.
+``X₁ ↦ scons(0,X₂)``, ...  ``unfold`` cuts the value of a term under such a
+substitution at a depth, in one walk of the substitution: each time the walk
+passes a cycle variable it enters the next generation of the succession.
+Free variables the circular images mention are renamed per generation —
+each unrolling round of a binding stands for one more clause application,
+which would have introduced its own copies of those variables — and the
+renaming is deterministic (``generation_var``).
 
-Mutually circular components share generation indices: if A's image
-mentions B, then generation n of A's chain mentions generation n of B's,
-so the chains interleave consistently.  Free variables the circular images
-mention are renamed per generation as well — each unrolling round of the
-binding stands for one more clause application, which would have introduced
-its own copies of those variables — and the renaming is deterministic, so
-``unfold`` and ``apply_prefix`` over ``decircularize`` agree exactly.
+``decircularize`` materializes a finite prefix of the succession as a list
+of non-circular substitutions, one per generation.  Mutually circular
+components share generation indices: if A's image mentions B, then
+generation n of A's chain mentions generation n of B's, so the chains
+interleave consistently.  When no cycle variable is bound to a variable,
+applying the first n generations in order and cutting at depth n gives
+exactly ``unfold`` at depth n.  A cycle variable bound to a variable takes
+a generation without adding a level, so there the prefix runs out of
+generations before the depth is reached, and ``unfold`` goes on to the
+depth asked for.
 """
 
 from __future__ import annotations
@@ -52,16 +58,15 @@ def generation_var(v: Var, gen: int) -> Var:
 def unfold(
     s: Substitution | Sequence[Substitution], t: Term, depth: int
 ) -> Term:
-    """Depth-bounded truncation of t's value under s: circular bindings are
-    unrolled one generation per binding application, free variables inside a
-    cycle body get one copy per round, and the cut positions become the
-    reserved leaf.
+    """Depth-bounded truncation of t's value under s: the positions at depth
+    ``depth`` become the reserved leaf.  A circular s is unrolled one
+    generation per cycle variable the walk passes, and a free variable
+    inside a cycle body gets one copy per generation.
 
     A sequence of substitutions (a derivation's production and loop
     unifiers, in order) is first collapsed to its solved form over the
-    subject term's variables; a single substitution is used as given, so
-    this function and ``apply_prefix`` over ``decircularize`` agree
-    exactly."""
+    subject term's variables; a single substitution is used as given.  A
+    non-circular substitution is applied once and the result truncated."""
     if depth < 0:
         raise ValueError("unfold depth must be non-negative")
     if depth == 0:
@@ -76,7 +81,56 @@ def unfold(
             sigma = solved_answer(variables_in_order([t]), substs)
     if not sigma.circular:
         return truncate(depth, apply(sigma, t))
-    return truncate(depth, apply_prefix(decircularize(sigma, depth), t))
+    return _walk(sigma, t, depth)
+
+
+def _walk(s: Substitution, t: Term, depth: int) -> Term:
+    """The depth-``depth`` truncation of t's value under the circular s, by
+    one iterative walk.  Each position is visited with the generation it
+    belongs to: t itself is generation 0, a bound variable of t moves to
+    generation 1, a cycle variable moves to the next generation and any
+    other bound variable keeps its own; a free variable at generation n is
+    its generation n-1 copy.  A pure variable cycle (X ↦ Y, Y ↦ X) has no
+    structure, and its first variable stands for it, as in
+    ``rational._resolve``."""
+    bindings = s.bindings
+    circ = s.cycle_vars()
+    done: list[Term] = []
+    # A tuple is a position still to visit: (term, generation, depth left).
+    # A Struct marks that its arguments are done and it can be rebuilt.
+    work: list = [(t, 0, depth)]
+    while work:
+        item = work.pop()
+        if isinstance(item, Struct):
+            n = len(item.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(Struct(item.symbol, args))
+            continue
+        term, gen, left = item
+        if not left:
+            done.append(TRUNCATED)
+            continue
+        seen: set[Var] = set()
+        while isinstance(term, Var):
+            img = bindings.get(term)
+            if img is None:
+                if gen > 1:
+                    term = generation_var(term, gen - 1)
+                break
+            if term in seen:
+                break
+            seen.add(term)
+            if not gen or term in circ:
+                gen += 1
+            term = img
+        if isinstance(term, Var) or not term.args:
+            done.append(term)
+            continue
+        work.append(term)
+        left -= 1
+        work.extend((a, gen, left) for a in reversed(term.args))
+    return done[0]
 
 
 def decircularize(
@@ -134,11 +188,3 @@ def decircularize(
             layer[gen(v, n - 1)] = image_at(img, n)
         out.append(Substitution(layer))
     return out
-
-
-def apply_prefix(prefix: Sequence[Substitution], t: Term) -> Term:
-    """Apply decircularized generations in order (each is non-circular and
-    idempotent, so plain application suffices)."""
-    for s in prefix:
-        t = apply(s, t)
-    return t

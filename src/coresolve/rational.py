@@ -16,7 +16,7 @@ the next one.  A single circular answer is simply the one-element list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .terms import (
     FreshVars,
@@ -29,7 +29,7 @@ from .terms import (
 )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     """One value node: a structure with node children, or a free leaf var."""
 
@@ -42,44 +42,58 @@ class Node:
         return self.symbol is None
 
 
-def _resolve(term: Term, level: int, substs: Sequence[Substitution]) -> tuple[Term, int]:
+def _resolve(
+    term: Term, level: int, maps: Sequence[Mapping[Var, Term]]
+) -> tuple[Term, int]:
     """Chase variable bindings starting at ``level``; returns the first
     non-variable term (with the level it lives at) or an unbound variable."""
-    seen: set[tuple[Var, int]] = set()
-    while isinstance(term, Var) and level < len(substs):
-        img = substs[level].get(term)
+    seen: Optional[set[tuple[Var, int]]] = None
+    while isinstance(term, Var) and level < len(maps):
+        img = maps[level].get(term)
         if img is None:
             level += 1
             continue
-        if (term, level) in seen:
-            # A pure variable cycle (X = Y, Y = X) has no structure; treat
-            # the first variable of the cycle as the free representative.
-            return term, level
-        seen.add((term, level))
+        if isinstance(img, Var):
+            if seen is None:
+                seen = set()
+            elif (term, level) in seen:
+                # A pure variable cycle (X = Y, Y = X) has no structure;
+                # treat the first variable of the cycle as the free
+                # representative.
+                return term, level
+            seen.add((term, level))
         term = img
     return term, level
 
 
 def build_node(term: Term, substs: Sequence[Substitution]) -> Node:
-    """Graph node for the value of ``term`` under the substitution list."""
+    """Graph node for the value of ``term`` under the substitution list.
+    Built with an explicit stack, so term depth is not bounded by the
+    interpreter's recursion."""
+    maps = [s.bindings for s in substs]
     memo: dict[tuple[Term, int], Node] = {}
+    unfilled: list[tuple[Node, tuple[Term, ...], int]] = []
 
-    def go(t: Term, level: int) -> Node:
-        t, level = _resolve(t, level, substs)
-        key = (t, level)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def node_for(t: Term, level: int) -> Node:
         if isinstance(t, Var):
-            node = Node(None, t)
+            t, level = _resolve(t, level, maps)
+        key = (t, level)
+        node = memo.get(key)
+        if node is None:
+            if isinstance(t, Var):
+                node = Node(None, t)
+            else:
+                node = Node(t.symbol)
+                if t.args:
+                    unfilled.append((node, t.args, level))
             memo[key] = node
-            return node
-        node = Node(t.symbol)
-        memo[key] = node
-        node.children = [go(a, level) for a in t.args]
         return node
 
-    return go(term, 0)
+    root = node_for(term, 0)
+    while unfilled:
+        node, args, level = unfilled.pop()
+        node.children = [node_for(a, level) for a in args]
+    return root
 
 
 def reachable(roots: Iterable[Node]) -> list[Node]:
@@ -96,33 +110,52 @@ def reachable(roots: Iterable[Node]) -> list[Node]:
     return out
 
 
-def minimize(roots: Iterable[Node]) -> dict[int, int]:
-    """Partition the reachable nodes by bisimilarity; returns id(node) →
-    block number.  Two nodes in one block denote the same rational tree."""
-    nodes = reachable(roots)
-    # Initial split: by symbol, or by the identity of the free variable.
-    block: dict[int, int] = {}
-    keys: dict[object, int] = {}
-    for n in nodes:
-        k: object = ("v", n.var) if n.is_leaf_var else ("s", n.symbol)
-        if k not in keys:
-            keys[k] = len(keys)
-        block[id(n)] = keys[k]
+def minimize(nodes: Sequence[Node]) -> dict[int, int]:
+    """Partition ``nodes`` by bisimilarity; returns id(node) → block number.
+    ``nodes`` must hold the children of each of its nodes, as ``reachable``
+    returns them.  Two nodes in one block denote the same rational tree.
+
+    A node that reaches no cycle denotes a finite tree.  Such nodes are
+    taken children first, and each gets the block of its label and its
+    children's blocks.  The other nodes start split by symbol and are
+    refined in rounds until no block splits (Moore's algorithm), with the
+    finite blocks fixed."""
+    index = {id(n): i for i, n in enumerate(nodes)}
+    kids = [[index[id(c)] for c in n.children] for n in nodes]
+    labels: list[object] = [n.var if n.symbol is None else n.symbol for n in nodes]
+    parents: list[list[int]] = [[] for _ in nodes]
+    for i, ks in enumerate(kids):
+        for c in ks:
+            parents[c].append(i)
+    # A node is ready once all its children have a finite block.
+    waiting = [len(ks) for ks in kids]
+    ready = [i for i, w in enumerate(waiting) if not w]
+    block = [-1] * len(nodes)
+    finite_blocks: dict[tuple, int] = {}
+    for i in ready:
+        key = (labels[i], *[block[c] for c in kids[i]])
+        block[i] = finite_blocks.setdefault(key, len(finite_blocks))
+        for p in parents[i]:
+            waiting[p] -= 1
+            if not waiting[p]:
+                ready.append(p)
+    infinite = [i for i, b in enumerate(block) if b < 0]
+    base = len(finite_blocks)
+    first: dict[object, int] = {}
+    for i in infinite:
+        block[i] = first.setdefault(labels[i], base + len(first))
+    count = len(first)
     while True:
-        sig: dict[int, tuple] = {
-            id(n): (block[id(n)], tuple(block[id(c)] for c in n.children))
-            for n in nodes
-        }
-        remap: dict[tuple, int] = {}
-        new_block: dict[int, int] = {}
-        for n in nodes:
-            s = sig[id(n)]
-            if s not in remap:
-                remap[s] = len(remap)
-            new_block[id(n)] = remap[s]
-        if new_block == block:
-            return block
-        block = new_block
+        sigs: dict[tuple, int] = {}
+        new = [
+            sigs.setdefault((block[i], *[block[c] for c in kids[i]]), base + len(sigs))
+            for i in infinite
+        ]
+        if len(sigs) == count:
+            return {id(n): b for n, b in zip(nodes, block)}
+        for i, b in zip(infinite, new):
+            block[i] = b
+        count = len(sigs)
 
 
 def solved_answer(
@@ -136,15 +169,17 @@ def solved_answer(
     by any query variable get fresh auxiliary variables."""
     fresh = fresh or FreshVars(10**9)
     roots = {v: build_node(v, substs) for v in query_vars}
-    block = minimize(roots.values())
+    nodes = reachable(roots.values())
+    block = minimize(nodes)
 
+    # One node stands for its block: the nodes of a block have the same
+    # symbol and children in the same blocks.
+    rep: dict[int, Node] = {}
+    for n in nodes:
+        rep.setdefault(block[id(n)], n)
+    succ = {b: [block[id(c)] for c in n.children] for b, n in rep.items()}
     # Cyclic blocks (a node reaching its own block again) need a variable
     # name; prefer the first query variable whose value lives in the block.
-    succ: dict[int, set[int]] = {}
-    for n in reachable(roots.values()):
-        succ.setdefault(block[id(n)], set()).update(
-            block[id(c)] for c in n.children
-        )
     cyclic = cycle_members(succ, succ.__getitem__)
 
     name_of: dict[int, Var] = {}
@@ -153,45 +188,45 @@ def solved_answer(
         if not roots[v].is_leaf_var and b not in name_of:
             name_of[b] = v
 
-    rep: dict[int, Node] = {}
-    for n in reachable(roots.values()):
-        rep.setdefault(block[id(n)], n)
-
     pending: list[int] = []
+    rendered: dict[int, Term] = {}
 
-    def var_for(b: int) -> Var:
-        got = name_of.get(b)
-        if got is None:
-            got = fresh.new()
-            name_of[b] = got
-            pending.append(b)
-        return got
-
-    def render(b: int, path: frozenset) -> Term:
-        node = rep[b]
-        if node.is_leaf_var:
-            assert node.var is not None
-            return node.var
-        if b in path or (b in cyclic and b in name_of):
-            return var_for(b)
-        if b in cyclic:
-            # A cycle nobody named yet: name it here and emit its own
-            # binding afterwards.
-            v = var_for(b)
-            return v
-        inner = path | {b}
-        assert node.symbol is not None
-        return Struct(
-            node.symbol, tuple(render(block[id(c)], inner) for c in node.children)
-        )
+    def render(b: int) -> Term:
+        """Block b as it appears inside a binding: a free variable, the
+        name of a cyclic block, or the structure of an acyclic one.  A
+        cycle nobody named yet is named when it is first reached, and its
+        own binding is emitted afterwards."""
+        work = [b]
+        while work:
+            top = work[-1]
+            if top in rendered:
+                work.pop()
+                continue
+            node = rep[top]
+            if node.is_leaf_var:
+                assert node.var is not None
+                rendered[top] = node.var
+            elif top in cyclic:
+                got = name_of.get(top)
+                if got is None:
+                    got = fresh.new()
+                    name_of[top] = got
+                    pending.append(top)
+                rendered[top] = got
+            else:
+                todo = [c for c in succ[top] if c not in rendered]
+                if todo:
+                    work.extend(reversed(todo))
+                    continue
+                assert node.symbol is not None
+                rendered[top] = Struct(node.symbol, tuple(rendered[c] for c in succ[top]))
+            work.pop()
+        return rendered[b]
 
     def expand(b: int) -> Term:
         node = rep[b]
         assert node.symbol is not None
-        return Struct(
-            node.symbol,
-            tuple(render(block[id(c)], frozenset({b})) for c in node.children),
-        )
+        return Struct(node.symbol, tuple(render(c) for c in succ[b]))
 
     bindings: dict[Var, Term] = {}
     done_blocks: set[int] = set()

@@ -107,17 +107,31 @@ def term_to_text(t: Term) -> str:
 
 
 def _render(t: Term, out: list[str]) -> None:
-    if isinstance(t, Var):
-        out.append(t.display)
-        return
-    out.append(t.symbol.name)
-    if t.args:
-        out.append("(")
-        for i, a in enumerate(t.args):
-            if i:
+    # Iterative: answers can be as deep as the terms a derivation builds.
+    # The stack holds the argument iterators of the open structures.
+    open_args: list[Iterator[Term]] = []
+    while True:
+        if isinstance(t, Var):
+            out.append(t.display)
+        elif t.args:
+            out.append(t.symbol.name + "(")
+            args = iter(t.args)
+            open_args.append(args)
+            t = next(args)
+            continue
+        else:
+            out.append(t.symbol.name)
+        while open_args:
+            nxt = next(open_args[-1], None)
+            if nxt is None:
+                open_args.pop()
+                out.append(")")
+            else:
                 out.append(",")
-            _render(a, out)
-        out.append(")")
+                t = nxt
+                break
+        else:
+            return
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:

@@ -13,7 +13,7 @@ import pytest
 
 from coresolve.derivation import StepKind, apply_to_goal
 from coresolve.program import parse_program, parse_query
-from coresolve.rational import minimize
+from coresolve.rational import minimize, reachable
 from coresolve.terms import (
     FreshVars,
     Struct,
@@ -21,6 +21,7 @@ from coresolve.terms import (
     Symbol,
     Term,
     Var,
+    apply,
     apply_raw,
     variables_in_order,
 )
@@ -88,6 +89,15 @@ def rename_apart(t: Term, fresh: FreshVars) -> tuple[Term, Substitution]:
     return apply_raw(renaming, t), renaming
 
 
+def apply_prefix(prefix, t: Term) -> Term:
+    """Apply decircularized generations in order (each is non-circular and
+    idempotent, so plain application suffices): the layered oracle that
+    ``decirc.unfold`` is checked against."""
+    for s in prefix:
+        t = apply(s, t)
+    return t
+
+
 def replay(g, steps):
     """All intermediate goals of a derivation, starting with the initial
     goal; confirms that a trace is honest."""
@@ -111,7 +121,7 @@ def replay(g, steps):
 
 def nodes_bisimilar(a, b) -> bool:
     """Whether two value-graph nodes denote the same rational tree."""
-    block = minimize([a, b])
+    block = minimize(reachable([a, b]))
     return block[id(a)] == block[id(b)]
 
 

@@ -16,10 +16,19 @@ import random
 
 import pytest
 
-from conftest import PROGRAMS, const, load_query, mk, random_term, seed, var_pool
+from conftest import (
+    PROGRAMS,
+    apply_prefix,
+    const,
+    load_query,
+    mk,
+    random_term,
+    seed,
+    var_pool,
+)
 from coresolve.cli import main
 from coresolve.coengine import LoopFailReason, co_refute
-from coresolve.decirc import apply_prefix, decircularize, unfold
+from coresolve.decirc import decircularize, unfold
 from coresolve.derivation import Limits, Status, refute
 from coresolve.models import gfp_local_check, lfp_enumerate
 from coresolve.productivity import ProductivityStatus, check_productive

@@ -3,8 +3,12 @@
 import argparse
 import io
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, load_query
+from coresolve import cli, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main, repl
+from coresolve.coengine import co_refute
+from coresolve.derivation import Limits
+from coresolve.terms import variables_in_order
 
 
 def lp(name: str) -> str:
@@ -50,6 +54,57 @@ class TestRun:
         code, out, _ = run(capsys, "run", lp("nat"), "-q", query, "--mode", "sld")
         assert code == 0
         assert out == "true\n"
+
+    def test_deep_answer_sld(self, capsys, tmp_path):
+        # The answer is 1,500 levels deep: building its value graph,
+        # rendering the solved form and printing it used to recurse.
+        deep = "s(" * 1500 + "0" + ")" * 1500
+        path = tmp_path / "deep.lp"
+        path.write_text(f"p({deep}).\nq(X) :- p(X).\n", encoding="utf-8")
+        code, out, err = run(capsys, "run", str(path), "-q", "q(X)", "--mode", "sld")
+        assert code == 0
+        assert out == f"X = {deep}\n"
+        assert err == ""
+
+    def test_unfold_through_variable_binding(self, capsys):
+        # Y = X takes a generation without adding a level; Y's unfolding
+        # still reaches the depth asked for, like X's.
+        code, out, _ = run(
+            capsys, "run", lp("case3"), "-q", "resource(X,Y,Z)",
+            "--mode", "colp", "--unfold-depth", "3",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "X = cons(get(_A),X)",
+            "X ~ cons(get(_A),cons(get(◇),cons(◇,◇)))",
+            "Y = X",
+            "Y ~ cons(get(X_1),cons(get(◇),cons(◇,◇)))",
+            "Z = cons(_A,Z)",
+            "Z ~ cons(_A,cons(X_1,cons(◇,◇)))",
+        ]
+
+    def test_printing_analyses_cycles_once(self, monkeypatch):
+        # Printing one circular answer with two query variables finds the
+        # cycle variables of the solved form once; unfolding reuses them.
+        # Unfolding each layer of a decircularized prefix ran the analysis
+        # on every layer.
+        p, q, fresh = load_query("r", "r(X,Y)")
+        result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        _, answer = result.answers[0]
+        calls = 0
+        analysis = terms.cycle_members
+
+        def counted(nodes, succ):
+            nonlocal calls
+            calls += 1
+            return analysis(nodes, succ)
+
+        for module in (terms, rational, unify):
+            monkeypatch.setattr(module, "cycle_members", counted)
+        out = io.StringIO()
+        cli._print_answer(variables_in_order(q), answer.solved, 5, out)
+        assert out.getvalue().count(" ~ ") == 2
+        assert calls <= 1
 
     def test_finite_failure(self, capsys):
         code, _, _ = run(capsys, "run", lp("nat"), "-q", "nat(f(0))", "--mode", "sld")

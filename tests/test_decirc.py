@@ -2,14 +2,19 @@
 
 import pytest
 
-from conftest import const, mk, random_term, var_pool
-from coresolve.decirc import apply_prefix, decircularize, unfold
+from conftest import apply_prefix, const, mk, random_term, var_pool
+from coresolve.decirc import decircularize, generation_var, unfold
+from coresolve.rational import build_node
 from coresolve.terms import (
     TRUNCATED,
+    Struct,
     Substitution,
     Var,
+    apply,
+    iter_subterms,
     term_to_text,
     truncate,
+    variables_in_order,
     variables_of,
 )
 from coresolve.unify import UnifyKind, rational_unify
@@ -170,3 +175,111 @@ class TestFaithfulness:
                 continue
             found += 1
             self.check(out.substitution, a, k_max=5)
+
+
+def graph_truncation(node, depth):
+    """The value graph of ``build_node`` cut at ``depth``, as a term."""
+    if depth == 0:
+        return TRUNCATED
+    if node.is_leaf_var:
+        return node.var
+    return Struct(node.symbol, tuple(graph_truncation(c, depth - 1) for c in node.children))
+
+
+def without_generations(t, variables, depth):
+    """t with every generation copy of the given variables turned back into
+    the variable itself."""
+    back = {
+        generation_var(v, g): v for v in variables for g in range(1, depth + 1)
+    }
+    return apply(Substitution(back), t)
+
+
+def random_variable_cycles(rnd, count):
+    """Seeded circular substitutions over a pool of four variables, each
+    with at least one variable-to-variable binding."""
+    pool = var_pool(4, start=200)
+    while count:
+        bindings = {}
+        for v in pool:
+            roll = rnd.random()
+            if roll < 0.35:
+                bindings[v] = rnd.choice([w for w in pool if w != v])
+            elif roll < 0.75:
+                bindings[v] = random_term(rnd, 2, pool)
+        sigma = Substitution(bindings)
+        if not sigma.circular or not any(isinstance(t, Var) for _, t in sigma.items()):
+            continue
+        count -= 1
+        yield sigma, random_term(rnd, 2, pool)
+
+
+class TestVariableCycles:
+    """A cycle that passes through a variable-to-variable binding: the
+    binding takes a generation but adds no level, and the walk goes on to
+    the depth asked for, as the rational tree does."""
+
+    def test_depth_through_variable_binding(self):
+        # Cut at depth 3 like ``truncate``: three f levels, then the leaf.
+        got = unfold(Substitution({X: Y, Y: mk("f", X)}), X, 3)
+        assert got == mk("f", mk("f", mk("f", TRUNCATED)))
+
+    def test_pure_variable_cycle_terminates(self):
+        # No structure at all: the first variable of the cycle stands for it.
+        sigma = Substitution({X: Y, Y: X})
+        assert unfold(sigma, X, 5) == X
+        assert unfold(sigma, mk("p", Y, zero), 5) == mk("p", Y, zero)
+
+    def test_random_against_value_graph(self, rng):
+        # Against the value graph cut at the same depth, up to the renaming
+        # of free variables per generation.  Where no variable is bound to
+        # a cycle variable, the layered decircularization agrees exactly.
+        layered = 0
+        for sigma, t in random_variable_cycles(rng, 200):
+            free = variables_in_order([t, *(img for _, img in sigma.items())])
+            exact = not any(img in sigma.cycle_vars() for _, img in sigma.items())
+            layered += exact
+            for depth in range(7):
+                got = unfold(sigma, t, depth)
+                want = graph_truncation(build_node(t, [sigma]), depth)
+                assert without_generations(got, free, depth) == want, (sigma, t, depth)
+                if depth and exact:
+                    assert got == truncate(depth, apply_prefix(decircularize(sigma, depth), t))
+        assert layered >= 20
+
+    def test_layered_form_loses_a_generation_per_variable_binding(self):
+        # What the walk replaced: Y ↦ X takes generation 1 without adding a
+        # level, so three generations reach only depth 2 and leave X's
+        # generation-3 copy above the cut.
+        sigma = Substitution({X: mk("f", X), Y: X})
+        layered = truncate(3, apply_prefix(decircularize(sigma, 3), Y))
+        assert isinstance(layered.args[0].args[0], Var)
+        assert unfold(sigma, Y, 3) == mk("f", mk("f", mk("f", TRUNCATED)))
+
+
+class TestWalkCost:
+    def test_depth_ten_thousand(self):
+        got = unfold(Substitution({X: s_(X)}), X, 10_000)
+        text = term_to_text(got)
+        assert text == "s(" * 10_000 + "◇" + ")" * 10_000
+
+    def test_builds_one_struct_per_printed_node(self, monkeypatch):
+        # The layered unfold built every generation, applied each in turn
+        # and then truncated the result.
+        built = 0
+        post_init = Struct.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(Struct, "__post_init__", counted)
+        for sigma, t in [
+            (SIGMA_AB, mk("r", A, B)),
+            (Substitution({X: mk("scons", zero, X)}), mk("nats", X)),
+            (Substitution({X: mk("f", mk("f", X, C), C)}), X),
+        ]:
+            built = 0
+            got = unfold(sigma, t, 5)
+            assert built <= sum(1 for _ in iter_subterms(got))

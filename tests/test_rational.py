@@ -1,8 +1,9 @@
 """Value graphs for rational trees: bisimulation and solved answers."""
 
 from conftest import const, mk, nodes_bisimilar
+from coresolve import rational
 from coresolve.rational import build_node, solved_answer
-from coresolve.terms import Substitution, Var
+from coresolve.terms import Substitution, Var, term_to_text
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
 zero = const("0")
@@ -62,3 +63,40 @@ class TestSolvedAnswer:
         solved = solved_answer([X], seq)
         assert solved.get(X) == s_(zero)
         assert not solved.circular
+
+
+class TestOnePass:
+    def test_solved_answer_walks_its_graph_once(self, monkeypatch):
+        # It walked the graph three times: in minimize, to collect the
+        # edges between blocks, and to pick one node per block.
+        calls = 0
+        walk = rational.reachable
+
+        def counted(roots):
+            nonlocal calls
+            calls += 1
+            return walk(roots)
+
+        monkeypatch.setattr(rational, "reachable", counted)
+        theta = Substitution({X: mk("f", X, Y, Z), Y: s_(Y)})
+        solved = solved_answer([X, Y], [theta])
+        assert solved.get(X) == mk("f", X, Y, Z)
+        assert calls == 1
+
+    def test_deep_finite_answer(self):
+        # Deeper than the interpreter's recursion allows; the finite part
+        # of the graph takes one bottom-up pass, not one round per level.
+        n = 10_000
+        t = zero
+        for _ in range(n):
+            t = s_(t)
+        solved = solved_answer([X], [Substitution({X: Y}), Substitution({Y: t})])
+        assert term_to_text(solved.get(X)) == "s(" * n + "0" + ")" * n
+
+    def test_deep_circular_answer(self):
+        # X = s^n(X) is the same rational tree as X = s(X).
+        t = X
+        for _ in range(2_000):
+            t = s_(t)
+        solved = solved_answer([X], [Substitution({X: t})])
+        assert solved.get(X) == s_(X)
