@@ -14,12 +14,12 @@ renaming is deterministic (``generation_var``).
 of non-circular substitutions, one per generation.  Mutually circular
 components share generation indices: if A's image mentions B, then
 generation n of A's chain mentions generation n of B's, so the chains
-interleave consistently.  When no cycle variable is bound to a variable,
+interleave consistently.  When no variable is bound to a cycle variable,
 applying the first n generations in order and cutting at depth n gives
-exactly ``unfold`` at depth n.  A cycle variable bound to a variable takes
-a generation without adding a level, so there the prefix runs out of
-generations before the depth is reached, and ``unfold`` goes on to the
-depth asked for.
+exactly ``unfold`` at depth n.  A binding to a cycle variable (an alias
+``Y ↦ X`` of a cycle, or ``X ↦ Y`` on the cycle itself) takes a generation
+without adding a level, so there the prefix runs out of generations before
+the depth is reached, and ``unfold`` goes on to the depth asked for.
 """
 
 from __future__ import annotations
@@ -111,16 +111,19 @@ def _walk(s: Substitution, t: Term, depth: int) -> Term:
         if not left:
             done.append(TRUNCATED)
             continue
-        seen: set[Var] = set()
+        seen: Optional[set[Var]] = None
         while isinstance(term, Var):
             img = bindings.get(term)
             if img is None:
                 if gen > 1:
                     term = generation_var(term, gen - 1)
                 break
-            if term in seen:
-                break
-            seen.add(term)
+            if isinstance(img, Var):
+                if seen is None:
+                    seen = set()
+                elif term in seen:
+                    break
+                seen.add(term)
             if not gen or term in circ:
                 gen += 1
             term = img
