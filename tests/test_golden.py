@@ -14,6 +14,10 @@ answers) shows here.  ``tests/golden/streams.json`` records stdout and exit
 code for the three stream queries in cos and colp, at ``--max-answers 60
 --unfold-depth 5`` and at ``--max-answers 10`` with unfolding depths 1 and
 12: every printed ``~`` line of a circular answer shows here.
+``tests/golden/validate.json`` records stdout, stderr and exit code of
+``coresolve validate`` on each corpus query (but ex52, whose refusal alone
+takes seconds), and on the three stream queries at a larger depth and more
+rounds: the unfolding Theorem 5.1 is checked against shows here.
 
 Regenerate only when a behaviour change is intended, and say so:
 
@@ -38,6 +42,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
 WIDE = GOLDEN.parent / "wide.lp"
 WIDE_GOLDEN = GOLDEN.parent / "wide.json"
 STREAMS_GOLDEN = GOLDEN.parent / "streams.json"
+VALIDATE_GOLDEN = GOLDEN.parent / "validate.json"
 MODES = ("sld", "s", "colp", "cos")
 MAX_ANSWERS = 3
 # These searches never end and grow their terms as they go, so at the
@@ -50,6 +55,8 @@ WIDE_QUERIES = ("path(a,b)", "path(a,c)", "path(i2,c)", "path(a,Y)", "path(X,b)"
 STREAM_QUERIES = (("nats", "nats(X)"), ("server", "resource(X,Y)"), ("r", "r(X,Y)"))
 # (max answers, unfolding depth)
 STREAM_BOUNDS = ((60, 5), (10, 1), (10, 12))
+# (depth, rounds): validate's defaults, and a deeper run on the streams.
+VALIDATE_BOUNDS = ((8, 16), (12, 24))
 
 
 def observe(
@@ -104,6 +111,21 @@ def observe_stream(name: str, mode: str, max_answers: int, unfold_depth: int) ->
     }
 
 
+def observe_validate(name: str, depth: int, rounds: int) -> dict:
+    query = CORPUS_QUERIES[name]
+    argv = [
+        "validate", str(PROGRAMS / f"{name}.lp"), "-q", query,
+        "--depth", str(depth), "--rounds", str(rounds),
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "program": name, "query": query, "depth": depth, "rounds": rounds,
+        "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+    }
+
+
 def calls():
     return [(name, mode) for name in sorted(CORPUS_QUERIES) for mode in MODES]
 
@@ -118,6 +140,17 @@ def stream_calls():
         for name, _ in STREAM_QUERIES
         for mode in ("cos", "colp")
         for k, depth in STREAM_BOUNDS
+    ]
+
+
+def validate_calls():
+    default, deep = VALIDATE_BOUNDS
+    streams = dict(STREAM_QUERIES)
+    return [
+        (name, *bounds)
+        for name in sorted(CORPUS_QUERIES)
+        if name != "ex52"
+        for bounds in ((default, deep) if name in streams else (default,))
     ]
 
 
@@ -139,6 +172,11 @@ def load_streams_golden() -> dict:
     }
 
 
+def load_validate_golden() -> dict:
+    records = json.loads(VALIDATE_GOLDEN.read_text(encoding="utf-8"))
+    return {(r["program"], r["depth"], r["rounds"]): r for r in records}
+
+
 def test_golden_covers_every_call():
     assert sorted(load_golden()) == sorted(calls())
 
@@ -149,6 +187,10 @@ def test_wide_golden_covers_every_call():
 
 def test_streams_golden_covers_every_call():
     assert sorted(load_streams_golden()) == sorted(stream_calls())
+
+
+def test_validate_golden_covers_every_call():
+    assert sorted(load_validate_golden()) == sorted(validate_calls())
 
 
 @pytest.mark.parametrize("name,mode", calls())
@@ -167,6 +209,12 @@ def test_streams_match_golden(name, mode, max_answers, unfold_depth):
     assert got == load_streams_golden()[(name, mode, max_answers, unfold_depth)]
 
 
+@pytest.mark.parametrize("name,depth,rounds", validate_calls())
+def test_validate_matches_golden(name, depth, rounds):
+    got = observe_validate(name, depth, rounds)
+    assert got == load_validate_golden()[(name, depth, rounds)]
+
+
 def _write(path: Path, records: list) -> None:
     path.write_text(
         json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
@@ -178,3 +226,4 @@ if __name__ == "__main__":
     _write(GOLDEN, [observe_corpus(name, mode) for name, mode in calls()])
     _write(WIDE_GOLDEN, [observe_wide(query, mode) for query, mode in wide_calls()])
     _write(STREAMS_GOLDEN, [observe_stream(*call) for call in stream_calls()])
+    _write(VALIDATE_GOLDEN, [observe_validate(*call) for call in validate_calls()])
