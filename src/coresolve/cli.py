@@ -23,7 +23,6 @@ from .coengine import co_refute, preflight_warnings
 from .derivation import Limits, Status, StepKind, refute
 from .productivity import ProductivityStatus, check_productive
 from .program import ParseError, Program, check_universal, parse_program, parse_query
-from .rational import solved_answer
 from .terms import (
     FreshVars,
     Substitution,
@@ -184,31 +183,6 @@ def cmd_run(args, out=None, err=None) -> int:
         max_rewrite_chain=args.max_rewrite,
         fair=args.fair,
     )
-    query_vars = variables_in_order(query)
-
-    if args.mode in ("sld", "s"):
-        result = refute(prog, query, args.mode, limits, fresh)
-        if args.trace != "off":
-            for tr in result.traces:
-                _emit_trace(tr.steps, args.trace, out)
-        if result.status is Status.REFUTED:
-            first = True
-            for tr in result.traces:
-                if tr.status is not Status.REFUTED:
-                    continue
-                if not first:
-                    print("", file=out)
-                first = False
-                substs = [
-                    st.subst
-                    for st in tr.steps
-                    if st.kind in (StepKind.SUBST, StepKind.SLD)
-                ]
-                solved = solved_answer(query_vars, substs, fresh)
-                _print_answer(query_vars, solved, args.unfold_depth, out)
-        return _status_exit(result.status)
-
-    # co-modes
     if args.mode == "cos":
         warnings = preflight_warnings(prog)
         for w in warnings:
@@ -216,17 +190,26 @@ def cmd_run(args, out=None, err=None) -> int:
         if args.strict and warnings:
             print("refusing to run under --strict", file=err)
             return EXIT_CHECK
-        result = co_refute(prog, query, "restricted", limits, fresh, preflight=False)
+    if args.mode in ("sld", "s"):
+        result = refute(prog, query, args.mode, limits, fresh)
+        # A failed search still has its one trace, so --trace prints a
+        # lone header for it.
+        traces = result.traces
+        answers = [tr.solved for tr in traces]
     else:
-        result = co_refute(prog, query, "colp", limits, fresh, preflight=False)
+        engine_mode = "restricted" if args.mode == "cos" else "colp"
+        result = co_refute(prog, query, engine_mode, limits, fresh)
+        traces = [tr for tr, _ in result.answers]
+        answers = [answer.solved for _, answer in result.answers]
     if args.trace != "off":
-        for tr, _ in result.answers:
+        for tr in traces:
             _emit_trace(tr.steps, args.trace, out)
     if result.status is Status.REFUTED:
-        for k, (_, answer) in enumerate(result.answers):
+        query_vars = variables_in_order(query)
+        for k, solved in enumerate(answers):
             if k:
                 print("", file=out)
-            _print_answer(query_vars, answer.solved, args.unfold_depth, out)
+            _print_answer(query_vars, solved, args.unfold_depth, out)
     return _status_exit(result.status)
 
 

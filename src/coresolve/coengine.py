@@ -39,7 +39,6 @@ from .terms import (
     Struct,
     Substitution,
     Term,
-    Var,
     apply_raw,
     is_instance,
     restrict,
@@ -146,8 +145,6 @@ def colp_loop(
     g: AnnotatedGoal, atom_index: int, ancestor: Term
 ) -> Optional[tuple[AnnotatedGoal, Substitution]]:
     entry = g[atom_index]
-    if ancestor not in entry.ancestors:
-        raise ValueError("ancestor is not on the entry's ancestor list")
     out = rational_unify(entry.atom, ancestor)
     if not out.ok:
         return None
@@ -163,8 +160,6 @@ def restricted_loop(
     ancestor: Term,
 ) -> tuple[AnnotatedGoal, Substitution] | LoopFailure:
     entry = g[atom_index]
-    if ancestor not in entry.ancestors:
-        raise ValueError("ancestor is not on the entry's ancestor list")
     # The instance condition is stated against a fresh-variable variant of
     # the ancestor, but matching is invariant under renaming either side (it
     # binds pattern variables without an occurs check), so the ancestor can
@@ -191,28 +186,19 @@ def restricted_loop(
 class CoTrace:
     initial: AnnotatedGoal
     steps: tuple[Step, ...]
-    status: Status
     mode: str
-    diverged: bool = False
 
 
 @dataclass
 class CoAnswer:
-    query_vars: tuple[Var, ...]
-    substitutions: tuple[Substitution, ...]  # proper unifiers and loop unifiers, in order
     loop_uses: tuple[LoopUse, ...]
     solved: Substitution  # solved form over the query variables
-
-    @property
-    def circular(self) -> bool:
-        return self.solved.circular
 
 
 @dataclass
 class CoResult:
     answers: list[tuple[CoTrace, CoAnswer]]
     status: Status
-    warnings: list[str] = field(default_factory=list)
     # Failed restricted_loop calls; candidates co_refute's filters drop
     # before the call are charged but not listed.
     loop_failures: list[LoopFailure] = field(default_factory=list)
@@ -244,7 +230,7 @@ def co_replay(g: AnnotatedGoal, steps: Sequence[Step], mode: str) -> list[Annota
     return goals
 
 
-def preflight_warnings(p: Program, bound: int = 64) -> list[str]:
+def preflight_warnings(p: Program) -> list[str]:
     """Static-check findings relevant to restricted-mode soundness."""
     warnings: list[str] = []
     report = check_universal(p)
@@ -254,7 +240,7 @@ def preflight_warnings(p: Program, bound: int = 64) -> list[str]:
             f"program is not universal (existential body variables in clause {clauses}); "
             "loop-detected answers may not correspond to any computation at infinity"
         )
-    verdict = check_productive(p, bound=bound)
+    verdict = check_productive(p)
     if verdict.status is ProductivityStatus.NON_PRODUCTIVE:
         warnings.append(
             "program has a rewriting loop (not observationally productive); "
@@ -315,7 +301,6 @@ def co_refute(
     mode: str = "restricted",
     limits: Limits = Limits(),
     fresh: Optional[FreshVars] = None,
-    preflight: bool = True,
 ) -> CoResult:
     """Depth-first co-S-refutation search, loop > rewrite > production per
     selected atom; returns answers in solved form over the query variables.
@@ -323,13 +308,11 @@ def co_refute(
     if mode not in ("colp", "restricted"):
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
-    query_vars = tuple(variables_in_order(query))
+    query_vars = variables_in_order(query)
     initial = annotate(query)
 
     restricted = mode == "restricted"
-    warnings = preflight_warnings(p) if (preflight and restricted) else []
-
-    result = CoResult([], Status.FAILED, warnings)
+    result = CoResult([], Status.FAILED)
     clauses = clause_moves(
         p, ((co_rewrite, 1, True), (co_s_compound, 2, False)), fresh,
         atom_of=attrgetter("atom"),
@@ -341,18 +324,15 @@ def co_refute(
             yield from clauses(state, g, i, chain)
 
     def record(steps: tuple[Step, ...]) -> None:
-        seq = tuple(
-            st.subst for st in steps if st.kind in (StepKind.SUBST, StepKind.LOOP)
-        )
+        seq = [st.subst for st in steps if st.kind in (StepKind.SUBST, StepKind.LOOP)]
         uses = tuple(
             LoopUse(i, st.atom, st.ancestor, st.subst)
             for i, st in enumerate(steps)
             if st.kind is StepKind.LOOP
         )
-        solved = rational.solved_answer(query_vars, list(seq), fresh)
-        trace = CoTrace(initial, steps, Status.REFUTED, mode)
+        solved = rational.solved_answer(query_vars, seq, fresh)
         result.answers.append(
-            (trace, CoAnswer(query_vars, seq, uses, solved))
+            (CoTrace(initial, steps, mode), CoAnswer(uses, solved))
         )
 
     state = search(initial, expand, limits, record, stop_at_any_limit=True)

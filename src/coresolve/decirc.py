@@ -24,9 +24,8 @@ the depth is reached, and ``unfold`` goes on to the depth asked for.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from .rational import solved_answer
 from .terms import (
     TRUNCATED,
     FreshVars,
@@ -36,7 +35,6 @@ from .terms import (
     Var,
     apply,
     truncate,
-    variables_in_order,
 )
 
 # Generation copies get negative ids: deterministic across calls and
@@ -55,33 +53,20 @@ def generation_var(v: Var, gen: int) -> Var:
     return Var(-(abs(v.id) * _GEN_STRIDE + gen), f"{base}_{gen}")
 
 
-def unfold(
-    s: Substitution | Sequence[Substitution], t: Term, depth: int
-) -> Term:
+def unfold(s: Substitution, t: Term, depth: int) -> Term:
     """Depth-bounded truncation of t's value under s: the positions at depth
     ``depth`` become the reserved leaf.  A circular s is unrolled one
     generation per cycle variable the walk passes, and a free variable
-    inside a cycle body gets one copy per generation.
-
-    A sequence of substitutions (a derivation's production and loop
-    unifiers, in order) is first collapsed to its solved form over the
-    subject term's variables; a single substitution is used as given.  A
-    non-circular substitution is applied once and the result truncated."""
+    inside a cycle body gets one copy per generation.  A non-circular s is
+    applied once and the result truncated.  An answer is unfolded from its
+    solved form (``rational.solved_answer``)."""
     if depth < 0:
         raise ValueError("unfold depth must be non-negative")
     if depth == 0:
         return TRUNCATED
-    if isinstance(s, Substitution):
-        sigma = s
-    else:
-        substs = list(s)
-        if len(substs) == 1:
-            sigma = substs[0]
-        else:
-            sigma = solved_answer(variables_in_order([t]), substs)
-    if not sigma.circular:
-        return truncate(depth, apply(sigma, t))
-    return _walk(sigma, t, depth)
+    if not s.circular:
+        return truncate(depth, apply(s, t))
+    return _walk(s, t, depth)
 
 
 def _walk(s: Substitution, t: Term, depth: int) -> Term:

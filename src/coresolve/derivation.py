@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
+from . import rational
 from .program import Clause, Program, clause_instance
 from .terms import (
     FreshVars,
@@ -73,6 +74,7 @@ class Trace:
     initial: Goal
     steps: tuple[Step, ...]
     status: Status
+    solved: Optional[Substitution]  # a refutation's solved form, else None
     diverged: bool = False
 
 
@@ -298,7 +300,8 @@ def refute(
     mode "sld" applies SLD steps; mode "s" applies, per selected atom,
     every rewriting step and every substitution-plus-rewrite compound (one
     S-move each).  Rewriting chains longer than the bound are pruned and
-    reported as divergence.
+    reported as divergence.  Each refutation's trace carries its answer in
+    solved form over the query variables.
     """
     if mode == "sld":
         rules = ((sld_step, 1, False),)
@@ -312,8 +315,16 @@ def refute(
     expand = clause_moves(p, rules, fresh)
     state = search(initial, expand, limits, answers.append, stop_at_any_limit=False)
     status = state.status
-    traces = [Trace(initial, ans, Status.REFUTED) for ans in answers]
+    query_vars = variables_in_order(query)
+    traces = [
+        Trace(initial, ans, Status.REFUTED, rational.solved_answer(
+            query_vars,
+            [st.subst for st in ans if st.kind in (StepKind.SUBST, StepKind.SLD)],
+            fresh,
+        ))
+        for ans in answers
+    ]
     if not traces:
-        traces = [Trace(initial, (), status, diverged=state.diverged)]
+        traces = [Trace(initial, (), status, None, diverged=state.diverged)]
     return RefuteResult(traces, status, state.steps_used, state.diverged)
 

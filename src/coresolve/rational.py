@@ -166,7 +166,9 @@ def solved_answer(
     """Collapse an ordered substitution sequence into one solved-form answer
     for the query variables.  Circular values come out as fixpoint bindings
     reusing the query variables' own names where possible; cycles not owned
-    by any query variable get fresh auxiliary variables."""
+    by any query variable get fresh auxiliary variables.  A free leaf named
+    by a query variable that the answer binds is that variable's copy at a
+    later substitution, a different variable, so it gets a fresh name too."""
     fresh = fresh or FreshVars(10**9)
     roots = {v: build_node(v, substs) for v in query_vars}
     nodes = reachable(roots.values())
@@ -182,6 +184,9 @@ def solved_answer(
     # name; prefer the first query variable whose value lives in the block.
     cyclic = cycle_members(succ, succ.__getitem__)
 
+    bound = {
+        v for v in query_vars if not roots[v].is_leaf_var or roots[v].var != v
+    }
     name_of: dict[int, Var] = {}
     for v in query_vars:
         b = block[id(roots[v])]
@@ -205,7 +210,7 @@ def solved_answer(
             node = rep[top]
             if node.is_leaf_var:
                 assert node.var is not None
-                rendered[top] = node.var
+                rendered[top] = fresh.new() if node.var in bound else node.var
             elif top in cyclic:
                 got = name_of.get(top)
                 if got is None:
@@ -233,9 +238,8 @@ def solved_answer(
     for v in query_vars:
         node = roots[v]
         if node.is_leaf_var:
-            assert node.var is not None
-            if node.var != v:
-                bindings[v] = node.var
+            if v in bound:
+                bindings[v] = render(block[id(node)])
             continue
         b = block[id(node)]
         if name_of.get(b) not in (None, v) and b in cyclic:

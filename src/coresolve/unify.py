@@ -254,20 +254,37 @@ def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
         edges[c] = tuple(class_of(arg) for arg in w.args) if w is not None else ()
 
     # Classes on a cycle of that graph must be rendered through their
-    # canonical variable to stay finite.
+    # canonical variable to stay finite.  Every cycle passes a class with a
+    # variable: the members of a class have their arguments in the same
+    # classes, so on a cycle of structure-only classes the lowest member
+    # would have an argument on the cycle that is lower still.  So
+    # rendering stops on every cycle, and a class renders the same wherever
+    # it occurs.
     cyclic = cycle_members(all_classes, edges.__getitem__)
+    rendered: dict[int, Term] = {}
 
-    def render(cls: int, on_path: frozenset) -> Term:
-        w = uf.witness[cls]
-        rep = uf.var_rep[cls]
-        if w is None:
-            assert rep is not None
-            return rep
-        if cls in on_path or (cls in cyclic and rep is not None):
-            assert rep is not None
-            return rep
-        inner = on_path | {cls}
-        return Struct(w.symbol, tuple(render(c, inner) for c in edges[cls]))
+    def render(cls: int) -> Term:
+        """The class as it appears inside a binding, children first on an
+        explicit stack, each class once."""
+        work = [cls]
+        while work:
+            top = work[-1]
+            if top in rendered:
+                work.pop()
+                continue
+            w = uf.witness[top]
+            rep = uf.var_rep[top]
+            if w is None or (top in cyclic and rep is not None):
+                assert rep is not None
+                rendered[top] = rep
+            else:
+                todo = [c for c in edges[top] if c not in rendered]
+                if todo:
+                    work.extend(todo)
+                    continue
+                rendered[top] = Struct(w.symbol, tuple(rendered[c] for c in edges[top]))
+            work.pop()
+        return rendered[cls]
 
     bindings: dict[Var, Term] = {}
     seen_vars: set[Var] = set()
@@ -282,10 +299,7 @@ def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
                     # Expand one level; self-references inside come back as
                     # the canonical variable, giving the fixpoint form.
                     bindings[sub] = Struct(
-                        w.symbol,
-                        tuple(
-                            render(c, frozenset({cls})) for c in edges[cls]
-                        ),
+                        w.symbol, tuple(render(c) for c in edges[cls])
                     )
                 elif rep is not None and sub != rep:
                     bindings[sub] = rep

@@ -177,7 +177,7 @@ class CorrespondenceReport:
 def _first_restricted_answer(
     p: Program, query: Sequence[Term], limits: Limits, fresh: FreshVars
 ) -> tuple[CoTrace, CoAnswer]:
-    result = co_refute(p, query, "restricted", limits, fresh, preflight=False)
+    result = co_refute(p, query, "restricted", limits, fresh)
     if result.status is not Status.REFUTED:
         raise ValidationRefused("no restricted-mode refutation to validate")
     trace, answer = result.answers[0]
@@ -212,7 +212,7 @@ def check_theorem_5_1(
     report = CorrespondenceReport(qt, answer, steps)
     for d in range(1, d_max + 1):
         lhs = truncate(d, partial)
-        rhs = decirc.unfold(list(answer.substitutions), qt, d)
+        rhs = decirc.unfold(answer.solved, qt, d)
         report.table.append((d, lhs, rhs, is_variant(lhs, rhs)))
     return report
 
@@ -231,7 +231,7 @@ def check_lemma_4_1(
     fresh = fresh or FreshVars(10**6)
     qt = _query_term(query)
     trace, answer = _first_restricted_answer(p, query, limits, fresh)
-    proxy = decirc.unfold(list(answer.substitutions), qt, d)
+    proxy = decirc.unfold(answer.solved, qt, d)
     _, steps = build_loop_unrolling(p, trace, steps_count, fresh)
     table: list[tuple[int, Distance]] = []
     partial = qt

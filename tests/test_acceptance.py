@@ -66,7 +66,7 @@ def lp(name):
 
 def co_run(name, query, mode, **lim):
     p, q, fresh = load_query(name, query)
-    return co_refute(p, q, mode, Limits(**lim), fresh, preflight=False), q
+    return co_refute(p, q, mode, Limits(**lim), fresh), q
 
 
 def solved_text(result):
@@ -648,7 +648,7 @@ class TestCriterion7ModelOracle:
     )
     def test_restricted_answers_backward_closed(self, name, query):
         p, q, fresh = load_query(name, query)
-        result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "restricted", Limits(), fresh)
         assert result.status is Status.REFUTED
         _, answer = result.answers[0]
         for atom in q:

@@ -4,7 +4,7 @@ import argparse
 import io
 
 from conftest import PROGRAMS, load_query
-from coresolve import cli, rational, terms, unify
+from coresolve import cli, coengine, derivation, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main, repl
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits
@@ -89,7 +89,7 @@ class TestRun:
         # Unfolding each layer of a decircularized prefix ran the analysis
         # on every layer.
         p, q, fresh = load_query("r", "r(X,Y)")
-        result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "restricted", Limits(), fresh)
         _, answer = result.answers[0]
         calls = 0
         analysis = terms.cycle_members
@@ -105,6 +105,29 @@ class TestRun:
         cli._print_answer(variables_in_order(q), answer.solved, 5, out)
         assert out.getvalue().count(" ~ ") == 2
         assert calls <= 1
+
+    def test_engine_calls_go_through_the_cli_globals(self, capsys, monkeypatch):
+        # The benchmark reads steps_used by replacing cli.refute and
+        # cli.co_refute; a call that bypassed them would leave it blank.
+        calls = []
+
+        def keep_steps(module, name):
+            def search(*args, **kwargs):
+                result = getattr(module, name)(*args, **kwargs)
+                calls.append((name, result.steps_used))
+                return result
+
+            return search
+
+        for name, module in (("refute", derivation), ("co_refute", coengine)):
+            monkeypatch.setattr(cli, name, keep_steps(module, name))
+        for mode, engine in (("sld", "refute"), ("s", "refute"),
+                             ("colp", "co_refute"), ("cos", "co_refute")):
+            calls.clear()
+            run(capsys, "run", lp("nats"), "-q", "nats(X)", "--mode", mode,
+                "--max-steps", "100")
+            assert [name for name, _ in calls] == [engine]
+            assert isinstance(calls[0][1], int)
 
     def test_finite_failure(self, capsys):
         code, _, _ = run(capsys, "run", lp("nat"), "-q", "nat(f(0))", "--mode", "sld")

@@ -175,24 +175,24 @@ class TestRestrictedLoop:
 class TestCoRefute:
     def test_nats_circular_answer(self):
         p, q, fresh = load_query("nats", "nats(X)")
-        result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "restricted", Limits(), fresh)
         assert result.status is Status.REFUTED
         assert answers_text(result) == [{"X": "scons(0,X)"}]
 
     def test_ex51_colp_succeeds_restricted_fails(self):
         p, q, fresh = load_query("ex51", "p(X,s(X))")
-        colp = co_refute(p, q, "colp", Limits(), fresh, preflight=False)
+        colp = co_refute(p, q, "colp", Limits(), fresh)
         assert colp.status is Status.REFUTED
         assert answers_text(colp) == [{"X": "s(X)"}]
         p, q, fresh = load_query("ex51", "p(X,s(X))")
-        restricted = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        restricted = co_refute(p, q, "restricted", Limits(), fresh)
         assert restricted.status is Status.FAILED
         reasons = {f.reason for f in restricted.loop_failures}
         assert LoopFailReason.NOT_AN_INSTANCE in reasons
 
     def test_r_program_restricted_answer(self):
         p, q, fresh = load_query("r", "r(X,Y)")
-        result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "restricted", Limits(), fresh)
         assert result.status is Status.REFUTED
         (answer,) = [a for _, a in result.answers]
         assert len(answer.loop_uses) == 1
@@ -201,7 +201,7 @@ class TestCoRefute:
 
     def test_trace_replay_and_ancestor_discipline(self):
         p, q, fresh = load_query("server", "resource(X,Y), zeros(Y)")
-        result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "restricted", Limits(), fresh)
         trace, _ = result.answers[0]
         goals = co_replay(trace.initial, trace.steps, "restricted")
         assert goals[-1] == ()
@@ -311,6 +311,35 @@ class TestLoopFilters:
         assert checked >= 200
 
 
+class TestLoopRuleCost:
+    def test_struct_comparisons_do_not_grow_with_ancestors(self, monkeypatch):
+        # _loop_moves hands each rule an ancestor from the entry's own list,
+        # so neither rule scans the list to check it.
+        eq = Struct.__eq__
+        calls = 0
+
+        def counting_eq(self, other):
+            nonlocal calls
+            calls += 1
+            return eq(self, other)
+
+        monkeypatch.setattr(Struct, "__eq__", counting_eq)
+        y = Var(1, "Y")
+        atom = mk("nats", y)
+        candidate = mk("nats", mk("scons", mk("0"), y))
+        costs = {}
+        for n in (10, 10_000):
+            others = tuple(mk("nats", mk(f"c{i}")) for i in range(n - 1))
+            g = (Entry(atom, others + (candidate,)),)
+            for rule in (colp_loop, restricted_loop):
+                calls = 0
+                got = rule(g, 0, candidate)
+                assert not isinstance(got, LoopFailure) and got is not None
+                costs[rule.__name__, n] = calls
+        for name in ("colp_loop", "restricted_loop"):
+            assert costs[name, 10_000] == costs[name, 10]
+
+
 def nat_term(n):
     return "s(" * n + "0" + ")" * n
 
@@ -327,7 +356,7 @@ class TestSameBehaviour:
     def test_loop_uses_match_replay(self, name, mode):
         p, q, fresh = load_query(name, CORPUS_QUERIES[name])
         limits = Limits(max_answers=5, max_steps=500)
-        result = co_refute(p, q, mode, limits, fresh, preflight=False)
+        result = co_refute(p, q, mode, limits, fresh)
         for trace, answer in result.answers:
             goals = co_replay(trace.initial, trace.steps, mode)
             loops = [k for k, st in enumerate(trace.steps) if st.kind is StepKind.LOOP]
@@ -342,13 +371,13 @@ class TestSameBehaviour:
         # Guards the test above against passing vacuously.
         for mode in ("colp", "restricted"):
             p, q, fresh = load_query("server", CORPUS_QUERIES["server"])
-            result = co_refute(p, q, mode, Limits(max_answers=5), fresh, preflight=False)
+            result = co_refute(p, q, mode, Limits(max_answers=5), fresh)
             assert len(result.answers) == 5
             assert all(len(a.loop_uses) == 2 for _, a in result.answers)
 
     def test_colp_closes_ground_atom_on_equal_ancestor(self):
         p, q, fresh = load_query("bad", "bad(f(a))")
-        result = co_refute(p, q, "colp", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "colp", Limits(), fresh)
         assert result.status is Status.REFUTED
         (_, answer), = result.answers
         (use,) = answer.loop_uses
@@ -369,5 +398,5 @@ class TestSameBehaviour:
     )
     def test_nat_depth_steps_pinned(self, mode, n, steps, status):
         p, q, fresh = load_query("nat", f"nat({nat_term(n)})")
-        result = co_refute(p, q, mode, Limits(), fresh, preflight=False)
+        result = co_refute(p, q, mode, Limits(), fresh)
         assert (result.steps_used, result.status) == (steps, status)

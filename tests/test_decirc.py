@@ -4,7 +4,7 @@ import pytest
 
 from conftest import apply_prefix, const, mk, random_term, var_pool
 from coresolve.decirc import decircularize, generation_var, unfold
-from coresolve.rational import build_node
+from coresolve.rational import build_node, solved_answer
 from coresolve.terms import (
     TRUNCATED,
     Struct,
@@ -126,7 +126,7 @@ class TestUnfold:
         # free advance to the next one.
         first = Substitution({X: mk("scons", Y, X)})
         second = Substitution({Y: zero})
-        got = unfold([first, second], X, 3)
+        got = unfold(solved_answer([X], [first, second]), X, 3)
         assert term_to_text(got) == "scons(0,scons(0,scons(◇,◇)))"
 
     def test_free_variables_copied_per_round(self):

@@ -249,7 +249,7 @@ class TestClauseIndex:
         if mode == "sld":
             result = refute(p, q, "sld", Limits(), fresh)
         else:
-            result = coengine.co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+            result = coengine.co_refute(p, q, "restricted", Limits(), fresh)
         assert result.status is Status.REFUTED
         assert result.steps_used == steps
         assert renames <= 3 * steps

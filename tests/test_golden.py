@@ -84,7 +84,7 @@ def observe(
         result = refute(p, q, mode, limits, fresh)
     else:
         engine_mode = "restricted" if mode == "cos" else "colp"
-        result = co_refute(p, q, engine_mode, limits, fresh, preflight=False)
+        result = co_refute(p, q, engine_mode, limits, fresh)
     return {"exit": code, "steps_used": result.steps_used, "stdout": out.getvalue()}
 
 

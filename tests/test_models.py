@@ -83,7 +83,7 @@ class TestGfpLocalCheck:
             ("r", "r(X,Y)"),
         ]:
             p, q, fresh = load_query(name, query)
-            result = co_refute(p, q, "restricted", Limits(), fresh, preflight=False)
+            result = co_refute(p, q, "restricted", Limits(), fresh)
             assert result.status is Status.REFUTED
             _, answer = result.answers[0]
             for atom in q:

@@ -2,6 +2,7 @@
 
 from conftest import const, mk, nodes_bisimilar
 from coresolve import rational
+from coresolve.decirc import unfold
 from coresolve.rational import build_node, solved_answer
 from coresolve.terms import Substitution, Var, term_to_text
 
@@ -63,6 +64,20 @@ class TestSolvedAnswer:
         solved = solved_answer([X], seq)
         assert solved.get(X) == s_(zero)
         assert not solved.circular
+
+    def test_later_copy_of_a_bound_query_variable_is_renamed(self):
+        # Y advances to the second substitution, where X is free again: the
+        # value is f(X') with X' free, not the circular f(f(...)).
+        seq = [Substitution({X: mk("f", Y)}), Substitution({Y: X})]
+        solved = solved_answer([X], seq)
+        leaf = solved.get(X).args[0]
+        assert isinstance(leaf, Var) and leaf not in (X, Y)
+        assert not solved.circular
+        assert unfold(solved, X, 3) == mk("f", leaf)
+        # A query variable whose value is that copy is bound to it.
+        solved = solved_answer([X, Y], seq)
+        assert solved.get(Y) == solved.get(X).args[0]
+        assert solved.get(Y) not in (X, Y)
 
 
 class TestOnePass:

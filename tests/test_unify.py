@@ -8,11 +8,22 @@ from coresolve.terms import (
     Var,
     apply,
     apply_raw,
+    cycle_members,
     is_variant,
+    iter_subterms,
     truncate,
     variables_of,
 )
-from coresolve.unify import UnifyKind, UnifyOutcome, mgm, mgu, occurs_in, rational_unify
+from coresolve.unify import (
+    UnifyKind,
+    UnifyOutcome,
+    _extract,
+    _rational_solve,
+    mgm,
+    mgu,
+    occurs_in,
+    rational_unify,
+)
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
 Xp, Yp = Var(4, "Xp"), Var(5, "Yp")
@@ -105,6 +116,34 @@ class TestRationalUnify:
             substs = [out.substitution]
             assert nodes_bisimilar(build_node(a, substs), build_node(b, substs))
         assert checked > 50
+
+    def test_extract_agrees_with_the_old_extract(self, rng):
+        pool = var_pool(3)
+        circular = 0
+        for _ in range(1000):
+            a = random_term(rng, 4, pool)
+            b = random_term(rng, 4, pool)
+            uf = _rational_solve(a, b)
+            if isinstance(uf, str):
+                continue
+            got = _extract(uf, [a, b])
+            want = old_extract(_rational_solve(a, b), [a, b])
+            assert got == want and repr(got) == repr(want), (a, b)
+            circular += got.circular
+        assert circular > 50
+
+    def test_deep_circular_unifier(self):
+        t = X
+        for _ in range(10_000):
+            t = s_(t)
+        out = rational_unify(X, t)
+        assert out.kind is UnifyKind.RATIONAL_UNIFIER
+        # Walked by hand: comparing terms this deep recurses.
+        img, depth = out.substitution.get(X), 0
+        while isinstance(img, Struct):
+            assert img.symbol == t.symbol
+            img, depth = img.args[0], depth + 1
+        assert (img, depth) == (X, 10_000)
 
 
 class TestOccursIn:
@@ -230,6 +269,52 @@ def old_mgu(a, b):
     if _old_apply(solved, a) == b and solved.domain() <= variables_of(a):
         return UnifyOutcome(UnifyKind.MATCHER, solved)
     return UnifyOutcome(UnifyKind.PROPER_UNIFIER, solved)
+
+
+# _extract as it was before it rendered each class once: a recursive render
+# that carries the classes on its path.  Kept as the oracle of
+# test_extract_agrees_with_the_old_extract.
+def old_extract(uf, roots):
+    for root in roots:
+        for sub in iter_subterms(root):
+            uf.add(sub)
+
+    def class_of(t):
+        return uf.find(uf.add(t))
+
+    all_classes = sorted({uf.find(k) for k in range(len(uf.parent))})
+    edges = {}
+    for c in all_classes:
+        w = uf.witness[c]
+        edges[c] = tuple(class_of(arg) for arg in w.args) if w is not None else ()
+    cyclic = cycle_members(all_classes, edges.__getitem__)
+
+    def render(cls, on_path):
+        w = uf.witness[cls]
+        rep = uf.var_rep[cls]
+        if w is None:
+            return rep
+        if cls in on_path or (cls in cyclic and rep is not None):
+            return rep
+        inner = on_path | {cls}
+        return Struct(w.symbol, tuple(render(c, inner) for c in edges[cls]))
+
+    bindings = {}
+    seen_vars = set()
+    for root in roots:
+        for sub in iter_subterms(root):
+            if isinstance(sub, Var) and sub not in seen_vars:
+                seen_vars.add(sub)
+                cls = class_of(sub)
+                rep = uf.var_rep[cls]
+                w = uf.witness[cls]
+                if w is not None:
+                    bindings[sub] = Struct(
+                        w.symbol, tuple(render(c, frozenset({cls})) for c in edges[cls])
+                    )
+                elif rep is not None and sub != rep:
+                    bindings[sub] = rep
+    return Substitution(bindings)
 
 
 class TestGroundShortcuts:

@@ -19,7 +19,7 @@ from coresolve.validation import (
 class TestBuildLoopUnrolling:
     def _trace(self, name, query, **lim):
         p, q, fresh = load_query(name, query)
-        result = co_refute(p, q, "restricted", Limits(**lim), fresh, preflight=False)
+        result = co_refute(p, q, "restricted", Limits(**lim), fresh)
         assert result.status is Status.REFUTED
         return p, q, fresh, result.answers[0][0]
 
@@ -59,7 +59,7 @@ class TestBuildLoopUnrolling:
 
     def test_colp_trace_rejected(self):
         p, q, fresh = load_query("ex51", "p(X,s(X))")
-        result = co_refute(p, q, "colp", Limits(), fresh, preflight=False)
+        result = co_refute(p, q, "colp", Limits(), fresh)
         trace = result.answers[0][0]
         with pytest.raises(ValidationRefused):
             build_loop_unrolling(p, trace, 2, fresh)
