@@ -34,6 +34,7 @@ from .terms import (
     Term,
     Var,
     apply,
+    oldest_on_variable_cycle,
     truncate,
 )
 
@@ -76,7 +77,7 @@ def _walk(s: Substitution, t: Term, depth: int) -> Term:
     generation 1, a cycle variable moves to the next generation and any
     other bound variable keeps its own; a free variable at generation n is
     its generation n-1 copy.  A pure variable cycle (X ↦ Y, Y ↦ X) has no
-    structure, and its first variable stands for it, as in
+    structure, and its oldest variable stands for it, as in
     ``rational._resolve``."""
     bindings = s.bindings
     circ = s.cycle_vars()
@@ -107,6 +108,7 @@ def _walk(s: Substitution, t: Term, depth: int) -> Term:
                 if seen is None:
                     seen = set()
                 elif term in seen:
+                    term = oldest_on_variable_cycle(term, bindings)
                     break
                 seen.add(term)
             if not gen or term in circ:

@@ -188,7 +188,7 @@ def gfp_local_check(
     of greatest-model membership."""
     fresh = fresh or FreshVars(10**7)
     term, subst = value
-    root: Target = build_node(term, [subst])
+    (root,) = build_node([term], [subst])
     memo: dict[tuple[object, int], bool] = {}
 
     def derivable(target: Target, budget: int) -> bool:

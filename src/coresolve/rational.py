@@ -26,6 +26,7 @@ from .terms import (
     Term,
     Var,
     cycle_members,
+    oldest_on_variable_cycle,
 )
 
 
@@ -57,18 +58,17 @@ def _resolve(
             if seen is None:
                 seen = set()
             elif (term, level) in seen:
-                # A pure variable cycle (X = Y, Y = X) has no structure;
-                # treat the first variable of the cycle as the free
-                # representative.
-                return term, level
+                # A pure variable cycle (X = Y, Y = X): no structure.
+                return oldest_on_variable_cycle(term, maps[level]), level
             seen.add((term, level))
         term = img
     return term, level
 
 
-def build_node(term: Term, substs: Sequence[Substitution]) -> Node:
-    """Graph node for the value of ``term`` under the substitution list.
-    Built with an explicit stack, so term depth is not bounded by the
+def build_node(terms: Sequence[Term], substs: Sequence[Substitution]) -> list[Node]:
+    """Graph nodes for the values of ``terms`` under the substitution list,
+    one per term, in one graph: a value the terms share is one node.  Built
+    with an explicit stack, so term depth is not bounded by the
     interpreter's recursion."""
     maps = [s.bindings for s in substs]
     memo: dict[tuple[Term, int], Node] = {}
@@ -89,11 +89,11 @@ def build_node(term: Term, substs: Sequence[Substitution]) -> Node:
             memo[key] = node
         return node
 
-    root = node_for(term, 0)
+    roots = [node_for(t, 0) for t in terms]
     while unfilled:
         node, args, level = unfilled.pop()
         node.children = [node_for(a, level) for a in args]
-    return root
+    return roots
 
 
 def reachable(roots: Iterable[Node]) -> list[Node]:
@@ -170,7 +170,7 @@ def solved_answer(
     by a query variable that the answer binds is that variable's copy at a
     later substitution, a different variable, so it gets a fresh name too."""
     fresh = fresh or FreshVars(10**9)
-    roots = {v: build_node(v, substs) for v in query_vars}
+    roots = dict(zip(query_vars, build_node(query_vars, substs)))
     nodes = reachable(roots.values())
     block = minimize(nodes)
 
@@ -253,4 +253,9 @@ def solved_answer(
             continue
         bindings[name_of[b]] = expand(b)
         done_blocks.add(b)
-    return Substitution(bindings)
+    # The cycle variables of the answer are the names of the cyclic blocks
+    # it expands: each expansion leads round its cycle to the name of the
+    # next cyclic block on it, and aliases and free leaves lead nowhere.
+    return Substitution._with_cycle_vars(
+        bindings, {name_of[b] for b in cyclic if b in done_blocks}
+    )

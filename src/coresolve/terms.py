@@ -6,43 +6,89 @@ answers share.
 Terms are immutable values; structural sharing is allowed but never observable.
 Variables carry globally unique integer ids handed out by a ``FreshVars``
 source; display names are hints only and never affect identity.
+
+``Symbol``, ``Var`` and ``Struct`` are ``__slots__`` classes built millions of
+times per query.  Each computes its hash once, at construction, and refuses
+attribute assignment afterwards; their constructors fill the slots through
+the slot descriptors.  ``Struct.__init__`` is the one place a structure is
+built.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
-@dataclass(frozen=True)
+def _frozen(self: object, *_: object) -> None:
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Symbol:
     """A function/predicate symbol. Same name with different arities is a
     different symbol."""
 
+    __slots__ = ("name", "arity", "_hash")
+    __setattr__ = __delattr__ = _frozen
+
     name: str
     arity: int
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, arity: int) -> None:
+        if not name:
             raise ValueError("symbol name must be non-empty")
-        if self.arity < 0:
+        if arity < 0:
             raise ValueError("arity must be non-negative")
+        _set_symbol_name(self, name)
+        _set_symbol_arity(self, arity)
+        _set_symbol_hash(self, hash((name, arity)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self.name == other.name and self.arity == other.arity
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Symbol(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
 class Var:
-    id: int
-    hint: Optional[str] = field(default=None, compare=False)
+    """A variable: equal to another exactly when the ids are equal."""
 
-    _ground = False  # class constant, not a field; see Struct._ground
+    __slots__ = ("id", "hint", "_hash")
+    __setattr__ = __delattr__ = _frozen
+
+    id: int
+    hint: Optional[str]
+    _ground = False  # class constant, not a slot; see Struct._ground
+
+    def __init__(self, id: int, hint: Optional[str] = None) -> None:
+        _set_var_id(self, id)
+        _set_var_hint(self, hint)
+        _set_var_hash(self, hash((id,)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.id == other.id
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Var(id={self.id!r}, hint={self.hint!r})"
 
     @property
     def display(self) -> str:
@@ -52,42 +98,70 @@ class Var:
         return self.display
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Struct:
-    symbol: Symbol
-    args: tuple["Term", ...] = ()
-    # Set once in __post_init__; slots keep the per-term cost of both low.
-    _hash: int = field(init=False, repr=False)
-    _ground: bool = field(init=False, repr=False)
+    """A structure: a symbol applied to as many argument terms as its arity.
+    ``_hash`` and ``_ground`` are set once, at construction: terms nest
+    deeply, so dict and set lookups never rehash a subtree, and the loop
+    check can skip ground candidates without walking the atom."""
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.symbol.arity:
-            raise ValueError(
-                f"symbol {self.symbol} applied to {len(self.args)} arguments"
-            )
-        # Terms nest deeply; cache the structural hash so dict/set lookups
-        # don't rehash the whole subtree on every probe, and groundness so
-        # the loop check can skip candidates without walking the atom.
-        object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
-        object.__setattr__(self, "_ground", all(map(_is_ground, self.args)))
+    __slots__ = ("symbol", "args", "_hash", "_ground")
+    __setattr__ = __delattr__ = _frozen
+
+    symbol: Symbol
+    args: tuple["Term", ...]
+    _ground: bool
+
+    def __init__(self, symbol: Symbol, args: tuple["Term", ...] = ()) -> None:
+        if len(args) != symbol.arity:
+            raise ValueError(f"symbol {symbol} applied to {len(args)} arguments")
+        _set_struct_symbol(self, symbol)
+        _set_struct_args(self, args)
+        _set_struct_hash(self, hash((symbol, args)))
+        _set_struct_ground(self, all(map(_is_ground, args)))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if not isinstance(other, Struct):
+        if other.__class__ is not Struct:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.symbol == other.symbol
-            and self.args == other.args
-        )
+        # Iterative, so equal but distinct deep terms compare without
+        # recursion; the cached hashes reject almost every unequal pair at
+        # once.
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if a.__class__ is not Struct or b.__class__ is not Struct:
+                if a.__class__ is not b.__class__ or a.id != b.id:
+                    return False
+                continue
+            if a._hash != b._hash or a.symbol != b.symbol:
+                return False
+            pending.extend(zip(a.args, b.args))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"Struct(symbol={self.symbol!r}, args={self.args!r})"
+
     def __str__(self) -> str:
         return term_to_text(self)
 
+
+# The slot setters the constructors use, since the classes refuse setattr.
+_set_symbol_name = Symbol.name.__set__  # type: ignore[attr-defined]
+_set_symbol_arity = Symbol.arity.__set__  # type: ignore[attr-defined]
+_set_symbol_hash = Symbol._hash.__set__  # type: ignore[attr-defined]
+_set_var_id = Var.id.__set__  # type: ignore[attr-defined]
+_set_var_hint = Var.hint.__set__  # type: ignore[attr-defined]
+_set_var_hash = Var._hash.__set__  # type: ignore[attr-defined]
+_set_struct_symbol = Struct.symbol.__set__  # type: ignore[attr-defined]
+_set_struct_args = Struct.args.__set__  # type: ignore[attr-defined]
+_set_struct_hash = Struct._hash.__set__  # type: ignore[attr-defined]
+_set_struct_ground = Struct._ground.__set__  # type: ignore[attr-defined]
 
 Term = Union[Var, Struct]
 
@@ -161,16 +235,16 @@ def variables_in_order(ts: Iterable[Term]) -> list[Var]:
 
 
 class FreshVars:
-    """Monotone source of fresh variable ids.  Safe for concurrent use."""
+    """Monotone source of fresh variable ids.  Safe for concurrent use
+    without a lock: ``next`` on an ``itertools.count`` runs in C as one
+    step, which CPython's global interpreter lock never interrupts, so two
+    threads never draw the same id."""
 
     def __init__(self, start: int = 1):
         self._counter = itertools.count(start)
-        self._lock = threading.Lock()
 
     def new(self, hint: Optional[str] = None) -> Var:
-        with self._lock:
-            n = next(self._counter)
-        return Var(n, hint)
+        return Var(next(self._counter), hint)
 
 
 N = TypeVar("N")
@@ -250,6 +324,18 @@ class Substitution:
         self._bindings = b
         self._cycle_vars: Optional[frozenset[Var]] = None
 
+    @classmethod
+    def _with_cycle_vars(
+        cls, bindings: Mapping[Var, Term], cycle_vars: Iterable[Var]
+    ) -> Substitution:
+        """Internal: a substitution whose builder has already found its
+        cycle variables, so ``cycle_vars`` does not run the analysis again.
+        Rational unification and solved-form answers find them on their
+        own graphs while building the bindings."""
+        s = cls(bindings)
+        s._cycle_vars = frozenset(cycle_vars)
+        return s
+
     @property
     def bindings(self) -> Mapping[Var, Term]:
         return self._bindings
@@ -303,6 +389,20 @@ class Substitution:
 
 
 IDENTITY = Substitution()
+
+
+def oldest_on_variable_cycle(v: Var, bindings: Mapping[Var, Term]) -> Var:
+    """The variable that stands for the pure variable cycle (X ↦ Y, Y ↦ X)
+    through ``v``: it has no structure, so it denotes one free variable,
+    the oldest (lowest id), which is the one mgu keeps when it unifies two
+    variables."""
+    oldest, cur = v, bindings[v]
+    while cur != v:
+        assert isinstance(cur, Var)
+        if cur.id < oldest.id:
+            oldest = cur
+        cur = bindings[cur]
+    return oldest
 
 
 def apply_raw(s: Substitution, t: Term) -> Term:

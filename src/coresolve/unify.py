@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 from typing import Optional, Union
 
 from .terms import (
@@ -97,12 +98,33 @@ def _occurs_resolved(v: Var, t: Term, bind: dict[Var, Term]) -> bool:
 
 
 def _resolve_full(t: Term, bind: dict[Var, Term]) -> Term:
-    """Fully resolve a term through an acyclic triangular binding map.
-    Ground subterms come back as they are, not rebuilt."""
-    t = _walk(t, bind)
-    if t._ground or isinstance(t, Var):
-        return t
-    return Struct(t.symbol, tuple(_resolve_full(a, bind) for a in t.args))
+    """Fully resolve a term through an acyclic triangular binding map, on an
+    explicit stack.  A subterm that no binding changes, ground or not,
+    comes back as the same object, not rebuilt."""
+    done: list[Term] = []
+    # (term, False) is a position to resolve; (struct, True) marks that the
+    # struct's arguments are done and it can be put back together.
+    work: list[tuple[Term, bool]] = [(t, False)]
+    while work:
+        cur, args_done = work.pop()
+        if args_done:
+            assert isinstance(cur, Struct)
+            n = len(cur.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            if all(map(is_, args, cur.args)):
+                done.append(cur)
+            else:
+                done.append(Struct(cur.symbol, args))
+            continue
+        cur = _walk(cur, bind)
+        # Nullary symbols are ground, so a struct left here has arguments.
+        if cur._ground or isinstance(cur, Var):
+            done.append(cur)
+            continue
+        work.append((cur, True))
+        work.extend((a, False) for a in reversed(cur.args))
+    return done[0]
 
 
 def mgu(a: Term, b: Term) -> UnifyOutcome:
@@ -303,4 +325,10 @@ def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
                     )
                 elif rep is not None and sub != rep:
                     bindings[sub] = rep
-    return Substitution(bindings)
+    # The cycle variables of the bindings are the canonical variables of
+    # the cyclic classes: each is bound to its class's structure, which
+    # leads round the cycle to the next canonical variable on it, while
+    # no image mentions any other variable of a class.
+    return Substitution._with_cycle_vars(
+        bindings, {uf.var_rep[c] for c in cyclic if uf.var_rep[c] is not None}
+    )

@@ -3,6 +3,8 @@
 import argparse
 import io
 
+import pytest
+
 from conftest import PROGRAMS, load_query
 from coresolve import cli, coengine, derivation, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main, repl
@@ -83,11 +85,11 @@ class TestRun:
             "Z ~ cons(_A,cons(X_1,cons(◇,◇)))",
         ]
 
-    def test_printing_analyses_cycles_once(self, monkeypatch):
-        # Printing one circular answer with two query variables finds the
-        # cycle variables of the solved form once; unfolding reuses them.
-        # Unfolding each layer of a decircularized prefix ran the analysis
-        # on every layer.
+    def test_printing_runs_no_cycle_analysis(self, monkeypatch):
+        # Printing one circular answer with two query variables reuses the
+        # cycle variables the solved form came with.  Unfolding each layer
+        # of a decircularized prefix ran the analysis on every layer, and
+        # then printing ran it once on the solved form.
         p, q, fresh = load_query("r", "r(X,Y)")
         result = co_refute(p, q, "restricted", Limits(), fresh)
         _, answer = result.answers[0]
@@ -104,7 +106,39 @@ class TestRun:
         out = io.StringIO()
         cli._print_answer(variables_in_order(q), answer.solved, 5, out)
         assert out.getvalue().count(" ~ ") == 2
-        assert calls <= 1
+        assert calls == 0
+
+    @pytest.mark.parametrize("mode", ["cos", "colp"])
+    @pytest.mark.parametrize("name,query", [
+        ("nats", "nats(X)"), ("server", "resource(X,Y)"), ("r", "r(X,Y)"),
+    ])
+    def test_one_stream_answer_analyses_two_graphs(
+        self, capsys, monkeypatch, mode, name, query
+    ):
+        # One cycle analysis on the rational unifier of the loop and one on
+        # the answer's value graph, which is built once for all query
+        # variables.  The loop check and printing ran the analysis again on
+        # the substitutions built from them, and the graph was built once
+        # per query variable.
+        calls = {"cycle_members": 0, "build_node": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        analysis = counted("cycle_members", terms.cycle_members)
+        for module in (terms, rational, unify):
+            monkeypatch.setattr(module, "cycle_members", analysis)
+        monkeypatch.setattr(rational, "build_node", counted("build_node", rational.build_node))
+        code, out, _ = run(capsys, "run", lp(name), "-q", query, "--mode", mode,
+                           "--max-answers", "3", "--unfold-depth", "5")
+        assert code == 0
+        assert out.count(" ~ ") == 3 * query.count(",") + 3
+        assert calls["cycle_members"] <= 2 * 3
+        assert calls["build_node"] == 3
 
     def test_engine_calls_go_through_the_cli_globals(self, capsys, monkeypatch):
         # The benchmark reads steps_used by replacing cli.refute and

@@ -263,15 +263,38 @@ class TestGroundShortcut:
         # form made about n/2 Structs per charged step (105 at n = 200, 405
         # at n = 800).
         built = 0
-        post_init = Struct.__post_init__
+        construct = Struct.__init__
 
-        def counted(self):
+        def counted(self, *args):
             nonlocal built
             built += 1
-            post_init(self)
+            construct(self, *args)
 
-        monkeypatch.setattr(Struct, "__post_init__", counted)
+        monkeypatch.setattr(Struct, "__init__", counted)
         query = "nat(" + "s(" * n + "0" + ")" * n + ")"
+        p, q, fresh = setup("nat(0). nat(s(X)) :- nat(X).", query)
+        built = 0
+        result = refute(p, q, "sld", Limits(), fresh)
+        assert result.status is Status.REFUTED
+        assert result.steps_used == n + 1
+        assert built <= 8 * result.steps_used
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_structs_per_step_on_a_deep_open_goal(self, monkeypatch, n):
+        # On nat(s^n(X)) the binding is a non-ground subterm of the goal
+        # that no other binding changes.  mgu's solved form rebuilt it
+        # level by level: about n/2 Structs per charged step (105 at
+        # n = 200, 405 at n = 800).
+        built = 0
+        construct = Struct.__init__
+
+        def counted(self, *args):
+            nonlocal built
+            built += 1
+            construct(self, *args)
+
+        monkeypatch.setattr(Struct, "__init__", counted)
+        query = "nat(" + "s(" * n + "X" + ")" * n + ")"
         p, q, fresh = setup("nat(0). nat(s(X)) :- nat(X).", query)
         built = 0
         result = refute(p, q, "sld", Limits(), fresh)

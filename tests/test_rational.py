@@ -1,10 +1,11 @@
 """Value graphs for rational trees: bisimulation and solved answers."""
 
-from conftest import const, mk, nodes_bisimilar
+from conftest import const, mk, nodes_bisimilar, random_term, var_pool
 from coresolve import rational
 from coresolve.decirc import unfold
 from coresolve.rational import build_node, solved_answer
-from coresolve.terms import Substitution, Var, term_to_text
+from coresolve.terms import FreshVars, Substitution, Var, term_to_text
+from coresolve.unify import UnifyKind, mgu, rational_unify
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
 zero = const("0")
@@ -15,7 +16,7 @@ def s_(t):
 
 
 def rational_equal(s, t, substs=()):
-    return nodes_bisimilar(build_node(s, substs), build_node(t, substs))
+    return nodes_bisimilar(build_node([s], substs)[0], build_node([t], substs)[0])
 
 
 class TestBisimulation:
@@ -23,14 +24,14 @@ class TestBisimulation:
         # X = s(X) and Y = s(s(Y)) denote the same rational tree.
         sx = Substitution({X: s_(X)})
         syy = Substitution({Y: s_(s_(Y))})
-        a = build_node(X, [sx])
-        b = build_node(Y, [syy])
+        a = build_node([X], [sx])[0]
+        b = build_node([Y], [syy])[0]
         assert nodes_bisimilar(a, b)
 
     def test_different_values_distinguished(self):
         sx = Substitution({X: s_(X)})
         sy = Substitution({Y: mk("f", Y)})
-        assert not nodes_bisimilar(build_node(X, [sx]), build_node(Y, [sy]))
+        assert not nodes_bisimilar(build_node([X], [sx])[0], build_node([Y], [sy])[0])
 
     def test_rational_equal_on_finite_terms(self):
         assert rational_equal(s_(zero), s_(zero))
@@ -58,6 +59,14 @@ class TestSolvedAnswer:
         solved = solved_answer([X, Y], [Substitution({Y: X})])
         assert solved.get(Y) == X
         assert solved.get(X) is None
+
+    def test_pure_variable_cycle_keeps_its_aliasing(self):
+        # The cycle has no structure: it is one free variable, its oldest,
+        # and the younger ones are bound to it, as mgu binds them.
+        solved = solved_answer([X, Y], [Substitution({X: Y, Y: X})])
+        assert solved == Substitution({Y: X}) == mgu(X, Y).substitution
+        solved = solved_answer([Y, Z], [Substitution({X: Z, Z: Y, Y: X})])
+        assert solved == Substitution({Y: X, Z: X})
 
     def test_non_circular_sequence_collapses(self):
         seq = [Substitution({X: s_(Y)}), Substitution({Y: zero})]
@@ -115,3 +124,48 @@ class TestOnePass:
             t = s_(t)
         solved = solved_answer([X], [Substitution({X: t})])
         assert solved.get(X) == s_(X)
+
+
+def recomputed_cycle_vars(s: Substitution) -> frozenset:
+    """The cycle variables found afresh from the bindings alone."""
+    return Substitution(dict(s.items())).cycle_vars()
+
+
+class TestCarriedCycleSets:
+    """Rational unification and solved-form answers hand the cycle
+    variables they found to the substitution they build; the set must be
+    the one the bindings themselves give."""
+
+    def test_rational_unifiers(self, rng):
+        pool = var_pool(3)
+        cases = circular = 0
+        while cases < 600:
+            a = random_term(rng, 4, pool)
+            b = random_term(rng, 4, pool)
+            out = rational_unify(a, b)
+            if not out.ok:
+                continue
+            cases += 1
+            sigma = out.substitution
+            assert sigma.cycle_vars() == recomputed_cycle_vars(sigma), (a, b)
+            circular += out.kind is UnifyKind.RATIONAL_UNIFIER
+        assert circular > 100
+
+    def test_solved_answers(self, rng):
+        pool = var_pool(4)
+        circular = 0
+        for _ in range(600):
+            # Variable-to-variable bindings make aliases and pure cycles.
+            seq = [
+                Substitution({
+                    v: rng.choice(pool) if rng.random() < 0.3 else random_term(rng, 2, pool)
+                    for v in pool
+                    if rng.random() < 0.6
+                })
+                for _ in range(rng.randint(1, 3))
+            ]
+            query = [v for v in pool if rng.random() < 0.7] or pool[:1]
+            solved = solved_answer(query, seq, FreshVars(10**6))
+            assert solved.cycle_vars() == recomputed_cycle_vars(solved), (query, seq)
+            circular += solved.circular
+        assert circular > 100

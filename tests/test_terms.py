@@ -1,5 +1,8 @@
 """Terms, substitutions, truncation, and the dyadic distance."""
 
+import sys
+import threading
+
 import pytest
 
 from conftest import const, mk, random_term, rename_apart, var_pool
@@ -8,7 +11,9 @@ from coresolve.terms import (
     CircularSubstitutionError,
     Distance,
     FreshVars,
+    Struct,
     Substitution,
+    Symbol,
     Var,
     apply,
     compose,
@@ -27,6 +32,77 @@ zero = const("0")
 
 def s_(t):
     return mk("s", t)
+
+
+class TestTermObjects:
+    def test_hash_formulas_and_no_instance_dict(self):
+        # Set and dict orders, and with them every printed answer, follow
+        # these hashes: they are the ones the frozen dataclasses computed.
+        f = Symbol("f", 2)
+        t = Struct(f, (X, zero))
+        assert hash(f) == hash(("f", 2))
+        assert hash(X) == hash((1,))
+        assert hash(t) == hash((f, (X, zero)))
+        for obj in (f, X, t):
+            assert not hasattr(obj, "__dict__")
+
+    def test_immutable(self):
+        for obj, name in ((Symbol("f", 1), "name"), (X, "id"), (s_(X), "args")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, "extra", None)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Symbol("", 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            Symbol("f", -1)
+        with pytest.raises(ValueError, match="applied to 1 arguments"):
+            Struct(Symbol("f", 2), (X,))
+
+    def test_equality_and_repr(self):
+        assert Var(1, "A") == Var(1, "B") and hash(Var(1, "A")) == hash(Var(1, "B"))
+        assert X != Y and X != s_(X) and s_(X) != X and X != 1
+        assert Symbol("f", 1) != Symbol("f", 2) and Symbol("f", 1) == Symbol("f", 1)
+        assert mk("f", X, zero) == mk("f", X, zero) and mk("f", X, zero) != mk("f", zero, X)
+        assert repr(s_(X)) == (
+            "Struct(symbol=Symbol(name='s', arity=1), args=(Var(id=1, hint='X'),))"
+        )
+
+    def test_deep_equality_does_not_recurse(self):
+        a, b, c = X, X, Y
+        for _ in range(10_000):
+            a, b, c = s_(a), s_(b), s_(c)
+        assert a == b and a is not b
+        assert a != c
+
+
+class TestFreshVars:
+    def test_threads_draw_distinct_ids(self):
+        fresh = FreshVars()
+        drawn: list[list[int]] = [[] for _ in range(4)]
+
+        def draw(ids):
+            for _ in range(10_000):
+                ids.append(fresh.new().id)
+
+        threads = [threading.Thread(target=draw, args=(ids,)) for ids in drawn]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        ids = [i for chunk in drawn for i in chunk]
+        assert len(ids) == 40_000
+        assert len(set(ids)) == 40_000
 
 
 class TestApply:
