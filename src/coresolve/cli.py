@@ -14,6 +14,7 @@ disagreement, 3 on misuse.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -28,7 +29,6 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    apply_raw,
     term_to_text,
     variables_in_order,
 )
@@ -56,11 +56,11 @@ def _bound_error(key: str, value: int) -> Optional[str]:
     return f"error: {flag} must be positive" if value <= 0 else None
 
 
-def _canonical_names(query_vars: Sequence[Var], terms: Sequence[Term]) -> Substitution:
-    """Rename every non-query variable in the answer terms to _A, _B, ...
-    in order of appearance, so output is byte-stable."""
+def _canonical_names(query_vars: Sequence[Var], terms: Sequence[Term]) -> dict[Var, str]:
+    """Display names _A, _B, ... for every non-query variable in the answer
+    terms, in order of appearance, so output is byte-stable."""
     taken = {v.display for v in query_vars}
-    mapping: dict[Var, Term] = {}
+    names: dict[Var, str] = {}
     counter = 0
     for v in variables_in_order(terms):
         if v in query_vars:
@@ -71,8 +71,8 @@ def _canonical_names(query_vars: Sequence[Var], terms: Sequence[Term]) -> Substi
             if name not in taken:
                 break
         taken.add(name)
-        mapping[v] = Var(-(len(mapping) + 1), name)
-    return Substitution(mapping)
+        names[v] = name
+    return names
 
 
 def _letters(n: int) -> str:
@@ -90,22 +90,16 @@ def _print_answer(
     unfold_depth: int,
     out,
 ) -> None:
-    shown = [v for v in query_vars if solved.get(v) is not None]
-    images = [solved.get(v) for v in query_vars if solved.get(v) is not None]
-    renaming = _canonical_names(query_vars, images)
+    shown = [(v, img) for v in query_vars if (img := solved.get(v)) is not None]
     if not shown:
         print("true", file=out)
         return
-    for v in shown:
-        img = solved.get(v)
-        assert img is not None
-        print(f"{v.display} = {term_to_text(apply_raw(renaming, img))}", file=out)
+    names = _canonical_names(query_vars, [img for _, img in shown])
+    for v, img in shown:
+        print(f"{v.display} = {term_to_text(img, names)}", file=out)
         if unfold_depth > 0 and solved.circular:
             unfolded = decirc.unfold(solved, v, unfold_depth)
-            print(
-                f"{v.display} ~ {term_to_text(apply_raw(renaming, unfolded))}",
-                file=out,
-            )
+            print(f"{v.display} ~ {term_to_text(unfolded, names)}", file=out)
 
 
 def _emit_trace(steps, fmt: str, out) -> None:
@@ -386,7 +380,11 @@ def repl(args, out=None, err=None, inp=None) -> int:
     return EXIT_ANSWER
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call in the process, since building it costs more than
+    many queries do.  Callers only parse with it; none may change it."""
     parser = argparse.ArgumentParser(
         prog="coresolve",
         description="structural-resolution engine with coinductive loop detection",

@@ -13,9 +13,9 @@ input.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .terms import (
@@ -26,19 +26,44 @@ from .terms import (
     Term,
     Var,
     apply_raw,
+    immutable_setattr,
     term_to_text,
     variables_in_order,
     variables_of,
 )
 
 
-@dataclass(frozen=True)
 class Span:
+    """Where a clause starts: line and column, both counted from 1."""
+
+    __slots__ = ("line", "column")
+    __setattr__ = __delattr__ = immutable_setattr
+
     line: int
     column: int
 
+    def __init__(self, line: int, column: int) -> None:
+        _set_span_line(self, line)
+        _set_span_column(self, column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Span:
+            return NotImplemented
+        return (self.line, self.column) == (other.line, other.column)
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column))
+
+    def __repr__(self) -> str:
+        return f"Span(line={self.line!r}, column={self.column!r})"
+
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
+
+
+# The slot setters the constructors use, since the classes refuse setattr.
+_set_span_line = Span.line.__set__  # type: ignore[attr-defined]
+_set_span_column = Span.column.__set__  # type: ignore[attr-defined]
 
 
 class ParseError(ValueError):
@@ -49,21 +74,46 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
 class Clause:
-    head: Term
-    body: tuple[Term, ...] = ()
-    span: Span = Span(0, 0)
+    """``head :- body.``, or the fact ``head.`` when the body is empty.
+    Built once per clause read and once per renamed clause a search step
+    tries, so it is a slotted class like the terms."""
 
-    def __post_init__(self) -> None:
-        if isinstance(self.head, Var):
+    __slots__ = ("head", "body", "span")
+    __setattr__ = __delattr__ = immutable_setattr
+
+    head: Term
+    body: tuple[Term, ...]
+    span: Span
+
+    def __init__(self, head: Term, body: tuple[Term, ...] = (), span: Span = Span(0, 0)) -> None:
+        if isinstance(head, Var):
             raise ValueError("clause head must not be a variable")
+        _set_clause_head(self, head)
+        _set_clause_body(self, body)
+        _set_clause_span(self, span)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Clause:
+            return NotImplemented
+        return (self.head, self.body, self.span) == (other.head, other.body, other.span)
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body, self.span))
+
+    def __repr__(self) -> str:
+        return f"Clause(head={self.head!r}, body={self.body!r}, span={self.span!r})"
 
     def variables(self) -> list[Var]:
         return variables_in_order([self.head, *self.body])
 
     def __str__(self) -> str:
         return clause_to_text(self)
+
+
+_set_clause_head = Clause.head.__set__  # type: ignore[attr-defined]
+_set_clause_body = Clause.body.__set__  # type: ignore[attr-defined]
+_set_clause_span = Clause.span.__set__  # type: ignore[attr-defined]
 
 
 class _PredicateIndex:
@@ -141,137 +191,146 @@ class UniversalityReport:
 
 # One pass over the text (Python ``re`` docs, "Writing a Tokenizer"): each
 # match is the whitespace and ``%`` comments before one token, then the
-# token.  The ``end`` alternative matches the trailing skip at the end of
-# the text, so that finditer never rescans it.  Its text is "", and an
-# error token is one character that is not punctuation, so comparing a
-# token's text with a punctuation string never needs its kind.
-_TOKEN = re.compile(
-    r"(?:\s|%[^\n]*)*"
-    r"(?:(?P<name>\w+)|(?P<punct>:-|[()\[\],.|])|(?P<end>\Z)|(?P<error>.))",
-    re.DOTALL,
-)
-_NAME = "name"
-_END = "end"
+# token, in group 1.  The token's text gives its kind (``_kind``): a name
+# starts with a name character; "" is the end of the text, where the ``\Z``
+# alternative takes the trailing skip so that finditer never rescans it;
+# any other token is punctuation, or one character that is an error.  So
+# comparing a token's text with a punctuation string never needs its kind.
+_TOKEN = re.compile(r"(?:\s|%[^\n]*)*(\w+|:-|[()\[\],.|]|\Z|.)", re.DOTALL)
+_token_text = itemgetter(1)
+
+# The kinds of token where a term starts: a variable name, a symbol name,
+# or any other token.
+_OTHER, _VARIABLE, _SYMBOL = 0, 1, 2
+
+
+def _kind(tok: str) -> int:
+    c = tok[:1]
+    if not (c.isalnum() or c == "_"):
+        return _OTHER
+    return _VARIABLE if c.isupper() or c == "_" else _SYMBOL
 
 
 class _Parser:
     """An explicit-stack reader over the token list of one text.
 
-    Token ``i`` has kind ``kinds[i]`` (``name``, ``punct``, ``error``, or
-    ``end`` for the last one), text ``texts[i]`` and offset ``offsets[i]``.
-    Line and column are worked out from an offset only when a ``Span`` or a
-    ``ParseError`` is built.  Each parse makes one ``Struct`` per nullary
-    symbol and shares it.
+    Token ``i`` has text ``texts[i]`` and match ``matches[i]``.  The
+    tokens end with "", and ``texts`` has one "" more, so the reader can
+    look one token past any token it reads.  Where a position must be
+    kept, the reader keeps the token index: the offset, line and column of
+    a token are worked out only when a ``Span`` or a ``ParseError`` is
+    built.  Each parse makes one ``Struct`` per nullary symbol and shares
+    it.
     """
 
     def __init__(self, text: str, fresh: Optional[FreshVars] = None):
         self.text = text
-        self.kinds: list[Optional[str]] = []
-        self.texts: list[str] = []
-        self.offsets: list[int] = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            self.kinds.append(kind)
-            self.texts.append(m[kind])
-            self.offsets.append(m.start(kind))
-            if kind == _END:
-                break
-        self.i = 0
-        self._newlines: Optional[list[int]] = None
+        self.matches = list(_TOKEN.finditer(text))
+        self.texts: list[str] = [*map(_token_text, self.matches), ""]
         self.fresh = fresh or FreshVars()
         self.scope: dict[str, Var] = {}
-        self.signature: dict[str, tuple[Symbol, int]] = {}
+        # Each symbol by name, and the token that declared it.
+        self.signature: dict[str, Symbol] = {}
+        self.declared_at: dict[str, int] = {}
         self.constants: dict[str, Struct] = {}
         self.warnings: list[str] = []
+        # The position ``span`` asked for last: its offset, its line, and
+        # the offset of the newline before it (-1 on the first line).
+        self._cursor = (0, 1, -1)
 
-    def span(self, offset: int) -> Span:
-        if self._newlines is None:
-            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
-        line = bisect_left(self._newlines, offset)
-        start = self._newlines[line - 1] if line else -1
-        return Span(line + 1, offset - start)
+    def span(self, i: int) -> Span:
+        """Line and column of token ``i``.  Clause starts come in text
+        order, so the newlines are counted on from the position asked for
+        last; only an earlier position counts them again from the start."""
+        offset = self.matches[i].start(1)
+        at, line, last_newline = self._cursor
+        if offset < at:
+            at, line, last_newline = 0, 1, -1
+        newlines = self.text.count("\n", at, offset)
+        if newlines:
+            line += newlines
+            last_newline = self.text.rfind("\n", at, offset)
+        self._cursor = (offset, line, last_newline)
+        return Span(line, offset - last_newline)
 
-    def error(self, message: str, offset: Optional[int] = None) -> ParseError:
-        """A ParseError at ``offset``, by default that of the next token."""
-        span = self.span(self.offsets[self.i] if offset is None else offset)
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token ``i``."""
+        span = self.span(i)
         return ParseError(message, span.line, span.column)
-
-    def expect(self, punct: str) -> None:
-        if self.texts[self.i] != punct:
-            raise self.error(f"expected {punct!r}")
-        self.i += 1
-
-    def accept(self, punct: str) -> bool:
-        if self.texts[self.i] == punct:
-            self.i += 1
-            return True
-        return False
 
     def _variable(self, name: str) -> Var:
         if name == "_":
             return self.fresh.new("_")
-        v = self.scope.get(name)
-        if v is None:
-            v = self.fresh.new(name)
-            self.scope[name] = v
+        v = self.fresh.new(name)
+        self.scope[name] = v
         return v
 
-    def _symbol(self, name: str, arity: int, offset: int) -> Symbol:
-        prior = self.signature.get(name)
-        if prior is None:
-            sym = Symbol(name, arity)
-            self.signature[name] = (sym, offset)
-            return sym
-        if prior[0].arity != arity:
+    def _symbol(self, name: str, arity: int, i: int) -> Symbol:
+        """The symbol ``name/arity`` used at token ``i``.  One object per
+        symbol in a parse, so most symbol tests pass on identity."""
+        sym = self.signature.get(name)
+        if sym is None:
+            sym = self.signature[name] = Symbol(name, arity)
+            self.declared_at[name] = i
+        elif sym.arity != arity:
             raise self.error(
-                f"symbol {name!r} used with arity {arity} but "
-                f"declared with arity {prior[0].arity} at {self.span(prior[1])}",
-                offset,
+                f"symbol {name!r} used with arity {arity} but declared with "
+                f"arity {sym.arity} at {self.span(self.declared_at[name])}",
+                i,
             )
-        # One object per symbol in a parse, so most symbol tests pass on identity.
-        return prior[0]
+        return sym
 
-    def _constant(self, name: str, offset: int) -> Struct:
+    def _constant(self, name: str, i: int) -> Struct:
         const = self.constants.get(name)
         if const is None:
-            const = Struct(self._symbol(name, 0, offset))
+            const = Struct(self._symbol(name, 0, i))
             self.constants[name] = const
         return const
 
-    def term(self) -> Term:
-        """Read one term.  A frame on the stack is an open compound
-        ``[name, offset, args]`` or an open list ``[None, offset, items,
-        after_bar]``, where ``after_bar`` turns true when ``|`` is read.
-        Symbols are declared when their term closes, inner terms first."""
-        kinds, texts, offsets = self.kinds, self.texts, self.offsets
-        i = self.i
+    def atoms(self, i: int, neck: str) -> tuple[list[Term], int]:
+        """Read the terms ``t1 neck t2 , t3 , ... , tn`` from token ``i``:
+        a clause with ``neck`` ``:-``, whose head ``t1`` must not be a
+        variable, or a query with ``neck`` ``,``.  Returns the terms and
+        the index of the token after ``tn``.
+
+        A frame on the stack is an open compound ``[name, i, args]`` or an
+        open list ``[None, i, items, after_bar]``, where ``i`` is the index
+        of the token that opened it, and ``after_bar`` turns true when
+        ``|`` is read.  Symbols are declared when their term closes, inner
+        terms first."""
+        texts, signature = self.texts, self.signature
+        scope, constants = self.scope, self.constants
+        atoms: list[Term] = []
+        first = i
         stack: list[list] = []
         while True:
             # Read the start of a term: a complete leaf, or an open frame.
-            kind, tok = kinds[i], texts[i]
-            if kind == _NAME:
+            # A symbol name before "(" opens a compound; a name read before
+            # is a constant, or a variable in scope.
+            tok = texts[i]
+            i += 1
+            if texts[i] == "(" and (tok in signature or _kind(tok) is _SYMBOL):
+                stack.append([tok, i - 1, []])
                 i += 1
-                c = tok[0]
-                if c.isupper() or c == "_":
-                    t: Term = self._variable(tok)
-                elif texts[i] == "(":
-                    stack.append([tok, offsets[i - 1], []])
-                    i += 1
-                    continue
+                continue
+            t: Term = constants.get(tok) or scope.get(tok)
+            if t is None:
+                kind = _kind(tok)
+                if kind is _VARIABLE:
+                    t = self._variable(tok)
+                elif kind is _SYMBOL:
+                    t = self._constant(tok, i - 1)
+                elif tok == "[":
+                    if texts[i] == "]":
+                        i += 1
+                        t = self._constant("nil", i - 2)
+                    else:
+                        stack.append([None, i - 1, [], False])
+                        continue
+                elif not tok:
+                    raise self.error("unexpected end of input", i - 1)
                 else:
-                    t = self._constant(tok, offsets[i - 1])
-            elif tok == "[":
-                i += 1
-                if texts[i] == "]":
-                    i += 1
-                    t = self._constant("nil", offsets[i - 2])
-                else:
-                    stack.append([None, offsets[i - 1], [], False])
-                    continue
-            elif kind == _END:
-                raise self.error("unexpected end of input", offsets[i])
-            else:
-                raise self.error("expected a name", offsets[i])
+                    raise self.error("expected a name", i - 1)
             # Hand the finished term to the open frames, closing each one
             # that the next token ends.
             while stack:
@@ -283,13 +342,16 @@ class _Parser:
                         i += 1
                         break
                     if tok != ")":
-                        raise self.error("expected ')'", offsets[i])
+                        raise self.error("expected ')'", i)
                     i += 1
                     stack.pop()
-                    name, offset, args = frame
-                    t = Struct(self._symbol(name, len(args), offset), tuple(args))
+                    name, opened, args = frame
+                    sym = signature.get(name)
+                    if sym is None or sym.arity != len(args):
+                        sym = self._symbol(name, len(args), opened)
+                    t = Struct(sym, tuple(args))
                     continue
-                _, offset, items, after_bar = frame
+                _, opened, items, after_bar = frame
                 if not after_bar:
                     items.append(t)
                     if tok == ",":
@@ -299,56 +361,46 @@ class _Parser:
                         i += 1
                         frame[3] = True
                         break
-                    t = self._constant("nil", offset)
+                    t = self._constant("nil", opened)
                 if tok != "]":
-                    raise self.error("expected ']'", offsets[i])
+                    raise self.error("expected ']'", i)
                 i += 1
                 stack.pop()
-                cons = self._symbol("cons", 2, offset)
+                cons = self._symbol("cons", 2, opened)
                 for item in reversed(items):
                     t = Struct(cons, (item, t))
             else:
-                self.i = i
-                return t
-
-    def clause(self) -> Clause:
-        offset = self.offsets[self.i]
-        self.scope = {}
-        head = self.term()
-        if isinstance(head, Var):
-            raise self.error("clause head must not be a variable", offset)
-        body: list[Term] = []
-        if self.accept(":-"):
-            body.append(self.term())
-            while self.accept(","):
-                body.append(self.term())
-        self.expect(".")
-        return Clause(head, tuple(body), self.span(offset))
+                # A whole term: the head, a body atom or a query atom.
+                if not atoms and neck == ":-" and isinstance(t, Var):
+                    raise self.error("clause head must not be a variable", first)
+                atoms.append(t)
+                if texts[i] != (neck if len(atoms) == 1 else ","):
+                    return atoms, i
+                i += 1
 
     def program(self) -> Program:
+        texts = self.texts
         clauses: list[Clause] = []
-        while self.kinds[self.i] != _END:
-            clauses.append(self.clause())
-        if clauses and not any(
-            sym.arity == 0 for sym, _ in self.signature.values()
-        ):
+        i = 0
+        while texts[i]:
+            self.scope = {}
+            atoms, end = self.atoms(i, ":-")
+            if texts[end] != ".":
+                raise self.error("expected '.'", end)
+            clauses.append(Clause(atoms[0], tuple(atoms[1:]), self.span(i)))
+            i = end + 1
+        if clauses and not any(sym.arity == 0 for sym in self.signature.values()):
             self.warnings.append(
                 "signature has no nullary symbol; ground instances are empty"
             )
-        return Program(
-            tuple(clauses),
-            {n: s for n, (s, _) in self.signature.items()},
-            tuple(self.warnings),
-        )
+        return Program(tuple(clauses), self.signature, tuple(self.warnings))
 
     def query(self) -> list[Term]:
-        self.scope = {}
-        atoms = [self.term()]
-        while self.accept(","):
-            atoms.append(self.term())
-        self.accept(".")
-        if self.kinds[self.i] != _END:
-            raise self.error("trailing input after query")
+        atoms, i = self.atoms(0, ",")
+        if self.texts[i] == ".":
+            i += 1
+        if self.texts[i]:
+            raise self.error("trailing input after query", i)
         return atoms
 
 
@@ -376,6 +428,8 @@ def check_universal(p: Program) -> UniversalityReport:
     those existential variables break the head-driven answer construction."""
     violations: list[tuple[int, Span, tuple[Var, ...]]] = []
     for i, c in enumerate(p.clauses):
+        if not c.body:
+            continue  # a fact has no body variables
         head_vars = variables_of(c.head)
         extras = [
             v

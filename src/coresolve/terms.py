@@ -24,7 +24,8 @@ from functools import total_ordering
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
-def _frozen(self: object, *_: object) -> None:
+def immutable_setattr(self: object, *_: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable slotted classes."""
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
@@ -33,7 +34,7 @@ class Symbol:
     different symbol."""
 
     __slots__ = ("name", "arity", "_hash")
-    __setattr__ = __delattr__ = _frozen
+    __setattr__ = __delattr__ = immutable_setattr
 
     name: str
     arity: int
@@ -68,7 +69,7 @@ class Var:
     """A variable: equal to another exactly when the ids are equal."""
 
     __slots__ = ("id", "hint", "_hash")
-    __setattr__ = __delattr__ = _frozen
+    __setattr__ = __delattr__ = immutable_setattr
 
     id: int
     hint: Optional[str]
@@ -105,7 +106,7 @@ class Struct:
     check can skip ground candidates without walking the atom."""
 
     __slots__ = ("symbol", "args", "_hash", "_ground")
-    __setattr__ = __delattr__ = _frozen
+    __setattr__ = __delattr__ = immutable_setattr
 
     symbol: Symbol
     args: tuple["Term", ...]
@@ -173,20 +174,22 @@ DIAMOND = Symbol("◇", 0)
 TRUNCATED = Struct(DIAMOND)
 
 
-def term_to_text(t: Term) -> str:
-    """Render a term in the program syntax (no whitespace, no list sugar)."""
+def term_to_text(t: Term, names: Optional[Mapping[Var, str]] = None) -> str:
+    """Render a term in the program syntax (no whitespace, no list sugar).
+    A variable in ``names`` is shown by the name given there, any other by
+    its own display name."""
     parts: list[str] = []
-    _render(t, parts)
+    _render(t, parts, names or {})
     return "".join(parts)
 
 
-def _render(t: Term, out: list[str]) -> None:
+def _render(t: Term, out: list[str], names: Mapping[Var, str]) -> None:
     # Iterative: answers can be as deep as the terms a derivation builds.
     # The stack holds the argument iterators of the open structures.
     open_args: list[Iterator[Term]] = []
     while True:
         if isinstance(t, Var):
-            out.append(t.display)
+            out.append(names.get(t) or t.display)
         elif t.args:
             out.append(t.symbol.name + "(")
             args = iter(t.args)
@@ -417,16 +420,35 @@ def apply_raw(s: Substitution, t: Term) -> Term:
 
 
 def _apply1(s: Substitution, t: Term) -> Term:
-    # A ground term, nullary symbols included, is its own image.
+    # A ground term, nullary symbols included, is its own image, and so is
+    # a structure none of whose arguments changes.  Iterative: a frame on
+    # the stack is an open structure, its argument iterator and the images
+    # of the arguments read so far.
     if t._ground:
         return t
-    if isinstance(t, Var):
-        img = s.get(t)
-        return img if img is not None else t
-    new_args = tuple(_apply1(s, a) for a in t.args)
-    if all(n is o for n, o in zip(new_args, t.args)):
-        return t
-    return Struct(t.symbol, new_args)
+    get = s._bindings.get
+    if t.__class__ is Var:
+        img = get(t)
+        return t if img is None else img
+    stack: list[tuple[Struct, Iterator[Term], list[Term]]] = [(t, iter(t.args), [])]
+    while True:
+        node, args, images = stack[-1]
+        for a in args:
+            if a._ground:
+                images.append(a)
+            elif a.__class__ is Var:
+                img = get(a)
+                images.append(a if img is None else img)
+            else:
+                stack.append((a, iter(a.args), []))
+                break
+        else:
+            stack.pop()
+            if not all(map(operator.is_, images, node.args)):
+                node = Struct(node.symbol, tuple(images))
+            if not stack:
+                return node
+            stack[-1][2].append(node)
 
 
 def apply(s: Substitution, t: Term) -> Term:

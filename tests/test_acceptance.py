@@ -17,9 +17,11 @@ import random
 import pytest
 
 from conftest import (
+    CORPUS_QUERIES,
     PROGRAMS,
     apply_prefix,
     const,
+    load,
     load_query,
     mk,
     random_term,
@@ -55,6 +57,7 @@ from coresolve.terms import (
     term_to_text,
     truncate,
     variables_in_order,
+    variables_of,
 )
 from coresolve.unify import UnifyKind, mgm, mgu, rational_unify
 from coresolve.validation import check_lemma_4_1, check_theorem_5_1
@@ -516,6 +519,37 @@ class TestClauseIndexSoundness:
 
 
 # --- criterion 3: loop answers correspond to derivations -----------------------
+
+
+def scan_every_clause(p):
+    """The universality violations found by comparing the body variables
+    of every clause, facts included, with those of its head."""
+    violations = []
+    for i, c in enumerate(p.clauses):
+        head_vars = variables_of(c.head)
+        extras = tuple(v for v in variables_in_order(c.body) if v not in head_vars)
+        if extras:
+            violations.append((i, c.span, extras))
+    return tuple(violations)
+
+
+class TestUniversalityCheck:
+    def test_skipping_facts_changes_no_report(self):
+        programs = [load(name)[0] for name in CORPUS_QUERIES]
+        rnd = random.Random(seed() + 13)
+        for _ in range(200):
+            p, _ = random_program(rnd, FreshVars(10**4))
+            programs.append(p)
+            # Its rules read backwards, which have existential variables.
+            programs.append(Program(tuple(
+                Clause(c.body[0], (c.head,)) if c.body else c for c in p.clauses
+            )))
+        flagged = 0
+        for p in programs:
+            report = check_universal(p)
+            assert report.violations == scan_every_clause(p)
+            flagged += not report.universal
+        assert flagged > 50
 
 
 class TestCriterion3LoopAnswerCorrespondence:

@@ -68,6 +68,17 @@ class TestRun:
         assert out == f"X = {deep}\n"
         assert err == ""
 
+    @pytest.mark.parametrize("mode", ["sld", "s", "colp", "cos"])
+    def test_deep_non_ground_answer(self, capsys, tmp_path, mode):
+        # The answer keeps a variable 1,500 levels down.  Renaming it for
+        # printing, and renaming the fact apart in the cos preflight, used
+        # to recurse over the depth outside the search.
+        path = tmp_path / "deep.lp"
+        path.write_text("p(" + "s(" * 1500 + "Y" + ")" * 1500 + ").\n", encoding="utf-8")
+        code, out, _ = run(capsys, "run", str(path), "-q", "p(X)", "--mode", mode)
+        assert code == 0
+        assert out == "X = " + "s(" * 1500 + "_A" + ")" * 1500 + "\n"
+
     def test_unfold_through_variable_binding(self, capsys):
         # Y = X takes a generation without adding a level; Y's unfolding
         # still reaches the depth asked for, like X's.
@@ -281,6 +292,49 @@ class TestUsage:
         ]
         for argv, message in cases:
             assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+class TestRepeatedMain:
+    # Library callers and the benchmark call main many times in one
+    # process; the parser is built by the first call only.
+    CALLS = [
+        ["run", lp("nats"), "-q", "nats(X)", "--trace", "text", "--max-answers", "3"],
+        ["run", lp("server"), "-q", "resource(X,Y), zeros(Y)"],
+        ["run", lp("nat")],
+        ["--help"],
+        ["check", lp("fibs"), "--universal", "--productive"],
+        ["validate", lp("r"), "-q", "r(X,Y)"],
+        ["run", lp("nats"), "-q", "nats(X)", "--unfold-depth", "3"],
+    ]
+
+    def test_each_call_gives_what_a_fresh_main_gives(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        in_sequence = [run(capsys, *argv) for argv in self.CALLS]
+        for argv, got in zip(self.CALLS, in_sequence):
+            cli.build_parser.cache_clear()
+            assert got == run(capsys, *argv), argv
+        codes = [code for code, _, _ in in_sequence]
+        assert codes == [0, 0, 3, 0, 4, 0, 0]
+        assert "usage: coresolve run" in in_sequence[2][2]
+        assert in_sequence[3][1].startswith("usage: coresolve")
+
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        run(capsys, *self.CALLS[1])
+        assert built > 0
+        built = 0
+        for argv in self.CALLS:
+            run(capsys, *argv)
+        assert built == 0
 
 
 class TestRepl:

@@ -4,14 +4,16 @@ import pytest
 
 from conftest import load
 from coresolve.program import (
+    Clause,
     ParseError,
+    Span,
     check_universal,
     clause_instance,
     parse_program,
     parse_query,
     program_to_text,
 )
-from coresolve.terms import FreshVars, Struct, Symbol, variables_of
+from coresolve.terms import FreshVars, Struct, Symbol, Var, variables_of
 
 
 class TestParse:
@@ -76,6 +78,37 @@ class TestParse:
         assert variables_of(atoms[0]) >= variables_of(atoms[1])
 
 
+class TestTokenTable:
+    # The README's token table, checked on every code point below U+10000:
+    # a name character continues a name, and a name starting with an
+    # uppercase letter or "_" is a variable; a space is skipped; any other
+    # character that is not punctuation or "%" is an error token at its
+    # own line:col, even one, like "Ⓐ", that is uppercase.
+    def test_every_code_point_below_u10000(self):
+        kinds = {"name": 0, "skipped": 0, "error": 0}
+        for code in range(0x10000):
+            c = chr(code)
+            if c in "()[],.|%":
+                continue
+            if c.isalnum() or c == "_":
+                kinds["name"] += 1
+                (atom,) = parse_query(f"pred(a{c},{c})")
+                longer, alone = atom.args
+                assert longer == Struct(Symbol("a" + c, 0)), hex(code)
+                assert isinstance(alone, Var) == (c.isupper() or c == "_"), hex(code)
+            elif c.isspace():
+                kinds["skipped"] += 1
+                (atom,) = parse_query(f"pred({c}a)")
+                assert atom == Struct(Symbol("pred", 1), (Struct(Symbol("a", 0)),)), hex(code)
+            else:
+                kinds["error"] += 1
+                with pytest.raises(ParseError) as exc:
+                    parse_query(f"pred({c})")
+                assert (exc.value.line, exc.value.column) == (1, 6), hex(code)
+                assert exc.value.message == "expected a name", hex(code)
+        assert min(kinds.values()) > 20, kinds
+
+
 def depth(t) -> int:
     """Depth of a term along its last arguments, without recursion."""
     n = 0
@@ -105,6 +138,39 @@ class TestDeepInputs:
             assert t.symbol == Symbol("cons", 2)
             t = t.args[0]
         assert t == Struct(Symbol("nil", 0))
+
+
+class TestClauseObjects:
+    # Pinned like the term objects: the frozen dataclasses they replace
+    # compared, hashed and printed the same way.
+    def test_equality_hash_and_repr(self):
+        head = Struct(Symbol("p", 1), (Var(1, "X"),))
+        body = (Struct(Symbol("q", 1), (Var(1, "X"),)),)
+        c = Clause(head, body, Span(2, 3))
+        assert Span(2, 3) == Span(2, 3) and Span(2, 3) != Span(3, 2)
+        assert Span(2, 3) != (2, 3) and hash(Span(2, 3)) == hash((2, 3))
+        assert c == Clause(head, body, Span(2, 3)) and c is not Clause(head, body, Span(2, 3))
+        assert c != Clause(head, body) and c != Clause(head, (), Span(2, 3))
+        assert hash(c) == hash((head, body, Span(2, 3)))
+        assert Clause(head) == Clause(head, (), Span(0, 0))
+        assert repr(Span(2, 3)) == "Span(line=2, column=3)" and str(Span(2, 3)) == "2:3"
+        assert repr(c) == f"Clause(head={head!r}, body={body!r}, span=Span(line=2, column=3))"
+        assert str(c) == "p(X) :- q(X)."
+
+    def test_immutable(self):
+        c = Clause(Struct(Symbol("p", 0)))
+        for obj, name in ((Span(1, 1), "line"), (c, "head"), (c, "span")):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, "extra", None)
+
+    def test_variable_head_rejected(self):
+        with pytest.raises(ValueError, match="clause head must not be a variable"):
+            Clause(Var(1, "X"), (Struct(Symbol("p", 0)),))
 
 
 class TestCheckUniversal:

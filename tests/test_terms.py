@@ -123,6 +123,18 @@ class TestApply:
         solved = apply(Substitution({X: s_(zero), Y: zero}), mk("nat", X))
         assert chained == solved == mk("nat", s_(zero))
 
+    def test_deep_terms_do_not_recurse(self):
+        # Depth 10^4 is past any recursion limit.  A subterm no binding
+        # changes comes back as the same object.
+        deep, ground = X, zero
+        for _ in range(10_000):
+            deep, ground = s_(deep), s_(ground)
+        assert apply(Substitution({X: zero}), deep) == ground
+        pair = mk("f", deep, Y)
+        image = apply(Substitution({Y: zero}), pair)
+        assert image == mk("f", deep, zero) and image.args[0] is deep
+        assert apply(Substitution({Y: zero}), deep) is deep
+
     def test_rejects_circular(self):
         sigma = Substitution({X: s_(X)})
         assert sigma.circular
