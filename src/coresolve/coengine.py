@@ -33,15 +33,13 @@ from . import rational
 from .derivation import Limits, Move, Status, Step, StepKind
 from .derivation import _SearchState, clause_moves, search
 from .productivity import ProductivityStatus, check_productive
-from .program import Program, check_universal, clause_instance
+from .program import Program, check_universal
 from .terms import (
     FreshVars,
     Struct,
     Substitution,
     Term,
     apply_raw,
-    is_instance,
-    restrict,
     variables_in_order,
 )
 from .unify import (
@@ -49,8 +47,8 @@ from .unify import (
     _extract as _rational_extract,
     _rational_solve,
     mgm,
-    mgu,
     rational_unify,
+    resolve_head,
 )
 
 
@@ -101,19 +99,14 @@ class LoopUse:
 def co_rewrite(
     p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[AnnotatedGoal, Step]]:
-    clause = clause_instance(p.clauses[clause_index], fresh)
     entry = g[atom_index]
-    out = mgm(clause.head, entry.atom)
-    if not out.ok:
+    got = resolve_head(p.clauses[clause_index], entry.atom, fresh, matching=True)
+    if got is None:
         return None
-    sigma = out.substitution
-    assert sigma is not None
     grown = entry.ancestors + (entry.atom,)
-    new_entries = tuple(
-        Entry(apply_raw(sigma, b), grown) for b in clause.body
-    )
-    g2 = g[:atom_index] + new_entries + g[atom_index + 1 :]
-    return g2, Step(StepKind.REWRITE, atom_index, clause_index, clause, sigma)
+    new_entries = tuple(Entry(b, grown) for b in got.body)
+    step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
+    return g[:atom_index] + new_entries + g[atom_index + 1 :], step
 
 
 def co_s_compound(
@@ -122,22 +115,16 @@ def co_s_compound(
     """The production half of a co-S-step: proper unifier applied to all
     atoms and ancestors, then the same clause's body replaces the atom with
     the grown ancestor set."""
-    clause = clause_instance(p.clauses[clause_index], fresh)
-    entry = g[atom_index]
-    out = mgu(clause.head, entry.atom)
-    if out.kind is not UnifyKind.PROPER_UNIFIER:
+    got = resolve_head(p.clauses[clause_index], g[atom_index].atom, fresh)
+    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
-    theta = out.substitution
-    assert theta is not None
+    theta, renaming = got.substitution, got.renaming
     g2 = apply_to_annotated(theta, g)
-    st1 = Step(StepKind.SUBST, atom_index, clause_index, clause, theta)
+    st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
     grown = g2[atom_index].ancestors + (g2[atom_index].atom,)
-    body_entries = tuple(
-        Entry(apply_raw(theta, b), grown) for b in clause.body
-    )
+    body_entries = tuple(Entry(b, grown) for b in got.body)
     g3 = g2[:atom_index] + body_entries + g2[atom_index + 1 :]
-    matcher = restrict(theta, variables_in_order([clause.head, *clause.body]))
-    st2 = Step(StepKind.REWRITE, atom_index, clause_index, clause, matcher)
+    st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]
 
 
@@ -165,7 +152,7 @@ def restricted_loop(
     # binds pattern variables without an occurs check), so the ancestor can
     # be used directly.  Matching is the cheap test, so it runs before the
     # rational solve and keeps failing candidates cheap.
-    if not is_instance(entry.atom, ancestor):
+    if not mgm(entry.atom, ancestor):
         return LoopFailure(LoopFailReason.NOT_AN_INSTANCE, entry.atom, ancestor)
     # Once the ancestor is an instance, the equations reduce to one binding
     # per variable of the atom, which always has a rational solution; the

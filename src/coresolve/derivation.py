@@ -19,27 +19,21 @@ runs it with the SLD or S rules, ``coengine.co_refute`` with the colp or
 restricted loop rule ahead of the co-S rules.  Each rule is tried only on
 the clauses the program's first-argument index (``Program.candidates``)
 offers for the selected atom; the ones it leaves out would fail uncharged,
-so the index changes no step, charge or answer.
+so the index changes no step, charge or answer.  A step unifies or matches
+the stored clause head in place (``unify.resolve_head``), renaming only the
+variables it keeps; ``Step.clause``, the renamed clause, is built on demand.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from . import rational
-from .program import Clause, Program, clause_instance
-from .terms import (
-    FreshVars,
-    Substitution,
-    Term,
-    apply_raw,
-    restrict,
-    variables_in_order,
-)
-from .unify import UnifyKind, mgm, mgu
+from .program import Clause, Program, Renaming
+from .terms import FreshVars, Substitution, Term, apply_raw, variables_in_order
+from .unify import UnifyKind, resolve_head
 
 Goal = tuple[Term, ...]
 
@@ -63,10 +57,14 @@ class Step:
     kind: StepKind
     atom_index: int
     clause_index: Optional[int]
-    clause: Optional[Clause]
+    renaming: Optional[Renaming]  # of the clause used; None for LOOP steps
     subst: Substitution
     ancestor: Optional[Term] = None
     atom: Optional[Term] = None  # LOOP steps: the selected atom that closed
+
+    @property
+    def clause(self) -> Optional[Clause]:
+        return None if self.renaming is None else self.renaming.instance()
 
 
 @dataclass(frozen=True)
@@ -105,30 +103,25 @@ def apply_to_goal(s: Substitution, g: Goal) -> Goal:
 def sld_step(
     p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[Goal, Step]]:
-    clause = clause_instance(p.clauses[clause_index], fresh)
-    out = mgu(clause.head, g[atom_index])
-    if not out.ok:
+    got = resolve_head(p.clauses[clause_index], g[atom_index], fresh)
+    if got is None:
         return None
-    sigma = out.substitution
-    assert sigma is not None
-    new_goal = apply_to_goal(
-        sigma, g[:atom_index] + clause.body + g[atom_index + 1 :]
-    )
-    return new_goal, Step(StepKind.SLD, atom_index, clause_index, clause, sigma)
+    sigma = got.substitution
+    rest = (g[:atom_index], g[atom_index + 1 :])
+    if got.kind is UnifyKind.PROPER_UNIFIER:  # a matcher binds no goal variable
+        rest = [apply_to_goal(sigma, part) for part in rest]
+    new_goal = rest[0] + got.body + rest[1]
+    return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, sigma)
 
 
 def rewrite_step(
     p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[Goal, Step]]:
-    clause = clause_instance(p.clauses[clause_index], fresh)
-    out = mgm(clause.head, g[atom_index])
-    if not out.ok:
+    got = resolve_head(p.clauses[clause_index], g[atom_index], fresh, matching=True)
+    if got is None:
         return None
-    sigma = out.substitution
-    assert sigma is not None
-    body = tuple(apply_raw(sigma, b) for b in clause.body)
-    new_goal = g[:atom_index] + body + g[atom_index + 1 :]
-    return new_goal, Step(StepKind.REWRITE, atom_index, clause_index, clause, sigma)
+    step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
+    return g[:atom_index] + got.body + g[atom_index + 1 :], step
 
 
 def s_compound(
@@ -136,18 +129,14 @@ def s_compound(
 ) -> Optional[tuple[Goal, list[Step]]]:
     """Substitution step followed by a rewrite of the instantiated atom with
     the same clause instance: the production half of an S-step."""
-    clause = clause_instance(p.clauses[clause_index], fresh)
-    out = mgu(clause.head, g[atom_index])
-    if out.kind is not UnifyKind.PROPER_UNIFIER:
+    got = resolve_head(p.clauses[clause_index], g[atom_index], fresh)
+    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
-    theta = out.substitution
-    assert theta is not None
+    theta, renaming = got.substitution, got.renaming
     g2 = apply_to_goal(theta, g)
-    st1 = Step(StepKind.SUBST, atom_index, clause_index, clause, theta)
-    matcher = restrict(theta, variables_in_order([clause.head, *clause.body]))
-    body = tuple(apply_raw(theta, b) for b in clause.body)
-    g3 = g2[:atom_index] + body + g2[atom_index + 1 :]
-    st2 = Step(StepKind.REWRITE, atom_index, clause_index, clause, matcher)
+    st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
+    g3 = g2[:atom_index] + got.body + g2[atom_index + 1 :]
+    st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]
 
 
@@ -260,31 +249,21 @@ def search(
             i = moves % len(g) if limits.fair else 0
             stack.append((expand(state, g, i, chain), moves, chain, len(path)))
 
-    # The search itself does not recurse, but term operations recurse over
-    # term depth, which can exceed CPython's default stack budget.
-    floor = 4 * limits.max_depth + 10_000
-    previous = sys.getrecursionlimit()
-    if previous < floor:
-        sys.setrecursionlimit(floor)
-    try:
-        if not state.done:
-            enter(initial, 0, 0)
-        while stack and not state.done:
-            frame_moves, moves, chain, mark = stack[-1]
-            move = next(frame_moves, None)
-            if move is None:
-                stack.pop()
-                continue
-            g2, taken, rewrite = move
-            del path[mark:]
-            if isinstance(taken, Step):
-                path.append(taken)
-            else:
-                path.extend(taken)
-            enter(g2, moves + 1, chain + 1 if rewrite else 0)
-    finally:
-        if previous < floor:
-            sys.setrecursionlimit(previous)
+    if not state.done:
+        enter(initial, 0, 0)
+    while stack and not state.done:
+        frame_moves, moves, chain, mark = stack[-1]
+        move = next(frame_moves, None)
+        if move is None:
+            stack.pop()
+            continue
+        g2, taken, rewrite = move
+        del path[mark:]
+        if isinstance(taken, Step):
+            path.append(taken)
+        else:
+            path.extend(taken)
+        enter(g2, moves + 1, chain + 1 if rewrite else 0)
     return state
 
 

@@ -46,10 +46,11 @@ class GroundAtomSet:
 
 
 def term_depth(t: Term) -> int:
-    """Maximum position length (edge count from the root)."""
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    """Maximum position length (edge count from the root), level by level."""
+    depth, level = 0, [t]
+    while level := [a for s in level if isinstance(s, Struct) for a in s.args]:
+        depth += 1
+    return depth
 
 
 def ground_terms(p: Program, depth_cap: int) -> list[Struct]:

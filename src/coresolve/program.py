@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .terms import (
     FreshVars,
@@ -75,23 +75,27 @@ class ParseError(ValueError):
 
 
 class Clause:
-    """``head :- body.``, or the fact ``head.`` when the body is empty.
-    Built once per clause read and once per renamed clause a search step
-    tries, so it is a slotted class like the terms."""
+    """``head :- body.``, or the fact ``head.`` when the body is empty.  Slotted
+    like the terms; ``var_positions`` numbers its variables as they occur."""
 
-    __slots__ = ("head", "body", "span")
+    __slots__ = ("head", "body", "span", "var_positions")
     __setattr__ = __delattr__ = immutable_setattr
 
     head: Term
     body: tuple[Term, ...]
     span: Span
+    var_positions: dict[Var, int]
 
-    def __init__(self, head: Term, body: tuple[Term, ...] = (), span: Span = Span(0, 0)) -> None:
+    def __init__(self, head: Term, body: tuple[Term, ...] = (), span: Span = Span(0, 0),
+                 var_positions: Optional[dict[Var, int]] = None) -> None:
         if isinstance(head, Var):
             raise ValueError("clause head must not be a variable")
+        if var_positions is None:
+            var_positions = {v: k for k, v in enumerate(variables_in_order([head, *body]))}
         _set_clause_head(self, head)
         _set_clause_body(self, body)
         _set_clause_span(self, span)
+        _set_clause_var_positions(self, var_positions)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Clause:
@@ -104,9 +108,6 @@ class Clause:
     def __repr__(self) -> str:
         return f"Clause(head={self.head!r}, body={self.body!r}, span={self.span!r})"
 
-    def variables(self) -> list[Var]:
-        return variables_in_order([self.head, *self.body])
-
     def __str__(self) -> str:
         return clause_to_text(self)
 
@@ -114,6 +115,7 @@ class Clause:
 _set_clause_head = Clause.head.__set__  # type: ignore[attr-defined]
 _set_clause_body = Clause.body.__set__  # type: ignore[attr-defined]
 _set_clause_span = Clause.span.__set__  # type: ignore[attr-defined]
+_set_clause_var_positions = Clause.var_positions.__set__  # type: ignore[attr-defined]
 
 
 class _PredicateIndex:
@@ -229,6 +231,7 @@ class _Parser:
         self.texts: list[str] = [*map(_token_text, self.matches), ""]
         self.fresh = fresh or FreshVars()
         self.scope: dict[str, Var] = {}
+        self.positions: dict[Var, int] = {}  # of the clause being read
         # Each symbol by name, and the token that declared it.
         self.signature: dict[str, Symbol] = {}
         self.declared_at: dict[str, int] = {}
@@ -259,10 +262,10 @@ class _Parser:
         return ParseError(message, span.line, span.column)
 
     def _variable(self, name: str) -> Var:
-        if name == "_":
-            return self.fresh.new("_")
         v = self.fresh.new(name)
-        self.scope[name] = v
+        self.positions[v] = len(self.positions)
+        if name != "_":
+            self.scope[name] = v
         return v
 
     def _symbol(self, name: str, arity: int, i: int) -> Symbol:
@@ -384,10 +387,11 @@ class _Parser:
         i = 0
         while texts[i]:
             self.scope = {}
+            self.positions = {}
             atoms, end = self.atoms(i, ":-")
             if texts[end] != ".":
                 raise self.error("expected '.'", end)
-            clauses.append(Clause(atoms[0], tuple(atoms[1:]), self.span(i)))
+            clauses.append(Clause(atoms[0], tuple(atoms[1:]), self.span(i), self.positions))
             i = end + 1
         if clauses and not any(sym.arity == 0 for sym in self.signature.values()):
             self.warnings.append(
@@ -441,12 +445,26 @@ def check_universal(p: Program) -> UniversalityReport:
     return UniversalityReport(tuple(violations))
 
 
+class Renaming(NamedTuple):
+    """The variant of ``clause`` whose variables, in first-occurrence order,
+    take the consecutive ids from ``first``."""
+
+    clause: Clause
+    first: int
+
+    def instance(self) -> Clause:
+        c, first = self.clause, self.first
+        renaming = Substitution({v: Var(first + k, v.hint) for v, k in c.var_positions.items()})
+        body = tuple(apply_raw(renaming, b) for b in c.body)
+        return Clause(apply_raw(renaming, c.head), body, c.span)
+
+    def own(self, s: Substitution) -> Substitution:
+        """The bindings of ``s`` on the variables of the renamed clause."""
+        first, end = self.first, self.first + len(self.clause.var_positions)
+        return Substitution({v: t for v, t in s.items() if first <= v.id < end})
+
+
 def clause_instance(c: Clause, fresh: FreshVars) -> Clause:
     """Fresh-variable variant of a clause (standardising apart)."""
-    mapping = {v: fresh.new(v.hint) for v in c.variables()}
-    renaming = Substitution(mapping)
-    return Clause(
-        apply_raw(renaming, c.head),
-        tuple(apply_raw(renaming, b) for b in c.body),
-        c.span,
-    )
+    n = len(c.var_positions)
+    return Renaming(c, fresh.block(n) if n else 0).instance()

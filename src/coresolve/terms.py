@@ -118,7 +118,7 @@ class Struct:
         _set_struct_symbol(self, symbol)
         _set_struct_args(self, args)
         _set_struct_hash(self, hash((symbol, args)))
-        _set_struct_ground(self, all(map(_is_ground, args)))
+        _set_struct_ground(self, not args or all(map(_is_ground, args)))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -248,6 +248,10 @@ class FreshVars:
 
     def new(self, hint: Optional[str] = None) -> Var:
         return Var(next(self._counter), hint)
+
+    def block(self, n: int) -> int:
+        """Draw ``n`` >= 1 consecutive ids in one step, like ``new``; return the first."""
+        return next(itertools.islice(self._counter, n - 1, None)) - n + 1
 
 
 N = TypeVar("N")
@@ -391,9 +395,6 @@ class Substitution:
         return "{" + inner + "}"
 
 
-IDENTITY = Substitution()
-
-
 def oldest_on_variable_cycle(v: Var, bindings: Mapping[Var, Term]) -> Var:
     """The variable that stands for the pure variable cycle (X ↦ Y, Y ↦ X)
     through ``v``: it has no structure, so it denotes one free variable,
@@ -416,19 +417,20 @@ def apply_raw(s: Substitution, t: Term) -> Term:
     """
     if s.is_identity():
         return t
-    return _apply1(s, t)
+    return map_vars(s._bindings.get, t)
 
 
-def _apply1(s: Substitution, t: Term) -> Term:
+def map_vars(image: Callable[[Var], Optional[Term]], t: Term) -> Term:
+    """``t`` with each variable ``v`` replaced by ``image(v)``, or left as
+    it is where that is None."""
     # A ground term, nullary symbols included, is its own image, and so is
     # a structure none of whose arguments changes.  Iterative: a frame on
     # the stack is an open structure, its argument iterator and the images
     # of the arguments read so far.
     if t._ground:
         return t
-    get = s._bindings.get
     if t.__class__ is Var:
-        img = get(t)
+        img = image(t)
         return t if img is None else img
     stack: list[tuple[Struct, Iterator[Term], list[Term]]] = [(t, iter(t.args), [])]
     while True:
@@ -437,7 +439,7 @@ def _apply1(s: Substitution, t: Term) -> Term:
             if a._ground:
                 images.append(a)
             elif a.__class__ is Var:
-                img = get(a)
+                img = image(a)
                 images.append(a if img is None else img)
             else:
                 stack.append((a, iter(a.args), []))
@@ -476,11 +478,6 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
     return Substitution(out)
 
 
-def restrict(s: Substitution, keep: Iterable[Var]) -> Substitution:
-    keep_set = set(keep)
-    return Substitution({v: t for v, t in s.items() if v in keep_set})
-
-
 def truncate(n: int, t: Term) -> Term:
     """Cut ``t`` at depth ``n``: nodes at depth < n keep their labels, nodes
     at depth n become the reserved leaf symbol."""
@@ -499,17 +496,18 @@ def _truncate(n: int, t: Term) -> Term:
 
 def divergence_depth(s: Term, t: Term) -> Optional[int]:
     """Least n such that the depth-n truncations of s and t differ;
-    None when s == t."""
-    if isinstance(s, Var) or isinstance(t, Var):
-        return None if s == t else 1
-    if s.symbol != t.symbol:
-        return 1
-    best: Optional[int] = None
-    for a, b in zip(s.args, t.args):
-        d = divergence_depth(a, b)
-        if d is not None and (best is None or d < best):
-            best = d
-    return None if best is None else best + 1
+    None when s == t.  Level by level, so deep terms do not recurse."""
+    level, depth = [(s, t)], 1
+    while level:
+        deeper = []
+        for a, b in level:
+            if isinstance(a, Var) or isinstance(b, Var) or a.symbol != b.symbol:
+                if a != b:
+                    return depth
+            else:
+                deeper.extend(zip(a.args, b.args))
+        level, depth = deeper, depth + 1
+    return None
 
 
 @total_ordering

@@ -5,24 +5,30 @@ unification without occurs check.
 ``mgu`` is implemented once and classified post hoc into Matcher vs
 ProperUnifier by testing whether it leaves the pattern side fixed; the
 substitution reduction of the derivation engine needs exactly that
-classification ("unifies but does not match").
+classification ("unifies but does not match").  A search step runs them
+on a stored clause head in place, through ``resolve_head``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from operator import is_
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
+from .program import Clause, Renaming
 from .terms import (
+    FreshVars,
     Struct,
     Substitution,
     Term,
     Var,
+    _match_into,
     apply_raw,
     cycle_members,
     iter_subterms,
+    map_vars,
     match,
     variables_of,
 )
@@ -47,9 +53,6 @@ class UnifyOutcome:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-FAIL = UnifyOutcome(UnifyKind.FAIL)
 
 
 def _fail(reason: str) -> UnifyOutcome:
@@ -127,37 +130,125 @@ def _resolve_full(t: Term, bind: dict[Var, Term]) -> Term:
     return done[0]
 
 
-def mgu(a: Term, b: Term) -> UnifyOutcome:
-    """Most general unifier with occurs check, in idempotent solved form.
-
-    Variable-variable equations bind the younger (higher-id) variable to the
-    older one, so answers are deterministic.
-    """
-    bind: dict[Var, Term] = {}
-    stack: list[tuple[Term, Term]] = [(a, b)]
+def _solve(stack: list, bind: dict[Var, Term], copies: dict[Var, Var],
+           copy: Optional[Callable[[Var], Var]]) -> Optional[tuple[Term, Term]]:
+    """Unify the pairs on ``stack`` into the triangular map ``bind``, with
+    occurs check; return None, or the pair that failed.  In a pair ``(s, t,
+    True)``, ``s`` is a stored clause head's subterm, read as its renaming:
+    ``copy`` makes a variable's copy, kept in ``copies``.  A copy made at a
+    first occurrence is in no term yet, so it binds without an occurs check
+    (the WAM's ``get_variable``).  Variable-variable equations bind the
+    younger (higher-id) variable to the older one."""
     while stack:
-        s, t = stack.pop()
+        s, t, stored = stack.pop()
+        if stored:
+            if s.__class__ is Var:
+                r = copies.get(s)
+                if r is None:
+                    r = copy(s)
+                    t = _walk(t, bind)
+                    if t.__class__ is Var and r.id < t.id:
+                        bind[t] = r
+                    else:
+                        bind[r] = t
+                    continue
+                s = r
+            elif not s._ground:
+                t = _walk(t, bind)
+                if t.__class__ is Var:
+                    u = map_vars(copy, s)
+                    if _occurs_resolved(t, u, bind):
+                        return t, u
+                    bind[t] = u
+                elif s.symbol != t.symbol:
+                    return s, t
+                else:
+                    stack.extend(zip(s.args, t.args, repeat(True)))
+                continue
+            # A ground head subterm is its own renaming.
         s = _walk(s, bind)
         t = _walk(t, bind)
         if s == t:
             continue
-        if isinstance(s, Var) and isinstance(t, Var):
+        if s.__class__ is Var and t.__class__ is Var:
             if s.id < t.id:
                 bind[t] = s
             else:
                 bind[s] = t
             continue
-        if isinstance(s, Var) or isinstance(t, Var):
-            v, u = (s, t) if isinstance(s, Var) else (t, s)
+        if s.__class__ is Var or t.__class__ is Var:
+            v, u = (s, t) if s.__class__ is Var else (t, s)
             if _occurs_resolved(v, u, bind):
-                return _fail("occurs check")
+                return v, u
             bind[v] = u
             continue
         if s.symbol != t.symbol:
-            return _fail(f"clash: {s.symbol} vs {t.symbol}")
-        stack.extend(zip(s.args, t.args))
+            return s, t
+        stack.extend(zip(s.args, t.args, repeat(False)))
+    return None
+
+
+def mgu(a: Term, b: Term) -> UnifyOutcome:
+    """Most general unifier with occurs check, in idempotent solved form."""
+    bind: dict[Var, Term] = {}
+    failed = _solve([(a, b, False)], bind, {}, None)
+    if failed is not None:
+        s, t = failed
+        return _fail("occurs check" if isinstance(s, Var) else f"clash: {s.symbol} vs {t.symbol}")
     solved = Substitution({v: _resolve_full(t, bind) for v, t in bind.items()})
     return _classify(solved, a, b)
+
+
+class Resolvent(NamedTuple):
+    """A head unified or matched: kind, substitution, renamed body, renaming."""
+
+    kind: UnifyKind
+    substitution: Substitution
+    body: tuple[Term, ...]
+    renaming: Renaming
+
+
+def resolve_head(
+    c: Clause, atom: Term, fresh: FreshVars, matching: bool = False
+) -> Optional[Resolvent]:
+    """What ``mgm`` (with ``matching``) or ``mgu`` give on
+    ``clause_instance(c, fresh).head`` and ``atom``, with the same ids
+    drawn from ``fresh``, or None where they fail.  The stored head is read
+    in place, as in WAM head unification (Aït-Kaci 1991).  The renamed head
+    shares no variable with ``atom``, so the result is a matcher exactly
+    when no variable of ``atom`` is bound; then every binding is an
+    unchanged subterm of ``atom``, and needs no resolving walk."""
+    positions = c.var_positions
+    n = len(positions)
+    first = fresh.block(n) if n else 0
+    copies: dict[Var, Var] = {}
+
+    def copy(v: Var) -> Var:
+        r = copies.get(v)
+        if r is None:
+            r = copies[v] = Var(first + positions[v], v.hint)
+        return r
+
+    kind = UnifyKind.MATCHER
+    bind: dict[Var, Term] = {}
+    if matching:
+        if not _match_into(c.head, atom, bind):
+            return None
+        bind = {copy(v): t for v, t in bind.items()}
+    elif _solve([(c.head, atom, True)], bind, copies, copy) is not None:
+        return None
+    elif not all(first <= v.id < first + n for v in bind):
+        kind = UnifyKind.PROPER_UNIFIER
+        bind = {v: _resolve_full(t, bind) for v, t in bind.items()}
+    sigma = Substitution(bind)
+    get = sigma._bindings.get
+
+    def image(v: Var) -> Term:
+        r = copy(v)
+        return get(r, r)
+
+    body = tuple(map_vars(image, b) for b in c.body)
+    return Resolvent(kind, sigma, body, Renaming(c, first))
 
 
 class _UnionFind:

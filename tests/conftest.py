@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from coresolve.derivation import StepKind, apply_to_goal
-from coresolve.program import parse_program, parse_query
+from coresolve.program import Clause, Program, parse_program, parse_query
 from coresolve.rational import minimize, reachable
 from coresolve.terms import (
     FreshVars,
@@ -151,3 +151,60 @@ def random_term(rnd: random.Random, depth: int, vars_pool):
 
 def var_pool(n: int, start: int = 1):
     return [Var(start + i, f"V{i}") for i in range(n)]
+
+
+# --- random programs ----------------------------------------------------------
+
+CONSTS = [Symbol("c0", 0), Symbol("c1", 0)]
+FUNCS = [Symbol("f", 1), Symbol("g", 2)]
+
+
+def ground_term(rnd, depth, consts=CONSTS, funcs=FUNCS):
+    if depth <= 0 or rnd.random() < 0.45:
+        return Struct(rnd.choice(consts))
+    sym = rnd.choice(funcs)
+    return Struct(
+        sym, tuple(ground_term(rnd, depth - 1, consts, funcs) for _ in range(sym.arity))
+    )
+
+
+def random_program(rnd, fresh, consts=CONSTS, funcs=FUNCS):
+    """A random program whose rules shrink their arguments: every body
+    argument is either ground or a variable guarded by a constructor in
+    the head, and clause bodies only call predicates of the same or lower
+    index.  Terms are built from ``consts`` and ``funcs``."""
+    preds = [
+        Symbol(f"p{i}", rnd.choice([1, 2])) for i in range(rnd.randint(1, 4))
+    ]
+    clauses = []
+    for pidx, sym in enumerate(preds):
+        for _ in range(rnd.randint(1, 3)):
+            guarded = []
+
+            def head_arg():
+                if rnd.random() < 0.4:
+                    return ground_term(rnd, 2, consts, funcs)
+                f = rnd.choice(funcs)
+                vs = [
+                    fresh.new(f"H{len(guarded) + k}") for k in range(f.arity)
+                ]
+                guarded.extend(vs)
+                return Struct(f, tuple(vs))
+
+            head = Struct(sym, tuple(head_arg() for _ in range(sym.arity)))
+            body = []
+            if guarded:
+                # Two-atom bodies stay rare: they square the tree and blow
+                # up answer terms without exercising anything new.
+                n_body = 0 if (r := rnd.random()) < 0.45 else (1 if r < 0.9 else 2)
+                for _ in range(n_body):
+                    q = rnd.choice(preds[: pidx + 1])
+                    args = tuple(
+                        rnd.choice(guarded)
+                        if rnd.random() < 0.7
+                        else ground_term(rnd, 1, consts, funcs)
+                        for _ in range(q.arity)
+                    )
+                    body.append(Struct(q, args))
+            clauses.append(Clause(head, tuple(body)))
+    return Program(tuple(clauses)), preds

@@ -17,13 +17,17 @@ import random
 import pytest
 
 from conftest import (
+    CONSTS,
     CORPUS_QUERIES,
+    FUNCS,
     PROGRAMS,
     apply_prefix,
     const,
     load,
     load_query,
+    ground_term,
     mk,
+    random_program,
     random_term,
     seed,
     var_pool,
@@ -53,7 +57,6 @@ from coresolve.terms import (
     compose,
     distance,
     is_variant,
-    restrict,
     term_to_text,
     truncate,
     variables_in_order,
@@ -184,62 +187,8 @@ class TestCriterion1CorpusMatrix:
 # --- criterion 2: SLD/S refutation equivalence --------------------------------
 
 
-CONSTS = [Symbol("c0", 0), Symbol("c1", 0)]
-FUNCS = [Symbol("f", 1), Symbol("g", 2)]
-
 LIM_SLD = Limits(max_steps=4000, max_depth=12, max_answers=30)
 LIM_S = Limits(max_steps=8000, max_depth=12, max_answers=30)
-
-
-def ground_term(rnd, depth, consts=CONSTS, funcs=FUNCS):
-    if depth <= 0 or rnd.random() < 0.45:
-        return Struct(rnd.choice(consts))
-    sym = rnd.choice(funcs)
-    return Struct(
-        sym, tuple(ground_term(rnd, depth - 1, consts, funcs) for _ in range(sym.arity))
-    )
-
-
-def random_program(rnd, fresh, consts=CONSTS, funcs=FUNCS):
-    """A random program whose rules shrink their arguments: every body
-    argument is either ground or a variable guarded by a constructor in
-    the head, and clause bodies only call predicates of the same or lower
-    index.  Terms are built from ``consts`` and ``funcs``."""
-    preds = [
-        Symbol(f"p{i}", rnd.choice([1, 2])) for i in range(rnd.randint(1, 4))
-    ]
-    clauses = []
-    for pidx, sym in enumerate(preds):
-        for _ in range(rnd.randint(1, 3)):
-            guarded = []
-
-            def head_arg():
-                if rnd.random() < 0.4:
-                    return ground_term(rnd, 2, consts, funcs)
-                f = rnd.choice(funcs)
-                vs = [
-                    fresh.new(f"H{len(guarded) + k}") for k in range(f.arity)
-                ]
-                guarded.extend(vs)
-                return Struct(f, tuple(vs))
-
-            head = Struct(sym, tuple(head_arg() for _ in range(sym.arity)))
-            body = []
-            if guarded:
-                # Two-atom bodies stay rare: they square the tree and blow
-                # up answer terms without exercising anything new.
-                n_body = 0 if (r := rnd.random()) < 0.45 else (1 if r < 0.9 else 2)
-                for _ in range(n_body):
-                    q = rnd.choice(preds[: pidx + 1])
-                    args = tuple(
-                        rnd.choice(guarded)
-                        if rnd.random() < 0.7
-                        else ground_term(rnd, 1, consts, funcs)
-                        for _ in range(q.arity)
-                    )
-                    body.append(Struct(q, args))
-            clauses.append(Clause(head, tuple(body)))
-    return Program(tuple(clauses)), preds
 
 
 def random_query(rnd, preds, fresh):
@@ -265,7 +214,8 @@ def answer_substitution(steps, query_vars):
     acc = Substitution()
     for st in steps:
         acc = compose(st.subst, acc)
-    return restrict(acc, query_vars)
+    keep = set(query_vars)
+    return Substitution({v: t for v, t in acc.items() if v in keep})
 
 
 def answers_of(p, query, mode, limits, fresh):
@@ -443,7 +393,7 @@ def same_clauses(p, q):
     if len(p.clauses) != len(q.clauses):
         return False
     for c, d in zip(p.clauses, q.clauses):
-        vs, ws = c.variables(), d.variables()
+        vs, ws = list(c.var_positions), list(d.var_positions)
         if [v.hint for v in vs] != [w.hint for w in ws]:
             return False
         renaming = Substitution(dict(zip(vs, ws)))

@@ -2,6 +2,10 @@
 
 import argparse
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +277,16 @@ class TestOracle:
         assert "nat(0)" in lines and "nat(s(s(s(s(0)))))" in lines
         assert len(lines) == 5
 
+    def test_deep_fact(self, capsys, tmp_path):
+        # The fact is far deeper than the cap, so it adds no atom; measuring
+        # its depth used to recurse and raise RecursionError.
+        program = tmp_path / "deep.lp"
+        deep = "deep(" + "s(" * 10_000 + "0" + ")" * 10_001 + "."
+        program.write_text("nat(0). nat(s(X)) :- nat(X). " + deep)
+        code, out, err = run(capsys, "oracle", str(program), "--cap", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["nat(0)", "nat(s(0))", "nat(s(s(0)))"]
+
 
 class TestUsage:
     def test_missing_file(self, capsys):
@@ -372,3 +386,13 @@ class TestRepl:
             "error: --unfold-depth must not be negative",
             "true",
         ]
+
+
+class TestModuleEntry:
+    def test_python_m_coresolve_runs_the_command(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "coresolve", "run", lp("nat"), "-q", "nat(s(0))", "--mode", "sld"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+

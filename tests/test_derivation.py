@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import const, load_query, mk, replay
-from coresolve import coengine, derivation
+from coresolve import coengine, derivation, unify
 from coresolve.derivation import (
     Limits,
     Status,
@@ -232,19 +232,19 @@ def tree_program() -> str:
 class TestClauseIndex:
     @pytest.mark.parametrize("mode,steps", [("sld", 104), ("cos", 560)])
     def test_renames_only_clauses_that_fit(self, monkeypatch, mode, steps):
-        # A scan of every clause renames all 302 at each selected atom:
-        # about 300 renames per charged step in sld and 110 in cos, at
-        # these same step counts.
+        # A scan of every clause unifies all 302 heads at each selected
+        # atom: about 300 head unifications per charged step in sld and 110
+        # in cos, at these same step counts.
         renames = 0
-        rename = derivation.clause_instance
+        resolve = derivation.resolve_head
 
-        def counted(c, fresh):
+        def counted(c, atom, fresh, matching=False):
             nonlocal renames
             renames += 1
-            return rename(c, fresh)
+            return resolve(c, atom, fresh, matching)
 
-        monkeypatch.setattr(derivation, "clause_instance", counted)
-        monkeypatch.setattr(coengine, "clause_instance", counted)
+        monkeypatch.setattr(derivation, "resolve_head", counted)
+        monkeypatch.setattr(coengine, "resolve_head", counted)
         p, q, fresh = setup(tree_program(), "path(a,b)")
         if mode == "sld":
             result = refute(p, q, "sld", Limits(), fresh)
@@ -301,3 +301,27 @@ class TestGroundShortcut:
         assert result.status is Status.REFUTED
         assert result.steps_used == n + 1
         assert built <= 8 * result.steps_used
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_unification_walks_per_step_do_not_grow_with_depth(self, monkeypatch, n):
+        # Each sld step on nat(s^n(X)) binds the renamed clause variable,
+        # at its first occurrence, to a subterm of the goal.  The occurs
+        # check and the solved form's resolution each walked all of that
+        # subterm anyway: about n nodes per charged step (206 at n = 200,
+        # 806 at n = 800).  Every node they visit goes through one
+        # ``_walk``; now each step makes 3 calls.
+        walks = 0
+        walk = unify._walk
+
+        def counted(t, bind):
+            nonlocal walks
+            walks += 1
+            return walk(t, bind)
+
+        monkeypatch.setattr(unify, "_walk", counted)
+        query = "nat(" + "s(" * n + "X" + ")" * n + ")"
+        p, q, fresh = setup("nat(0). nat(s(X)) :- nat(X).", query)
+        result = refute(p, q, "sld", Limits(), fresh)
+        assert result.status is Status.REFUTED
+        assert result.steps_used == n + 1
+        assert walks <= 8 * result.steps_used

@@ -88,3 +88,16 @@ class TestGfpLocalCheck:
             _, answer = result.answers[0]
             for atom in q:
                 assert gfp_local_check(p, (atom, answer.solved), 8, fresh)
+
+
+class TestTermDepth:
+    def test_depths(self):
+        assert term_depth(zero) == 0 and term_depth(X) == 0
+        assert term_depth(mk("f", s_(zero), X)) == 2
+
+    def test_deep_term_does_not_recurse(self):
+        t = X
+        for _ in range(10_000):
+            t = mk("f", zero, s_(t))
+        assert term_depth(t) == 20_000
+

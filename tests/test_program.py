@@ -209,7 +209,7 @@ class TestClauseInstance:
         p = parse_program("p(X,Y) :- q(X), r(Y).")
         fresh = FreshVars(1000)
         c2 = clause_instance(p.clauses[0], fresh)
-        orig_vars = set(p.clauses[0].variables())
+        orig_vars = set(p.clauses[0].var_positions)
         assert variables_of(c2.head).isdisjoint(orig_vars)
 
     def test_successive_instances_disjoint(self):

@@ -19,6 +19,7 @@ from coresolve.terms import (
     compose,
     cycle_members,
     distance,
+    divergence_depth,
     is_instance,
     is_variant,
     term_to_text,
@@ -45,6 +46,14 @@ class TestTermObjects:
         assert hash(t) == hash((f, (X, zero)))
         for obj in (f, X, t):
             assert not hasattr(obj, "__dict__")
+
+    def test_nullary_structures_are_ground_and_hash_as_before(self):
+        a = Symbol("a", 0)
+        c = Struct(a)
+        assert c._ground and Struct(a, ())._ground
+        assert hash(c) == hash((a, ()))
+        assert c == Struct(Symbol("a", 0)) and c != Struct(Symbol("b", 0))
+        assert s_(c)._ground and not s_(X)._ground
 
     def test_immutable(self):
         for obj, name in ((Symbol("f", 1), "name"), (X, "id"), (s_(X), "args")):
@@ -103,6 +112,13 @@ class TestFreshVars:
         ids = [i for chunk in drawn for i in chunk]
         assert len(ids) == 40_000
         assert len(set(ids)) == 40_000
+
+
+    def test_block_draws_consecutive_ids(self):
+        fresh = FreshVars(5)
+        assert fresh.block(3) == 5
+        assert fresh.block(1) == 8
+        assert fresh.new().id == 9
 
 
 class TestApply:
@@ -235,6 +251,22 @@ class TestDistance:
             b = random_term(rng, 3, pool)
             c = random_term(rng, 3, pool)
             assert distance(a, c) <= max(distance(a, b), distance(b, c))
+
+
+    def test_divergence_depth_is_the_first_differing_truncation(self, rng):
+        pool = var_pool(2)
+        for _ in range(300):
+            a, b = random_term(rng, 4, pool), random_term(rng, 4, pool)
+            differ = [n for n in range(1, 7) if truncate(n, a) != truncate(n, b)]
+            assert divergence_depth(a, b) == (differ[0] if differ else None)
+
+    def test_deep_terms_do_not_recurse(self):
+        a, b, c = zero, zero, const("1")
+        for _ in range(10_000):
+            a, b, c = s_(a), s_(b), s_(c)
+        assert divergence_depth(a, b) is None
+        assert divergence_depth(a, c) == 10_001
+        assert distance(a, c) == Distance(False, 10_001)
 
 
 class TestVariables:

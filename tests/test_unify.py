@@ -1,8 +1,23 @@
 """Matching, unification with occurs check, and rational-tree unification."""
 
-from conftest import const, mk, nodes_bisimilar, random_term, var_pool
+import random
+from collections import Counter
+
+from conftest import (
+    CONSTS,
+    FUNCS,
+    const,
+    mk,
+    nodes_bisimilar,
+    random_program,
+    random_term,
+    seed,
+    var_pool,
+)
+from coresolve.program import Clause, clause_instance
 from coresolve.rational import build_node
 from coresolve.terms import (
+    FreshVars,
     Struct,
     Substitution,
     Var,
@@ -24,6 +39,7 @@ from coresolve.unify import (
     mgu,
     occurs_in,
     rational_unify,
+    resolve_head,
 )
 
 X, Y, Z = Var(1, "X"), Var(2, "Y"), Var(3, "Z")
@@ -367,3 +383,93 @@ class TestGroundShortcuts:
             assert got == want, (a, b)
             kinds.add(got.kind)
         assert kinds == {UnifyKind.MATCHER, UnifyKind.PROPER_UNIFIER, UnifyKind.FAIL}
+
+
+# Goal variables older and younger than every renamed clause variable
+# (those start at RENAMED), so variable-variable bindings go both ways.
+RENAMED = 10**6
+GOAL_VARS = [Var(1, "G1"), Var(2, "G2"), Var(10**9, "Y1"), Var(10**9 + 1, "Y2")]
+
+
+def open_term(rnd, depth):
+    """A random term over the random programs' symbols and GOAL_VARS."""
+    if depth <= 0 or rnd.random() < 0.4:
+        if rnd.random() < 0.5:
+            return rnd.choice(GOAL_VARS)
+        return Struct(rnd.choice(CONSTS))
+    sym = rnd.choice(FUNCS)
+    return Struct(sym, tuple(open_term(rnd, depth - 1) for _ in range(sym.arity)))
+
+
+def goal_for(rnd, head):
+    """An atom of the head's predicate: per argument, a goal variable, a
+    random term, or an instance of the head's argument whose variables
+    become goal variables or random terms."""
+
+    def arg(a):
+        r = rnd.random()
+        if r < 0.25:
+            return rnd.choice(GOAL_VARS)
+        if r < 0.45:
+            return open_term(rnd, 2)
+        image = {v: open_term(rnd, 1) for v in variables_of(a)}
+        return apply_raw(Substitution(image), a)
+
+    return Struct(head.symbol, tuple(arg(a) for a in head.args))
+
+
+def clause_variants(rnd, c):
+    """The clause; the clause with two variables made one (a repeated head
+    variable); and the clause with a variable for one head argument and an
+    extra body atom over a variable only the body has."""
+    out = [c]
+    vs = list(c.var_positions)
+    if len(vs) >= 2:
+        same = Substitution(dict([rnd.sample(vs, 2)]))
+        out.append(Clause(apply_raw(same, c.head), tuple(apply_raw(same, b) for b in c.body)))
+    if vs:
+        args = list(c.head.args)
+        args[rnd.randrange(len(args))] = rnd.choice(vs)
+        sym = c.head.symbol
+        extra = Struct(sym, (Var(10**5, "E"),) * sym.arity)
+        out.append(Clause(Struct(sym, tuple(args)), c.body + (extra,)))
+    return out
+
+
+class TestResolveHead:
+    def test_agrees_with_mgu_and_mgm_on_the_renamed_head(self):
+        rnd = random.Random(seed() + 11)
+        seen: Counter = Counter()
+        for _ in range(150):
+            p, _ = random_program(rnd, FreshVars(10**4))
+            for c in [v for c in p.clauses for v in clause_variants(rnd, c)]:
+                for _ in range(6):
+                    atom = goal_for(rnd, c.head)
+                    for matching in (False, True):
+                        self.check(c, atom, matching, seen)
+        assert seen["occurs check"] >= 20
+        assert seen["clash"] >= 20 and seen["no matcher"] >= 20
+        assert seen[UnifyKind.MATCHER] >= 100 and seen[UnifyKind.PROPER_UNIFIER] >= 100
+        assert seen["goal var bound to copy"] >= 20 and seen["copy bound to goal var"] >= 20
+
+    @staticmethod
+    def check(c, atom, matching, seen):
+        fa, fb = FreshVars(RENAMED), FreshVars(RENAMED)
+        inst = clause_instance(c, fa)
+        want = (mgm if matching else mgu)(inst.head, atom)
+        got = resolve_head(c, atom, fb, matching)
+        assert fa.new().id == fb.new().id
+        if not want.ok:
+            assert got is None, (c, atom, matching)
+            seen[want.reason.split(":")[0]] += 1
+            return
+        assert got is not None, (c, atom, matching)
+        assert got.kind is want.kind
+        assert list(got.substitution.items()) == list(want.substitution.items())
+        assert got.body == tuple(apply_raw(want.substitution, b) for b in inst.body)
+        assert got.renaming.instance() == inst
+        seen[want.kind] += 1
+        copies = {v.id for v in inst.var_positions}
+        for v, t in want.substitution.items():
+            if isinstance(t, Var) and (v.id in copies) != (t.id in copies):
+                seen["copy bound to goal var" if v.id in copies else "goal var bound to copy"] += 1
