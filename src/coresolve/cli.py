@@ -186,24 +186,21 @@ def cmd_run(args, out=None, err=None) -> int:
             return EXIT_CHECK
     if args.mode in ("sld", "s"):
         result = refute(prog, query, args.mode, limits, fresh)
-        # A failed search still has its one trace, so --trace prints a
-        # lone header for it.
-        traces = result.traces
-        answers = [tr.solved for tr in traces]
     else:
         engine_mode = "restricted" if args.mode == "cos" else "colp"
         result = co_refute(prog, query, engine_mode, limits, fresh)
-        traces = [tr for tr, _ in result.answers]
-        answers = [answer.solved for _, answer in result.answers]
     if args.trace != "off":
-        for tr in traces:
-            _emit_trace(tr.steps, args.trace, out)
-    if result.status is Status.REFUTED:
-        query_vars = variables_in_order(query)
-        for k, solved in enumerate(answers):
-            if k:
-                print("", file=out)
-            _print_answer(query_vars, solved, args.unfold_depth, out)
+        traces = [answer.steps for answer in result.answers]
+        # A failed sld or s search prints a lone header.
+        if not traces and args.mode in ("sld", "s"):
+            traces = [()]
+        for steps in traces:
+            _emit_trace(steps, args.trace, out)
+    query_vars = variables_in_order(query)
+    for k, answer in enumerate(result.answers):
+        if k:
+            print("", file=out)
+        _print_answer(query_vars, answer.solved, args.unfold_depth, out)
     return _status_exit(result.status)
 
 

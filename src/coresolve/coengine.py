@@ -19,18 +19,18 @@ ancestors most recent first), then rewriting, then the substitution-plus-
 rewrite production step.  Loop detection must come first, otherwise a
 non-terminating derivation would never reach it.  ``co_refute`` gives these
 rules, in that order, to ``derivation.search``, the search loop all four
-modes share.
+modes share, and returns its ``Result``: each answer's loop uses are its
+LOOP steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Generator, Iterator, Optional, Sequence
 
-from . import rational
-from .derivation import Limits, Move, Status, Step, StepKind
+from .derivation import Limits, Move, Result, Step, StepKind
 from .derivation import _SearchState, clause_moves, search
 from .productivity import ProductivityStatus, check_productive
 from .program import Program, check_universal
@@ -40,7 +40,6 @@ from .terms import (
     Substitution,
     Term,
     apply_raw,
-    variables_in_order,
 )
 from .unify import (
     UnifyKind,
@@ -86,14 +85,6 @@ class LoopFailure:
     reason: LoopFailReason
     atom: Term
     ancestor: Term
-
-
-@dataclass(frozen=True)
-class LoopUse:
-    step_index: int
-    atom: Term
-    ancestor: Term
-    unifier: Substitution
 
 
 def co_rewrite(
@@ -169,30 +160,6 @@ def restricted_loop(
     return rest, theta
 
 
-@dataclass(frozen=True)
-class CoTrace:
-    initial: AnnotatedGoal
-    steps: tuple[Step, ...]
-    mode: str
-
-
-@dataclass
-class CoAnswer:
-    loop_uses: tuple[LoopUse, ...]
-    solved: Substitution  # solved form over the query variables
-
-
-@dataclass
-class CoResult:
-    answers: list[tuple[CoTrace, CoAnswer]]
-    status: Status
-    # Failed restricted_loop calls; candidates co_refute's filters drop
-    # before the call are charged but not listed.
-    loop_failures: list[LoopFailure] = field(default_factory=list)
-    steps_used: int = 0
-    diverged: bool = False
-
-
 def co_replay(g: AnnotatedGoal, steps: Sequence[Step], mode: str) -> list[AnnotatedGoal]:
     """Intermediate annotated goals of a recorded co-derivation."""
     goals = [g]
@@ -237,11 +204,11 @@ def preflight_warnings(p: Program) -> list[str]:
 
 
 def _loop_moves(
-    state: _SearchState, g: AnnotatedGoal, i: int,
-    restricted: bool, failures: list[LoopFailure],
+    state: _SearchState, g: AnnotatedGoal, i: int, restricted: bool
 ) -> Generator[Move, None, bool]:
     """The loops that close at ``g[i]``, trying the most recent ancestor
-    first and charging each attempt.  Returns False if the budget ran out."""
+    first and charging each attempt; failed restricted loops go to
+    ``state.loop_failures``.  Returns False if the budget ran out."""
     entry = g[i]
     atom = entry.atom
     # Cheap filters drop candidates that cannot close a loop before any
@@ -268,7 +235,7 @@ def _loop_moves(
         if restricted:
             res = restricted_loop(g, i, ancestor)
             if isinstance(res, LoopFailure):
-                failures.append(res)
+                state.loop_failures.append(res)
                 continue
             g2, theta = res
         else:
@@ -288,18 +255,14 @@ def co_refute(
     mode: str = "restricted",
     limits: Limits = Limits(),
     fresh: Optional[FreshVars] = None,
-) -> CoResult:
+) -> Result:
     """Depth-first co-S-refutation search, loop > rewrite > production per
     selected atom; returns answers in solved form over the query variables.
     Unlike ``refute``, the search stops at any limit, even after answers."""
     if mode not in ("colp", "restricted"):
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
-    query_vars = variables_in_order(query)
-    initial = annotate(query)
-
     restricted = mode == "restricted"
-    result = CoResult([], Status.FAILED)
     clauses = clause_moves(
         p, ((co_rewrite, 1, True), (co_s_compound, 2, False)), fresh,
         atom_of=attrgetter("atom"),
@@ -307,23 +270,7 @@ def co_refute(
 
     def expand(state: _SearchState, g: AnnotatedGoal, i: int, chain: int) -> Iterator[Move]:
         # The clause moves run only if the loop attempts left some budget.
-        if (yield from _loop_moves(state, g, i, restricted, result.loop_failures)):
+        if (yield from _loop_moves(state, g, i, restricted)):
             yield from clauses(state, g, i, chain)
 
-    def record(steps: tuple[Step, ...]) -> None:
-        seq = [st.subst for st in steps if st.kind in (StepKind.SUBST, StepKind.LOOP)]
-        uses = tuple(
-            LoopUse(i, st.atom, st.ancestor, st.subst)
-            for i, st in enumerate(steps)
-            if st.kind is StepKind.LOOP
-        )
-        solved = rational.solved_answer(query_vars, seq, fresh)
-        result.answers.append(
-            (CoTrace(initial, steps, mode), CoAnswer(uses, solved))
-        )
-
-    state = search(initial, expand, limits, record, stop_at_any_limit=True)
-    result.status = state.status
-    result.steps_used = state.steps_used
-    result.diverged = state.diverged
-    return result
+    return search(query, annotate(query), expand, limits, fresh, stop_at_any_limit=True)

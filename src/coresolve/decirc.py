@@ -8,7 +8,7 @@ passes a cycle variable it enters the next generation of the succession.
 Free variables the circular images mention are renamed per generation —
 each unrolling round of a binding stands for one more clause application,
 which would have introduced its own copies of those variables — and the
-renaming is deterministic (``generation_var``).
+renaming is deterministic (``terms.generation_var``).
 
 ``decircularize`` materializes a finite prefix of the succession as a list
 of non-circular substitutions, one per generation.  Mutually circular
@@ -27,31 +27,16 @@ from __future__ import annotations
 from typing import Optional
 
 from .terms import (
-    TRUNCATED,
     FreshVars,
     Struct,
     Substitution,
     Term,
     Var,
     apply,
-    oldest_on_variable_cycle,
+    generation_var,
     truncate,
+    truncate_value,
 )
-
-# Generation copies get negative ids: deterministic across calls and
-# disjoint from engine-issued (positive) variable ids.
-_GEN_STRIDE = 1 << 20
-
-
-def generation_var(v: Var, gen: int) -> Var:
-    """The generation-``gen`` copy of a free variable (generation 0 is the
-    variable itself)."""
-    if gen == 0:
-        return v
-    if not 0 < gen < _GEN_STRIDE:
-        raise ValueError("generation out of range")
-    base = v.hint or f"_G{v.id}"
-    return Var(-(abs(v.id) * _GEN_STRIDE + gen), f"{base}_{gen}")
 
 
 def unfold(s: Substitution, t: Term, depth: int) -> Term:
@@ -59,68 +44,14 @@ def unfold(s: Substitution, t: Term, depth: int) -> Term:
     ``depth`` become the reserved leaf.  A circular s is unrolled one
     generation per cycle variable the walk passes, and a free variable
     inside a cycle body gets one copy per generation.  A non-circular s is
-    applied once and the result truncated.  An answer is unfolded from its
-    solved form (``rational.solved_answer``)."""
+    applied once and the result truncated.  Both are one iterative walk
+    (``terms.truncate_value``).  An answer is unfolded from its solved form
+    (``rational.solved_answer``)."""
     if depth < 0:
         raise ValueError("unfold depth must be non-negative")
-    if depth == 0:
-        return TRUNCATED
     if not s.circular:
         return truncate(depth, apply(s, t))
-    return _walk(s, t, depth)
-
-
-def _walk(s: Substitution, t: Term, depth: int) -> Term:
-    """The depth-``depth`` truncation of t's value under the circular s, by
-    one iterative walk.  Each position is visited with the generation it
-    belongs to: t itself is generation 0, a bound variable of t moves to
-    generation 1, a cycle variable moves to the next generation and any
-    other bound variable keeps its own; a free variable at generation n is
-    its generation n-1 copy.  A pure variable cycle (X ↦ Y, Y ↦ X) has no
-    structure, and its oldest variable stands for it, as in
-    ``rational._resolve``."""
-    bindings = s.bindings
-    circ = s.cycle_vars()
-    done: list[Term] = []
-    # A tuple is a position still to visit: (term, generation, depth left).
-    # A Struct marks that its arguments are done and it can be rebuilt.
-    work: list = [(t, 0, depth)]
-    while work:
-        item = work.pop()
-        if isinstance(item, Struct):
-            n = len(item.args)
-            args = tuple(done[-n:])
-            del done[-n:]
-            done.append(Struct(item.symbol, args))
-            continue
-        term, gen, left = item
-        if not left:
-            done.append(TRUNCATED)
-            continue
-        seen: Optional[set[Var]] = None
-        while isinstance(term, Var):
-            img = bindings.get(term)
-            if img is None:
-                if gen > 1:
-                    term = generation_var(term, gen - 1)
-                break
-            if isinstance(img, Var):
-                if seen is None:
-                    seen = set()
-                elif term in seen:
-                    term = oldest_on_variable_cycle(term, bindings)
-                    break
-                seen.add(term)
-            if not gen or term in circ:
-                gen += 1
-            term = img
-        if isinstance(term, Var) or not term.args:
-            done.append(term)
-            continue
-        work.append(term)
-        left -= 1
-        work.extend((a, gen, left) for a in reversed(term.args))
-    return done[0]
+    return truncate_value(depth, t, s.bindings, s.cycle_vars())
 
 
 def decircularize(

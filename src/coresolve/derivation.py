@@ -16,7 +16,9 @@ rewriting step with the same clause at the now-instantiated atom.
 
 ``search`` is the one depth-first search loop of all four modes: ``refute``
 runs it with the SLD or S rules, ``coengine.co_refute`` with the colp or
-restricted loop rule ahead of the co-S rules.  Each rule is tried only on
+restricted loop rule ahead of the co-S rules.  It records what it finds in
+one ``Result`` for every mode: an ``Answer`` per refutation, holding the
+refutation's steps and its answer in solved form.  Each rule is tried only on
 the clauses the program's first-argument index (``Program.candidates``)
 offers for the selected atom; the ones it leaves out would fail uncharged,
 so the index changes no step, charge or answer.  A step unifies or matches
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import rational
 from .program import Clause, Program, Renaming
@@ -49,7 +51,6 @@ class Status(Enum):
     REFUTED = "refuted"
     FAILED = "failed"
     LIMIT_EXCEEDED = "limit_exceeded"
-    SUSPENDED = "suspended"
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,28 @@ class Step:
         return None if self.renaming is None else self.renaming.instance()
 
 
-@dataclass(frozen=True)
-class Trace:
-    initial: Goal
+class Answer(NamedTuple):
+    """One refutation: its steps, and its answer in solved form over the
+    query variables (``rational.solved_answer`` of the substitutions of
+    every step but the REWRITE steps, which bind no goal variable).  A
+    loop use is a LOOP step: it carries the atom that closed, the ancestor
+    it closed on and the loop unifier."""
+
     steps: tuple[Step, ...]
+    solved: Substitution
+
+
+class Result(NamedTuple):
+    """What one search found, in every mode.  ``loop_failures`` lists the
+    failed ``coengine.restricted_loop`` calls (candidates the loop filters
+    drop before the call are charged but not listed); it is empty in the
+    other modes."""
+
+    answers: list[Answer]
     status: Status
-    solved: Optional[Substitution]  # a refutation's solved form, else None
-    diverged: bool = False
+    steps_used: int
+    diverged: bool
+    loop_failures: list
 
 
 @dataclass(frozen=True)
@@ -140,14 +156,6 @@ def s_compound(
     return g3, [st1, st2]
 
 
-@dataclass
-class RefuteResult:
-    traces: list[Trace]
-    status: Status
-    steps_used: int = 0
-    diverged: bool = False
-
-
 # A move at a selected atom: the next goal, the step or steps to it, and
 # whether it extends the rewriting chain.
 Move = tuple[Any, Union[Step, list[Step]], bool]
@@ -160,7 +168,8 @@ class _SearchState:
         self.steps_used = 0
         self.limit_hit = False
         self.diverged = False
-        self.answers = 0
+        self.answers: list[Answer] = []
+        self.loop_failures: list = []
 
     def charge(self, n: int) -> bool:
         self.steps_used += n
@@ -171,7 +180,7 @@ class _SearchState:
 
     @property
     def done(self) -> bool:
-        return self.answers >= self.limits.max_answers or (
+        return len(self.answers) >= self.limits.max_answers or (
             self.limit_hit and (self.stop_at_any_limit or not self.answers)
         )
 
@@ -220,20 +229,22 @@ def clause_moves(
 
 
 def search(
-    initial: Sequence, expand: Expand, limits: Limits,
-    record: Callable[[tuple[Step, ...]], None], stop_at_any_limit: bool,
-) -> _SearchState:
+    query: Sequence[Term], initial: Sequence, expand: Expand, limits: Limits,
+    fresh: FreshVars, stop_at_any_limit: bool,
+) -> Result:
     """The depth-first search behind every mode, on an explicit stack.
 
     ``expand(state, g, i, chain)`` yields a mode's moves at the selected
     atom ``g[i]`` in rule order, charging each to ``state`` and ending when
     a charge fails; ``chain`` is the rewriting chain that reached ``g``.
-    ``record`` receives the steps of each refutation.  This is the one place
-    that selects atoms, bounds move depth and decides when to stop: at
-    ``max_answers``, or at a limit -- any limit when ``stop_at_any_limit``,
-    otherwise only while no answer has been found.
+    Each refutation is recorded as an ``Answer`` in solved form over the
+    variables of ``query``, with fresh names from ``fresh``.  This is the
+    one place that selects atoms, bounds move depth and decides when to
+    stop: at ``max_answers``, or at a limit -- any limit when
+    ``stop_at_any_limit``, otherwise only while no answer has been found.
     """
     state = _SearchState(limits, stop_at_any_limit)
+    query_vars = variables_in_order(query)
     path: list[Step] = []
     # One frame per goal on the branch: its moves, its depth in moves, its
     # rewriting chain and the length of ``path`` at it.
@@ -241,8 +252,11 @@ def search(
 
     def enter(g: Sequence, moves: int, chain: int) -> None:
         if not g:
-            state.answers += 1
-            record(tuple(path))
+            steps = tuple(path)
+            substs = [st.subst for st in steps if st.kind is not StepKind.REWRITE]
+            state.answers.append(
+                Answer(steps, rational.solved_answer(query_vars, substs, fresh))
+            )
         elif moves >= limits.max_depth:
             state.limit_hit = True
         else:
@@ -264,7 +278,9 @@ def search(
         else:
             path.extend(taken)
         enter(g2, moves + 1, chain + 1 if rewrite else 0)
-    return state
+    return Result(
+        state.answers, state.status, state.steps_used, state.diverged, state.loop_failures
+    )
 
 
 def refute(
@@ -273,14 +289,13 @@ def refute(
     mode: str = "sld",
     limits: Limits = Limits(),
     fresh: Optional[FreshVars] = None,
-) -> RefuteResult:
+) -> Result:
     """Depth-first, clause-order refutation search.
 
     mode "sld" applies SLD steps; mode "s" applies, per selected atom,
     every rewriting step and every substitution-plus-rewrite compound (one
     S-move each).  Rewriting chains longer than the bound are pruned and
-    reported as divergence.  Each refutation's trace carries its answer in
-    solved form over the query variables.
+    reported as divergence.
     """
     if mode == "sld":
         rules = ((sld_step, 1, False),)
@@ -289,21 +304,5 @@ def refute(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
-    initial: Goal = tuple(query)
-    answers: list[tuple[Step, ...]] = []
     expand = clause_moves(p, rules, fresh)
-    state = search(initial, expand, limits, answers.append, stop_at_any_limit=False)
-    status = state.status
-    query_vars = variables_in_order(query)
-    traces = [
-        Trace(initial, ans, Status.REFUTED, rational.solved_answer(
-            query_vars,
-            [st.subst for st in ans if st.kind in (StepKind.SUBST, StepKind.SLD)],
-            fresh,
-        ))
-        for ans in answers
-    ]
-    if not traces:
-        traces = [Trace(initial, (), status, None, diverged=state.diverged)]
-    return RefuteResult(traces, status, state.steps_used, state.diverged)
-
+    return search(query, tuple(query), expand, limits, fresh, stop_at_any_limit=False)

@@ -5,21 +5,22 @@ derivation is finite.  This module searches all rewriting derivations from
 a set of root atoms up to a depth bound; finding an atom that is a variant
 of one of its own rewriting ancestors proves an infinite rewriting chain
 exists (variant loops always pump, since rewriting never instantiates the
-rest of the goal).  Not finding one proves nothing: the verdict
-``NoLoopFound`` is explicitly inconclusive evidence up to the bound, and
-the root set (one most-general atom per predicate plus every clause head)
-is a pragmatic under-approximation of all goals.
+rest of the goal; Komendantskaya, Johann and Schmidt, LOPSTR 2016).  Not
+finding one proves nothing: the verdict ``NoLoopFound`` is explicitly
+inconclusive evidence up to the bound, and the root set (one most-general
+atom per predicate plus every clause head) is a pragmatic
+under-approximation of all goals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .program import Clause, Program, clause_instance
-from .terms import FreshVars, Struct, Term, apply_raw, is_variant
-from .unify import mgm
+from .program import Clause, Program, Renaming
+from .terms import FreshVars, Struct, Term, Var
+from .unify import resolve_head
 
 
 class ProductivityStatus(Enum):
@@ -53,25 +54,38 @@ class ProductivityVerdict:
     roots: tuple[Term, ...] = ()
 
 
-class GuardOutcome(Enum):
-    CONTINUE = "continue"
-    LOOP_WITNESS = "loop_witness"
+# One rewriting step of the search: the clause index, its renaming, the
+# body index and the body atom it leads to.
+Rewrite = tuple[int, Renaming, int, Term]
 
 
-def guard_rewrite_chain(chain: Sequence[Term], nxt: Term) -> GuardOutcome:
-    """Online check for a rewriting chain: is the next rewritten atom a
-    variant of something already on the chain?  (No engine calls it yet;
-    the engines bound chains by length.)"""
-    if any(is_variant(prev, nxt) for prev in chain):
-        return GuardOutcome.LOOP_WITNESS
-    return GuardOutcome.CONTINUE
+def _variant_key(t: Term) -> object:
+    """A key that two atoms share exactly when they are variants: the atom
+    in preorder, with each variable replaced by the rank of its first
+    occurrence.  Each symbol carries its arity, so the sequence reads back
+    as one term.  A ground atom is its own key."""
+    if t._ground:
+        return t
+    names: dict[Var, int] = {}
+    key: list = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u._ground:
+            key.append(u)
+        elif u.__class__ is Var:
+            key.append(names.setdefault(u, len(names)))
+        else:
+            key.append(u.symbol)
+            stack.extend(reversed(u.args))
+    return tuple(key)
 
 
 def default_roots(p: Program, fresh: FreshVars) -> list[Term]:
     roots: list[Term] = []
     for sym in p.predicates():
         roots.append(Struct(sym, tuple(fresh.new() for _ in range(sym.arity))))
-    # The heads need no renaming: ``explore`` only matches renamed clauses
+    # The heads need no renaming: the search only matches renamed clauses
     # against them, so they share no variable with what they meet.
     roots.extend(c.head for c in p.clauses)
     return roots
@@ -84,47 +98,56 @@ def check_productive(
     fresh: Optional[FreshVars] = None,
 ) -> ProductivityVerdict:
     """Explore all rewriting derivations from the roots up to the bound;
-    depth-first in clause order, so the first witness is deterministic."""
+    depth-first in clause order, so the first witness is deterministic.
+    The search runs on an explicit stack, and finds a repeated variant on
+    the current chain by one lookup of the new atom's variant key."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     fresh = fresh or FreshVars(10**7)
     root_list = list(roots) if roots is not None else default_roots(p, fresh)
 
-    def explore(atom: Term, chain: list[Term], steps: list[WitnessStep]) -> Optional[RewritingWitness]:
+    def rewrites(atom: Term) -> Iterator[Rewrite]:
         for ci in p.candidates(atom, matching=True):
-            clause = clause_instance(p.clauses[ci], fresh)
-            out = mgm(clause.head, atom)
-            if not out.ok:
-                continue
-            sigma = out.substitution
-            assert sigma is not None
-            for bi, b in enumerate(clause.body):
-                child = apply_raw(sigma, b)
-                step = WitnessStep(ci, clause, bi, child)
-                for k, prev in enumerate(chain + [atom]):
-                    if is_variant(prev, child):
-                        return RewritingWitness(
-                            chain[0] if chain else atom,
-                            tuple(steps + [step]),
-                            k,
-                        )
-                if len(chain) + 1 < bound:
-                    got = explore(child, chain + [atom], steps + [step])
-                    if got is not None:
-                        return got
-        return None
+            got = resolve_head(p.clauses[ci], atom, fresh, matching=True)
+            if got is not None:
+                for bi, child in enumerate(got.body):
+                    yield ci, got.renaming, bi, child
 
     for root in root_list:
-        witness = explore(root, [], [])
-        if witness is not None:
-            # Normalize: the witness root is the original root atom.
-            witness = RewritingWitness(root, witness.steps, witness.loop_start)
-            return ProductivityVerdict(
-                ProductivityStatus.NON_PRODUCTIVE,
-                bound,
-                witness,
-                tuple(root_list),
-            )
+        # The current chain: each atom's variant key and its index on the
+        # chain (a repeat ends the search, so the keys are distinct), the
+        # rewrites still to try at each atom, and the step to each atom
+        # after the root.
+        keys = [_variant_key(root)]
+        index = {keys[0]: 0}
+        frames = [rewrites(root)]
+        taken: list[Rewrite] = []
+        while frames:
+            step = next(frames[-1], None)
+            if step is None:
+                frames.pop()
+                del index[keys.pop()]
+                if taken:
+                    taken.pop()
+                continue
+            key = _variant_key(step[3])
+            loop_start = index.get(key)
+            if loop_start is not None:
+                steps = tuple(
+                    WitnessStep(ci, renaming.instance(), bi, child)
+                    for ci, renaming, bi, child in taken + [step]
+                )
+                return ProductivityVerdict(
+                    ProductivityStatus.NON_PRODUCTIVE,
+                    bound,
+                    RewritingWitness(root, steps, loop_start),
+                    tuple(root_list),
+                )
+            if len(keys) < bound:
+                index[key] = len(keys)
+                keys.append(key)
+                frames.append(rewrites(step[3]))
+                taken.append(step)
     return ProductivityVerdict(
         ProductivityStatus.NO_LOOP_FOUND, bound, None, tuple(root_list)
     )

@@ -423,10 +423,6 @@ def clause_to_text(c: Clause) -> str:
     return f"{head} :- " + ",".join(term_to_text(b) for b in c.body) + "."
 
 
-def program_to_text(p: Program) -> str:
-    return "\n".join(clause_to_text(c) for c in p.clauses) + ("\n" if p.clauses else "")
-
-
 def check_universal(p: Program) -> UniversalityReport:
     """Flag each clause whose body mentions variables absent from the head;
     those existential variables break the head-driven answer construction."""

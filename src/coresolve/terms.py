@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
 def immutable_setattr(self: object, *_: object) -> None:
@@ -483,15 +483,78 @@ def truncate(n: int, t: Term) -> Term:
     at depth n become the reserved leaf symbol."""
     if n < 0:
         raise ValueError("truncation depth must be non-negative")
-    return _truncate(n, t)
+    return truncate_value(n, t, {}, frozenset())
 
 
-def _truncate(n: int, t: Term) -> Term:
-    if n == 0:
-        return TRUNCATED
-    if isinstance(t, Var) or not t.args:
-        return t
-    return Struct(t.symbol, tuple(_truncate(n - 1, a) for a in t.args))
+# Generation copies get negative ids: deterministic across calls and
+# disjoint from engine-issued (positive) variable ids.
+_GEN_STRIDE = 1 << 20
+
+
+def generation_var(v: Var, gen: int) -> Var:
+    """The generation-``gen`` copy of a free variable (generation 0 is the
+    variable itself): the copy that ``gen`` unrollings of a circular
+    binding give it (``decirc``)."""
+    if gen == 0:
+        return v
+    if not 0 < gen < _GEN_STRIDE:
+        raise ValueError("generation out of range")
+    base = v.hint or f"_G{v.id}"
+    return Var(-(abs(v.id) * _GEN_STRIDE + gen), f"{base}_{gen}")
+
+
+def truncate_value(
+    n: int, t: Term, bindings: Mapping[Var, Term], cycle_vars: AbstractSet[Var]
+) -> Term:
+    """The depth-``n`` truncation of t's value under ``bindings``, whose
+    cycle variables are ``cycle_vars``, by one iterative walk; with no
+    bindings, the truncation of t itself.  Each position is visited with
+    the generation it belongs to: t itself is generation 0, a bound
+    variable of t moves to generation 1, a cycle variable moves to the next
+    generation and any other bound variable keeps its own; a free variable
+    at generation g is its generation g-1 copy.  A pure variable cycle
+    (X ↦ Y, Y ↦ X) has no structure, and its oldest variable stands for
+    it, as in ``rational._resolve``."""
+    done: list[Term] = []
+    # A tuple is a position still to visit: (term, generation, depth left).
+    # A Struct marks that its arguments are done and it can be rebuilt.
+    work: list = [(t, 0, n)]
+    while work:
+        item = work.pop()
+        if isinstance(item, Struct):
+            k = len(item.args)
+            args = tuple(done[-k:])
+            del done[-k:]
+            done.append(Struct(item.symbol, args))
+            continue
+        term, gen, left = item
+        if not left:
+            done.append(TRUNCATED)
+            continue
+        seen: Optional[set[Var]] = None
+        while isinstance(term, Var):
+            img = bindings.get(term)
+            if img is None:
+                if gen > 1:
+                    term = generation_var(term, gen - 1)
+                break
+            if isinstance(img, Var):
+                if seen is None:
+                    seen = set()
+                elif term in seen:
+                    term = oldest_on_variable_cycle(term, bindings)
+                    break
+                seen.add(term)
+            if not gen or term in cycle_vars:
+                gen += 1
+            term = img
+        if isinstance(term, Var) or not term.args:
+            done.append(term)
+            continue
+        work.append(term)
+        left -= 1
+        work.extend((a, gen, left) for a in reversed(term.args))
+    return done[0]
 
 
 def divergence_depth(s: Term, t: Term) -> Optional[int]:

@@ -1,46 +1,40 @@
 """Executable desk-scale checks of the calculus's metatheory.
 
 ``check_theorem_5_1``: a loop-detected (restricted-mode) answer must be the
-limit of an honest derivation.  We rebuild the derivation by replaying the
-co-trace with the loop steps skipped (their atoms stay open) and then
-driving the open goal forward with deterministic fair S-moves; at every
+limit of an honest derivation.  We rebuild the derivation from the
+answer's steps with the loop steps skipped (their atoms stay open) and then
+drive the open goal forward with deterministic fair S-moves; at every
 depth d the truncation of the accumulated partial answer must equal the
 depth-d unfolding of the loop answer, up to variable renaming.
 
-``check_lemma_4_1``: along such a derivation the partial answers converge
-monotonically to the answer's unfolding in the ultrametric distance.
-
-Both checks refuse programs that fail the universality or productivity
-preconditions, since the properties are only promised under them.
+The check refuses programs that fail the universality or productivity
+preconditions, since the property is only promised under them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import decirc
-from .coengine import CoAnswer, CoTrace, co_refute
+from .coengine import annotate, co_refute, co_replay
 from .derivation import (
+    Answer,
     Goal,
     Limits,
     Status,
     Step,
     StepKind,
-    apply_to_goal,
     rewrite_step,
     s_compound,
 )
 from .productivity import ProductivityStatus, check_productive
 from .program import Program, check_universal
 from .terms import (
-    Distance,
     FreshVars,
     Struct,
     Symbol,
     Term,
     apply_raw,
-    distance,
     is_variant,
     truncate,
 )
@@ -78,46 +72,34 @@ def _require_preconditions(p: Program) -> None:
 
 def build_loop_unrolling(
     p: Program,
-    trace: CoTrace,
+    query: Sequence[Term],
+    answer: Answer,
+    mode: str,
     rounds: int,
     fresh: Optional[FreshVars] = None,
 ) -> tuple[Goal, list[Step]]:
-    """An S-derivation continuing past the loop points of a co-trace.
+    """An S-derivation continuing past the loop points of a co-refutation.
 
-    The co-trace prefix is replayed with loop steps dropped (the looped
-    atoms stay in the goal); the resulting goal is then driven by
-    deterministic fair S-moves (first applicable clause, round-robin atom
-    selection) until ``rounds`` substitution steps have been produced.
-    Returns the initial plain goal and the full step list.
+    The answer's steps are kept with the loop steps dropped, so the looped
+    atoms stay in the goal; that goal is then driven by deterministic fair
+    S-moves (first applicable clause, round-robin atom selection) until
+    ``rounds`` substitution steps have been produced.  Returns the initial
+    plain goal and the full step list.
     """
-    if trace.mode != "restricted":
+    if mode != "restricted":
         raise ValidationRefused(
             "loop unrolling is only justified for restricted-mode traces"
         )
     fresh = fresh or FreshVars(10**6)
-    initial: Goal = tuple(e.atom for e in trace.initial)
-    # Replay with the co-trace's own goal shape (loop steps removed their
-    # atom, so the recorded indices assume removal); the looped atoms are
-    # set aside and re-opened afterwards, with every later substitution
-    # applied to them just as the engine applied it to the live goal.
-    goal = initial
-    kept: list[Term] = []
-    steps: list[Step] = []
-    for st in trace.steps:
-        i = st.atom_index
-        if st.kind is StepKind.LOOP:
-            kept.append(goal[i])
-            goal = goal[:i] + goal[i + 1 :]
-            continue
-        if st.kind is StepKind.SUBST:
-            goal = apply_to_goal(st.subst, goal)
-            kept = [apply_raw(st.subst, a) for a in kept]
-        else:
-            assert st.clause is not None
-            body = tuple(apply_raw(st.subst, b) for b in st.clause.body)
-            goal = goal[:i] + body + goal[i + 1 :]
-        steps.append(st)
-    goal = goal + tuple(kept)
+    initial: Goal = tuple(query)
+    steps = [st for st in answer.steps if st.kind is not StepKind.LOOP]
+    # The looped atoms, appended behind the query, are the goal the
+    # refutation leaves: every step acts at an index in front of them, and
+    # each substitution step reaches them just as it reached the live goal.
+    # Substitutions from before a loop leave its atom as it is, since a
+    # substitution step's bindings are applied to the whole goal.
+    looped = annotate([st.atom for st in answer.steps if st.kind is StepKind.LOOP])
+    goal = tuple(e.atom for e in co_replay(annotate(query) + looped, answer.steps, mode)[-1])
 
     # Drive the goal as a queue: always serve the first atom, and rotate the
     # atoms a step introduces to the back.  This is fair — a coinductive
@@ -162,12 +144,11 @@ def build_loop_unrolling(
     return initial, steps
 
 
-@dataclass
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     query: Term
-    answer: Optional[CoAnswer]
-    steps: list[Step] = field(default_factory=list)
-    table: list[tuple[int, Term, Term, bool]] = field(default_factory=list)
+    answer: Optional[Answer]  # None when the refutation closed no loop
+    steps: list[Step]
+    table: list[tuple[int, Term, Term, bool]]
 
     @property
     def agrees(self) -> bool:
@@ -176,14 +157,13 @@ class CorrespondenceReport:
 
 def _first_restricted_answer(
     p: Program, query: Sequence[Term], limits: Limits, fresh: FreshVars
-) -> tuple[CoTrace, CoAnswer]:
+) -> Optional[Answer]:
+    """The first restricted-mode answer, or None if it closed no loop."""
     result = co_refute(p, query, "restricted", limits, fresh)
     if result.status is not Status.REFUTED:
         raise ValidationRefused("no restricted-mode refutation to validate")
-    trace, answer = result.answers[0]
-    if not answer.loop_uses:
-        raise ValidationRefused("the refutation used no loop detection")
-    return trace, answer
+    answer = result.answers[0]
+    return answer if any(st.kind is StepKind.LOOP for st in answer.steps) else None
 
 
 def check_theorem_5_1(
@@ -199,53 +179,16 @@ def check_theorem_5_1(
     _require_preconditions(p)
     fresh = fresh or FreshVars(10**6)
     qt = _query_term(query)
-    try:
-        trace, answer = _first_restricted_answer(p, query, limits, fresh)
-    except ValidationRefused as exc:
-        if "no loop detection" in str(exc):
-            return CorrespondenceReport(qt, None)
-        raise
-    _, steps = build_loop_unrolling(p, trace, rounds, fresh)
+    answer = _first_restricted_answer(p, query, limits, fresh)
+    if answer is None:
+        return CorrespondenceReport(qt, None, [], [])
+    _, steps = build_loop_unrolling(p, query, answer, "restricted", rounds, fresh)
     partial = qt
     for st in steps:
         partial = apply_raw(st.subst, partial)
-    report = CorrespondenceReport(qt, answer, steps)
+    table = []
     for d in range(1, d_max + 1):
         lhs = truncate(d, partial)
         rhs = decirc.unfold(answer.solved, qt, d)
-        report.table.append((d, lhs, rhs, is_variant(lhs, rhs)))
-    return report
-
-
-def check_lemma_4_1(
-    p: Program,
-    query: Sequence[Term],
-    steps_count: int = 20,
-    d: int = 8,
-    limits: Limits = Limits(),
-    fresh: Optional[FreshVars] = None,
-) -> tuple[bool, list[tuple[int, Distance]]]:
-    """Distances from partial answers to the depth-d answer proxy must
-    strictly decrease on a subsequence covering every index and reach 0."""
-    _require_preconditions(p)
-    fresh = fresh or FreshVars(10**6)
-    qt = _query_term(query)
-    trace, answer = _first_restricted_answer(p, query, limits, fresh)
-    proxy = decirc.unfold(answer.solved, qt, d)
-    _, steps = build_loop_unrolling(p, trace, steps_count, fresh)
-    table: list[tuple[int, Distance]] = []
-    partial = qt
-    table.append((0, distance(proxy, truncate(d, partial))))
-    for k, st in enumerate(steps, start=1):
-        partial = apply_raw(st.subst, partial)
-        table.append((k, distance(proxy, truncate(d, partial))))
-    ok = True
-    for i, (_, di) in enumerate(table):
-        if di.zero:
-            continue
-        if not any(dj < di for _, dj in table[i + 1 :]):
-            ok = False
-            break
-    if table and not table[-1][1].zero:
-        ok = False
-    return ok, table
+        table.append((d, lhs, rhs, is_variant(lhs, rhs)))
+    return CorrespondenceReport(qt, answer, steps, table)

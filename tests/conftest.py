@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from coresolve.derivation import StepKind, apply_to_goal
-from coresolve.program import Clause, Program, parse_program, parse_query
+from coresolve import validation
+from coresolve.decirc import unfold
+from coresolve.derivation import Limits, StepKind, apply_to_goal
+from coresolve.program import Clause, Program, clause_to_text, parse_program, parse_query
 from coresolve.rational import minimize, reachable
 from coresolve.terms import (
     FreshVars,
@@ -23,6 +25,8 @@ from coresolve.terms import (
     Var,
     apply,
     apply_raw,
+    distance,
+    truncate,
     variables_in_order,
 )
 
@@ -208,3 +212,40 @@ def random_program(rnd, fresh, consts=CONSTS, funcs=FUNCS):
                     body.append(Struct(q, args))
             clauses.append(Clause(head, tuple(body)))
     return Program(tuple(clauses)), preds
+
+
+def program_to_text(p: Program) -> str:
+    """The program as source text, one clause a line."""
+    return "\n".join(clause_to_text(c) for c in p.clauses) + ("\n" if p.clauses else "")
+
+
+def check_lemma_4_1(p, query, steps_count=20, d=8, limits=Limits(), fresh=None):
+    """Lemma 4.1 along the derivation ``check_theorem_5_1`` rebuilds: the
+    distances from its partial answers to the depth-d answer proxy must
+    strictly decrease on a subsequence covering every index and reach 0.
+    Returns the verdict and the table of (step, distance)."""
+    validation._require_preconditions(p)
+    fresh = fresh or FreshVars(10**6)
+    qt = validation._query_term(query)
+    answer = validation._first_restricted_answer(p, query, limits, fresh)
+    assert answer is not None, "the refutation closed no loop"
+    proxy = unfold(answer.solved, qt, d)
+    _, steps = validation.build_loop_unrolling(
+        p, query, answer, "restricted", steps_count, fresh
+    )
+    table = []
+    partial = qt
+    table.append((0, distance(proxy, truncate(d, partial))))
+    for k, st in enumerate(steps, start=1):
+        partial = apply_raw(st.subst, partial)
+        table.append((k, distance(proxy, truncate(d, partial))))
+    ok = True
+    for i, (_, di) in enumerate(table):
+        if di.zero:
+            continue
+        if not any(dj < di for _, dj in table[i + 1 :]):
+            ok = False
+            break
+    if table and not table[-1][1].zero:
+        ok = False
+    return ok, table

@@ -22,11 +22,13 @@ from conftest import (
     FUNCS,
     PROGRAMS,
     apply_prefix,
+    check_lemma_4_1,
     const,
     load,
     load_query,
     ground_term,
     mk,
+    program_to_text,
     random_program,
     random_term,
     seed,
@@ -35,7 +37,7 @@ from conftest import (
 from coresolve.cli import main
 from coresolve.coengine import LoopFailReason, co_refute
 from coresolve.decirc import decircularize, unfold
-from coresolve.derivation import Limits, Status, refute
+from coresolve.derivation import Limits, Status, StepKind, refute
 from coresolve.models import gfp_local_check, lfp_enumerate
 from coresolve.productivity import ProductivityStatus, check_productive
 from coresolve.program import (
@@ -44,7 +46,6 @@ from coresolve.program import (
     check_universal,
     clause_instance,
     parse_program,
-    program_to_text,
 )
 from coresolve.terms import (
     FreshVars,
@@ -63,7 +64,7 @@ from coresolve.terms import (
     variables_of,
 )
 from coresolve.unify import UnifyKind, mgm, mgu, rational_unify
-from coresolve.validation import check_lemma_4_1, check_theorem_5_1
+from coresolve.validation import check_theorem_5_1
 
 
 def lp(name):
@@ -76,7 +77,7 @@ def co_run(name, query, mode, **lim):
 
 
 def solved_text(result):
-    _, answer = result.answers[0]
+    answer = result.answers[0]
     return {v.display: term_to_text(t) for v, t in answer.solved.items()}
 
 
@@ -110,7 +111,7 @@ class TestCriterion1CorpusMatrix:
             "X": "cons(get(0),X)",
             "Y": "cons(0,Y)",
         }
-        _, answer = result.answers[0]
+        answer = result.answers[0]
         x = variables_in_order(q)[0]
         unfolded = unfold(answer.solved, x, 6)
         assert term_to_text(unfolded).startswith("cons(get(0),cons(get(0),")
@@ -162,7 +163,7 @@ class TestCriterion1CorpusMatrix:
     def test_r_program_restricted_answer(self):
         result, q = co_run("r", "r(X,Y)", "restricted")
         assert result.status is Status.REFUTED
-        _, answer = result.answers[0]
+        answer = result.answers[0]
         # The answer binds, up to renaming, A to f(A,B,C) and B to s(B);
         # over the query variables that reads X=f(X,Y,_), Y=s(Y).
         x, y = variables_in_order(q)
@@ -172,8 +173,8 @@ class TestCriterion1CorpusMatrix:
             Substitution({a: x, b: y}), mk("pair", mk("f", a, b, c), mk("s", b))
         )
         assert is_variant(got, want), term_to_text(got)
-        (use,) = answer.loop_uses
-        assert use.unifier.circular
+        (use,) = [st for st in answer.steps if st.kind is StepKind.LOOP]
+        assert use.subst.circular
 
     def test_fibs_violation_and_limit(self):
         p, _, _ = load_query("fibs", "fibs(0,s(0),F)")
@@ -222,9 +223,8 @@ def answers_of(p, query, mode, limits, fresh):
     result = refute(p, [query], mode, limits, fresh)
     qvars = variables_in_order([query])
     answers = [
-        apply_raw(answer_substitution(tr.steps, qvars), query)
-        for tr in result.traces
-        if tr.status is Status.REFUTED
+        apply_raw(answer_substitution(answer.steps, qvars), query)
+        for answer in result.answers
     ]
     # The search reports LIMIT_EXCEEDED as soon as any branch hits a
     # bound, so only limit-free runs enumerate their tree exhaustively.
@@ -634,6 +634,6 @@ class TestCriterion7ModelOracle:
         p, q, fresh = load_query(name, query)
         result = co_refute(p, q, "restricted", Limits(), fresh)
         assert result.status is Status.REFUTED
-        _, answer = result.answers[0]
+        answer = result.answers[0]
         for atom in q:
             assert gfp_local_check(p, (atom, answer.solved), 8, fresh)

@@ -107,7 +107,7 @@ class TestRun:
         # then printing ran it once on the solved form.
         p, q, fresh = load_query("r", "r(X,Y)")
         result = co_refute(p, q, "restricted", Limits(), fresh)
-        _, answer = result.answers[0]
+        answer = result.answers[0]
         calls = 0
         analysis = terms.cycle_members
 

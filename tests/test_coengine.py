@@ -42,7 +42,7 @@ def setup(text, query):
 def answers_text(result):
     return [
         {v.display: term_to_text(t) for v, t in a.solved.items()}
-        for _, a in result.answers
+        for a in result.answers
     ]
 
 
@@ -194,20 +194,20 @@ class TestCoRefute:
         p, q, fresh = load_query("r", "r(X,Y)")
         result = co_refute(p, q, "restricted", Limits(), fresh)
         assert result.status is Status.REFUTED
-        (answer,) = [a for _, a in result.answers]
-        assert len(answer.loop_uses) == 1
+        (answer,) = result.answers
+        assert [st.kind for st in answer.steps].count(StepKind.LOOP) == 1
         text = {v.display: term_to_text(t) for v, t in answer.solved.items()}
         assert text == {"X": "f(X,Y,C)", "Y": "s(Y)"}
 
     def test_trace_replay_and_ancestor_discipline(self):
         p, q, fresh = load_query("server", "resource(X,Y), zeros(Y)")
         result = co_refute(p, q, "restricted", Limits(), fresh)
-        trace, _ = result.answers[0]
-        goals = co_replay(trace.initial, trace.steps, "restricted")
+        answer = result.answers[0]
+        goals = co_replay(annotate(q), answer.steps, "restricted")
         assert goals[-1] == ()
         # Every ancestor entered the list as the selected atom of an
         # earlier rewriting step on that entry's chain.
-        for k, st in enumerate(trace.steps):
+        for k, st in enumerate(answer.steps):
             if st.kind is StepKind.REWRITE:
                 entry = goals[k][st.atom_index]
                 replayed = goals[k + 1]
@@ -345,7 +345,7 @@ def nat_term(n):
 
 
 class TestSameBehaviour:
-    """The search records loop uses without replaying the derivation, and
+    """The search records loop steps without replaying the derivation, and
     drops loop candidates through cheap filters; neither may show."""
 
     def test_corpus_queries_cover_every_program(self):
@@ -357,15 +357,14 @@ class TestSameBehaviour:
         p, q, fresh = load_query(name, CORPUS_QUERIES[name])
         limits = Limits(max_answers=5, max_steps=500)
         result = co_refute(p, q, mode, limits, fresh)
-        for trace, answer in result.answers:
-            goals = co_replay(trace.initial, trace.steps, mode)
-            loops = [k for k, st in enumerate(trace.steps) if st.kind is StepKind.LOOP]
-            assert [use.step_index for use in answer.loop_uses] == loops
-            for use in answer.loop_uses:
-                st = trace.steps[use.step_index]
-                assert use.atom == goals[use.step_index][st.atom_index].atom
-                assert use.ancestor == st.ancestor
-                assert use.unifier == st.subst
+        for answer in result.answers:
+            goals = co_replay(annotate(q), answer.steps, mode)
+            assert goals[-1] == ()
+            for k, st in enumerate(answer.steps):
+                if st.kind is StepKind.LOOP:
+                    entry = goals[k][st.atom_index]
+                    assert st.atom == entry.atom
+                    assert st.ancestor in entry.ancestors
 
     def test_corpus_yields_loop_uses_in_both_modes(self):
         # Guards the test above against passing vacuously.
@@ -373,14 +372,16 @@ class TestSameBehaviour:
             p, q, fresh = load_query("server", CORPUS_QUERIES["server"])
             result = co_refute(p, q, mode, Limits(max_answers=5), fresh)
             assert len(result.answers) == 5
-            assert all(len(a.loop_uses) == 2 for _, a in result.answers)
+            assert all(
+                [st.kind for st in a.steps].count(StepKind.LOOP) == 2 for a in result.answers
+            )
 
     def test_colp_closes_ground_atom_on_equal_ancestor(self):
         p, q, fresh = load_query("bad", "bad(f(a))")
         result = co_refute(p, q, "colp", Limits(), fresh)
         assert result.status is Status.REFUTED
-        (_, answer), = result.answers
-        (use,) = answer.loop_uses
+        (answer,) = result.answers
+        (use,) = [st for st in answer.steps if st.kind is StepKind.LOOP]
         assert use.atom == use.ancestor == q[0]
 
     # Steps charged before the loop filters existed.  N = 64 and 96 hit the

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import apply_prefix, const, mk, random_term, var_pool
-from coresolve.decirc import decircularize, generation_var, unfold
+from coresolve.decirc import decircularize, unfold
 from coresolve.rational import build_node, solved_answer
 from coresolve.terms import (
     TRUNCATED,
@@ -11,6 +11,7 @@ from coresolve.terms import (
     Substitution,
     Var,
     apply,
+    generation_var,
     iter_subterms,
     term_to_text,
     truncate,

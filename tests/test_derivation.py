@@ -136,13 +136,13 @@ class TestSStep:
         p, g, fresh = setup(NATS, "nat(s(X))")
         result = refute(p, g, "s", Limits(), fresh)
         assert result.status is Status.REFUTED
-        kinds = [st.kind for st in result.traces[0].steps]
+        kinds = [st.kind for st in result.answers[0].steps]
         assert kinds == [StepKind.REWRITE, StepKind.SUBST, StepKind.REWRITE]
 
     def test_ground_goal_closes(self):
         p, g, fresh = setup(NATS, "nat(s(0))")
         result = refute(p, g, "s", Limits(), fresh)
-        steps = result.traces[0].steps
+        steps = result.answers[0].steps
         assert replay(g, steps)[-1] == ()
         # Rewriting consumed nat(s(0)) -> nat(0) and the fact closed the
         # goal without a substitution step.
@@ -152,7 +152,7 @@ class TestSStep:
         p, g, fresh = setup(BAD, "bad(f(X))")
         result = refute(p, g, "s", Limits(max_rewrite_chain=1), fresh)
         assert result.status is Status.LIMIT_EXCEEDED
-        assert result.diverged and result.traces[0].diverged
+        assert result.diverged and not result.answers
         assert result.steps_used == 1
 
 
@@ -176,13 +176,13 @@ class TestRefute:
     def test_trace_replay_reaches_empty_goal(self):
         p, g, fresh = setup(NATS, "nat(s(s(0)))")
         result = refute(p, g, "s", Limits(), fresh)
-        goals = replay(g, result.traces[0].steps)
+        goals = replay(g, result.answers[0].steps)
         assert goals[0] == g and goals[-1] == ()
 
     def test_answer_binds_query_vars(self):
         p, g, fresh = setup(NATS, "nat(X)")
         result = refute(p, g, "sld", Limits(), fresh)
-        st = result.traces[0].steps[0]
+        st = result.answers[0].steps[0]
         assert st.subst.get(variables_in_order(g)[0]) == zero
 
 

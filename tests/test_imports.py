@@ -1,14 +1,23 @@
-"""Every module of the engine uses every name it imports.
+"""Every module of the engine uses every name it imports, and every
+top-level function and class of the engine is used by other engine code.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included; ``__init__.py`` is left out because it imports to
-re-export.  Only the standard library's ``ast`` is needed.
+re-export.  A definition counts as used when code outside its own body
+refers to it: by name, where it is defined or imported, or as an attribute
+of its module (``rational.solved_answer``).  Imports and docstrings do not
+count.  Only the standard library's ``ast`` is needed.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coresolve"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coresolve"
+
+# Definitions that only the tests and the benchmark use and that are
+# neither exported nor traced: {"module.name": "the reason it stays"}.
+USED_OUTSIDE_SRC: dict[str, str] = {}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +53,103 @@ class TestUnusedImports:
             and (unused := unused_imports(path.read_text(encoding="utf-8")))
         }
         assert found == {}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level function or class in ``sources``
+    (module name -> source text of a package's modules) that no code
+    outside its own body refers to."""
+    referenced: dict[tuple[str, str], set[tuple[str, int]]] = {}
+    defined: list[tuple[str, str, int]] = []
+    for module, source in sources.items():
+        body = ast.parse(source).body
+        names: dict[str, tuple[str, str]] = {}  # imported name -> (module, name)
+        packages: set[str] = set()  # names bound to sibling modules
+        for node in body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        packages.add(local)
+                    else:
+                        names[local] = (node.module, alias.name)
+        for index, node in enumerate(body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, index))
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    target = names.get(n.id, (module, n.id))
+                elif (
+                    isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id in packages
+                ):
+                    target = (n.value.id, n.attr)
+                else:
+                    continue
+                referenced.setdefault(target, set()).add((module, index))
+    return [
+        f"{module}.{name}"
+        for module, name, index in defined
+        if not referenced.get((module, name), set()) - {(module, index)}
+    ]
+
+
+def public_and_traced() -> set[str]:
+    """``module.name`` of the names ``coresolve.__all__`` exports and of the
+    functions ``bench/tracing.py`` wraps (its ``TRACED``), read as source."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in init
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+    ]
+    out = {
+        f"{node.module}.{alias.name}"
+        for node in init
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in exported
+    }
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8")).body
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tracing
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED"
+    ]
+    return out | {f"{module}.{name}" for module, name in traced}
+
+
+def src_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+class TestUnreferencedDefinitions:
+    def test_detects_test_only_definitions(self):
+        sources = {
+            "a": (
+                "from .b import used\n"
+                "from . import c\n"
+                "def f():\n"
+                "    \"\"\"Mentions helper() in a docstring only.\"\"\"\n"
+                "    return f() + used() + c.g()\n"
+                "class K:\n"
+                "    pass\n"
+                "x: K\n"
+            ),
+            "b": "def used():\n    return 1\ndef helper():\n    return used()\n",
+            "c": "def g():\n    return 2\n",
+        }
+        assert unreferenced_definitions(sources) == ["a.f", "b.helper"]
+
+    def test_src_definitions_are_used_in_src(self):
+        unused = set(unreferenced_definitions(src_sources())) - public_and_traced()
+        assert unused - set(USED_OUTSIDE_SRC) == set()
+
+    def test_exemptions_are_needed(self):
+        unused = set(unreferenced_definitions(src_sources())) - public_and_traced()
+        assert set(USED_OUTSIDE_SRC) <= unused
+
+    def test_exempt_names_are_read(self):
+        exempt = public_and_traced()
+        assert {"derivation.refute", "terms.truncate", "coengine.co_replay"} <= exempt

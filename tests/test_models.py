@@ -85,7 +85,7 @@ class TestGfpLocalCheck:
             p, q, fresh = load_query(name, query)
             result = co_refute(p, q, "restricted", Limits(), fresh)
             assert result.status is Status.REFUTED
-            _, answer = result.answers[0]
+            answer = result.answers[0]
             for atom in q:
                 assert gfp_local_check(p, (atom, answer.solved), 8, fresh)
 

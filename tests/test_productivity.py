@@ -1,17 +1,47 @@
 """Bounded productivity check: loop witnesses and their pumping."""
 
-from conftest import load, mk
+import random
+import sys
+from enum import Enum
+from typing import Sequence
+
+from conftest import load, mk, random_term, seed, var_pool
 from coresolve.productivity import (
-    GuardOutcome,
     ProductivityStatus,
+    RewritingWitness,
+    WitnessStep,
+    _variant_key,
     check_productive,
-    guard_rewrite_chain,
+    default_roots,
 )
-from coresolve.program import parse_program
-from coresolve.terms import FreshVars, Var, apply_raw, is_variant
+from coresolve.program import clause_instance, parse_program
+from coresolve.terms import (
+    FreshVars,
+    Struct,
+    Substitution,
+    Symbol,
+    Term,
+    Var,
+    apply_raw,
+    is_variant,
+    term_to_text,
+)
 from coresolve.unify import mgm
 
 X, Y = Var(1, "X"), Var(2, "Y")
+
+
+class GuardOutcome(Enum):
+    CONTINUE = "continue"
+    LOOP_WITNESS = "loop_witness"
+
+
+def guard_rewrite_chain(chain: Sequence[Term], nxt: Term) -> GuardOutcome:
+    """Online check for a rewriting chain: is the next rewritten atom a
+    variant of something already on the chain?"""
+    if any(is_variant(prev, nxt) for prev in chain):
+        return GuardOutcome.LOOP_WITNESS
+    return GuardOutcome.CONTINUE
 
 
 class TestVerdicts:
@@ -130,3 +160,136 @@ class TestExhaustiveness:
             return False
 
         return any(grow(r, []) for r in roots)
+
+
+def reference_check(p, bound, fresh):
+    """The recursive search ``check_productive`` replaced: renames every
+    candidate clause, matches its head, and compares each new atom with
+    every atom on the chain.  Returns the verdict's status and witness."""
+
+    def explore(atom, chain, steps):
+        for ci in p.candidates(atom, matching=True):
+            clause = clause_instance(p.clauses[ci], fresh)
+            out = mgm(clause.head, atom)
+            if not out.ok:
+                continue
+            for bi, b in enumerate(clause.body):
+                child = apply_raw(out.substitution, b)
+                step = WitnessStep(ci, clause, bi, child)
+                for k, prev in enumerate(chain + [atom]):
+                    if is_variant(prev, child):
+                        return RewritingWitness(None, tuple(steps + [step]), k)
+                if len(chain) + 1 < bound:
+                    got = explore(child, chain + [atom], steps + [step])
+                    if got is not None:
+                        return got
+        return None
+
+    for root in default_roots(p, fresh):
+        witness = explore(root, [], [])
+        if witness is not None:
+            return ProductivityStatus.NON_PRODUCTIVE, (root, witness.steps, witness.loop_start)
+    return ProductivityStatus.NO_LOOP_FOUND, None
+
+
+def random_rewriting_program(rnd: random.Random) -> str:
+    """A small program whose clauses often rewrite an atom to a variant of
+    an earlier one: heads over variables, constants and s/1 or c/2, bodies
+    over the head's variables."""
+    preds = [(f"p{i}", rnd.choice([1, 2])) for i in range(rnd.randint(1, 3))]
+    lines = []
+    for name, arity in preds:
+        for _ in range(rnd.randint(1, 3)):
+            vs: list[str] = []
+
+            def head_arg():
+                r = rnd.random()
+                if r < 0.15:
+                    return rnd.choice(["0", "a"])
+                if r < 0.45:
+                    vs.append(f"V{len(vs)}")
+                    return vs[-1]
+                new = [f"V{len(vs) + k}" for k in range(rnd.choice([1, 2]))]
+                vs.extend(new)
+                return ("s(" if len(new) == 1 else "c(") + ",".join(new) + ")"
+
+            def body_arg():
+                r = rnd.random()
+                if vs and r < 0.6:
+                    return rnd.choice(vs)
+                if vs and r < 0.8:
+                    return f"s({rnd.choice(vs)})"
+                return rnd.choice(["0", "a", "W"])
+
+            head = f"{name}({','.join(head_arg() for _ in range(arity))})"
+            body = [
+                f"{q}({','.join(body_arg() for _ in range(qa))})"
+                for q, qa in rnd.sample(preds, rnd.choice([0, 1, 1, min(2, len(preds))]))
+            ]
+            lines.append(head + (" :- " + ", ".join(body) if body else "") + ".")
+    return "\n".join(lines) + "\n"
+
+
+class TestSameVerdicts:
+    def test_matches_the_recursive_search(self):
+        rnd = random.Random(seed())
+        seen = set()
+        for _ in range(150):
+            text = random_rewriting_program(rnd)
+            for bound in (2, 5, 8):
+                p = parse_program(text, FreshVars())
+                fresh, fresh_ref = FreshVars(10**7), FreshVars(10**7)
+                verdict = check_productive(p, bound=bound, fresh=fresh)
+                status, witness = reference_check(p, bound, fresh_ref)
+                assert verdict.status is status, text
+                seen.add(status)
+                if witness is not None:
+                    root, steps, loop_start = witness
+                    w = verdict.witness
+                    assert (w.root, w.steps, w.loop_start) == (root, steps, loop_start), text
+                # The same fresh ids were drawn, in the same order.
+                assert fresh.new() == fresh_ref.new()
+        assert seen == set(ProductivityStatus)
+
+    def test_variant_key(self):
+        rnd = random.Random(seed())
+        pool = var_pool(4)
+        p = Symbol("p", 2)
+        outcomes = set()
+        for _ in range(400):
+            a = Struct(p, (random_term(rnd, 2, pool), random_term(rnd, 2, pool)))
+            # A renaming of a's variables onto the pool, often merging two.
+            b = apply_raw(Substitution({v: rnd.choice(pool) for v in pool}), a)
+            variant = is_variant(a, b)
+            assert (_variant_key(a) == _variant_key(b)) == variant
+            outcomes.add(variant)
+        assert outcomes == {True, False}
+
+
+def nat_fact(n):
+    return "p(" + "s(" * n + "0" + ")" * n + ")"
+
+
+class TestDeepChains:
+    # Chains of 3,000 atoms: one Python frame per atom would pass the
+    # default recursion limit.
+
+    def chain_root(self, fresh):
+        return parse_program(f"{nat_fact(3000)}.", fresh).clauses[0].head
+
+    def test_long_chain_without_a_loop(self):
+        fresh = FreshVars()
+        p = parse_program("p(s(X)) :- p(X).\n", fresh)
+        verdict = check_productive(p, roots=[self.chain_root(fresh)], bound=5000, fresh=fresh)
+        assert verdict.status is ProductivityStatus.NO_LOOP_FOUND
+        assert 3000 > sys.getrecursionlimit()
+
+    def test_witness_at_the_end_of_a_long_chain(self):
+        fresh = FreshVars()
+        p = parse_program("p(s(X)) :- p(X).\np(0) :- p(0).\n", fresh)
+        verdict = check_productive(p, roots=[self.chain_root(fresh)], bound=5000, fresh=fresh)
+        w = verdict.witness
+        assert verdict.status is ProductivityStatus.NON_PRODUCTIVE
+        assert (len(w.steps), w.loop_start) == (3001, 3000)
+        assert term_to_text(w.steps[-1].atom) == "p(0)"
+        assert [st.clause_index for st in w.steps] == [0] * 3000 + [1]

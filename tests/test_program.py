@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import load
+from conftest import load, program_to_text
 from coresolve.program import (
     Clause,
     ParseError,
@@ -11,7 +11,6 @@ from coresolve.program import (
     clause_instance,
     parse_program,
     parse_query,
-    program_to_text,
 )
 from coresolve.terms import FreshVars, Struct, Symbol, Var, variables_of
 

@@ -229,6 +229,15 @@ class TestTruncate:
         with pytest.raises(ValueError):
             truncate(-1, zero)
 
+    def test_deep_terms_do_not_recurse(self):
+        t = zero
+        for _ in range(10_000):
+            t = s_(t)
+        assert truncate(10_001, t) == t
+        cut = truncate(10_000, t)
+        assert divergence_depth(cut, t) == 10_001
+        assert truncate(10_000, cut) == cut
+
 
 class TestDistance:
     def test_equal_terms(self):

@@ -3,7 +3,7 @@ properties."""
 
 import pytest
 
-from conftest import load_query, replay
+from conftest import check_lemma_4_1, load_query, replay
 from coresolve import decirc
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, StepKind
@@ -11,7 +11,6 @@ from coresolve.terms import term_to_text
 from coresolve.validation import (
     ValidationRefused,
     build_loop_unrolling,
-    check_lemma_4_1,
     check_theorem_5_1,
 )
 
@@ -21,11 +20,11 @@ class TestBuildLoopUnrolling:
         p, q, fresh = load_query(name, query)
         result = co_refute(p, q, "restricted", Limits(**lim), fresh)
         assert result.status is Status.REFUTED
-        return p, q, fresh, result.answers[0][0]
+        return p, q, fresh, result.answers[0]
 
     def test_r_program_unrolls(self):
-        p, q, fresh, trace = self._trace("r", "r(X,Y)")
-        initial, steps = build_loop_unrolling(p, trace, 3, fresh)
+        p, q, fresh, answer = self._trace("r", "r(X,Y)")
+        initial, steps = build_loop_unrolling(p, q, answer, "restricted", 3, fresh)
         assert initial == tuple(q)
         # The unrolling is an honest S-derivation: it replays, and the open
         # goal keeps being a variant of the looping atom.
@@ -34,15 +33,15 @@ class TestBuildLoopUnrolling:
         assert all(len(g) >= 1 for g in goals[1:])
 
     def test_zero_rounds_is_loop_free_prefix(self):
-        p, q, fresh, trace = self._trace("r", "r(X,Y)")
-        _, steps = build_loop_unrolling(p, trace, 0, fresh)
+        p, q, fresh, answer = self._trace("r", "r(X,Y)")
+        _, steps = build_loop_unrolling(p, q, answer, "restricted", 0, fresh)
         assert all(st.kind is not StepKind.LOOP for st in steps)
 
     def test_server_rounds_extend_answer(self):
-        p, q, fresh, trace = self._trace("server", "resource(X,Y), zeros(Y)")
-        _, few = build_loop_unrolling(p, trace, 2, fresh)
-        p2, q2, fresh2, trace2 = self._trace("server", "resource(X,Y), zeros(Y)")
-        _, more = build_loop_unrolling(p2, trace2, 4, fresh2)
+        p, q, fresh, answer = self._trace("server", "resource(X,Y), zeros(Y)")
+        _, few = build_loop_unrolling(p, q, answer, "restricted", 2, fresh)
+        p2, q2, fresh2, answer2 = self._trace("server", "resource(X,Y), zeros(Y)")
+        _, more = build_loop_unrolling(p2, q2, answer2, "restricted", 4, fresh2)
         t_few = q[0]
         for st in few:
             from coresolve.terms import apply_raw
@@ -60,9 +59,9 @@ class TestBuildLoopUnrolling:
     def test_colp_trace_rejected(self):
         p, q, fresh = load_query("ex51", "p(X,s(X))")
         result = co_refute(p, q, "colp", Limits(), fresh)
-        trace = result.answers[0][0]
+        answer = result.answers[0]
         with pytest.raises(ValidationRefused):
-            build_loop_unrolling(p, trace, 2, fresh)
+            build_loop_unrolling(p, q, answer, "colp", 2, fresh)
 
 
 class TestTheorem51:
