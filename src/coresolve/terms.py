@@ -515,46 +515,49 @@ def truncate_value(
     at generation g is its generation g-1 copy.  A pure variable cycle
     (X ↦ Y, Y ↦ X) has no structure, and its oldest variable stands for
     it, as in ``rational._resolve``."""
-    done: list[Term] = []
-    # A tuple is a position still to visit: (term, generation, depth left).
-    # A Struct marks that its arguments are done and it can be rebuilt.
-    work: list = [(t, 0, n)]
-    while work:
-        item = work.pop()
-        if isinstance(item, Struct):
-            k = len(item.args)
-            args = tuple(done[-k:])
-            del done[-k:]
-            done.append(Struct(item.symbol, args))
-            continue
-        term, gen, left = item
-        if not left:
-            done.append(TRUNCATED)
-            continue
-        seen: Optional[set[Var]] = None
-        while isinstance(term, Var):
-            img = bindings.get(term)
-            if img is None:
-                if gen > 1:
-                    term = generation_var(term, gen - 1)
-                break
-            if isinstance(img, Var):
-                if seen is None:
-                    seen = set()
-                elif term in seen:
-                    term = oldest_on_variable_cycle(term, bindings)
-                    break
-                seen.add(term)
-            if not gen or term in cycle_vars:
-                gen += 1
-            term = img
-        if isinstance(term, Var) or not term.args:
-            done.append(term)
-            continue
-        work.append(term)
-        left -= 1
-        work.extend((a, gen, left) for a in reversed(term.args))
-    return done[0]
+    root: list[Term] = []
+    # A frame is a Struct being rebuilt: its symbol, an iterator over its
+    # arguments, their generation, the depth left at them and the arguments
+    # done so far.  The bottom frame holds t itself.
+    stack = [(None, iter((t,)), 0, n, root)]
+    while stack:
+        symbol, args, gen, left, done = stack[-1]
+        for term in args:
+            if not left:
+                done.append(TRUNCATED)
+                continue
+            g = gen
+            if term.__class__ is Var:
+                seen: Optional[set[Var]] = None
+                while term.__class__ is Var:
+                    img = bindings.get(term)
+                    if img is None:
+                        if g > 1:
+                            term = generation_var(term, g - 1)
+                        break
+                    if img.__class__ is Var:
+                        if seen is None:
+                            seen = set()
+                        elif term in seen:
+                            term = oldest_on_variable_cycle(term, bindings)
+                            break
+                        seen.add(term)
+                    if not g or term in cycle_vars:
+                        g += 1
+                    term = img
+                if term.__class__ is Var:
+                    done.append(term)
+                    continue
+            if not term.args:
+                done.append(term)
+                continue
+            stack.append((term.symbol, iter(term.args), g, left - 1, []))
+            break
+        else:
+            stack.pop()
+            if symbol is not None:
+                stack[-1][4].append(Struct(symbol, tuple(done)))
+    return root[0]
 
 
 def divergence_depth(s: Term, t: Term) -> Optional[int]:

@@ -38,6 +38,7 @@ from .terms import (
     is_variant,
     truncate,
 )
+from .unify import mgm
 
 
 class ValidationRefused(ValueError):
@@ -74,7 +75,6 @@ def build_loop_unrolling(
     p: Program,
     query: Sequence[Term],
     answer: Answer,
-    mode: str,
     rounds: int,
     fresh: Optional[FreshVars] = None,
 ) -> tuple[Goal, list[Step]]:
@@ -85,11 +85,19 @@ def build_loop_unrolling(
     S-moves (first applicable clause, round-robin atom selection) until
     ``rounds`` substitution steps have been produced.  Returns the initial
     plain goal and the full step list.
+
+    Only restricted loops are unrolled: every loop step must close an atom
+    its ancestor is an instance of, with a circular unifier (the conditions
+    ``coengine.restricted_loop`` checks).  A colp loop that fails them is
+    refused, since its derivation is not one the theorem speaks about.
     """
-    if mode != "restricted":
-        raise ValidationRefused(
-            "loop unrolling is only justified for restricted-mode traces"
-        )
+    for st in answer.steps:
+        if st.kind is StepKind.LOOP:
+            assert st.atom is not None and st.ancestor is not None
+            if not (st.subst.circular and mgm(st.atom, st.ancestor)):
+                raise ValidationRefused(
+                    "loop unrolling is only justified for restricted loops"
+                )
     fresh = fresh or FreshVars(10**6)
     initial: Goal = tuple(query)
     steps = [st for st in answer.steps if st.kind is not StepKind.LOOP]
@@ -99,7 +107,8 @@ def build_loop_unrolling(
     # Substitutions from before a loop leave its atom as it is, since a
     # substitution step's bindings are applied to the whole goal.
     looped = annotate([st.atom for st in answer.steps if st.kind is StepKind.LOOP])
-    goal = tuple(e.atom for e in co_replay(annotate(query) + looped, answer.steps, mode)[-1])
+    replayed = co_replay(annotate(query) + looped, answer.steps, "restricted")
+    goal = tuple(e.atom for e in replayed[-1])
 
     # Drive the goal as a queue: always serve the first atom, and rotate the
     # atoms a step introduces to the back.  This is fair — a coinductive
@@ -182,7 +191,7 @@ def check_theorem_5_1(
     answer = _first_restricted_answer(p, query, limits, fresh)
     if answer is None:
         return CorrespondenceReport(qt, None, [], [])
-    _, steps = build_loop_unrolling(p, query, answer, "restricted", rounds, fresh)
+    _, steps = build_loop_unrolling(p, query, answer, rounds, fresh)
     partial = qt
     for st in steps:
         partial = apply_raw(st.subst, partial)

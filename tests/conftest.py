@@ -230,9 +230,7 @@ def check_lemma_4_1(p, query, steps_count=20, d=8, limits=Limits(), fresh=None):
     answer = validation._first_restricted_answer(p, query, limits, fresh)
     assert answer is not None, "the refutation closed no loop"
     proxy = unfold(answer.solved, qt, d)
-    _, steps = validation.build_loop_unrolling(
-        p, query, answer, "restricted", steps_count, fresh
-    )
+    _, steps = validation.build_loop_unrolling(p, query, answer, steps_count, fresh)
     table = []
     partial = qt
     table.append((0, distance(proxy, truncate(d, partial))))

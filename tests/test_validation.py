@@ -24,7 +24,7 @@ class TestBuildLoopUnrolling:
 
     def test_r_program_unrolls(self):
         p, q, fresh, answer = self._trace("r", "r(X,Y)")
-        initial, steps = build_loop_unrolling(p, q, answer, "restricted", 3, fresh)
+        initial, steps = build_loop_unrolling(p, q, answer, 3, fresh)
         assert initial == tuple(q)
         # The unrolling is an honest S-derivation: it replays, and the open
         # goal keeps being a variant of the looping atom.
@@ -34,14 +34,14 @@ class TestBuildLoopUnrolling:
 
     def test_zero_rounds_is_loop_free_prefix(self):
         p, q, fresh, answer = self._trace("r", "r(X,Y)")
-        _, steps = build_loop_unrolling(p, q, answer, "restricted", 0, fresh)
+        _, steps = build_loop_unrolling(p, q, answer, 0, fresh)
         assert all(st.kind is not StepKind.LOOP for st in steps)
 
     def test_server_rounds_extend_answer(self):
         p, q, fresh, answer = self._trace("server", "resource(X,Y), zeros(Y)")
-        _, few = build_loop_unrolling(p, q, answer, "restricted", 2, fresh)
+        _, few = build_loop_unrolling(p, q, answer, 2, fresh)
         p2, q2, fresh2, answer2 = self._trace("server", "resource(X,Y), zeros(Y)")
-        _, more = build_loop_unrolling(p2, q2, answer2, "restricted", 4, fresh2)
+        _, more = build_loop_unrolling(p2, q2, answer2, 4, fresh2)
         t_few = q[0]
         for st in few:
             from coresolve.terms import apply_raw
@@ -60,8 +60,11 @@ class TestBuildLoopUnrolling:
         p, q, fresh = load_query("ex51", "p(X,s(X))")
         result = co_refute(p, q, "colp", Limits(), fresh)
         answer = result.answers[0]
-        with pytest.raises(ValidationRefused):
-            build_loop_unrolling(p, q, answer, "colp", 2, fresh)
+        # The answer carries no mode: the refusal comes from its loop step,
+        # whose atom the ancestor is not an instance of.
+        assert any(st.kind is StepKind.LOOP for st in answer.steps)
+        with pytest.raises(ValidationRefused, match="restricted loops"):
+            build_loop_unrolling(p, q, answer, 2, fresh)
 
 
 class TestTheorem51:
