@@ -7,8 +7,9 @@ Subcommands: ``run`` (query a program in one of four engine modes),
 Exit codes for ``run``: 0 at least one answer, 1 finite failure, 2 limit
 exceeded, 3 usage or parse error, 4 static-check refusal (only with
 ``--strict``).  ``check`` exits 0 on a clean verdict and 4 on a violation
-or loop witness.  ``validate`` exits 0 on agreement at every depth, 1 on a
-disagreement, 3 on misuse.
+or loop witness.  ``validate`` exits 0 when no depth disagrees (a depth
+the rebuilt derivation has not reached is ``short``, not a disagreement),
+1 on a disagreement, 3 on misuse.
 """
 
 from __future__ import annotations
@@ -271,8 +272,7 @@ def cmd_validate(args, out=None, err=None) -> int:
     except ValidationRefused as exc:
         print(f"refused: {exc}", file=err)
         return EXIT_USAGE
-    for d, lhs, rhs, ok in report.table:
-        mark = "ok" if ok else "MISMATCH"
+    for (d, lhs, rhs, _), mark in zip(report.table, report.marks()):
         print(
             f"depth {d}: derivation {term_to_text(lhs)} | "
             f"answer {term_to_text(rhs)} | {mark}",

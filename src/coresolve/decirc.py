@@ -74,38 +74,49 @@ def decircularize(
     def gen(v: Var, n: int) -> Var:
         got = gen_cache.get((v, n))
         if got is None:
-            base = v.hint or f"_G{v.id}"
-            got = fresh.new(f"{base}_{n}")
-            gen_cache[(v, n)] = got
+            got = gen_cache[(v, n)] = fresh.new(f"{v.hint or f'_G{v.id}'}_{n}")
         return got
+
+    resolved: dict[tuple[Var, int], Term] = {}
 
     def image_at(t: Term, n: int) -> Term:
         """t with circular variables renamed to generation n, bindings of
         non-circular variables resolved away (so each generation is
         idempotent and the prefix composes by plain application), and free
-        variables replaced by their generation n-1 copies."""
-        if isinstance(t, Var):
-            if t in circ_set:
-                return gen(t, n)
-            img = s.get(t)
-            if img is not None:
-                return image_at(img, n)
-            return generation_var(t, n - 1)
-        if not t.args:
-            return t
-        return Struct(t.symbol, tuple(image_at(a, n) for a in t.args))
+        variables replaced by their generation n-1 copies.  A left-to-right
+        walk, so fresh names come in order of first occurrence; a frame is
+        a Struct being rebuilt or a binding being resolved (once, into
+        ``resolved``), its iterator and the images so far."""
+        stack = [(None, iter((t,)), [])]
+        while True:
+            head, args, done = stack[-1]
+            for a in args:
+                if a._ground:
+                    done.append(a)
+                elif a.__class__ is Struct:
+                    stack.append((a, iter(a.args), []))
+                    break
+                elif a in circ_set:
+                    done.append(gen(a, n))
+                elif (a, n) in resolved:
+                    done.append(resolved[a, n])
+                elif a in s:
+                    stack.append((a, iter((s.bindings[a],)), []))
+                    break
+                else:
+                    done.append(generation_var(a, n - 1))
+            else:
+                stack.pop()
+                if head.__class__ is Struct:
+                    value = Struct(head.symbol, tuple(done))
+                else:
+                    (value,) = done
+                    if head is None:
+                        return value
+                    resolved[head, n] = value
+                stack[-1][2].append(value)
 
-    first: dict[Var, Term] = {}
-    for v in s.domain():
-        img = s.get(v)
-        assert img is not None
-        first[v] = image_at(img, 1)
-    out = [Substitution(first)]
+    out = [Substitution({v: image_at(s.bindings[v], 1) for v in s.domain()})]
     for n in range(2, k + 1):
-        layer: dict[Var, Term] = {}
-        for v in circ:
-            img = s.get(v)
-            assert img is not None
-            layer[gen(v, n - 1)] = image_at(img, n)
-        out.append(Substitution(layer))
+        out.append(Substitution({gen(v, n - 1): image_at(s.bindings[v], n) for v in circ}))
     return out

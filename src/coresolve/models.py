@@ -3,28 +3,29 @@
 ``lfp_enumerate`` closes the program's facts forward under clause
 application over ground terms up to a depth cap: a desk-scale stand-in for
 the least Herbrand model.  ``gfp_local_check`` is the dual, local test:
-given a (possibly circular) ground value, can some clause be applied
-backward at every node down to a recursion budget?  Passing it is
-depth-bounded evidence of membership in the greatest model, which is the
-soundness target of loop-detected answers.
+given a (possibly circular) value, can some clause be applied backward at
+every node of its value graph (``rational.build_node``) down to a
+recursion budget?  A free variable of the value stands for any ground
+term.  Passing it is depth-bounded evidence of membership in the greatest
+model, which is the soundness target of loop-detected answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .program import Program, clause_instance
-from .rational import Node, build_node
+from .program import Program
+from .rational import build_node
 from .terms import (
-    FreshVars,
     Struct,
     Substitution,
     Symbol,
     Term,
     Var,
     apply_raw,
+    iter_subterms,
     variables_in_order,
     variables_of,
 )
@@ -122,99 +123,68 @@ def _clause_consequences(
 
 # --- backward closure on rational values ------------------------------------
 
-# A check target is either a value-graph node (possibly cyclic) or a finite
-# pattern layer whose leaves are nodes: clause bodies instantiated by a
-# match produce the latter.
-Target = Union[Node, "Mix", None]  # None = unconstrained (matches anything)
 
-
-@dataclass(frozen=True)
-class Mix:
-    symbol: Symbol
-    children: tuple[Target, ...]
-
-
-def _target_key(t: Target) -> object:
-    if t is None:
-        return None
-    if isinstance(t, Node):
-        return id(t)
-    return (t.symbol, tuple(_target_key(c) for c in t.children))
-
-
-def _match_target(pattern: Term, target: Target, binding: dict[Var, Target]) -> bool:
-    if isinstance(pattern, Var):
-        prior = binding.get(pattern)
-        if prior is None and pattern not in binding:
-            binding[pattern] = target
-            return True
-        return _target_key(prior) == _target_key(target)
-    if target is None:
-        # Unconstrained position: match structurally, leaving pattern
-        # variables unconstrained too.
-        return all(_match_target(a, None, binding) for a in pattern.args)
-    if isinstance(target, Node):
-        if target.is_leaf_var:
-            # A free variable in the value stands for some ground term; any
-            # clause shape can be chosen for it.
-            return all(_match_target(a, None, binding) for a in pattern.args)
-        if target.symbol != pattern.symbol:
-            return False
-        return all(
-            _match_target(a, c, binding)
-            for a, c in zip(pattern.args, target.children)
-        )
-    if target.symbol != pattern.symbol:
-        return False
-    return all(
-        _match_target(a, c, binding)
-        for a, c in zip(pattern.args, target.children)
-    )
-
-
-def _instantiate(t: Term, binding: dict[Var, Target]) -> Target:
-    if isinstance(t, Var):
-        return binding.get(t)
-    return Mix(t.symbol, tuple(_instantiate(a, binding) for a in t.args))
-
-
-def gfp_local_check(
-    p: Program,
-    value: tuple[Term, Substitution],
-    depth: int,
-    fresh: Optional[FreshVars] = None,
-) -> bool:
+def gfp_local_check(p: Program, value: tuple[Term, Substitution], depth: int) -> bool:
     """Can clauses be applied backward at every node of the (possibly
     circular) value for ``depth`` rounds?  True is depth-bounded evidence
-    of greatest-model membership."""
-    fresh = fresh or FreshVars(10**7)
-    term, subst = value
-    (root,) = build_node([term], [subst])
-    memo: dict[tuple[object, int], bool] = {}
+    of greatest-model membership.  The body atoms a clause match
+    instantiates become new graph nodes, one per label and children; a
+    repeated head variable matches positions that are one node."""
+    (root,), labels, kids = build_node([value[0]], [value[1]])
+    # One free leaf for every position nothing constrains: a head variable
+    # matched below a free leaf, or a body variable the head does not bind.
+    anything = len(labels)
+    labels.append(Var(0, "_"))
+    kids.append(())
+    made: dict[tuple[Symbol, tuple[int, ...]], int] = {}
+    memo: dict[tuple[int, int], bool] = {}
 
-    def derivable(target: Target, budget: int) -> bool:
-        if budget <= 0 or target is None:
-            return True
-        if isinstance(target, Node) and target.is_leaf_var:
-            return True
-        key = (_target_key(target), budget)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        memo[key] = True  # coinductive default while exploring this target
-        ok = False
-        for ci in range(len(p.clauses)):
-            clause = clause_instance(p.clauses[ci], fresh)
-            binding: dict[Var, Target] = {}
-            if not _match_target(clause.head, target, binding):
+    def match(head: Term, target: int) -> Optional[dict[Var, int]]:
+        binding: dict[Var, int] = {}
+        stack = [(head, target)]
+        while stack:
+            pattern, n = stack.pop()
+            if pattern.__class__ is Var:
+                if binding.setdefault(pattern, n) != n:
+                    return None
+            elif labels[n].__class__ is Var:
+                # A free variable in the value stands for some ground term;
+                # any clause shape can be chosen for it.
+                stack.extend((a, anything) for a in pattern.args)
+            elif labels[n] != pattern.symbol:
+                return None
+            else:
+                stack.extend(zip(pattern.args, kids[n]))
+        return binding
+
+    def instantiate(t: Term, binding: dict[Var, int]) -> int:
+        # Reversed preorder meets every subterm after its arguments.
+        done: list[int] = []
+        for sub in reversed(list(iter_subterms(t))):
+            if sub.__class__ is Var:
+                done.append(binding.get(sub, anything))
                 continue
-            if all(
-                derivable(_instantiate(b, binding), budget - 1)
-                for b in clause.body
-            ):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
+            cut = len(done) - len(sub.args)
+            key = (sub.symbol, tuple(reversed(done[cut:])))
+            del done[cut:]
+            n = made.get(key)
+            if n is None:
+                n = made[key] = len(labels)
+                labels.append(sub.symbol)
+                kids.append(key[1])
+            done.append(n)
+        return done[0]
+
+    def derivable(n: int, budget: int) -> bool:
+        if budget <= 0 or labels[n].__class__ is Var:
+            return True
+        key = (n, budget)
+        if key not in memo:
+            memo[key] = any(
+                (binding := match(c.head, n)) is not None
+                and all(derivable(instantiate(b, binding), budget - 1) for b in c.body)
+                for c in p.clauses
+            )
+        return memo[key]
 
     return derivable(root, depth)

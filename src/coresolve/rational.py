@@ -1,11 +1,13 @@
 """Value graphs for rational trees.
 
 A (possibly circular) substitution denotes, for each variable, a rational
-term tree.  This module resolves terms against an ordered list of
-substitutions into a finite graph of value nodes, minimizes that graph by
-bisimulation, and renders solved-form answers whose circular bindings come
-out as fixpoint equations such as ``X = scons(0,X)``.  Bounded unfolding
-lives in ``decirc``.
+term tree, which is a finite graph (Courcelle 1983).  This module resolves
+terms against an ordered list of substitutions into that graph, as arrays
+of node labels and children, minimizes it by bisimulation, and renders
+solved-form answers whose circular bindings come out as fixpoint equations
+such as ``X = scons(0,X)``.  ``render_class`` also renders the union-find
+classes of rational unification, and ``models.gfp_local_check`` reads the
+same graph.  Bounded unfolding lives in ``decirc``.
 
 Resolution is stratified: a variable is looked up in the first substitution
 of the list; cycles are followed within one substitution (that is what makes
@@ -15,8 +17,7 @@ the next one.  A single circular answer is simply the one-element list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .terms import (
     FreshVars,
@@ -29,18 +30,8 @@ from .terms import (
     oldest_on_variable_cycle,
 )
 
-
-@dataclass(eq=False, slots=True)
-class Node:
-    """One value node: a structure with node children, or a free leaf var."""
-
-    symbol: Optional[Symbol]
-    var: Optional[Var] = None
-    children: list["Node"] = field(default_factory=list)
-
-    @property
-    def is_leaf_var(self) -> bool:
-        return self.symbol is None
+# A node's label: the symbol of a structure, or the variable of a free leaf.
+Label = Union[Symbol, Var]
 
 
 def _resolve(
@@ -65,72 +56,60 @@ def _resolve(
     return term, level
 
 
-def build_node(terms: Sequence[Term], substs: Sequence[Substitution]) -> list[Node]:
-    """Graph nodes for the values of ``terms`` under the substitution list,
-    one per term, in one graph: a value the terms share is one node.  Built
-    with an explicit stack, so term depth is not bounded by the
-    interpreter's recursion."""
+def build_node(
+    terms: Sequence[Term], substs: Sequence[Substitution]
+) -> tuple[list[int], list[Label], list[Sequence[int]]]:
+    """The value graph of ``terms`` under the substitution list: the node
+    of each term, and the label and children of each node, numbered from 0.
+    Only nodes the terms reach are built, and a value they share is one
+    node.  Iterative, so term depth is not bounded by the recursion limit."""
     maps = [s.bindings for s in substs]
-    memo: dict[tuple[Term, int], Node] = {}
-    unfilled: list[tuple[Node, tuple[Term, ...], int]] = []
+    memo: dict[tuple[Term, int], int] = {}
+    labels: list[Label] = []
+    kids: list[Sequence[int]] = []
+    unfilled: list[tuple[int, tuple[Term, ...], int]] = []
 
-    def node_for(t: Term, level: int) -> Node:
+    def node_for(t: Term, level: int) -> int:
         if isinstance(t, Var):
             t, level = _resolve(t, level, maps)
         key = (t, level)
-        node = memo.get(key)
-        if node is None:
+        n = memo.get(key)
+        if n is None:
+            n = memo[key] = len(labels)
+            kids.append(())
             if isinstance(t, Var):
-                node = Node(None, t)
+                labels.append(t)
             else:
-                node = Node(t.symbol)
+                labels.append(t.symbol)
                 if t.args:
-                    unfilled.append((node, t.args, level))
-            memo[key] = node
-        return node
+                    unfilled.append((n, t.args, level))
+        return n
 
     roots = [node_for(t, 0) for t in terms]
     while unfilled:
-        node, args, level = unfilled.pop()
-        node.children = [node_for(a, level) for a in args]
-    return roots
+        n, args, level = unfilled.pop()
+        kids[n] = [node_for(a, level) for a in args]
+    return roots, labels, kids
 
 
-def reachable(roots: Iterable[Node]) -> list[Node]:
-    out: list[Node] = []
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        out.append(n)
-        stack.extend(n.children)
-    return out
-
-
-def minimize(nodes: Sequence[Node]) -> dict[int, int]:
-    """Partition ``nodes`` by bisimilarity; returns id(node) → block number.
-    ``nodes`` must hold the children of each of its nodes, as ``reachable``
-    returns them.  Two nodes in one block denote the same rational tree.
+def minimize(labels: Sequence[Label], kids: Sequence[Sequence[int]]) -> list[int]:
+    """Partition a graph by bisimilarity; returns the block of each node,
+    numbered from 0 without gaps.  Two nodes in one block denote the same
+    rational tree.
 
     A node that reaches no cycle denotes a finite tree.  Such nodes are
     taken children first, and each gets the block of its label and its
-    children's blocks.  The other nodes start split by symbol and are
+    children's blocks.  The other nodes start split by label and are
     refined in rounds until no block splits (Moore's algorithm), with the
     finite blocks fixed."""
-    index = {id(n): i for i, n in enumerate(nodes)}
-    kids = [[index[id(c)] for c in n.children] for n in nodes]
-    labels: list[object] = [n.var if n.symbol is None else n.symbol for n in nodes]
-    parents: list[list[int]] = [[] for _ in nodes]
+    parents: list[list[int]] = [[] for _ in labels]
     for i, ks in enumerate(kids):
         for c in ks:
             parents[c].append(i)
     # A node is ready once all its children have a finite block.
     waiting = [len(ks) for ks in kids]
     ready = [i for i, w in enumerate(waiting) if not w]
-    block = [-1] * len(nodes)
+    block = [-1] * len(labels)
     finite_blocks: dict[tuple, int] = {}
     for i in ready:
         key = (labels[i], *[block[c] for c in kids[i]])
@@ -141,7 +120,7 @@ def minimize(nodes: Sequence[Node]) -> dict[int, int]:
                 ready.append(p)
     infinite = [i for i, b in enumerate(block) if b < 0]
     base = len(finite_blocks)
-    first: dict[object, int] = {}
+    first: dict[Label, int] = {}
     for i in infinite:
         block[i] = first.setdefault(labels[i], base + len(first))
     count = len(first)
@@ -152,10 +131,40 @@ def minimize(nodes: Sequence[Node]) -> dict[int, int]:
             for i in infinite
         ]
         if len(sigs) == count:
-            return {id(n): b for n, b in zip(nodes, block)}
+            return block
         for i, b in zip(infinite, new):
             block[i] = b
         count = len(sigs)
+
+
+def render_class(
+    c: int,
+    labels: Sequence[Label],
+    kids: Sequence[Sequence[int]],
+    name: Callable[[int], Optional[Term]],
+    rendered: dict[int, Term],
+) -> Term:
+    """Class ``c`` of a quotient graph as it appears inside a term: the
+    variable ``name(c)`` (a free leaf, or a cyclic class written out in its
+    own binding), or else the structure ``labels[c]`` over the classes
+    ``kids[c]``, rendered alike, children first on an explicit stack.
+    ``rendered`` keeps each class's term across calls."""
+    work = [c]
+    while work:
+        top = work[-1]
+        if top in rendered:
+            work.pop()
+            continue
+        got = name(top)
+        if got is None:
+            todo = [k for k in kids[top] if k not in rendered]
+            if todo:
+                work.extend(reversed(todo))
+                continue
+            got = Struct(labels[top], tuple([rendered[k] for k in kids[top]]))
+        rendered[top] = got
+        work.pop()
+    return rendered[c]
 
 
 def solved_answer(
@@ -170,87 +179,56 @@ def solved_answer(
     by a query variable that the answer binds is that variable's copy at a
     later substitution, a different variable, so it gets a fresh name too."""
     fresh = fresh or FreshVars(10**9)
-    roots = dict(zip(query_vars, build_node(query_vars, substs)))
-    nodes = reachable(roots.values())
-    block = minimize(nodes)
+    nodes, labels, kids = build_node(query_vars, substs)
+    roots = dict(zip(query_vars, nodes))
+    block = minimize(labels, kids)
 
     # One node stands for its block: the nodes of a block have the same
-    # symbol and children in the same blocks.
-    rep: dict[int, Node] = {}
-    for n in nodes:
-        rep.setdefault(block[id(n)], n)
-    succ = {b: [block[id(c)] for c in n.children] for b, n in rep.items()}
+    # label and children in the same blocks.
+    rep = dict(zip(block, range(len(block))))
+    blabels = [labels[rep[b]] for b in range(len(rep))]
+    succ = [[block[c] for c in kids[rep[b]]] for b in range(len(rep))]
     # Cyclic blocks (a node reaching its own block again) need a variable
     # name; prefer the first query variable whose value lives in the block.
-    cyclic = cycle_members(succ, succ.__getitem__)
+    cyclic = cycle_members(range(len(succ)), succ.__getitem__)
 
-    bound = {
-        v for v in query_vars if not roots[v].is_leaf_var or roots[v].var != v
-    }
-    name_of: dict[int, Var] = {}
-    for v in query_vars:
-        b = block[id(roots[v])]
-        if not roots[v].is_leaf_var and b not in name_of:
-            name_of[b] = v
+    bound = {v for v, n in roots.items() if labels[n] != v}
+    name_of = {block[n]: v for v, n in reversed(roots.items()) if labels[n].__class__ is Symbol}
 
     pending: list[int] = []
     rendered: dict[int, Term] = {}
 
-    def render(b: int) -> Term:
-        """Block b as it appears inside a binding: a free variable, the
-        name of a cyclic block, or the structure of an acyclic one.  A
-        cycle nobody named yet is named when it is first reached, and its
-        own binding is emitted afterwards."""
-        work = [b]
-        while work:
-            top = work[-1]
-            if top in rendered:
-                work.pop()
-                continue
-            node = rep[top]
-            if node.is_leaf_var:
-                assert node.var is not None
-                rendered[top] = fresh.new() if node.var in bound else node.var
-            elif top in cyclic:
-                got = name_of.get(top)
-                if got is None:
-                    got = fresh.new()
-                    name_of[top] = got
-                    pending.append(top)
-                rendered[top] = got
-            else:
-                todo = [c for c in succ[top] if c not in rendered]
-                if todo:
-                    work.extend(reversed(todo))
-                    continue
-                assert node.symbol is not None
-                rendered[top] = Struct(node.symbol, tuple(rendered[c] for c in succ[top]))
-            work.pop()
-        return rendered[b]
+    def name(b: int) -> Optional[Term]:
+        # A cycle nobody named yet is named when it is first reached, and
+        # its own binding is emitted afterwards.
+        label = blabels[b]
+        if isinstance(label, Var):
+            return fresh.new() if label in bound else label
+        if b not in cyclic:
+            return None
+        got = name_of.get(b)
+        if got is None:
+            got = name_of[b] = fresh.new()
+            pending.append(b)
+        return got
 
     def expand(b: int) -> Term:
-        node = rep[b]
-        assert node.symbol is not None
-        return Struct(node.symbol, tuple(render(c) for c in succ[b]))
+        args = [render_class(c, blabels, succ, name, rendered) for c in succ[b]]
+        return Struct(blabels[b], tuple(args))
 
     bindings: dict[Var, Term] = {}
     done_blocks: set[int] = set()
-    for v in query_vars:
-        node = roots[v]
-        if node.is_leaf_var:
-            if v in bound:
-                bindings[v] = render(block[id(node)])
-            continue
-        b = block[id(node)]
-        if name_of.get(b) not in (None, v) and b in cyclic:
+    for v, n in roots.items():
+        b = block[n]
+        if isinstance(blabels[b], Var):
+            # v itself, an identity binding, where v is unbound
+            bindings[v] = render_class(b, blabels, succ, name, rendered)
+        elif name_of[b] != v and b in cyclic:
             bindings[v] = name_of[b]
-            continue
-        bindings[v] = expand(b)
-        done_blocks.add(b)
-    while pending:
-        b = pending.pop(0)
-        if b in done_blocks:
-            continue
+        else:
+            bindings[v] = expand(b)
+            done_blocks.add(b)
+    for b in pending:  # grows while it is read
         bindings[name_of[b]] = expand(b)
         done_blocks.add(b)
     # The cycle variables of the answer are the names of the cyclic blocks

@@ -616,6 +616,8 @@ def distance(s: Term, t: Term) -> Distance:
 
 def _match_into(pattern: Term, target: Term, binding: dict[Var, Term]) -> bool:
     # Iterative: patterns can be as deep as the terms a derivation builds.
+    # A ground pattern subterm binds nothing: it is compared whole, which
+    # the cached hashes and identity make quick.
     stack = [(pattern, target)]
     while stack:
         p, u = stack.pop()
@@ -624,6 +626,10 @@ def _match_into(pattern: Term, target: Term, binding: dict[Var, Term]) -> bool:
             if bound is None:
                 binding[p] = u
             elif bound != u:
+                return False
+            continue
+        if p._ground:
+            if p != u:
                 return False
             continue
         if isinstance(u, Var) or p.symbol != u.symbol:

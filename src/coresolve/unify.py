@@ -18,10 +18,12 @@ from operator import is_
 from typing import Callable, NamedTuple, Optional, Union
 
 from .program import Clause, Renaming
+from .rational import render_class
 from .terms import (
     FreshVars,
     Struct,
     Substitution,
+    Symbol,
     Term,
     Var,
     _match_into,
@@ -30,6 +32,7 @@ from .terms import (
     iter_subterms,
     map_vars,
     match,
+    variables_in_order,
     variables_of,
 )
 
@@ -354,17 +357,15 @@ def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
             uf.add(sub)
 
     find = uf.find
-
-    def class_of(t: Term) -> int:
-        return find(uf.add(t))
-
-    # The class graph: an edge from each class to the classes of its
-    # structure witness's arguments.
-    all_classes = sorted({find(k) for k in range(len(uf.parent))})
-    edges: dict[int, tuple[int, ...]] = {}
-    for c in all_classes:
+    # The class graph: a class with a structure witness is labelled by its
+    # symbol, with an edge to the class of each of the witness's arguments.
+    symbols: dict[int, Symbol] = {}
+    edges: dict[int, list[int]] = {}
+    for c in sorted({find(k) for k in range(len(uf.parent))}):
         w = uf.witness[c]
-        edges[c] = tuple(class_of(arg) for arg in w.args) if w is not None else ()
+        edges[c] = [] if w is None else [find(uf.add(a)) for a in w.args]
+        if w is not None:
+            symbols[c] = w.symbol
 
     # Classes on a cycle of that graph must be rendered through their
     # canonical variable to stay finite.  Every cycle passes a class with a
@@ -373,49 +374,22 @@ def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
     # would have an argument on the cycle that is lower still.  So
     # rendering stops on every cycle, and a class renders the same wherever
     # it occurs.
-    cyclic = cycle_members(all_classes, edges.__getitem__)
+    cyclic = cycle_members(edges, edges.__getitem__)
+
+    def name(c: int) -> Optional[Var]:
+        return uf.var_rep[c] if c not in symbols or c in cyclic else None
+
     rendered: dict[int, Term] = {}
-
-    def render(cls: int) -> Term:
-        """The class as it appears inside a binding, children first on an
-        explicit stack, each class once."""
-        work = [cls]
-        while work:
-            top = work[-1]
-            if top in rendered:
-                work.pop()
-                continue
-            w = uf.witness[top]
-            rep = uf.var_rep[top]
-            if w is None or (top in cyclic and rep is not None):
-                assert rep is not None
-                rendered[top] = rep
-            else:
-                todo = [c for c in edges[top] if c not in rendered]
-                if todo:
-                    work.extend(todo)
-                    continue
-                rendered[top] = Struct(w.symbol, tuple(rendered[c] for c in edges[top]))
-            work.pop()
-        return rendered[cls]
-
     bindings: dict[Var, Term] = {}
-    seen_vars: set[Var] = set()
-    for root in roots:
-        for sub in iter_subterms(root):
-            if isinstance(sub, Var) and sub not in seen_vars:
-                seen_vars.add(sub)
-                cls = class_of(sub)
-                rep = uf.var_rep[cls]
-                w = uf.witness[cls]
-                if w is not None:
-                    # Expand one level; self-references inside come back as
-                    # the canonical variable, giving the fixpoint form.
-                    bindings[sub] = Struct(
-                        w.symbol, tuple(render(c) for c in edges[cls])
-                    )
-                elif rep is not None and sub != rep:
-                    bindings[sub] = rep
+    for v in variables_in_order(roots):
+        c = find(uf.add(v))
+        if c in symbols:
+            # Expand one level; self-references inside come back as the
+            # canonical variable, giving the fixpoint form.
+            args = [render_class(k, symbols, edges, name, rendered) for k in edges[c]]
+            bindings[v] = Struct(symbols[c], tuple(args))
+        else:
+            bindings[v] = uf.var_rep[c]
     # The cycle variables of the bindings are the canonical variables of
     # the cyclic classes: each is bound to its class's structure, which
     # leads round the cycle to the next canonical variable on it, while

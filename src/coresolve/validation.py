@@ -35,6 +35,7 @@ from .terms import (
     Symbol,
     Term,
     apply_raw,
+    is_instance,
     is_variant,
     truncate,
 )
@@ -157,11 +158,20 @@ class CorrespondenceReport(NamedTuple):
     query: Term
     answer: Optional[Answer]  # None when the refutation closed no loop
     steps: list[Step]
-    table: list[tuple[int, Term, Term, bool]]
+    table: list[tuple[int, Term, Term, bool]]  # depth, derivation, answer, variants
+
+    def marks(self) -> list[str]:
+        """Per row: "ok" when the sides are variants, "short" when the
+        derivation side is strictly more general (the rebuilt derivation
+        has not reached that depth), otherwise "MISMATCH"."""
+        return [
+            "ok" if ok else "short" if is_instance(lhs, rhs) else "MISMATCH"
+            for _, lhs, rhs, ok in self.table
+        ]
 
     @property
     def agrees(self) -> bool:
-        return all(ok for _, _, _, ok in self.table)
+        return "MISMATCH" not in self.marks()
 
 
 def _first_restricted_answer(

@@ -15,7 +15,7 @@ from coresolve import validation
 from coresolve.decirc import unfold
 from coresolve.derivation import Limits, StepKind, apply_to_goal
 from coresolve.program import Clause, Program, clause_to_text, parse_program, parse_query
-from coresolve.rational import minimize, reachable
+from coresolve.rational import build_node, minimize
 from coresolve.terms import (
     FreshVars,
     Struct,
@@ -123,10 +123,16 @@ def replay(g, steps):
     return goals
 
 
-def nodes_bisimilar(a, b) -> bool:
-    """Whether two value-graph nodes denote the same rational tree."""
-    block = minimize(reachable([a, b]))
-    return block[id(a)] == block[id(b)]
+def values_bisimilar(a, b) -> bool:
+    """Whether two values, each a term and its substitution list, denote
+    the same rational tree: their value graphs are minimized side by side."""
+    (root_a,), labels_a, kids_a = build_node([a[0]], a[1])
+    (root_b,), labels_b, kids_b = build_node([b[0]], b[1])
+    shift = len(labels_a)
+    block = minimize(
+        labels_a + labels_b, kids_a + [[k + shift for k in ks] for ks in kids_b]
+    )
+    return block[root_a] == block[root_b + shift]
 
 
 # --- random term generation ---------------------------------------------------

@@ -636,4 +636,4 @@ class TestCriterion7ModelOracle:
         assert result.status is Status.REFUTED
         answer = result.answers[0]
         for atom in q:
-            assert gfp_local_check(p, (atom, answer.solved), 8, fresh)
+            assert gfp_local_check(p, (atom, answer.solved), 8)

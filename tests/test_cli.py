@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import PROGRAMS, load_query
-from coresolve import cli, coengine, derivation, rational, terms, unify
+from coresolve import cli, coengine, decirc, derivation, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main, repl
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits
@@ -266,6 +266,33 @@ class TestValidate:
         code, _, err = run(capsys, "validate", lp("ex51"), "-q", "p(X,s(X))")
         assert code == 3
         assert "refused" in err
+
+    def test_depths_the_derivation_never_reached_are_short(self, capsys):
+        code, out, _ = run(
+            capsys, "validate", lp("nats"), "-q", "nats(X)", "--depth", "30", "--rounds", "30"
+        )
+        assert code == 0
+        marks = [line.rsplit(" | ", 1)[1] for line in out.splitlines()]
+        assert marks == ["ok"] * 17 + ["short"] * 13
+        # Row 18: the derivation still has Y where the answer has structure.
+        assert ",Y)" in out.splitlines()[17]
+
+    def test_real_mismatch_still_reported(self, capsys, monkeypatch):
+        # An answer side whose stream elements are 1 instead of 0.
+        zero, one = terms.Symbol("0", 0), terms.Symbol("1", 0)
+
+        def flip(t):
+            if isinstance(t, terms.Var):
+                return t
+            symbol = one if t.symbol == zero else t.symbol
+            return terms.Struct(symbol, tuple(flip(a) for a in t.args))
+
+        unfold = decirc.unfold
+        monkeypatch.setattr(decirc, "unfold", lambda s, t, depth: flip(unfold(s, t, depth)))
+        code, out, _ = run(capsys, "validate", lp("nats"), "-q", "nats(X)")
+        assert code == 1
+        marks = [line.rsplit(" | ", 1)[1] for line in out.splitlines()]
+        assert marks == ["ok", "ok"] + ["MISMATCH"] * 6
 
 
 class TestOracle:

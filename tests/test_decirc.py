@@ -178,13 +178,19 @@ class TestFaithfulness:
             self.check(out.substitution, a, k_max=5)
 
 
-def graph_truncation(node, depth):
-    """The value graph of ``build_node`` cut at ``depth``, as a term."""
-    if depth == 0:
-        return TRUNCATED
-    if node.is_leaf_var:
-        return node.var
-    return Struct(node.symbol, tuple(graph_truncation(c, depth - 1) for c in node.children))
+def graph_truncation(graph, depth):
+    """The value graph of ``build_node`` for one term cut at ``depth``, as
+    a term."""
+    (root,), labels, kids = graph
+
+    def cut(n, depth):
+        if depth == 0:
+            return TRUNCATED
+        if isinstance(labels[n], Var):
+            return labels[n]
+        return Struct(labels[n], tuple(cut(c, depth - 1) for c in kids[n]))
+
+    return cut(root, depth)
 
 
 def without_generations(t, variables, depth):
@@ -248,7 +254,7 @@ class TestVariableCycles:
             layered += exact
             for depth in range(7):
                 got = unfold(sigma, t, depth)
-                want = graph_truncation(build_node([t], [sigma])[0], depth)
+                want = graph_truncation(build_node([t], [sigma]), depth)
                 assert without_generations(got, free, depth) == want, (sigma, t, depth)
                 if depth and exact:
                     assert got == truncate(depth, apply_prefix(decircularize(sigma, depth), t))
@@ -260,6 +266,22 @@ class TestWalkCost:
         got = unfold(Substitution({X: s_(X)}), X, 10_000)
         text = term_to_text(got)
         assert text == "s(" * 10_000 + "◇" + ")" * 10_000
+
+    def test_decircularize_depth_ten_thousand(self):
+        n = 10_000
+        t = X
+        for _ in range(n):
+            t = s_(t)
+        # C reaches the cycle; its image mentions Y, whose non-circular
+        # binding is resolved away.
+        sigma = Substitution({X: t, C: mk("g", X, Y), Y: mk("f", A)})
+        first, second = decircularize(sigma, 2)
+        assert not (first.circular or second.circular)
+        chain = "s(" * n + "X_{}" + ")" * n
+        assert term_to_text(first.get(X)) == chain.format(1)
+        assert term_to_text(first.get(C)) == "g(X_1,f(A))"
+        ((x1, image),) = second.items()
+        assert x1.hint == "X_1" and term_to_text(image) == chain.format(2)
 
     def test_builds_one_struct_per_printed_node(self, monkeypatch):
         # The layered unfold built every generation, applied each in turn

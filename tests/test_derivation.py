@@ -325,3 +325,49 @@ class TestGroundShortcut:
         assert result.status is Status.REFUTED
         assert result.steps_used == n + 1
         assert walks <= 8 * result.steps_used
+
+
+def first_steps_of_moves(steps):
+    """The position of each move's first step: a substitution step and the
+    rewrite after it are one move, every other step is a move of its own."""
+    out, k = [], 0
+    while k < len(steps):
+        out.append(k)
+        k += 2 if steps[k].kind is StepKind.SUBST else 1
+    return out
+
+
+class TestFairSelection:
+    """With ``Limits(fair=True)`` the search selects, at a goal reached by
+    ``moves`` moves, the atom at index ``moves % len(goal)``; without it,
+    always the first."""
+
+    def selections(self, mode, fair):
+        query = "nat(s(s(X))), nats(Y)" if mode == "cos" else "nat(s(s(X))), nat(s(Y))"
+        p, q, fresh = setup(NATS, query)
+        limits = Limits(fair=fair)
+        if mode == "cos":
+            result = coengine.co_refute(p, q, "restricted", limits, fresh)
+            (answer,) = result.answers
+            entries = coengine.co_replay(coengine.annotate(q), answer.steps, "restricted")
+            goals = [tuple(e.atom for e in g) for g in entries]
+        else:
+            result = refute(p, q, mode, limits, fresh)
+            (answer,) = result.answers
+            goals = replay(q, answer.steps)
+        steps = answer.steps
+        return [
+            (steps[k].atom_index, moves % len(goals[k]))
+            for moves, k in enumerate(first_steps_of_moves(steps))
+        ]
+
+    @pytest.mark.parametrize("mode", ["sld", "s", "cos"])
+    def test_atom_index_follows_the_move_count(self, mode):
+        pairs = self.selections(mode, fair=True)
+        assert all(got == want for got, want in pairs), pairs
+        # The second atom is selected at some move, so the rule is seen.
+        assert any(got for got, _ in pairs)
+
+    @pytest.mark.parametrize("mode", ["sld", "s", "cos"])
+    def test_first_atom_without_fair(self, mode):
+        assert all(got == 0 for got, _ in self.selections(mode, fair=False))

@@ -1,5 +1,7 @@
-"""Every module of the engine uses every name it imports, and every
-top-level function and class of the engine is used by other engine code.
+"""Every module of the engine uses every name it imports, every top-level
+function and class of the engine is used by other engine code, and no
+function of the engine calls itself unless the depth of that recursion is
+bounded by something other than the size of a term.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included; ``__init__.py`` is left out because it imports to
@@ -153,3 +155,77 @@ class TestUnreferencedDefinitions:
     def test_exempt_names_are_read(self):
         exempt = public_and_traced()
         assert {"derivation.refute", "terms.truncate", "coengine.co_replay"} <= exempt
+
+
+# Functions of the engine that call themselves, with what bounds the depth:
+# {"module.qualified.name": "the bound"}.  Terms, and the graphs and
+# derivations built from them, can be deeper than the interpreter's
+# recursion limit, so a walk over them uses an explicit stack.
+RECURSION_BOUNDED: dict[str, str] = {
+    "models._clause_consequences.go": "one level per atom of a clause body",
+    "models.gfp_local_check.derivable": "one level per round of its depth argument",
+}
+
+
+def self_calling_functions(sources: dict[str, str]) -> list[str]:
+    """``module.qualified.name`` of each function in ``sources`` that calls
+    itself by name: a plain call of its own name for a function, and a call
+    through ``self`` or ``cls`` for a method (a plain call of a method's
+    name is the builtin or global of that name, as in a ``sorted`` method
+    that calls ``sorted``)."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, prefix: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, in_class)
+                continue
+            name = f"{prefix}.{child.name}"
+            for n in ast.walk(child):
+                if not isinstance(n, ast.Call):
+                    continue
+                f = n.func
+                if in_class:
+                    hit = (
+                        isinstance(f, ast.Attribute)
+                        and f.attr == child.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id in ("self", "cls")
+                    )
+                else:
+                    hit = isinstance(f, ast.Name) and f.id == child.name
+                if hit:
+                    found.append(name)
+                    break
+            visit(child, name, False)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, False)
+    return found
+
+
+class TestNoRecursion:
+    def test_detects_self_calls(self):
+        source = (
+            "def walk(t):\n"
+            "    return [walk(a) for a in t]\n"
+            "def outer(n):\n"
+            "    def go(i):\n"
+            "        return go(i - 1) if i else 0\n"
+            "    return go(n)\n"
+            "class K:\n"
+            "    def sorted(self):\n"
+            "        return sorted(self.items)\n"
+            "    def size(self):\n"
+            "        return 1 + self.size()\n"
+        )
+        assert self_calling_functions({"m": source}) == ["m.walk", "m.outer.go", "m.K.size"]
+
+    def test_src_recursion_is_bounded(self):
+        assert set(self_calling_functions(src_sources())) - set(RECURSION_BOUNDED) == set()
+
+    def test_exemptions_are_needed(self):
+        assert set(RECURSION_BOUNDED) <= set(self_calling_functions(src_sources()))

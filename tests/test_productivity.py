@@ -6,6 +6,7 @@ from enum import Enum
 from typing import Sequence
 
 from conftest import load, mk, random_term, seed, var_pool
+from coresolve import terms
 from coresolve.productivity import (
     ProductivityStatus,
     RewritingWitness,
@@ -293,3 +294,30 @@ class TestDeepChains:
         assert (len(w.steps), w.loop_start) == (3001, 3000)
         assert term_to_text(w.steps[-1].atom) == "p(0)"
         assert [st.clause_index for st in w.steps] == [0] * 3000 + [1]
+
+    def test_deep_ground_head_is_compared_whole(self):
+        # Each atom p(s^k(0)) of the chain from the fact's own head matches
+        # against that head again, whose s^n(0) is ground.  Walking it
+        # pair by pair visited the k shared levels at every atom.
+        fresh = FreshVars()
+        p = parse_program(f"p(s(X)) :- p(X).\n{nat_fact(600)}.\n", fresh)
+        code = terms._match_into.__code__
+        calls = lines = 0
+
+        def tracer(frame, event, arg):
+            nonlocal calls, lines
+            if frame.f_code is not code:
+                return None
+            calls += event == "call"
+            lines += event == "line"
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            verdict = check_productive(p, bound=5000, fresh=fresh)
+        finally:
+            sys.settrace(previous)
+        assert verdict.status is ProductivityStatus.NO_LOOP_FOUND
+        # Lines run per match: a few dozen, however deep the fact.
+        assert calls >= 600 and lines < 30 * calls

@@ -1,9 +1,9 @@
 """Value graphs for rational trees: bisimulation and solved answers."""
 
-from conftest import const, mk, nodes_bisimilar, random_term, var_pool
+from conftest import const, mk, random_term, values_bisimilar, var_pool
 from coresolve import rational
 from coresolve.decirc import unfold
-from coresolve.rational import build_node, solved_answer
+from coresolve.rational import solved_answer
 from coresolve.terms import FreshVars, Substitution, Var, term_to_text
 from coresolve.unify import UnifyKind, mgu, rational_unify
 
@@ -16,7 +16,7 @@ def s_(t):
 
 
 def rational_equal(s, t, substs=()):
-    return nodes_bisimilar(build_node([s], substs)[0], build_node([t], substs)[0])
+    return values_bisimilar((s, substs), (t, substs))
 
 
 class TestBisimulation:
@@ -24,14 +24,12 @@ class TestBisimulation:
         # X = s(X) and Y = s(s(Y)) denote the same rational tree.
         sx = Substitution({X: s_(X)})
         syy = Substitution({Y: s_(s_(Y))})
-        a = build_node([X], [sx])[0]
-        b = build_node([Y], [syy])[0]
-        assert nodes_bisimilar(a, b)
+        assert values_bisimilar((X, [sx]), (Y, [syy]))
 
     def test_different_values_distinguished(self):
         sx = Substitution({X: s_(X)})
         sy = Substitution({Y: mk("f", Y)})
-        assert not nodes_bisimilar(build_node([X], [sx])[0], build_node([Y], [sy])[0])
+        assert not values_bisimilar((X, [sx]), (Y, [sy]))
 
     def test_rational_equal_on_finite_terms(self):
         assert rational_equal(s_(zero), s_(zero))
@@ -92,20 +90,31 @@ class TestSolvedAnswer:
 class TestOnePass:
     def test_solved_answer_walks_its_graph_once(self, monkeypatch):
         # It walked the graph three times: in minimize, to collect the
-        # edges between blocks, and to pick one node per block.
-        calls = 0
-        walk = rational.reachable
+        # edges between blocks, and to pick one node per block.  The graph
+        # is now built once, with only the nodes reachable from the query
+        # variables, and minimized once, on its arrays.
+        calls = {"build_node": 0, "minimize": 0}
+        sizes = []
+        build, minimize = rational.build_node, rational.minimize
 
-        def counted(roots):
-            nonlocal calls
-            calls += 1
-            return walk(roots)
+        def counted_build(terms, substs):
+            calls["build_node"] += 1
+            return build(terms, substs)
 
-        monkeypatch.setattr(rational, "reachable", counted)
-        theta = Substitution({X: mk("f", X, Y, Z), Y: s_(Y)})
+        def counted_minimize(labels, kids):
+            calls["minimize"] += 1
+            sizes.append(len(labels))
+            return minimize(labels, kids)
+
+        monkeypatch.setattr(rational, "build_node", counted_build)
+        monkeypatch.setattr(rational, "minimize", counted_minimize)
+        W = Var(4, "W")
+        theta = Substitution({X: mk("f", X, Y, Z), Y: s_(Y), W: s_(zero)})
         solved = solved_answer([X, Y], [theta])
         assert solved.get(X) == mk("f", X, Y, Z)
-        assert calls == 1
+        assert calls == {"build_node": 1, "minimize": 1}
+        # X's value, Y's value and the free leaf Z; W's value is not built.
+        assert sizes == [3]
 
     def test_deep_finite_answer(self):
         # Deeper than the interpreter's recursion allows; the finite part

@@ -8,14 +8,13 @@ from conftest import (
     FUNCS,
     const,
     mk,
-    nodes_bisimilar,
     random_program,
     random_term,
     seed,
+    values_bisimilar,
     var_pool,
 )
 from coresolve.program import Clause, clause_instance
-from coresolve.rational import build_node
 from coresolve.terms import (
     FreshVars,
     Struct,
@@ -131,7 +130,7 @@ class TestRationalUnify:
                 continue
             checked += 1
             substs = [out.substitution]
-            assert nodes_bisimilar(build_node([a], substs)[0], build_node([b], substs)[0])
+            assert values_bisimilar((a, substs), (b, substs))
         assert checked > 50
 
     def test_extract_agrees_with_the_old_extract(self, rng):
@@ -148,6 +147,17 @@ class TestRationalUnify:
             assert got == want and repr(got) == repr(want), (a, b)
             circular += got.circular
         assert circular > 50
+
+    def test_structures_interned_by_identity(self):
+        # Equal but distinct f(A) objects are two classes: A joins one and
+        # B the other.  One shared object is one class holding A and B,
+        # named by its oldest variable, B.
+        A, B = Var(2, "A"), Var(1, "B")
+        two = rational_unify(mk("p", A, B), mk("p", mk("f", A), mk("f", A)))
+        assert repr(two.substitution) == "{B↦f(A), A↦f(A)}"
+        fa = mk("f", A)
+        one = rational_unify(mk("p", A, B), mk("p", fa, fa))
+        assert repr(one.substitution) == "{B↦f(B), A↦f(B)}"
 
     def test_deep_circular_unifier(self):
         t = X

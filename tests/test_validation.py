@@ -3,12 +3,13 @@ properties."""
 
 import pytest
 
-from conftest import check_lemma_4_1, load_query, replay
+from conftest import check_lemma_4_1, load_query, mk, replay
 from coresolve import decirc
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, StepKind
 from coresolve.terms import term_to_text
 from coresolve.validation import (
+    CorrespondenceReport,
     ValidationRefused,
     build_loop_unrolling,
     check_theorem_5_1,
@@ -88,6 +89,29 @@ class TestTheorem51:
         report = check_theorem_5_1(p, q, fresh=fresh)
         assert report.answer is None and report.table == []
         assert report.agrees
+
+    def test_rows_past_the_derivation_are_short(self):
+        # 30 rounds build the partial answer 17 levels deep: below that the
+        # derivation side still has a variable where the answer has
+        # structure, which is a shortfall of rounds, not a disagreement.
+        p, q, fresh = load_query("nats", "nats(X)")
+        report = check_theorem_5_1(p, q, d_max=30, rounds=30, fresh=fresh)
+        assert report.marks() == ["ok"] * 17 + ["short"] * 13
+        assert report.agrees
+
+    def test_only_a_more_general_derivation_side_is_short(self):
+        X = load_query("nats", "nats(X)")[1][0].args[0]
+        zero, one = mk("0"), mk("1")
+        rows = [
+            (1, mk("f", X), mk("f", zero), False),  # derivation more general
+            (2, mk("f", zero), mk("f", X), False),  # answer more general
+            (3, mk("f", zero), mk("f", one), False),  # different
+            (4, mk("f", X), mk("f", X), True),
+        ]
+        report = CorrespondenceReport(mk("q"), None, [], rows)
+        assert report.marks() == ["short", "MISMATCH", "MISMATCH", "ok"]
+        assert not report.agrees
+        assert CorrespondenceReport(mk("q"), None, [], [rows[0], rows[3]]).agrees
 
     def test_refuses_without_restricted_refutation(self):
         p, q, fresh = load_query("ex51", "p(X,s(X))")
