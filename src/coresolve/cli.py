@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import decirc
 from .coengine import co_refute, preflight_warnings
 from .derivation import Limits, Status, StepKind, refute
+from .models import lfp_enumerate
 from .productivity import ProductivityStatus, check_productive
 from .program import ParseError, Program, check_universal, parse_program, parse_query
 from .terms import (
@@ -290,8 +291,6 @@ def cmd_oracle(args, out=None, err=None) -> int:
     if loaded is None:
         return EXIT_USAGE
     prog, _ = loaded
-    from .models import lfp_enumerate
-
     atoms = lfp_enumerate(prog, args.cap)
     for a in atoms.sorted():
         print(term_to_text(a), file=out)
@@ -305,13 +304,9 @@ def repl(args, out=None, err=None, inp=None) -> int:
     loaded = _load(args.file, err)
     if loaded is None:
         return EXIT_USAGE
-    prog, fresh = loaded
-    config = {
-        "mode": "cos",
-        "max_steps": 10000,
-        "max_answers": 1,
-        "unfold_depth": 0,
-    }
+    # The starting settings are the command line's defaults.
+    run = build_parser().parse_args(["run", args.file, "-q", ""])
+    check = build_parser().parse_args(["check", args.file])
     print("coresolve repl; :quit to exit", file=out)
     for line in inp:
         line = line.strip()
@@ -326,7 +321,7 @@ def repl(args, out=None, err=None, inp=None) -> int:
                 continue
             key, value = parts[1], parts[2]
             if key == "mode" and value in ("sld", "s", "colp", "cos"):
-                config["mode"] = value
+                run.mode = value
             elif key in ("max_steps", "max_answers", "unfold_depth"):
                 try:
                     number = int(value)
@@ -337,39 +332,24 @@ def repl(args, out=None, err=None, inp=None) -> int:
                 if error:
                     print(error, file=out)
                 else:
-                    config[key] = number
+                    setattr(run, key, number)
             else:
                 print(f"unknown setting {key}", file=out)
             continue
         if line.startswith(":check"):
             parts = line.split()
             what = parts[1] if len(parts) > 1 else "universal"
-            ns = argparse.Namespace(
-                file=args.file,
-                universal=(what == "universal"),
-                productive=(what == "productive"),
-                bound=64,
-            )
-            cmd_check(ns, out, err)
+            check.universal = what == "universal"
+            check.productive = what == "productive"
+            cmd_check(check, out, err)
             continue
         if line.startswith(":"):
             print(f"unknown command {line}", file=out)
             continue
         if line.startswith("?-"):
             line = line[2:].strip()
-        ns = argparse.Namespace(
-            file=args.file,
-            query=line,
-            mode=config["mode"],
-            max_steps=config["max_steps"],
-            max_answers=config["max_answers"],
-            max_rewrite=64,
-            unfold_depth=config["unfold_depth"],
-            fair=False,
-            trace="off",
-            strict=False,
-        )
-        code = cmd_run(ns, out, err)
+        run.query = line
+        code = cmd_run(run, out, err)
         if code == EXIT_FAILED:
             print("no", file=out)
         elif code == EXIT_LIMIT:

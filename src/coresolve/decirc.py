@@ -32,9 +32,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    apply,
     generation_var,
-    truncate,
     truncate_value,
 )
 
@@ -44,13 +42,11 @@ def unfold(s: Substitution, t: Term, depth: int) -> Term:
     ``depth`` become the reserved leaf.  A circular s is unrolled one
     generation per cycle variable the walk passes, and a free variable
     inside a cycle body gets one copy per generation.  A non-circular s is
-    applied once and the result truncated.  Both are one iterative walk
-    (``terms.truncate_value``).  An answer is unfolded from its solved form
-    (``rational.solved_answer``)."""
+    resolved, so on an idempotent solved form it is applied once.  Both
+    are one iterative walk (``terms.truncate_value``).  An answer is
+    unfolded from its solved form (``rational.solved_answer``)."""
     if depth < 0:
         raise ValueError("unfold depth must be non-negative")
-    if not s.circular:
-        return truncate(depth, apply(s, t))
     return truncate_value(depth, t, s.bindings, s.cycle_vars())
 
 

@@ -26,6 +26,7 @@ from .terms import (
     Var,
     apply_raw,
     iter_subterms,
+    term_to_text,
     variables_in_order,
     variables_of,
 )
@@ -41,8 +42,6 @@ class GroundAtomSet:
         return atom in self.atoms
 
     def sorted(self) -> list[Struct]:
-        from .terms import term_to_text
-
         return sorted(self.atoms, key=term_to_text)
 
 

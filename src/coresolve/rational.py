@@ -5,9 +5,10 @@ term tree, which is a finite graph (Courcelle 1983).  This module resolves
 terms against an ordered list of substitutions into that graph, as arrays
 of node labels and children, minimizes it by bisimulation, and renders
 solved-form answers whose circular bindings come out as fixpoint equations
-such as ``X = scons(0,X)``.  ``render_class`` also renders the union-find
-classes of rational unification, and ``models.gfp_local_check`` reads the
-same graph.  Bounded unfolding lives in ``decirc``.
+such as ``X = scons(0,X)``.  Rational unification (``unify``) merges
+node classes of the same graph and renders them with ``render_class``, and
+``models.gfp_local_check`` reads the same graph.  Bounded unfolding lives
+in ``decirc``.
 
 Resolution is stratified: a variable is looked up in the first substitution
 of the list; cycles are followed within one substitution (that is what makes

@@ -7,6 +7,11 @@ ProperUnifier by testing whether it leaves the pattern side fixed; the
 substitution reduction of the derivation engine needs exactly that
 classification ("unifies but does not match").  A search step runs them
 on a stored clause head in place, through ``resolve_head``.
+
+Rational unification merges classes of the nodes of the two terms' value
+graph (``rational.build_node``), where equal subterms are one node, and
+renders the classes with ``rational.render_class``.  So a unifier depends
+on the terms' values only, never on which equal subterms are one object.
 """
 
 from __future__ import annotations
@@ -15,15 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import is_
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .program import Clause, Renaming
-from .rational import render_class
+from .rational import Label, build_node, render_class
 from .terms import (
     FreshVars,
     Struct,
     Substitution,
-    Symbol,
     Term,
     Var,
     _match_into,
@@ -254,146 +258,96 @@ def resolve_head(
     return Resolvent(kind, sigma, body, Renaming(c, first))
 
 
-class _UnionFind:
-    """Union-find over term nodes for rational-tree unification.
+# Rational unification's classes: the value graph of the two terms (node
+# labels and children), each node's class (its root node) and each class's
+# oldest variable, indexed by node.
+Classes = tuple[list[Label], list[Sequence[int]], list[int], list[Optional[Var]]]
 
-    Term values (variables or structured subterms) are interned to integer
-    handles once, so the hot find/union paths never hash or compare terms.
-    Each class keeps its oldest variable (for deterministic answers) and one
-    structure witness (symbols of two witnesses in one class must agree).
-    """
 
-    def __init__(self) -> None:
-        # Variables are interned by value (every occurrence of a variable
-        # must share a class); structures by object identity, as in the
-        # standard term-graph formulation — equal subterm copies simply
-        # start as separate nodes and merge if the worklist demands it.
-        self.ids: dict[object, int] = {}
-        self.parent: list[int] = []
-        self.var_rep: list[Optional[Var]] = []
-        self.witness: list[Optional[Struct]] = []
-        self._keep: list[Struct] = []  # pins id()-keyed nodes alive
+def _rational_solve(a: Term, b: Term) -> Union[Classes, str]:
+    """The propagation phase of rational-tree unification: merge classes of
+    the nodes of the value graph of ``a`` and ``b``, where equal subterms
+    are one node, until fixpoint or symbol clash.  A class's root is a
+    structure node when the class has one, so the root's label and
+    children are the class's.  Returns the graph with its classes on
+    success, a failure reason string on clash."""
+    (ra, rb), labels, kids = build_node([a, b], ())
+    parent = list(range(len(labels)))
+    oldest = [v if v.__class__ is Var else None for v in labels]
 
-    def add(self, t: Term) -> int:
-        key: object = t if isinstance(t, Var) else id(t)
-        k = self.ids.get(key)
-        if k is None:
-            k = len(self.parent)
-            self.ids[key] = k
-            self.parent.append(k)
-            if isinstance(t, Var):
-                self.var_rep.append(t)
-                self.witness.append(None)
-            else:
-                self.var_rep.append(None)
-                self.witness.append(t)
-                self._keep.append(t)
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
         return k
 
-    def find(self, k: int) -> int:
-        parent = self.parent
-        root = k
-        while parent[root] != root:
-            root = parent[root]
-        while parent[k] != root:
-            parent[k], k = root, parent[k]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        self.parent[rb] = ra
-        va, vb = self.var_rep[ra], self.var_rep[rb]
-        if va is None or (vb is not None and vb.id < va.id):
-            va = vb
-        self.var_rep[ra] = va
-        if self.witness[ra] is None:
-            self.witness[ra] = self.witness[rb]
-        return ra
-
-
-def _rational_solve(a: Term, b: Term) -> Union[_UnionFind, str]:
-    """The propagation phase of rational-tree unification: merge equivalence
-    classes of subterms until fixpoint or symbol clash.  Returns the
-    union-find on success, a failure reason string on clash."""
-    uf = _UnionFind()
-    work: list[tuple[Term, Term]] = [(a, b)]
+    work = [(ra, rb)]
     while work:
         s, t = work.pop()
-        ks, kt = uf.add(s), uf.add(t)
-        if uf.find(ks) == uf.find(kt):
+        s, t = find(s), find(t)
+        if s == t:
             continue
-        ws = uf.witness[uf.find(ks)]
-        wt = uf.witness[uf.find(kt)]
-        if ws is not None and wt is not None:
-            if ws.symbol != wt.symbol:
-                return f"clash: {ws.symbol} vs {wt.symbol}"
-            uf.union(ks, kt)
-            work.extend(zip(ws.args, wt.args))
-        else:
-            uf.union(ks, kt)
-    return uf
+        vs, vt = oldest[s], oldest[t]
+        if vs is None or (vt is not None and vt.id < vs.id):
+            vs = vt
+        if labels[s].__class__ is Var:
+            s, t = t, s
+        elif labels[t].__class__ is not Var:
+            if labels[s] != labels[t]:
+                return f"clash: {labels[s]} vs {labels[t]}"
+            work.extend(zip(kids[s], kids[t]))
+        parent[t] = s
+        oldest[s] = vs
+    return labels, kids, [find(k) for k in range(len(parent))], oldest
 
 
 def rational_unify(a: Term, b: Term) -> UnifyOutcome:
     """Unification without occurs check over rational trees.  Fails only on
     symbol clash; circular constraints become finite self-referencing
     bindings (the answer format ``X = scons(0,X)``)."""
-    uf = _rational_solve(a, b)
-    if isinstance(uf, str):
-        return _fail(uf)
-    sigma = _extract(uf, [a, b])
+    solved = _rational_solve(a, b)
+    if isinstance(solved, str):
+        return _fail(solved)
+    sigma = _extract(solved, [a, b])
     if sigma.circular:
         return UnifyOutcome(UnifyKind.RATIONAL_UNIFIER, sigma)
     return _classify(sigma, a, b)
 
 
-def _extract(uf: _UnionFind, roots: list[Term]) -> Substitution:
-    # Register every subterm of the roots so that class rendering can
-    # resolve children the solving worklist never had to touch.
-    for root in roots:
-        for sub in iter_subterms(root):
-            uf.add(sub)
-
-    find = uf.find
-    # The class graph: a class with a structure witness is labelled by its
-    # symbol, with an edge to the class of each of the witness's arguments.
-    symbols: dict[int, Symbol] = {}
-    edges: dict[int, list[int]] = {}
-    for c in sorted({find(k) for k in range(len(uf.parent))}):
-        w = uf.witness[c]
-        edges[c] = [] if w is None else [find(uf.add(a)) for a in w.args]
-        if w is not None:
-            symbols[c] = w.symbol
+def _extract(solved: Classes, roots: list[Term]) -> Substitution:
+    labels, kids, cls, oldest = solved
+    # The class graph: a class is labelled by its root's label, with an
+    # edge to the class of each of the root's children.
+    succ = {c: [cls[k] for k in kids[c]] for c in set(cls)}
 
     # Classes on a cycle of that graph must be rendered through their
     # canonical variable to stay finite.  Every cycle passes a class with a
-    # variable: the members of a class have their arguments in the same
-    # classes, so on a cycle of structure-only classes the lowest member
-    # would have an argument on the cycle that is lower still.  So
-    # rendering stops on every cycle, and a class renders the same wherever
-    # it occurs.
-    cyclic = cycle_members(edges, edges.__getitem__)
+    # variable: the nodes of a class have their children in the same
+    # classes, and a child is a strictly smaller term, so on a cycle of
+    # structure-only classes the smallest node would have a child on the
+    # cycle that is smaller still.  So rendering stops on every cycle, and
+    # a class renders the same wherever it occurs.
+    cyclic = cycle_members(succ, succ.__getitem__)
 
     def name(c: int) -> Optional[Var]:
-        return uf.var_rep[c] if c not in symbols or c in cyclic else None
+        return oldest[c] if labels[c].__class__ is Var or c in cyclic else None
 
+    node_of = {v: n for n, v in enumerate(labels) if v.__class__ is Var}
     rendered: dict[int, Term] = {}
     bindings: dict[Var, Term] = {}
     for v in variables_in_order(roots):
-        c = find(uf.add(v))
-        if c in symbols:
+        c = cls[node_of[v]]
+        if labels[c].__class__ is Var:
+            bindings[v] = oldest[c]
+        else:
             # Expand one level; self-references inside come back as the
             # canonical variable, giving the fixpoint form.
-            args = [render_class(k, symbols, edges, name, rendered) for k in edges[c]]
-            bindings[v] = Struct(symbols[c], tuple(args))
-        else:
-            bindings[v] = uf.var_rep[c]
+            args = [render_class(k, labels, succ, name, rendered) for k in succ[c]]
+            bindings[v] = Struct(labels[c], tuple(args))
     # The cycle variables of the bindings are the canonical variables of
     # the cyclic classes: each is bound to its class's structure, which
     # leads round the cycle to the next canonical variable on it, while
     # no image mentions any other variable of a class.
     return Substitution._with_cycle_vars(
-        bindings, {uf.var_rep[c] for c in cyclic if uf.var_rep[c] is not None}
+        bindings, {oldest[c] for c in cyclic if oldest[c] is not None}
     )

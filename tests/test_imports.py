@@ -1,7 +1,8 @@
 """Every module of the engine uses every name it imports, every top-level
 function and class of the engine is used by other engine code, and no
 function of the engine calls itself unless the depth of that recursion is
-bounded by something other than the size of a term.
+bounded by something other than the size of a term, and no engine code
+calls the builtin ``id``.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included; ``__init__.py`` is left out because it imports to
@@ -229,3 +230,28 @@ class TestNoRecursion:
 
     def test_exemptions_are_needed(self):
         assert set(RECURSION_BOUNDED) <= set(self_calling_functions(src_sources()))
+
+
+def identity_calls(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each call of the builtin ``id`` in ``sources``.
+    What the engine prints must not depend on which equal terms happen to
+    be one object, so no engine code keys anything by object identity."""
+    return [
+        f"{module}:{n.lineno}"
+        for module, source in sources.items()
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
+    ]
+
+
+class TestNoObjectIdentity:
+    def test_detects_id_calls(self):
+        source = (
+            "def add(self, t):\n"
+            "    key = t if isinstance(t, Var) else id(t)\n"
+            "    return t.id + self.id\n"
+        )
+        assert identity_calls({"m": source}) == ["m:2"]
+
+    def test_src_calls_no_id(self):
+        assert identity_calls(src_sources()) == []

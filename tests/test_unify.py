@@ -5,8 +5,10 @@ from collections import Counter
 
 from conftest import (
     CONSTS,
+    CORPUS_QUERIES,
     FUNCS,
     const,
+    load_query,
     mk,
     random_program,
     random_term,
@@ -14,6 +16,9 @@ from conftest import (
     values_bisimilar,
     var_pool,
 )
+from test_golden import MAX_STEPS
+from coresolve import coengine
+from coresolve.derivation import Limits
 from coresolve.program import Clause, clause_instance
 from coresolve.terms import (
     FreshVars,
@@ -135,29 +140,54 @@ class TestRationalUnify:
 
     def test_extract_agrees_with_the_old_extract(self, rng):
         pool = var_pool(3)
-        circular = 0
+        circular = clashes = 0
         for _ in range(1000):
             a = random_term(rng, 4, pool)
             b = random_term(rng, 4, pool)
-            uf = _rational_solve(a, b)
-            if isinstance(uf, str):
-                continue
-            got = _extract(uf, [a, b])
-            want = old_extract(_rational_solve(a, b), [a, b])
-            assert got == want and repr(got) == repr(want), (a, b)
-            circular += got.circular
-        assert circular > 50
+            same = agree_with_reference(a, b)
+            # Equal subterms held as one object, and as two.
+            assert agree_with_reference(*hash_consed(a, b)) == same, (a, b)
+            assert agree_with_reference(unshared(a), unshared(b)) == same, (a, b)
+            two_vars = mk("pair", *pool[:2])
+            one = agree_with_reference(two_vars, mk("pair", a, a))
+            assert agree_with_reference(two_vars, mk("pair", a, unshared(a))) == one, a
+            circular += same.startswith("{") and rational_unify(a, b).substitution.circular
+            clashes += same.startswith("clash")
+        assert circular > 50 and clashes > 50
 
-    def test_structures_interned_by_identity(self):
-        # Equal but distinct f(A) objects are two classes: A joins one and
-        # B the other.  One shared object is one class holding A and B,
-        # named by its oldest variable, B.
+    def test_printed_unifier_ignores_object_sharing(self):
+        # Equal f(A) objects and one shared f(A) give the same classes: A,
+        # B and f(A) are one class, named by its oldest variable, B.
         A, B = Var(2, "A"), Var(1, "B")
         two = rational_unify(mk("p", A, B), mk("p", mk("f", A), mk("f", A)))
-        assert repr(two.substitution) == "{B↦f(A), A↦f(A)}"
         fa = mk("f", A)
         one = rational_unify(mk("p", A, B), mk("p", fa, fa))
-        assert repr(one.substitution) == "{B↦f(B), A↦f(B)}"
+        assert repr(two.substitution) == repr(one.substitution) == "{B↦f(B), A↦f(B)}"
+
+    def test_corpus_loop_pairs_ignore_object_sharing(self, monkeypatch):
+        # Every (atom, ancestor) pair the corpus runs in colp and cos feed
+        # the loop rules, unified as it is and rebuilt with no subterm
+        # object shared.
+        pairs = []
+        for rule in ("colp_loop", "restricted_loop"):
+            def record(g, i, ancestor, _rule=getattr(coengine, rule)):
+                pairs.append((g[i].atom, ancestor))
+                return _rule(g, i, ancestor)
+
+            monkeypatch.setattr(coengine, rule, record)
+        for name, query in sorted(CORPUS_QUERIES.items()):
+            for mode in ("colp", "restricted"):
+                p, q, fresh = load_query(name, query)
+                limits = Limits(max_steps=MAX_STEPS.get(name, Limits.max_steps), max_answers=3)
+                coengine.co_refute(p, q, mode, limits, fresh)
+        circular = 0
+        for a, b in pairs:
+            got = rational_unify(a, b)
+            again = rational_unify(unshared(a), unshared(b))
+            assert (got.kind, got.reason) == (again.kind, again.reason), (a, b)
+            assert repr(got.substitution) == repr(again.substitution), (a, b)
+            circular += got.kind is UnifyKind.RATIONAL_UNIFIER
+        assert len(pairs) > 1000 and circular > 50
 
     def test_deep_circular_unifier(self):
         t = X
@@ -293,9 +323,82 @@ def old_mgu(a, b):
     return UnifyOutcome(UnifyKind.PROPER_UNIFIER, solved)
 
 
-# _extract as it was before it rendered each class once: a recursive render
-# that carries the classes on its path.  Kept as the oracle of
+# Rational unification as it was on its own union-find, changed only to
+# intern structures by value: the reference of
 # test_extract_agrees_with_the_old_extract.
+class _UnionFind:
+    """Union-find over term nodes for rational-tree unification.
+
+    Term values (variables or structured subterms) are interned to integer
+    handles once, so the hot find/union paths never hash or compare terms.
+    Each class keeps its oldest variable (for deterministic answers) and one
+    structure witness (symbols of two witnesses in one class must agree).
+    """
+
+    def __init__(self):
+        self.ids = {}
+        self.parent = []
+        self.var_rep = []
+        self.witness = []
+
+    def add(self, t):
+        k = self.ids.get(t)
+        if k is None:
+            k = len(self.parent)
+            self.ids[t] = k
+            self.parent.append(k)
+            if isinstance(t, Var):
+                self.var_rep.append(t)
+                self.witness.append(None)
+            else:
+                self.var_rep.append(None)
+                self.witness.append(t)
+        return k
+
+    def find(self, k):
+        parent = self.parent
+        root = k
+        while parent[root] != root:
+            root = parent[root]
+        while parent[k] != root:
+            parent[k], k = root, parent[k]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        self.parent[rb] = ra
+        va, vb = self.var_rep[ra], self.var_rep[rb]
+        if va is None or (vb is not None and vb.id < va.id):
+            va = vb
+        self.var_rep[ra] = va
+        if self.witness[ra] is None:
+            self.witness[ra] = self.witness[rb]
+        return ra
+
+
+def old_rational_solve(a, b):
+    uf = _UnionFind()
+    work = [(a, b)]
+    while work:
+        s, t = work.pop()
+        ks, kt = uf.add(s), uf.add(t)
+        if uf.find(ks) == uf.find(kt):
+            continue
+        ws = uf.witness[uf.find(ks)]
+        wt = uf.witness[uf.find(kt)]
+        if ws is not None and wt is not None:
+            if ws.symbol != wt.symbol:
+                return f"clash: {ws.symbol} vs {wt.symbol}"
+            uf.union(ks, kt)
+            work.extend(zip(ws.args, wt.args))
+        else:
+            uf.union(ks, kt)
+    return uf
+
+
+# A recursive render that carries the classes on its path.
 def old_extract(uf, roots):
     for root in roots:
         for sub in iter_subterms(root):
@@ -337,6 +440,39 @@ def old_extract(uf, roots):
                 elif rep is not None and sub != rep:
                     bindings[sub] = rep
     return Substitution(bindings)
+
+
+def agree_with_reference(a, b):
+    """The repr of the unifier of ``a`` and ``b``, or the clash reason,
+    after checking that the reference gives the same substitution, repr
+    and clash reason."""
+    got, want = _rational_solve(a, b), old_rational_solve(a, b)
+    if isinstance(want, str):
+        assert got == want, (a, b)
+        return want
+    got, want = _extract(got, [a, b]), old_extract(want, [a, b])
+    assert got == want and repr(got) == repr(want), (a, b)
+    return repr(got)
+
+
+def unshared(t):
+    """A copy of ``t`` in which no two structure positions are one object."""
+    if isinstance(t, Var):
+        return t
+    return Struct(t.symbol, tuple(unshared(a) for a in t.args))
+
+
+def hash_consed(*ts):
+    """Copies of ``ts`` in which equal structures are one object."""
+    pool = {}
+
+    def go(u):
+        if isinstance(u, Var):
+            return u
+        u = Struct(u.symbol, tuple(go(a) for a in u.args))
+        return pool.setdefault(u, u)
+
+    return [go(t) for t in ts]
 
 
 class TestGroundShortcuts:
