@@ -5,18 +5,19 @@ Subcommands: ``run`` (query a program in one of four engine modes),
 ``oracle`` (bounded least-model enumeration), ``repl``.
 
 Exit codes for ``run``: 0 at least one answer, 1 finite failure, 2 limit
-exceeded, 3 usage or parse error, 4 static-check refusal (only with
-``--strict``).  ``check`` exits 0 on a clean verdict and 4 on a violation
-or loop witness.  ``validate`` exits 0 when no depth disagrees (a depth
-the rebuilt derivation has not reached is ``short``, not a disagreement),
-1 on a disagreement, 3 on misuse.
+exceeded (a stderr line names the bounds that fired), 3 usage or parse
+error, 4 static-check refusal (only with ``--strict``).  ``check`` exits 0
+on a clean verdict and 4 on a violation or loop witness.  ``validate``
+exits 0 when no depth disagrees (a depth the rebuilt derivation has not
+reached is ``short``, not a disagreement), 1 on a disagreement, 3 on
+misuse.  Every subcommand exits 3 when the program file cannot be read or
+is not UTF-8 text.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -120,6 +121,8 @@ def _emit_trace(steps, fmt: str, out) -> None:
                 file=out,
             )
     else:
+        import json  # only here: a one-shot process need not load it
+
         for n, st in enumerate(steps):
             rec = {
                 "n": n,
@@ -135,14 +138,6 @@ def _emit_trace(steps, fmt: str, out) -> None:
             print(json.dumps(rec, sort_keys=True), file=out)
 
 
-def _status_exit(status: Status) -> int:
-    if status is Status.REFUTED:
-        return EXIT_ANSWER
-    if status is Status.FAILED:
-        return EXIT_FAILED
-    return EXIT_LIMIT
-
-
 def _load(path: str, out_err) -> Optional[tuple[Program, FreshVars]]:
     fresh = FreshVars()
     try:
@@ -150,6 +145,9 @@ def _load(path: str, out_err) -> Optional[tuple[Program, FreshVars]]:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=out_err)
+        return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8 text: {exc}", file=out_err)
         return None
     try:
         prog = parse_program(text, fresh)
@@ -203,7 +201,15 @@ def cmd_run(args, out=None, err=None) -> int:
         if k:
             print("", file=out)
         _print_answer(query_vars, answer.solved, args.unfold_depth, out)
-    return _status_exit(result.status)
+    if result.status is not Status.LIMIT_EXCEEDED:
+        return EXIT_ANSWER if result.status is Status.REFUTED else EXIT_FAILED
+    # Exit 2 names each bound that fired on stderr, so stdout holds answers only.
+    named = [f"--max-steps {limits.max_steps}" if name == "max_steps"
+             else f"depth bound {limits.max_depth}" for name in result.limits_hit]
+    if result.diverged:
+        named.append(f"--max-rewrite {limits.max_rewrite_chain}")
+    print(f"limit exceeded: {', '.join(named)}", file=err)
+    return EXIT_LIMIT
 
 
 def cmd_check(args, out=None, err=None) -> int:

@@ -25,10 +25,9 @@ LOOP steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Generator, Iterator, Optional, Sequence
+from typing import Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .derivation import Limits, Move, Result, Step, StepKind
 from .derivation import _SearchState, clause_moves, search
@@ -51,8 +50,7 @@ from .unify import (
 )
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     atom: Term
     ancestors: tuple[Term, ...] = ()  # oldest first
 
@@ -80,8 +78,7 @@ class LoopFailReason(Enum):
     TRIVIAL_UNIFIER = "trivial_unifier"
 
 
-@dataclass(frozen=True)
-class LoopFailure:
+class LoopFailure(NamedTuple):
     reason: LoopFailReason
     atom: Term
     ancestor: Term

@@ -28,13 +28,12 @@ variables it keeps; ``Step.clause``, the renamed clause, is built on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import rational
 from .program import Clause, Program, Renaming
-from .terms import FreshVars, Substitution, Term, apply_raw, variables_in_order
+from .terms import FreshVars, Substitution, Term, apply_raw, immutable_setattr, variables_in_order
 from .unify import UnifyKind, resolve_head
 
 Goal = tuple[Term, ...]
@@ -53,8 +52,7 @@ class Status(Enum):
     LIMIT_EXCEEDED = "limit_exceeded"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     kind: StepKind
     atom_index: int
     clause_index: Optional[int]
@@ -83,16 +81,17 @@ class Result(NamedTuple):
     """What one search found, in every mode.  ``loop_failures`` lists the
     failed ``coengine.restricted_loop`` calls (candidates the loop filters
     drop before the call are charged but not listed); it is empty in the
-    other modes."""
+    other modes.  ``limits_hit`` names the limits that fired (``max_depth``,
+    ``max_steps``); ``diverged``, a chain cut at ``max_rewrite_chain``."""
 
     answers: list[Answer]
     status: Status
     steps_used: int
     diverged: bool
     loop_failures: list
+    limits_hit: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Limits:
     """Bounds on one search.
 
@@ -103,13 +102,34 @@ class Limits:
     chain longer than ``max_rewrite_chain`` is pruned as divergence and the
     search goes on.  A search that ends without an answer reports
     LIMIT_EXCEEDED if a limit fired or a chain was pruned.
+    Immutable; the defaults are the class attributes, which ``__init__``
+    takes, and equality, hash and ``repr`` go by the fields in order.
     """
+
+    __setattr__ = __delattr__ = immutable_setattr
 
     max_steps: int = 10000
     max_depth: int = 2000
     max_answers: int = 1
     max_rewrite_chain: int = 64
     fair: bool = False
+
+    def __init__(self, max_steps: int = max_steps, max_depth: int = max_depth,
+                 max_answers: int = max_answers, max_rewrite_chain: int = max_rewrite_chain,
+                 fair: bool = fair) -> None:
+        vars(self).update(max_steps=max_steps, max_depth=max_depth, max_answers=max_answers,
+                          max_rewrite_chain=max_rewrite_chain, fair=fair)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Limits:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"Limits({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def apply_to_goal(s: Substitution, g: Goal) -> Goal:
@@ -166,7 +186,7 @@ class _SearchState:
         self.limits = limits
         self.stop_at_any_limit = stop_at_any_limit
         self.steps_used = 0
-        self.limit_hit = False
+        self.limits_hit: set[str] = set()
         self.diverged = False
         self.answers: list[Answer] = []
         self.loop_failures: list = []
@@ -174,21 +194,21 @@ class _SearchState:
     def charge(self, n: int) -> bool:
         self.steps_used += n
         if self.steps_used > self.limits.max_steps:
-            self.limit_hit = True
+            self.limits_hit.add("max_steps")
             return False
         return True
 
     @property
     def done(self) -> bool:
         return len(self.answers) >= self.limits.max_answers or (
-            self.limit_hit and (self.stop_at_any_limit or not self.answers)
+            self.limits_hit and (self.stop_at_any_limit or not self.answers)
         )
 
     @property
     def status(self) -> Status:
         if self.answers:
             return Status.REFUTED
-        if self.limit_hit or self.diverged:
+        if self.limits_hit or self.diverged:
             return Status.LIMIT_EXCEEDED
         return Status.FAILED
 
@@ -258,7 +278,7 @@ def search(
                 Answer(steps, rational.solved_answer(query_vars, substs, fresh))
             )
         elif moves >= limits.max_depth:
-            state.limit_hit = True
+            state.limits_hit.add("max_depth")
         else:
             i = moves % len(g) if limits.fair else 0
             stack.append((expand(state, g, i, chain), moves, chain, len(path)))
@@ -278,9 +298,8 @@ def search(
         else:
             path.extend(taken)
         enter(g2, moves + 1, chain + 1 if rewrite else 0)
-    return Result(
-        state.answers, state.status, state.steps_used, state.diverged, state.loop_failures
-    )
+    return Result(state.answers, state.status, state.steps_used, state.diverged,
+                  state.loop_failures, tuple(sorted(state.limits_hit)))
 
 
 def refute(

@@ -12,9 +12,8 @@ model, which is the soundness target of loop-detected answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .program import Program
 from .rational import build_node
@@ -33,8 +32,7 @@ from .terms import (
 from .unify import mgm
 
 
-@dataclass(frozen=True)
-class GroundAtomSet:
+class GroundAtomSet(NamedTuple):
     atoms: frozenset[Struct]
     depth_cap: int
 

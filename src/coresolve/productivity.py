@@ -14,9 +14,8 @@ under-approximation of all goals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .program import Clause, Program, Renaming
 from .terms import FreshVars, Struct, Term, Var
@@ -28,16 +27,14 @@ class ProductivityStatus(Enum):
     NO_LOOP_FOUND = "no_loop_found"
 
 
-@dataclass(frozen=True)
-class WitnessStep:
+class WitnessStep(NamedTuple):
     clause_index: int
     clause: Clause
     body_index: int
     atom: Term
 
 
-@dataclass(frozen=True)
-class RewritingWitness:
+class RewritingWitness(NamedTuple):
     root: Term
     steps: tuple[WitnessStep, ...]
     loop_start: int  # index into the atom chain where the repeated variant sits
@@ -46,8 +43,7 @@ class RewritingWitness:
         return [self.root] + [s.atom for s in self.steps]
 
 
-@dataclass(frozen=True)
-class ProductivityVerdict:
+class ProductivityVerdict(NamedTuple):
     status: ProductivityStatus
     bound: int
     witness: Optional[RewritingWitness] = None

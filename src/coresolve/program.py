@@ -13,7 +13,6 @@ input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -132,11 +131,32 @@ class _PredicateIndex:
         self.by_first: dict[Symbol, list[int]] = {}
 
 
-@dataclass(frozen=True)
 class Program:
+    """Clauses, with the parser's symbols and warnings; equality and hash
+    read the clauses only.  Immutable; ``_index`` is cached in its dict."""
+
+    __setattr__ = __delattr__ = immutable_setattr
+
     clauses: tuple[Clause, ...]
-    signature: dict[str, Symbol] = field(default_factory=dict, compare=False)
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    signature: dict[str, Symbol]
+    warnings: tuple[str, ...]
+
+    def __init__(self, clauses: tuple[Clause, ...], signature: Optional[dict[str, Symbol]] = None,
+                 warnings: tuple[str, ...] = ()) -> None:
+        vars(self).update(clauses=clauses, signature={} if signature is None else signature,
+                          warnings=warnings)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Program:
+            return NotImplemented
+        return self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash((self.clauses,))
+
+    def __repr__(self) -> str:
+        return (f"Program(clauses={self.clauses!r}, signature={self.signature!r}, "
+                f"warnings={self.warnings!r})")
 
     @cached_property
     def _index(self) -> dict[Symbol, _PredicateIndex]:
@@ -182,8 +202,7 @@ class Program:
         return pred.by_first.get(first.symbol, pred.var_first)
 
 
-@dataclass(frozen=True)
-class UniversalityReport:
+class UniversalityReport(NamedTuple):
     violations: tuple[tuple[int, Span, tuple[Var, ...]], ...]
 
     @property

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
@@ -577,14 +575,20 @@ def divergence_depth(s: Term, t: Term) -> Optional[int]:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Distance:
-    """Exact dyadic distance: 0, or 2**(-exponent)."""
+    """Exact dyadic distance: 0, or 2**(-exponent).  Immutable; all zero
+    distances are equal, whatever their exponent."""
+
+    __setattr__ = __delattr__ = immutable_setattr
 
     zero: bool
-    exponent: int = 0
+    exponent: int
 
-    def value(self) -> Fraction:
+    def __init__(self, zero: bool, exponent: int = 0) -> None:
+        vars(self).update(zero=zero, exponent=exponent)
+
+    def value(self) -> "Fraction":
+        from fractions import Fraction  # only here: start-up need not load it
         return Fraction(0) if self.zero else Fraction(1, 2**self.exponent)
 
     def __eq__(self, other: object) -> bool:
@@ -595,10 +599,14 @@ class Distance:
         return self.exponent == other.exponent
 
     def __lt__(self, other: "Distance") -> bool:
-        return self.value() < other.value()
+        # Nothing is below 0, and 0 is below the rest; 2**-e falls as e grows.
+        return not other.zero and (self.zero or self.exponent > other.exponent)
 
     def __hash__(self) -> int:
         return hash((self.zero, 0 if self.zero else self.exponent))
+
+    def __repr__(self) -> str:
+        return f"Distance(zero={self.zero!r}, exponent={self.exponent!r})"
 
     def __str__(self) -> str:
         return "0" if self.zero else f"2^-{self.exponent}"

@@ -16,7 +16,6 @@ on the terms' values only, never on which equal subterms are one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import is_
@@ -48,18 +47,15 @@ class UnifyKind(Enum):
     FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class UnifyOutcome:
+class UnifyOutcome(NamedTuple):
     kind: UnifyKind
     substitution: Optional[Substitution] = None
     reason: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
+    def __bool__(self) -> bool:
         return self.kind is not UnifyKind.FAIL
 
-    def __bool__(self) -> bool:
-        return self.ok
+    ok = property(__bool__)
 
 
 def _fail(reason: str) -> UnifyOutcome:

@@ -189,6 +189,35 @@ class TestRun:
         assert code == 2
         assert "not universal" in err
 
+    def test_limit_line_names_each_bound(self, capsys, tmp_path):
+        # Exit 2 says on stderr which bounds fired, with their values; the
+        # search records them, and stdout stays empty.
+        (tmp_path / "depth.lp").write_text("p(X) :- p(X).\n", encoding="utf-8")
+        (tmp_path / "chain.lp").write_text("p(X) :- p(f(X)).\n", encoding="utf-8")
+        (tmp_path / "both.lp").write_text("p(X) :- p(f(X)).\np(s(X)) :- p(X).\n", encoding="utf-8")
+        nat150 = "nat(" + "s(" * 150 + "0" + ")" * 150 + ")"
+        cases = [
+            ([lp("fibs"), "-q", "fibs(0,s(0),S)", "--mode", "sld", "--max-steps", "200"],
+             "--max-steps 200"),
+            ([lp("nat"), "-q", nat150, "--mode", "cos", "--max-rewrite", "100000"],
+             "--max-steps 10000"),
+            ([str(tmp_path / "depth.lp"), "-q", "p(a)", "--mode", "sld"], "depth bound 2000"),
+            ([lp("nat"), "-q", nat150, "--mode", "cos"], "--max-rewrite 64"),
+            ([str(tmp_path / "chain.lp"), "-q", "p(a)", "--mode", "s", "--max-rewrite", "9"],
+             "--max-rewrite 9"),
+            ([str(tmp_path / "both.lp"), "-q", "p(Y)", "--mode", "s", "--max-steps", "500"],
+             "--max-steps 500, --max-rewrite 64"),
+        ]
+        for argv, named in cases:
+            code, out, err = run(capsys, "run", *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == f"limit exceeded: {named}"
+
+    def test_no_limit_line_without_exit_2(self, capsys):
+        for argv in (["nats(X)"], ["nats(X)", "--mode", "colp", "--max-answers", "3"]):
+            code, _, err = run(capsys, "run", lp("nats"), "-q", *argv)
+            assert code == 0 and "limit" not in err
+
     def test_strict_refusal(self, capsys):
         code, _, err = run(
             capsys, "run", lp("fibs"), "-q", "fibs(0,s(0),F)", "--strict"
@@ -319,6 +348,16 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "run", "no-such-file.lp", "-q", "p(X)")
         assert code == 3
+
+    def test_program_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.lp"
+        path.write_bytes(b"p(\xff).\n")
+        for argv in (["run", str(path), "-q", "p(X)"], ["check", str(path), "--universal"],
+                     ["validate", str(path), "-q", "p(X)"], ["oracle", str(path)],
+                     ["repl", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {path} is not UTF-8 text: ") and err.count("\n") == 1
 
     def test_nonpositive_bound(self, capsys):
         cases = [

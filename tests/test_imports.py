@@ -1,8 +1,9 @@
 """Every module of the engine uses every name it imports, every top-level
 function and class of the engine is used by other engine code, and no
 function of the engine calls itself unless the depth of that recursion is
-bounded by something other than the size of a term, and no engine code
-calls the builtin ``id``.
+bounded by something other than the size of a term, no engine code
+calls the builtin ``id``, and importing the command line loads none of the
+modules in ``SLOW_IMPORTS``.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included; ``__init__.py`` is left out because it imports to
@@ -13,6 +14,9 @@ count.  Only the standard library's ``ast`` is needed.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -255,3 +259,71 @@ class TestNoObjectIdentity:
 
     def test_src_calls_no_id(self):
         assert identity_calls(src_sources()) == []
+
+
+# Modules a fresh ``coresolve`` process must not load: ``dataclasses``
+# brings ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it, and the
+# others are needed only by ``Distance.value`` and structured traces, which
+# import them when called.  {"module": "where the engine may import it"}.
+SLOW_IMPORTS = {"dataclasses": "nowhere", "fractions": "in a function", "json": "in a function"}
+
+
+def slow_imports(sources: dict[str, str]) -> list[str]:
+    """``module:line name`` of each import in ``sources`` of a module that
+    ``SLOW_IMPORTS`` keeps out: anywhere for "nowhere", and outside every
+    function for "in a function"."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, module: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name.split(".")[0] for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module.split(".")[0]]
+            else:
+                names = []
+            for name in names:
+                rule = SLOW_IMPORTS.get(name)
+                if rule == "nowhere" or (rule == "in a function" and not in_function):
+                    found.append(f"{module}:{child.lineno} {name}")
+            inner = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, False)
+    return found
+
+
+class TestStartUpImports:
+    def test_detects_slow_imports(self):
+        source = (
+            "import json\n"
+            "from dataclasses import dataclass\n"
+            "if True:\n"
+            "    from fractions import Fraction\n"
+            "def value():\n"
+            "    import json, fractions\n"
+            "    from dataclasses import field\n"
+        )
+        assert slow_imports({"m": source}) == [
+            "m:1 json", "m:2 dataclasses", "m:4 fractions", "m:7 dataclasses"
+        ]
+
+    def test_src_imports_no_slow_module_at_start_up(self):
+        assert slow_imports(src_sources()) == []
+
+    def test_fresh_process_loads_no_slow_module(self):
+        # What ``site`` loaded before the import does not count.
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import coresolve.cli\n"
+            f"print(sorted((set(sys.modules) - before) & {set(SLOW_IMPORTS)!r}))\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), path]))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
