@@ -22,7 +22,6 @@ from .unify import UnifyKind, UnifyOutcome, mgm, mgu, occurs_in, rational_unify
 from .derivation import Limits, Status, refute
 from .coengine import co_refute
 from .productivity import check_productive
-from .models import gfp_local_check, lfp_enumerate
 
 __all__ = [
     "Clause",
@@ -59,3 +58,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: ``models`` loads on first use, so ``import coresolve.cli``
+    # does not pay for it.
+    if name in ("gfp_local_check", "lfp_enumerate"):
+        from .models import gfp_local_check, lfp_enumerate
+
+        return gfp_local_check if name == "gfp_local_check" else lfp_enumerate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,9 @@ on a clean verdict and 4 on a violation or loop witness.  ``validate``
 exits 0 when no depth disagrees (a depth the rebuilt derivation has not
 reached is ``short``, not a disagreement), 1 on a disagreement, 3 on
 misuse.  Every subcommand exits 3 when the program file cannot be read or
-is not UTF-8 text.
+is not UTF-8 text, and 5 on an internal error: an exception that escapes
+the subcommand is reported as one ``internal error:`` line on stderr,
+never as a traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Optional, Sequence
 from . import decirc
 from .coengine import co_refute, preflight_warnings
 from .derivation import Limits, Status, StepKind, refute
-from .models import lfp_enumerate
 from .productivity import ProductivityStatus, check_productive
 from .program import ParseError, Program, check_universal, parse_program, parse_query
 from .terms import (
@@ -35,7 +36,6 @@ from .terms import (
     term_to_text,
     variables_in_order,
 )
-from .validation import ValidationRefused, check_theorem_5_1
 
 TRACE_HEADER = "coresolve-trace v1"
 
@@ -44,6 +44,7 @@ EXIT_FAILED = 1
 EXIT_LIMIT = 2
 EXIT_USAGE = 3
 EXIT_CHECK = 4
+EXIT_INTERNAL = 5
 
 # Bounds from the command line or ``:set``: each must be positive, except
 # the unfolding depth, where 0 means no unfolding.
@@ -261,6 +262,8 @@ def cmd_check(args, out=None, err=None) -> int:
 
 
 def cmd_validate(args, out=None, err=None) -> int:
+    from .validation import ValidationRefused, check_theorem_5_1  # off the path of ``run``
+
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     loaded = _load(args.file, err)
@@ -291,6 +294,8 @@ def cmd_validate(args, out=None, err=None) -> int:
 
 
 def cmd_oracle(args, out=None, err=None) -> int:
+    from .models import lfp_enumerate  # off the path of ``run``
+
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     loaded = _load(args.file, err)
@@ -431,7 +436,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if error:
             print(error, file=sys.stderr)
             return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -131,6 +131,24 @@ class _PredicateIndex:
         self.by_first: dict[Symbol, list[int]] = {}
 
 
+def _file(index: dict[Symbol, _PredicateIndex], ci: int, head: Struct) -> None:
+    """File clause ``ci``, with ``head``, into the first-argument index."""
+    pred = index.get(head.symbol)
+    if pred is None:
+        pred = index[head.symbol] = _PredicateIndex()
+    pred.every.append(ci)
+    first = head.args[0] if head.args else None
+    if isinstance(first, Struct):
+        bucket = pred.by_first.get(first.symbol)
+        if bucket is None:
+            bucket = pred.by_first[first.symbol] = list(pred.var_first)
+        bucket.append(ci)
+    else:
+        pred.var_first.append(ci)
+        for bucket in pred.by_first.values():
+            bucket.append(ci)
+
+
 class Program:
     """Clauses, with the parser's symbols and warnings; equality and hash
     read the clauses only.  Immutable; ``_index`` is cached in its dict."""
@@ -160,23 +178,13 @@ class Program:
 
     @cached_property
     def _index(self) -> dict[Symbol, _PredicateIndex]:
-        # First-argument indexing (Warren 1983): built on the first lookup,
-        # so parsing a program does not pay for it.
+        # First-argument indexing (Warren 1983).  The parser files each
+        # clause as it reads it; a program built directly builds the index
+        # on its first lookup.
         index: dict[Symbol, _PredicateIndex] = {}
         for ci, c in enumerate(self.clauses):
             assert isinstance(c.head, Struct)
-            pred = index.setdefault(c.head.symbol, _PredicateIndex())
-            pred.every.append(ci)
-            first = c.head.args[0] if c.head.args else None
-            if isinstance(first, Struct):
-                bucket = pred.by_first.get(first.symbol)
-                if bucket is None:
-                    bucket = pred.by_first[first.symbol] = list(pred.var_first)
-                bucket.append(ci)
-            else:
-                pred.var_first.append(ci)
-                for bucket in pred.by_first.values():
-                    bucket.append(ci)
+            _file(index, ci, c.head)
         return index
 
     def predicates(self) -> list[Symbol]:
@@ -217,19 +225,23 @@ class UniversalityReport(NamedTuple):
 # alternative takes the trailing skip so that finditer never rescans it;
 # any other token is punctuation, or one character that is an error.  So
 # comparing a token's text with a punctuation string never needs its kind.
-_TOKEN = re.compile(r"(?:\s|%[^\n]*)*(\w+|:-|[()\[\],.|]|\Z|.)", re.DOTALL)
+# A flat compound, such as ``edge(n5,n17)``, is one token: a symbol name
+# (its first character an ASCII lowercase letter or a digit, so it is
+# never a variable), "(", names separated by "," and ")", nothing skipped.
+_TOKEN = re.compile(r"(?:\s|%[^\n]*)*([a-z0-9]\w*\((?:\w+,)*\w+\)|\w+|:-|[()\[\],.|]|\Z|.)",
+                    re.DOTALL)
 _token_text = itemgetter(1)
 
 # The kinds of token where a term starts: a variable name, a symbol name,
-# or any other token.
-_OTHER, _VARIABLE, _SYMBOL = 0, 1, 2
+# a flat compound, or any other token.
+_OTHER, _VARIABLE, _SYMBOL, _FLAT = 0, 1, 2, 3
 
 
 def _kind(tok: str) -> int:
     c = tok[:1]
     if not (c.isalnum() or c == "_"):
         return _OTHER
-    return _VARIABLE if c.isupper() or c == "_" else _SYMBOL
+    return _VARIABLE if c.isupper() or c == "_" else _FLAT if tok[-1] == ")" else _SYMBOL
 
 
 class _Parser:
@@ -238,10 +250,10 @@ class _Parser:
     Token ``i`` has text ``texts[i]`` and match ``matches[i]``.  The
     tokens end with "", and ``texts`` has one "" more, so the reader can
     look one token past any token it reads.  Where a position must be
-    kept, the reader keeps the token index: the offset, line and column of
-    a token are worked out only when a ``Span`` or a ``ParseError`` is
-    built.  Each parse makes one ``Struct`` per nullary symbol and shares
-    it.
+    kept, the reader keeps the token index, and for a name inside a flat
+    compound its offset in the token: the line and column are worked out
+    only when a ``Span`` or a ``ParseError`` is built.  Each parse makes
+    one ``Struct`` per nullary symbol and shares it.
     """
 
     def __init__(self, text: str, fresh: Optional[FreshVars] = None):
@@ -251,33 +263,21 @@ class _Parser:
         self.fresh = fresh or FreshVars()
         self.scope: dict[str, Var] = {}
         self.positions: dict[Var, int] = {}  # of the clause being read
-        # Each symbol by name, and the token that declared it.
+        # Each symbol by name, and where it was declared: a token, and an
+        # offset in it.
         self.signature: dict[str, Symbol] = {}
-        self.declared_at: dict[str, int] = {}
+        self.declared_at: dict[str, tuple[int, int]] = {}
         self.constants: dict[str, Struct] = {}
         self.warnings: list[str] = []
-        # The position ``span`` asked for last: its offset, its line, and
-        # the offset of the newline before it (-1 on the first line).
-        self._cursor = (0, 1, -1)
 
-    def span(self, i: int) -> Span:
-        """Line and column of token ``i``.  Clause starts come in text
-        order, so the newlines are counted on from the position asked for
-        last; only an earlier position counts them again from the start."""
-        offset = self.matches[i].start(1)
-        at, line, last_newline = self._cursor
-        if offset < at:
-            at, line, last_newline = 0, 1, -1
-        newlines = self.text.count("\n", at, offset)
-        if newlines:
-            line += newlines
-            last_newline = self.text.rfind("\n", at, offset)
-        self._cursor = (offset, line, last_newline)
-        return Span(line, offset - last_newline)
+    def span(self, i: int, within: int = 0) -> Span:
+        """Line and column of the character ``within`` token ``i``."""
+        offset = self.matches[i].start(1) + within
+        return Span(self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset))
 
-    def error(self, message: str, i: int) -> ParseError:
-        """A ParseError at token ``i``."""
-        span = self.span(i)
+    def error(self, message: str, i: int, within: int = 0) -> ParseError:
+        """A ParseError at the character ``within`` token ``i``."""
+        span = self.span(i, within)
         return ParseError(message, span.line, span.column)
 
     def _variable(self, name: str) -> Var:
@@ -287,27 +287,47 @@ class _Parser:
             self.scope[name] = v
         return v
 
-    def _symbol(self, name: str, arity: int, i: int) -> Symbol:
-        """The symbol ``name/arity`` used at token ``i``.  One object per
-        symbol in a parse, so most symbol tests pass on identity."""
+    def _symbol(self, name: str, arity: int, i: int, within: int = 0) -> Symbol:
+        """The symbol ``name/arity`` used ``within`` token ``i``.  One object
+        per symbol in a parse, so most symbol tests pass on identity."""
         sym = self.signature.get(name)
         if sym is None:
             sym = self.signature[name] = Symbol(name, arity)
-            self.declared_at[name] = i
+            self.declared_at[name] = (i, within)
         elif sym.arity != arity:
             raise self.error(
                 f"symbol {name!r} used with arity {arity} but declared with "
-                f"arity {sym.arity} at {self.span(self.declared_at[name])}",
+                f"arity {sym.arity} at {self.span(*self.declared_at[name])}",
                 i,
+                within,
             )
         return sym
 
-    def _constant(self, name: str, i: int) -> Struct:
+    def _constant(self, name: str, i: int, within: int = 0) -> Struct:
         const = self.constants.get(name)
         if const is None:
-            const = Struct(self._symbol(name, 0, i))
+            const = Struct(self._symbol(name, 0, i, within))
             self.constants[name] = const
         return const
+
+    def _flat(self, tok: str, i: int) -> Struct:
+        """The flat compound of token ``i``.  Its arguments are looked up
+        or declared left to right, then its functor, as ``atoms`` does."""
+        scope, constants = self.scope, self.constants
+        name, _, rest = tok.partition("(")
+        names = rest[:-1].split(",")
+        args: list[Term] = []
+        within = len(name) + 1
+        for arg in names:
+            t = constants.get(arg) or scope.get(arg)
+            if t is None:
+                if _kind(arg) is _VARIABLE:
+                    t = self._variable(arg)
+                else:
+                    t = self._constant(arg, i, within)
+            args.append(t)
+            within += len(arg) + 1
+        return Struct(self._symbol(name, len(args), i), tuple(args))
 
     def atoms(self, i: int, neck: str) -> tuple[list[Term], int]:
         """Read the terms ``t1 neck t2 , t3 , ... , tn`` from token ``i``:
@@ -342,6 +362,8 @@ class _Parser:
                     t = self._variable(tok)
                 elif kind is _SYMBOL:
                     t = self._constant(tok, i - 1)
+                elif kind is _FLAT:
+                    t = self._flat(tok, i - 1)
                 elif tok == "[":
                     if texts[i] == "]":
                         i += 1
@@ -401,22 +423,41 @@ class _Parser:
                 i += 1
 
     def program(self) -> Program:
-        texts = self.texts
+        """Read the clauses, working out each one's span and filing it into
+        the first-argument index as it is read.  Clause starts come in text
+        order, so the newlines are counted on from the last clause start."""
+        text, texts, matches = self.text, self.texts, self.matches
         clauses: list[Clause] = []
-        i = 0
+        index: dict[Symbol, _PredicateIndex] = {}
+        i = at = 0
+        line, last_newline = 1, -1
         while texts[i]:
             self.scope = {}
             self.positions = {}
-            atoms, end = self.atoms(i, ":-")
-            if texts[end] != ".":
-                raise self.error("expected '.'", end)
-            clauses.append(Clause(atoms[0], tuple(atoms[1:]), self.span(i), self.positions))
+            if texts[i + 1] == "." and _kind(texts[i]) is _FLAT:
+                # A flat fact, such as ``edge(n5,n17).``: two tokens.
+                head, body, end = self._flat(texts[i], i), (), i + 1
+            else:
+                atoms, end = self.atoms(i, ":-")
+                if texts[end] != ".":
+                    raise self.error("expected '.'", end)
+                head, body = atoms[0], tuple(atoms[1:])
+            offset = matches[i].start(1)
+            newlines = text.count("\n", at, offset)
+            if newlines:
+                line += newlines
+                last_newline = text.rfind("\n", at, offset)
+            at = offset
+            _file(index, len(clauses), head)
+            clauses.append(Clause(head, body, Span(line, offset - last_newline), self.positions))
             i = end + 1
         if clauses and not any(sym.arity == 0 for sym in self.signature.values()):
             self.warnings.append(
                 "signature has no nullary symbol; ground instances are empty"
             )
-        return Program(tuple(clauses), self.signature, tuple(self.warnings))
+        program = Program(tuple(clauses), self.signature, tuple(self.warnings))
+        vars(program)["_index"] = index  # fills the cached property
+        return program
 
     def query(self) -> list[Term]:
         atoms, i = self.atoms(0, ",")

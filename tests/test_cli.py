@@ -230,6 +230,16 @@ class TestRun:
         assert code == 3
         assert "parse error" in err
 
+    def test_internal_error_is_one_line_and_exit_5(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(cli, "refute", broken)
+        code, out, err = run(capsys, "run", lp("nat"), "-q", "nat(0)", "--mode", "sld")
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: RuntimeError: engine fault\n"
+
     def test_trace_header(self, capsys):
         code, out, _ = run(
             capsys, "run", lp("nat"), "-q", "nat(0)", "--mode", "sld", "--trace", "text"

@@ -3,14 +3,17 @@ function and class of the engine is used by other engine code, and no
 function of the engine calls itself unless the depth of that recursion is
 bounded by something other than the size of a term, no engine code
 calls the builtin ``id``, and importing the command line loads none of the
-modules in ``SLOW_IMPORTS``.
+modules in ``SLOW_IMPORTS`` nor those that only ``oracle`` and ``validate``
+use.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included; ``__init__.py`` is left out because it imports to
 re-export.  A definition counts as used when code outside its own body
-refers to it: by name, where it is defined or imported, or as an attribute
-of its module (``rational.solved_answer``).  Imports and docstrings do not
-count.  Only the standard library's ``ast`` is needed.
+refers to it: by name, where it is defined or imported (at the top of a
+module or in a function), or as an attribute of its module
+(``rational.solved_answer``).  Imports and docstrings do not count.  A
+module's dunder functions, such as PEP 562's ``__getattr__``, are called
+by Python and count as used.  Only the standard library's ``ast`` is needed.
 """
 
 import ast
@@ -69,10 +72,11 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     referenced: dict[tuple[str, str], set[tuple[str, int]]] = {}
     defined: list[tuple[str, str, int]] = []
     for module, source in sources.items():
-        body = ast.parse(source).body
+        tree = ast.parse(source)
+        body = tree.body
         names: dict[str, tuple[str, str]] = {}  # imported name -> (module, name)
         packages: set[str] = set()  # names bound to sibling modules
-        for node in body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     local = alias.asname or alias.name
@@ -81,7 +85,9 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                     else:
                         names[local] = (node.module, alias.name)
         for index, node in enumerate(body):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
                 defined.append((module, node.name, index))
             for n in ast.walk(node):
                 if isinstance(n, ast.Name):
@@ -103,17 +109,18 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 
 
 def public_and_traced() -> set[str]:
-    """``module.name`` of the names ``coresolve.__all__`` exports and of the
+    """``module.name`` of the names ``coresolve.__all__`` exports, at the top
+    of ``__init__.py`` or on first use in its ``__getattr__``, and of the
     functions ``bench/tracing.py`` wraps (its ``TRACED``), read as source."""
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     (exported,) = [
         ast.literal_eval(node.value)
-        for node in init
+        for node in init.body
         if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
     ]
     out = {
         f"{node.module}.{alias.name}"
-        for node in init
+        for node in ast.walk(init)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
         if alias.name in exported
@@ -139,13 +146,16 @@ class TestUnreferencedDefinitions:
                 "from . import c\n"
                 "def f():\n"
                 "    \"\"\"Mentions helper() in a docstring only.\"\"\"\n"
-                "    return f() + used() + c.g()\n"
+                "    from .c import late\n"
+                "    return f() + used() + c.g() + late()\n"
+                "def __getattr__(name):\n"
+                "    raise AttributeError(name)\n"
                 "class K:\n"
                 "    pass\n"
                 "x: K\n"
             ),
             "b": "def used():\n    return 1\ndef helper():\n    return used()\n",
-            "c": "def g():\n    return 2\n",
+            "c": "def g():\n    return 2\ndef late():\n    return 3\n",
         }
         assert unreferenced_definitions(sources) == ["a.f", "b.helper"]
 
@@ -313,17 +323,33 @@ class TestStartUpImports:
         assert slow_imports(src_sources()) == []
 
     def test_fresh_process_loads_no_slow_module(self):
-        # What ``site`` loaded before the import does not count.
-        code = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "import coresolve.cli\n"
-            f"print(sorted((set(sys.modules) - before) & {set(SLOW_IMPORTS)!r}))\n"
-        )
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), path]))}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert loaded_by_cli_import(set(SLOW_IMPORTS)) == []
+
+    def test_fresh_process_loads_no_oracle_module(self):
+        # Only ``oracle`` and ``validate`` use them, and import them when called.
+        assert loaded_by_cli_import({"coresolve.models", "coresolve.validation"}) == []
+
+    def test_lazy_exports_resolve(self):
+        import coresolve
+        from coresolve import models
+
+        assert coresolve.gfp_local_check is models.gfp_local_check
+        assert coresolve.lfp_enumerate is models.lfp_enumerate
+
+
+def loaded_by_cli_import(modules: set[str]) -> list[str]:
+    """Those of ``modules`` that a fresh ``import coresolve.cli`` loads;
+    what ``site`` loaded before the import does not count."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import coresolve.cli\n"
+        f"print(sorted((set(sys.modules) - before) & {modules!r}))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), path]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)

@@ -92,6 +92,21 @@ CASES = [
     ("query conjunction", "query", "resource(X,Y), zeros(Y)"),
     ("query with period", "query", "nat(0)."),
     ("query lists", "query", "p([a,b|T], _, _, [])"),
+    # Compounds whose arguments are all names, with nothing skipped inside,
+    # are read as one token: these pin that path against the plain one.
+    ("flat variable functor", "program", "X(a)."),
+    ("flat variable functor inside", "program", "p(X(a))."),
+    ("flat compound applied", "program", "f(a,b)(c)."),
+    ("flat arity clash on argument", "program", "a(x). e(a,b)."),
+    ("flat arity clash on functor", "program", "e(a,b). a(x)."),
+    ("flat inner declaration wins", "program", "q(p(a),p)."),
+    ("flat without period", "program", "p(a,b)"),
+    ("flat trailing comma", "program", "p(a,b,)."),
+    ("flat missing comma", "program", "p(a b)."),
+    ("flat tab inside", "program", "p(a,\tb)."),
+    ("flat non-ascii name", "program", "p(Ä,b)."),
+    ("flat nil clash", "program", "nil(a). p(x,nil)."),
+    ("flat facts over lines", "program", "e(n1,n2). e(n2,n3).\n  e(n3,n4)."),
 ]
 
 

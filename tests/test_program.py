@@ -1,12 +1,16 @@
 """Program parsing, printing, and the universality check."""
 
+import random
+
 import pytest
 
-from conftest import load, program_to_text
+from conftest import load, program_to_text, random_program, seed
 from coresolve.program import (
     Clause,
     ParseError,
+    Program,
     Span,
+    _Parser,
     check_universal,
     clause_instance,
     parse_program,
@@ -137,6 +141,77 @@ class TestDeepInputs:
             assert t.symbol == Symbol("cons", 2)
             t = t.args[0]
         assert t == Struct(Symbol("nil", 0))
+
+
+def index_rows(p: Program) -> list:
+    """The first-argument index of ``p``, as plain lists."""
+    return [(sym, pred.every, pred.var_first, list(pred.by_first.items()))
+            for sym, pred in p._index.items()]
+
+
+class TestFlatCompounds:
+    # A compound whose arguments are all names, with nothing skipped inside,
+    # is read as one token.  A space after each "(" keeps every compound
+    # off that path, and the parse must not change.
+    def test_same_parse_as_the_plain_reader(self):
+        rnd = random.Random(seed())
+        tokens = spaced_tokens = 0
+        for _ in range(200):
+            text = program_to_text(random_program(rnd, FreshVars())[0])
+            spaced = text.replace("(", "( ")
+            p, q = parse_program(text), parse_program(spaced)
+            assert p.clauses == q.clauses  # spans too: one clause a line
+            assert [list(c.var_positions.items()) for c in p.clauses] == [
+                list(c.var_positions.items()) for c in q.clauses
+            ]
+            assert list(p.signature.items()) == list(q.signature.items())
+            assert p.warnings == q.warnings
+            assert index_rows(p) == index_rows(q) == index_rows(Program(p.clauses))
+            tokens += len(_Parser(text).matches)
+            spaced_tokens += len(_Parser(spaced).matches)
+        assert tokens < spaced_tokens  # the one-token path was taken
+
+
+PATH_RULES = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
+
+
+def edge_program(n: int, rnd: random.Random) -> str:
+    """``n`` edge/2 facts of a random tree over n0 .. n<n>, plus path/2."""
+    edges = [(f"n{rnd.randrange(j)}", f"n{j}") for j in range(1, n + 1)]
+    rnd.shuffle(edges)
+    return "".join(f"edge({a},{b}).\n" for a, b in edges) + PATH_RULES
+
+
+class TestParseWork:
+    # Counted work of parse_program on wide programs, at three doubling
+    # sizes: counts do not depend on machine speed.
+    SIZES = (300, 600, 1200)
+
+    def test_at_most_two_tokens_per_fact(self):
+        rnd = random.Random(seed())
+        rules = len(_Parser(PATH_RULES).matches)
+        for n in self.SIZES:
+            assert len(_Parser(edge_program(n, rnd)).matches) - rules <= 2 * n
+
+    def test_structs_grow_linearly(self, monkeypatch):
+        built = 0
+        construct = Struct.__init__
+
+        def counted(self, *args):
+            nonlocal built
+            built += 1
+            construct(self, *args)
+
+        monkeypatch.setattr(Struct, "__init__", counted)
+        rnd = random.Random(seed())
+        counts = []
+        for n in self.SIZES:
+            text = edge_program(n, rnd)
+            built = 0
+            p = parse_program(text)
+            p.candidates(p.clauses[0].head)
+            counts.append(built)
+        assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), counts
 
 
 class TestClauseObjects:
