@@ -131,24 +131,6 @@ class _PredicateIndex:
         self.by_first: dict[Symbol, list[int]] = {}
 
 
-def _file(index: dict[Symbol, _PredicateIndex], ci: int, head: Struct) -> None:
-    """File clause ``ci``, with ``head``, into the first-argument index."""
-    pred = index.get(head.symbol)
-    if pred is None:
-        pred = index[head.symbol] = _PredicateIndex()
-    pred.every.append(ci)
-    first = head.args[0] if head.args else None
-    if isinstance(first, Struct):
-        bucket = pred.by_first.get(first.symbol)
-        if bucket is None:
-            bucket = pred.by_first[first.symbol] = list(pred.var_first)
-        bucket.append(ci)
-    else:
-        pred.var_first.append(ci)
-        for bucket in pred.by_first.values():
-            bucket.append(ci)
-
-
 class Program:
     """Clauses, with the parser's symbols and warnings; equality and hash
     read the clauses only.  Immutable; ``_index`` is cached in its dict."""
@@ -178,13 +160,26 @@ class Program:
 
     @cached_property
     def _index(self) -> dict[Symbol, _PredicateIndex]:
-        # First-argument indexing (Warren 1983).  The parser files each
-        # clause as it reads it; a program built directly builds the index
-        # on its first lookup.
+        # First-argument indexing (Warren 1983): built on the first lookup,
+        # so parsing a program does not pay for it.
         index: dict[Symbol, _PredicateIndex] = {}
         for ci, c in enumerate(self.clauses):
-            assert isinstance(c.head, Struct)
-            _file(index, ci, c.head)
+            head = c.head
+            assert isinstance(head, Struct)
+            pred = index.get(head.symbol)
+            if pred is None:
+                pred = index[head.symbol] = _PredicateIndex()
+            pred.every.append(ci)
+            first = head.args[0] if head.args else None
+            if isinstance(first, Struct):
+                bucket = pred.by_first.get(first.symbol)
+                if bucket is None:
+                    bucket = pred.by_first[first.symbol] = list(pred.var_first)
+                bucket.append(ci)
+            else:
+                pred.var_first.append(ci)
+                for bucket in pred.by_first.values():
+                    bucket.append(ci)
         return index
 
     def predicates(self) -> list[Symbol]:
@@ -423,12 +418,11 @@ class _Parser:
                 i += 1
 
     def program(self) -> Program:
-        """Read the clauses, working out each one's span and filing it into
-        the first-argument index as it is read.  Clause starts come in text
-        order, so the newlines are counted on from the last clause start."""
+        """Read the clauses, working out each one's span as it is read.
+        Clause starts come in text order, so the newlines are counted on
+        from the last clause start."""
         text, texts, matches = self.text, self.texts, self.matches
         clauses: list[Clause] = []
-        index: dict[Symbol, _PredicateIndex] = {}
         i = at = 0
         line, last_newline = 1, -1
         while texts[i]:
@@ -448,16 +442,13 @@ class _Parser:
                 line += newlines
                 last_newline = text.rfind("\n", at, offset)
             at = offset
-            _file(index, len(clauses), head)
             clauses.append(Clause(head, body, Span(line, offset - last_newline), self.positions))
             i = end + 1
         if clauses and not any(sym.arity == 0 for sym in self.signature.values()):
             self.warnings.append(
                 "signature has no nullary symbol; ground instances are empty"
             )
-        program = Program(tuple(clauses), self.signature, tuple(self.warnings))
-        vars(program)["_index"] = index  # fills the cached property
-        return program
+        return Program(tuple(clauses), self.signature, tuple(self.warnings))
 
     def query(self) -> list[Term]:
         atoms, i = self.atoms(0, ",")

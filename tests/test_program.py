@@ -166,7 +166,7 @@ class TestFlatCompounds:
             ]
             assert list(p.signature.items()) == list(q.signature.items())
             assert p.warnings == q.warnings
-            assert index_rows(p) == index_rows(q) == index_rows(Program(p.clauses))
+            assert index_rows(p) == index_rows(q)
             tokens += len(_Parser(text).matches)
             spaced_tokens += len(_Parser(spaced).matches)
         assert tokens < spaced_tokens  # the one-token path was taken
