@@ -3,29 +3,24 @@ coinductive (restricted) loop detection, rational-tree answers, and the
 static checks that keep loop-detected answers honest."""
 
 from .terms import (
-    Distance,
     FreshVars,
     Struct,
     Substitution,
     Symbol,
     Term,
     Var,
-    apply,
-    compose,
-    distance,
     is_instance,
     is_variant,
     truncate,
 )
 from .program import Clause, Program, check_universal, parse_program, parse_query
-from .unify import UnifyKind, UnifyOutcome, mgm, mgu, occurs_in, rational_unify
+from .unify import UnifyKind, UnifyOutcome, mgm, mgu, rational_unify
 from .derivation import Limits, Status, refute
 from .coengine import co_refute
 from .productivity import check_productive
 
 __all__ = [
     "Clause",
-    "Distance",
     "FreshVars",
     "Limits",
     "Program",
@@ -37,19 +32,15 @@ __all__ = [
     "UnifyKind",
     "UnifyOutcome",
     "Var",
-    "apply",
     "check_productive",
     "check_universal",
     "co_refute",
-    "compose",
-    "distance",
     "gfp_local_check",
     "is_instance",
     "is_variant",
     "lfp_enumerate",
     "mgm",
     "mgu",
-    "occurs_in",
     "parse_program",
     "parse_query",
     "rational_unify",

@@ -1,7 +1,6 @@
-"""First-order terms as finite trees, plus substitutions, truncation and the
-dyadic ultrametric distance on terms, and ``cycle_members``: the one cycle
-analysis that circular substitutions, rational unification and solved-form
-answers share.
+"""First-order terms as finite trees, plus substitutions, truncation,
+matching, and ``cycle_members``: the one cycle analysis that circular
+substitutions, rational unification and solved-form answers share.
 
 Terms are immutable values; structural sharing is allowed but never observable.
 Variables carry globally unique integer ids handed out by a ``FreshVars``
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import total_ordering
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
@@ -304,18 +302,13 @@ def cycle_members(nodes: Iterable[N], succ: Callable[[N], Iterable[N]]) -> set[N
     return out
 
 
-class CircularSubstitutionError(ValueError):
-    """Raised when a circular substitution is applied directly; circular
-    bindings must go through bounded unfolding instead."""
-
-
 class Substitution:
     """A finite map from variables to terms.  Identity bindings are dropped.
 
     ``cycle_vars()`` are the bound variables reachable from their own image
     by chasing bindings; ``circular`` is true iff there are any.  Circular
-    substitutions represent rational (infinite) trees and are rejected by
-    ``apply``/``compose``.
+    substitutions represent rational (infinite) trees; ``decirc.unfold``
+    gives their values to a depth.
     """
 
     __slots__ = ("_bindings", "_cycle_vars")
@@ -408,11 +401,9 @@ def oldest_on_variable_cycle(v: Var, bindings: Mapping[Var, Term]) -> Var:
 
 
 def apply_raw(s: Substitution, t: Term) -> Term:
-    """Homomorphic (single-pass) application, no circularity check.
-
-    Internal: callers that deal in circular substitutions (loop detection,
-    answer bookkeeping) use this; everyone else goes through ``apply``.
-    """
+    """Homomorphic (single-pass) application.  A circular binding is
+    substituted once, not unfolded: loop detection and answer bookkeeping
+    rely on that."""
     if s.is_identity():
         return t
     return map_vars(s._bindings.get, t)
@@ -449,31 +440,6 @@ def map_vars(image: Callable[[Var], Optional[Term]], t: Term) -> Term:
             if not stack:
                 return node
             stack[-1][2].append(node)
-
-
-def apply(s: Substitution, t: Term) -> Term:
-    """Apply a non-circular substitution to a term (extension of the map
-    from variables to terms, homomorphically)."""
-    if s.circular:
-        raise CircularSubstitutionError(
-            "cannot apply a circular substitution; unfold it to a depth instead"
-        )
-    return apply_raw(s, t)
-
-
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """The substitution acting as ``outer`` after ``inner``:
-    ``apply(compose(outer, inner), t) == apply(outer, apply(inner, t))``."""
-    for s in (outer, inner):
-        if s.circular:
-            raise CircularSubstitutionError("cannot compose circular substitutions")
-    out: dict[Var, Term] = {}
-    for v, t in inner.items():
-        out[v] = apply_raw(outer, t)
-    for v, t in outer.items():
-        if v not in inner:
-            out[v] = t
-    return Substitution(out)
 
 
 def truncate(n: int, t: Term) -> Term:
@@ -556,70 +522,6 @@ def truncate_value(
             if symbol is not None:
                 stack[-1][4].append(Struct(symbol, tuple(done)))
     return root[0]
-
-
-def divergence_depth(s: Term, t: Term) -> Optional[int]:
-    """Least n such that the depth-n truncations of s and t differ;
-    None when s == t.  Level by level, so deep terms do not recurse."""
-    level, depth = [(s, t)], 1
-    while level:
-        deeper = []
-        for a, b in level:
-            if isinstance(a, Var) or isinstance(b, Var) or a.symbol != b.symbol:
-                if a != b:
-                    return depth
-            else:
-                deeper.extend(zip(a.args, b.args))
-        level, depth = deeper, depth + 1
-    return None
-
-
-@total_ordering
-class Distance:
-    """Exact dyadic distance: 0, or 2**(-exponent).  Immutable; all zero
-    distances are equal, whatever their exponent."""
-
-    __setattr__ = __delattr__ = immutable_setattr
-
-    zero: bool
-    exponent: int
-
-    def __init__(self, zero: bool, exponent: int = 0) -> None:
-        vars(self).update(zero=zero, exponent=exponent)
-
-    def value(self) -> "Fraction":
-        from fractions import Fraction  # only here: start-up need not load it
-        return Fraction(0) if self.zero else Fraction(1, 2**self.exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Distance):
-            return NotImplemented
-        if self.zero or other.zero:
-            return self.zero == other.zero
-        return self.exponent == other.exponent
-
-    def __lt__(self, other: "Distance") -> bool:
-        # Nothing is below 0, and 0 is below the rest; 2**-e falls as e grows.
-        return not other.zero and (self.zero or self.exponent > other.exponent)
-
-    def __hash__(self) -> int:
-        return hash((self.zero, 0 if self.zero else self.exponent))
-
-    def __repr__(self) -> str:
-        return f"Distance(zero={self.zero!r}, exponent={self.exponent!r})"
-
-    def __str__(self) -> str:
-        return "0" if self.zero else f"2^-{self.exponent}"
-
-
-ZERO_DISTANCE = Distance(True)
-
-
-def distance(s: Term, t: Term) -> Distance:
-    gamma = divergence_depth(s, t)
-    if gamma is None:
-        return ZERO_DISTANCE
-    return Distance(False, gamma)
 
 
 def _match_into(pattern: Term, target: Term, binding: dict[Var, Term]) -> bool:

@@ -32,7 +32,6 @@ from .terms import (
     _match_into,
     apply_raw,
     cycle_members,
-    iter_subterms,
     map_vars,
     match,
     variables_in_order,
@@ -60,10 +59,6 @@ class UnifyOutcome(NamedTuple):
 
 def _fail(reason: str) -> UnifyOutcome:
     return UnifyOutcome(UnifyKind.FAIL, reason=reason)
-
-
-def occurs_in(v: Var, t: Term) -> bool:
-    return any(s == v for s in iter_subterms(t) if isinstance(s, Var))
 
 
 def mgm(pattern: Term, target: Term) -> UnifyOutcome:

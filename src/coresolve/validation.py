@@ -122,35 +122,31 @@ def build_loop_unrolling(
         guard += 1
         if guard > 200 * (rounds + 1) * (len(initial) + 1):
             raise ValidationRefused("unrolling did not progress")
-        got_r = None
-        for ci in p.candidates(goal[0], matching=True):
-            got_r = rewrite_step(p, goal, 0, ci, fresh)
-            if got_r is not None:
+        # The first applicable clause: a rewrite if one matches, else an
+        # S-compound (a substitution step and the rewrite it enables).
+        for rule, matching in ((rewrite_step, True), (s_compound, False)):
+            got = None
+            for ci in p.candidates(goal[0], matching=matching):
+                got = rule(p, goal, 0, ci, fresh)
+                if got is not None:
+                    break
+            if got is not None:
                 break
-        if got_r is not None:
-            goal2, st = got_r
-            steps.append(st)
-            body_len = len(goal2) - len(goal) + 1
-            goal = goal2[body_len:] + goal2[:body_len]
-            stuck = 0
+        else:
+            # The head atom cannot advance; rotate it to the back and let
+            # the others run.  A full fruitless cycle ends the unrolling.
+            goal = goal[1:] + goal[:1]
+            stuck += 1
             continue
-        got_c = None
-        for ci in p.candidates(goal[0]):
-            got_c = s_compound(p, goal, 0, ci, fresh)
-            if got_c is not None:
-                break
-        if got_c is not None:
-            goal2, pair = got_c
-            steps.extend(pair)
+        goal2, made = got
+        if matching:
+            steps.append(made)
+        else:
+            steps.extend(made)
             substs_done += 1
-            body_len = len(goal2) - len(goal) + 1
-            goal = goal2[body_len:] + goal2[:body_len]
-            stuck = 0
-            continue
-        # The head atom cannot advance; rotate it to the back and let the
-        # others run.  A full fruitless cycle ends the unrolling.
-        goal = goal[1:] + goal[:1]
-        stuck += 1
+        body_len = len(goal2) - len(goal) + 1
+        goal = goal2[body_len:] + goal2[:body_len]
+        stuck = 0
     return initial, steps
 
 

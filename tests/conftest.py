@@ -1,4 +1,6 @@
-"""Shared fixtures and generators for the test suite.
+"""Shared fixtures and generators for the test suite, and the reference
+definitions the engine does not need: the checked ``apply``, ``compose``,
+``occurs_in`` and the dyadic tree metric.
 
 Randomized property tests draw from a ``random.Random`` seeded via the
 ``CORESOLVE_SEED`` environment variable (default fixed), so every run is
@@ -7,7 +9,10 @@ reproducible.
 
 import os
 import random
+from fractions import Fraction
+from functools import total_ordering
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -23,9 +28,9 @@ from coresolve.terms import (
     Symbol,
     Term,
     Var,
-    apply,
     apply_raw,
-    distance,
+    immutable_setattr,
+    iter_subterms,
     truncate,
     variables_in_order,
 )
@@ -133,6 +138,111 @@ def values_bisimilar(a, b) -> bool:
         labels_a + labels_b, kids_a + [[k + shift for k in ks] for ks in kids_b]
     )
     return block[root_a] == block[root_b + shift]
+
+
+# --- checked substitution and the tree metric ---------------------------------
+# The paper's background, which the tests check the engine against: the
+# engine itself applies substitutions with ``apply_raw`` and never measures
+# a distance.
+
+
+class CircularSubstitutionError(ValueError):
+    """Raised when a circular substitution is applied directly; circular
+    bindings must go through bounded unfolding instead."""
+
+
+def apply(s: Substitution, t: Term) -> Term:
+    """Apply a non-circular substitution to a term (extension of the map
+    from variables to terms, homomorphically)."""
+    if s.circular:
+        raise CircularSubstitutionError(
+            "cannot apply a circular substitution; unfold it to a depth instead"
+        )
+    return apply_raw(s, t)
+
+
+def compose(outer: Substitution, inner: Substitution) -> Substitution:
+    """The substitution acting as ``outer`` after ``inner``:
+    ``apply(compose(outer, inner), t) == apply(outer, apply(inner, t))``."""
+    for s in (outer, inner):
+        if s.circular:
+            raise CircularSubstitutionError("cannot compose circular substitutions")
+    out: dict[Var, Term] = {}
+    for v, t in inner.items():
+        out[v] = apply_raw(outer, t)
+    for v, t in outer.items():
+        if v not in inner:
+            out[v] = t
+    return Substitution(out)
+
+
+def occurs_in(v: Var, t: Term) -> bool:
+    return any(s == v for s in iter_subterms(t) if isinstance(s, Var))
+
+
+def divergence_depth(s: Term, t: Term) -> Optional[int]:
+    """Least n such that the depth-n truncations of s and t differ;
+    None when s == t.  Level by level, so deep terms do not recurse."""
+    level, depth = [(s, t)], 1
+    while level:
+        deeper = []
+        for a, b in level:
+            if isinstance(a, Var) or isinstance(b, Var) or a.symbol != b.symbol:
+                if a != b:
+                    return depth
+            else:
+                deeper.extend(zip(a.args, b.args))
+        level, depth = deeper, depth + 1
+    return None
+
+
+@total_ordering
+class Distance:
+    """Exact dyadic distance: 0, or 2**(-exponent).  Immutable; all zero
+    distances are equal, whatever their exponent."""
+
+    __setattr__ = __delattr__ = immutable_setattr
+
+    zero: bool
+    exponent: int
+
+    def __init__(self, zero: bool, exponent: int = 0) -> None:
+        vars(self).update(zero=zero, exponent=exponent)
+
+    def value(self) -> Fraction:
+        return Fraction(0) if self.zero else Fraction(1, 2**self.exponent)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Distance):
+            return NotImplemented
+        if self.zero or other.zero:
+            return self.zero == other.zero
+        return self.exponent == other.exponent
+
+    def __lt__(self, other: "Distance") -> bool:
+        # Nothing is below 0, and 0 is below the rest; 2**-e falls as e grows.
+        return not other.zero and (self.zero or self.exponent > other.exponent)
+
+    def __hash__(self) -> int:
+        return hash((self.zero, 0 if self.zero else self.exponent))
+
+    def __repr__(self) -> str:
+        return f"Distance(zero={self.zero!r}, exponent={self.exponent!r})"
+
+    def __str__(self) -> str:
+        return "0" if self.zero else f"2^-{self.exponent}"
+
+
+ZERO_DISTANCE = Distance(True)
+
+
+def distance(s: Term, t: Term) -> Distance:
+    """The dyadic ultrametric distance: 0 for equal terms, else 2**-n for
+    the least depth n at which their truncations differ."""
+    gamma = divergence_depth(s, t)
+    if gamma is None:
+        return ZERO_DISTANCE
+    return Distance(False, gamma)
 
 
 # --- random term generation ---------------------------------------------------

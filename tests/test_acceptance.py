@@ -21,9 +21,12 @@ from conftest import (
     CORPUS_QUERIES,
     FUNCS,
     PROGRAMS,
+    apply,
     apply_prefix,
     check_lemma_4_1,
+    compose,
     const,
+    distance,
     load,
     load_query,
     ground_term,
@@ -53,10 +56,7 @@ from coresolve.terms import (
     Substitution,
     Symbol,
     Var,
-    apply,
     apply_raw,
-    compose,
-    distance,
     is_variant,
     term_to_text,
     truncate,

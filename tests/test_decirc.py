@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import apply_prefix, const, mk, random_term, var_pool
+from conftest import apply, apply_prefix, const, mk, random_term, var_pool
 from coresolve.decirc import decircularize, unfold
 from coresolve.rational import build_node, solved_answer
 from coresolve.terms import (
@@ -10,7 +10,6 @@ from coresolve.terms import (
     Struct,
     Substitution,
     Var,
-    apply,
     generation_var,
     iter_subterms,
     term_to_text,

@@ -11,13 +11,18 @@ annotations included; ``__init__.py`` is left out because it imports to
 re-export.  A definition counts as used when code outside its own body
 refers to it: by name, where it is defined or imported (at the top of a
 module or in a function), or as an attribute of its module
-(``rational.solved_answer``).  Imports and docstrings do not count.  A
-module's dunder functions, such as PEP 562's ``__getattr__``, are called
-by Python and count as used.  Only the standard library's ``ast`` is needed.
+(``rational.solved_answer``).  Imports and docstrings do not count, and
+neither does ``__init__.py``, whose references only re-export.  A
+definition no engine code uses may stay only when README "Library use"
+documents it, ``bench/tracing.py`` traces it, or ``USED_OUTSIDE_SRC`` gives
+the reason.  A module's dunder functions, such as PEP 562's
+``__getattr__``, are called by Python and count as used.  Only the standard
+library's ``ast`` and ``re`` are needed.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,8 +31,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "coresolve"
 
 # Definitions that only the tests and the benchmark use and that are
-# neither exported nor traced: {"module.name": "the reason it stays"}.
-USED_OUTSIDE_SRC: dict[str, str] = {}
+# neither documented nor traced: {"module.name": "the reason it stays"}.
+USED_OUTSIDE_SRC: dict[str, str] = {
+    "models.gfp_local_check": "the tests' greatest-model oracle for cos answers; it "
+    "stays beside lfp_enumerate until exact soundness verdicts (ROADMAP item 6) use it",
+}
+
+# Definitions that only ``bench/tracing.py``'s ``TRACED`` keeps in ``src/``:
+# ``Tracer.install`` looks each one up by name, so each leaves with its
+# trace row.  {"module.name": "what the engine uses instead"}.
+TRACED_ONLY: dict[str, str] = {
+    "program.clause_instance": "unify.resolve_head renames the stored clause in place",
+    "unify.mgu": "unify.resolve_head unifies against the stored clause head",
+    "decirc.decircularize": "decirc.unfold gives a solved form's value to a depth",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -108,34 +125,72 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     ]
 
 
-def public_and_traced() -> set[str]:
+def section_code_names(markdown: str, heading: str) -> set[str]:
+    """The identifiers in the code spans and code blocks of the section of
+    ``markdown`` under ``heading``, up to the next heading of any level."""
+    lines: list[str] = []
+    inside = fenced = False
+    for line in markdown.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and line.startswith("#"):
+            inside = line.lstrip("#").strip() == heading
+            continue
+        if inside:
+            lines.append(line)
+    code = re.findall(r"`+([^`]+)`+", "\n".join(lines))
+    return {name for span in code for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def documented_exports() -> set[str]:
     """``module.name`` of the names ``coresolve.__all__`` exports, at the top
-    of ``__init__.py`` or on first use in its ``__getattr__``, and of the
-    functions ``bench/tracing.py`` wraps (its ``TRACED``), read as source."""
+    of ``__init__.py`` or on first use in its ``__getattr__``, that README
+    "Library use" names in code."""
     init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     (exported,) = [
         ast.literal_eval(node.value)
         for node in init.body
         if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
     ]
-    out = {
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = section_code_names(readme, "Library use")
+    return {
         f"{node.module}.{alias.name}"
         for node in ast.walk(init)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name in exported
+        if alias.name in exported and alias.name in documented
     }
+
+
+def traced() -> set[str]:
+    """``module.name`` of the functions ``bench/tracing.py`` wraps (its
+    ``TRACED``), read as source."""
     tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8")).body
-    (traced,) = [
+    (rows,) = [
         ast.literal_eval(node.value)
         for node in tracing
         if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED"
     ]
-    return out | {f"{module}.{name}" for module, name in traced}
+    return {f"{module}.{name}" for module, name in rows}
+
+
+def public_and_traced() -> set[str]:
+    """The definitions that may stay in ``src/`` with no engine code using
+    them: the documented exports and the traced functions."""
+    return documented_exports() | traced()
 
 
 def src_sources() -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def unused_by_the_engine() -> set[str]:
+    """The definitions of ``src/`` that no engine code refers to;
+    ``__init__.py``'s references only re-export, so they do not count."""
+    sources = src_sources()
+    del sources["__init__"]
+    return set(unreferenced_definitions(sources))
 
 
 class TestUnreferencedDefinitions:
@@ -160,16 +215,34 @@ class TestUnreferencedDefinitions:
         assert unreferenced_definitions(sources) == ["a.f", "b.helper"]
 
     def test_src_definitions_are_used_in_src(self):
-        unused = set(unreferenced_definitions(src_sources())) - public_and_traced()
+        unused = unused_by_the_engine() - public_and_traced()
         assert unused - set(USED_OUTSIDE_SRC) == set()
 
     def test_exemptions_are_needed(self):
-        unused = set(unreferenced_definitions(src_sources())) - public_and_traced()
+        unused = unused_by_the_engine() - public_and_traced()
         assert set(USED_OUTSIDE_SRC) <= unused
+
+    def test_traced_leftovers_are_listed(self):
+        assert (unused_by_the_engine() - documented_exports()) & traced() == set(TRACED_ONLY)
 
     def test_exempt_names_are_read(self):
         exempt = public_and_traced()
-        assert {"derivation.refute", "terms.truncate", "coengine.co_replay"} <= exempt
+        assert {"derivation.refute", "program.parse_query", "coengine.co_replay"} <= exempt
+        # Exported, but not documented under "Library use".
+        assert {"terms.truncate", "models.gfp_local_check"}.isdisjoint(exempt)
+
+    def test_detects_code_names_of_one_section(self):
+        markdown = (
+            "## Use\n"
+            "Call `run(x)`; plain words do not count.\n"
+            "```\n"
+            "#comment\n"
+            "helper()\n"
+            "```\n"
+            "### Cost\n"
+            "`other` is left out.\n"
+        )
+        assert section_code_names(markdown, "Use") == {"run", "x", "comment", "helper"}
 
 
 # Functions of the engine that call themselves, with what bounds the depth:
@@ -272,10 +345,11 @@ class TestNoObjectIdentity:
 
 
 # Modules a fresh ``coresolve`` process must not load: ``dataclasses``
-# brings ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it, and the
-# others are needed only by ``Distance.value`` and structured traces, which
-# import them when called.  {"module": "where the engine may import it"}.
-SLOW_IMPORTS = {"dataclasses": "nowhere", "fractions": "in a function", "json": "in a function"}
+# brings ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it, the engine
+# computes with no fractions, and ``json`` is needed only by structured
+# traces, which import it when called.
+# {"module": "where the engine may import it"}.
+SLOW_IMPORTS = {"dataclasses": "nowhere", "fractions": "nowhere", "json": "in a function"}
 
 
 def slow_imports(sources: dict[str, str]) -> list[str]:
@@ -316,7 +390,7 @@ class TestStartUpImports:
             "    from dataclasses import field\n"
         )
         assert slow_imports({"m": source}) == [
-            "m:1 json", "m:2 dataclasses", "m:4 fractions", "m:7 dataclasses"
+            "m:1 json", "m:2 dataclasses", "m:4 fractions", "m:6 fractions", "m:7 dataclasses"
         ]
 
     def test_src_imports_no_slow_module_at_start_up(self):
@@ -335,6 +409,15 @@ class TestStartUpImports:
 
         assert coresolve.gfp_local_check is models.gfp_local_check
         assert coresolve.lfp_enumerate is models.lfp_enumerate
+
+    def test_every_export_resolves(self):
+        # The PEP 562 names included: ``__all__`` lists nothing that is gone.
+        import coresolve
+
+        exports = {name: getattr(coresolve, name) for name in coresolve.__all__}
+        namespace: dict[str, object] = {}
+        exec("from coresolve import *", namespace)
+        assert {name: namespace.get(name) for name in coresolve.__all__} == exports
 
 
 def loaded_by_cli_import(modules: set[str]) -> list[str]:

@@ -1,10 +1,14 @@
-"""Program parsing, printing, and the universality check."""
+"""Program parsing, printing, the universality check, and the counted work
+of parsing and searching as the input doubles."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import load, program_to_text, random_program, seed
+from conftest import load, load_query, program_to_text, random_program, seed
+from coresolve.coengine import co_refute
+from coresolve.derivation import Limits, Status, refute
 from coresolve.program import (
     Clause,
     ParseError,
@@ -182,6 +186,25 @@ def edge_program(n: int, rnd: random.Random) -> str:
     return "".join(f"edge({a},{b}).\n" for a, b in edges) + PATH_RULES
 
 
+@pytest.fixture
+def structs(monkeypatch):
+    """Counts ``Struct`` constructions in ``structs.n`` while the test runs."""
+    counter = SimpleNamespace(n=0)
+    construct = Struct.__init__
+
+    def counted(self, *args):
+        counter.n += 1
+        construct(self, *args)
+
+    monkeypatch.setattr(Struct, "__init__", counted)
+    return counter
+
+
+def grows_at_most(counts: list[int], ratio: float) -> bool:
+    """Whether each count is at most ``ratio`` times the one before."""
+    return all(b <= ratio * a for a, b in zip(counts, counts[1:]))
+
+
 class TestParseWork:
     # Counted work of parse_program on wide programs, at three doubling
     # sizes: counts do not depend on machine speed.
@@ -193,25 +216,65 @@ class TestParseWork:
         for n in self.SIZES:
             assert len(_Parser(edge_program(n, rnd)).matches) - rules <= 2 * n
 
-    def test_structs_grow_linearly(self, monkeypatch):
-        built = 0
-        construct = Struct.__init__
-
-        def counted(self, *args):
-            nonlocal built
-            built += 1
-            construct(self, *args)
-
-        monkeypatch.setattr(Struct, "__init__", counted)
+    def test_structs_grow_linearly(self, structs):
         rnd = random.Random(seed())
         counts = []
         for n in self.SIZES:
             text = edge_program(n, rnd)
-            built = 0
+            structs.n = 0
             p = parse_program(text)
             p.candidates(p.clauses[0].head)
-            counts.append(built)
-        assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), counts
+            counts.append(structs.n)
+        assert grows_at_most(counts, 2.1), counts
+
+
+def numeral(n: int, inner: str) -> str:
+    return "s(" * n + inner + ")" * n
+
+
+class TestSearchWork:
+    # Counted work of a search, parsing included, on the scaling families
+    # at three doubling sizes.  A family that grows faster than linearly
+    # today carries its target bound and a strict xfail that names the
+    # ROADMAP item meant to bring it down; only the bound may fail there
+    # (``raises=AssertionError``), so a wrong status still fails outright.
+
+    def test_sld_nat_of_open_numeral_is_linear(self, structs):
+        steps, built = [], []
+        for n in (100, 200, 400):
+            structs.n = 0
+            prog, query, fresh = load_query("nat", f"nat({numeral(n, 'X')})")
+            result = refute(prog, query, "sld", Limits(), fresh)
+            assert result.status is Status.REFUTED
+            steps.append(result.steps_used)
+            built.append(structs.n)
+        assert grows_at_most(steps, 2.1), steps
+        assert grows_at_most(built, 2.1), built
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    def test_co_nat_of_ground_numeral_is_linear(self, mode):
+        limits = Limits(max_steps=10**6, max_rewrite_chain=10**4)
+        steps = []
+        for n in (25, 50, 100):
+            prog, query, fresh = load_query("nat", f"nat({numeral(n, '0')})")
+            result = co_refute(prog, query, mode, limits, fresh)
+            if result.status is not Status.REFUTED:
+                pytest.fail(f"nat(s^{n}(0)) gave {result.status} in {mode}")
+            steps.append(result.steps_used)
+        assert grows_at_most(steps, 2.1), steps
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+    def test_sld_case2_to_its_step_limit_is_linear(self, structs):
+        built = []
+        for max_steps in (100, 200, 400):
+            structs.n = 0
+            prog, query, fresh = load_query("case2", "resource(X,Y), zeros(Y)")
+            result = refute(prog, query, "sld", Limits(max_steps=max_steps), fresh)
+            if result.limits_hit != ("max_steps",):
+                pytest.fail(f"case2 at {max_steps} steps hit {result.limits_hit}")
+            built.append(structs.n)
+        assert grows_at_most(built, 2.2), built
 
 
 class TestClauseObjects:

@@ -1,14 +1,16 @@
-"""Public behaviour of the engine's small records, pinned against the frozen
-dataclasses they once were: construction by position and by keyword with
-the same defaults, ``==``, a hash equal to the hash of the tuple of the
-compared fields (so set and dict orders, and all output, stay put),
-``AttributeError`` on assignment and deletion, and the ``repr`` text."""
+"""Public behaviour of the engine's small records, and of the tests' own
+``Distance``, pinned against the frozen dataclasses they once were:
+construction by position and by keyword with the same defaults, ``==``, a
+hash equal to the hash of the tuple of the compared fields (so set and dict
+orders, and all output, stay put), ``AttributeError`` on assignment and
+deletion, and the ``repr`` text."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import Distance
 from coresolve.coengine import Entry, LoopFailReason, LoopFailure
 from coresolve.derivation import Limits, Step, StepKind
 from coresolve.models import GroundAtomSet
@@ -19,7 +21,7 @@ from coresolve.productivity import (
     WitnessStep,
 )
 from coresolve.program import Clause, Program, Renaming, Span, UniversalityReport
-from coresolve.terms import Distance, Struct, Substitution, Symbol, Var
+from coresolve.terms import Struct, Substitution, Symbol, Var
 from coresolve.unify import UnifyKind, UnifyOutcome
 
 X = Var(1, "X")

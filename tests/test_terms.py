@@ -5,21 +5,27 @@ import threading
 
 import pytest
 
-from conftest import const, mk, random_term, rename_apart, var_pool
-from coresolve.terms import (
-    TRUNCATED,
+from conftest import (
     CircularSubstitutionError,
     Distance,
+    apply,
+    compose,
+    const,
+    distance,
+    divergence_depth,
+    mk,
+    random_term,
+    rename_apart,
+    var_pool,
+)
+from coresolve.terms import (
+    TRUNCATED,
     FreshVars,
     Struct,
     Substitution,
     Symbol,
     Var,
-    apply,
-    compose,
     cycle_members,
-    distance,
-    divergence_depth,
     is_instance,
     is_variant,
     term_to_text,

@@ -7,9 +7,11 @@ from conftest import (
     CONSTS,
     CORPUS_QUERIES,
     FUNCS,
+    apply,
     const,
     load_query,
     mk,
+    occurs_in,
     random_program,
     random_term,
     seed,
@@ -25,7 +27,6 @@ from coresolve.terms import (
     Struct,
     Substitution,
     Var,
-    apply,
     apply_raw,
     cycle_members,
     is_variant,
@@ -41,7 +42,6 @@ from coresolve.unify import (
     _resolve_full,
     mgm,
     mgu,
-    occurs_in,
     rational_unify,
     resolve_head,
 )

@@ -7,7 +7,8 @@ from conftest import check_lemma_4_1, load_query, mk, replay
 from coresolve import decirc
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, StepKind
-from coresolve.terms import term_to_text
+from coresolve.program import parse_program, parse_query
+from coresolve.terms import FreshVars, term_to_text
 from coresolve.validation import (
     CorrespondenceReport,
     ValidationRefused,
@@ -56,6 +57,21 @@ class TestBuildLoopUnrolling:
         assert term_to_text(t_more).count("cons(get(") > term_to_text(
             t_few
         ).count("cons(get(")
+
+    def test_rewrites_take_no_round(self):
+        # Only a substitution step counts toward the rounds: the ground
+        # ok(0) each round leaves behind is rewritten away on the side.
+        fresh = FreshVars()
+        p = parse_program("zs(scons(0,S)) :- ok(0), zs(S).\nok(0).\n", fresh)
+        q = parse_query("zs(X)", fresh)
+        answer = co_refute(p, q, "restricted", Limits(), fresh).answers[0]
+        kept = [st for st in answer.steps if st.kind is not StepKind.LOOP]
+        initial, steps = build_loop_unrolling(p, q, answer, 3, fresh)
+        assert steps[: len(kept)] == kept
+        S, R = StepKind.SUBST, StepKind.REWRITE
+        unrolled = [(st.kind, st.clause_index) for st in steps[len(kept) :]]
+        assert unrolled == [(S, 0), (R, 0), (R, 1)] * 2 + [(S, 0), (R, 0)]
+        assert len(replay(initial, steps)) == len(steps) + 1
 
     def test_colp_trace_rejected(self):
         p, q, fresh = load_query("ex51", "p(X,s(X))")
