@@ -15,12 +15,13 @@ check, the entry can be closed by a loop:
   to the remaining entries.
 
 Rule priority per selected atom is fixed: loop detection first (scanning
-ancestors most recent first), then rewriting, then the substitution-plus-
-rewrite production step.  Loop detection must come first, otherwise a
-non-terminating derivation would never reach it.  ``co_refute`` gives these
-rules, in that order, to ``derivation.search``, the search loop all four
-modes share, and returns its ``Result``: each answer's loop uses are its
-LOOP steps.
+ancestors most recent first; every ancestor is charged a step, but only
+those that can close a loop are tried), then rewriting, then the
+substitution-plus-rewrite production step, which a ground atom skips.
+Loop detection must come first, otherwise a non-terminating derivation
+would never reach it.  ``co_refute`` gives these rules, in that order, to
+``derivation.search``, the search loop all four modes share, and returns
+its ``Result``: each answer's loop uses are its LOOP steps.
 """
 
 from __future__ import annotations
@@ -102,8 +103,12 @@ def co_s_compound(
 ) -> Optional[tuple[AnnotatedGoal, list[Step]]]:
     """The production half of a co-S-step: proper unifier applied to all
     atoms and ancestors, then the same clause's body replaces the atom with
-    the grown ancestor set."""
-    got = resolve_head(p.clauses[clause_index], g[atom_index].atom, fresh)
+    the grown ancestor set.  A ground atom gets no attempt, as in
+    ``derivation.s_compound``."""
+    atom = g[atom_index].atom
+    if atom._ground:
+        return None
+    got = resolve_head(p.clauses[clause_index], atom, fresh)
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
@@ -204,31 +209,38 @@ def _loop_moves(
     state: _SearchState, g: AnnotatedGoal, i: int, restricted: bool
 ) -> Generator[Move, None, bool]:
     """The loops that close at ``g[i]``, trying the most recent ancestor
-    first and charging each attempt; failed restricted loops go to
-    ``state.loop_failures``.  Returns False if the budget ran out."""
+    first; failed restricted loops go to ``state.loop_failures``.  Every
+    ancestor is charged one step, but only candidates that can close a
+    loop are tried.  Returns False if the budget ran out."""
     entry = g[i]
     atom = entry.atom
-    # Cheap filters drop candidates that cannot close a loop before any
-    # unification: a different predicate symbol always clashes; a ground
-    # atom's only instance is itself, whose unifier is not circular, so
-    # it never closes a restricted loop; two distinct ground atoms have
-    # no rational unifier.  (A variable atom has no symbol to compare;
-    # ancestors never are variables, each was rewritten against a head.)
-    symbol = atom.symbol if isinstance(atom, Struct) else None
-    ground = atom._ground
-    for ancestor in reversed(entry.ancestors):
-        # Attempts are charged, not just applications: a divergent
-        # derivation grows its ancestor lists without bound, and the
-        # quadratically many candidate checks are real work the budget
-        # must see.  Candidates the filters drop are charged the same, so
-        # steps_used and every limit verdict do not depend on them.
-        if not state.charge(1):
+    ancestors = entry.ancestors
+    # Cheap filters pick the candidates before any unification: a
+    # different predicate symbol always clashes; a ground atom's only
+    # instance is itself, whose unifier is not circular, so it never
+    # closes a restricted loop; two distinct ground atoms have no rational
+    # unifier.  (A variable atom has no symbol to compare; ancestors never
+    # are variables, each was rewritten against a head.)
+    if restricted and atom._ground:
+        picked: list[int] = []
+    elif atom.__class__ is not Struct:
+        picked = list(range(len(ancestors)))
+    else:
+        symbol, h, ground = atom.symbol, atom._hash, atom._ground
+        picked = [k for k, a in enumerate(ancestors)
+                  if ((a._hash == h and a == atom) if ground and a._ground
+                      else (a.symbol is symbol or a.symbol == symbol))]
+    # Attempts are charged, not just applications: a divergent derivation
+    # grows its ancestor lists without bound, and the quadratically many
+    # candidate checks are real work the budget must see.  Each dropped
+    # candidate is charged as if tried, in one addition per run of them,
+    # so steps_used and every limit verdict do not depend on the filters.
+    unpaid = len(ancestors)
+    for k in reversed(picked):
+        if not state.charge_each(unpaid - k):
             return False
-        if restricted and ground:
-            continue
-        other = ancestor.symbol
-        if symbol is not None and other is not symbol and other != symbol:
-            continue
+        unpaid = k
+        ancestor = ancestors[k]
         if restricted:
             res = restricted_loop(g, i, ancestor)
             if isinstance(res, LoopFailure):
@@ -236,14 +248,12 @@ def _loop_moves(
                 continue
             g2, theta = res
         else:
-            if ground and ancestor._ground and atom != ancestor:
-                continue
             got = colp_loop(g, i, ancestor)
             if got is None:
                 continue
             g2, theta = got
         yield g2, Step(StepKind.LOOP, i, None, None, theta, ancestor, atom), False
-    return True
+    return state.charge_each(unpaid)
 
 
 def co_refute(

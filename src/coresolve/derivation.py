@@ -139,7 +139,9 @@ def apply_to_goal(s: Substitution, g: Goal) -> Goal:
 def sld_step(
     p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[Goal, Step]]:
-    got = resolve_head(p.clauses[clause_index], g[atom_index], fresh)
+    atom = g[atom_index]
+    # A ground atom's unifier is its matcher; matching finds it faster.
+    got = resolve_head(p.clauses[clause_index], atom, fresh, matching=atom._ground)
     if got is None:
         return None
     sigma = got.substitution
@@ -164,8 +166,12 @@ def s_compound(
     p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[Goal, list[Step]]]:
     """Substitution step followed by a rewrite of the instantiated atom with
-    the same clause instance: the production half of an S-step."""
-    got = resolve_head(p.clauses[clause_index], g[atom_index], fresh)
+    the same clause instance: the production half of an S-step.  A ground
+    atom has no variable to bind, so it gets no attempt (and draws no ids)."""
+    atom = g[atom_index]
+    if atom._ground:
+        return None
+    got = resolve_head(p.clauses[clause_index], atom, fresh)
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
@@ -196,6 +202,16 @@ class _SearchState:
         if self.steps_used > self.limits.max_steps:
             self.limits_hit.add("max_steps")
             return False
+        return True
+
+    def charge_each(self, n: int) -> bool:
+        """``n`` calls of ``charge(1)`` that stop at the first that fails,
+        in one addition."""
+        if n and self.steps_used + n > self.limits.max_steps:
+            self.steps_used = max(self.steps_used, self.limits.max_steps) + 1
+            self.limits_hit.add("max_steps")
+            return False
+        self.steps_used += n
         return True
 
     @property

@@ -1,6 +1,6 @@
 """Shared fixtures and generators for the test suite, and the reference
 definitions the engine does not need: the checked ``apply``, ``compose``,
-``occurs_in`` and the dyadic tree metric.
+``occurs_in``, the dyadic tree metric and the per-candidate loop check.
 
 Randomized property tests draw from a ``random.Random`` seeded via the
 ``CORESOLVE_SEED`` environment variable (default fixed), so every run is
@@ -17,8 +17,9 @@ from typing import Optional
 import pytest
 
 from coresolve import validation
+from coresolve.coengine import LoopFailure, colp_loop, restricted_loop
 from coresolve.decirc import unfold
-from coresolve.derivation import Limits, StepKind, apply_to_goal
+from coresolve.derivation import Limits, Step, StepKind, apply_to_goal
 from coresolve.program import Clause, Program, clause_to_text, parse_program, parse_query
 from coresolve.rational import build_node, minimize
 from coresolve.terms import (
@@ -126,6 +127,40 @@ def replay(g, steps):
         else:
             goals.append(cur[:i] + cur[i + 1 :])
     return goals
+
+
+def per_candidate_loop_moves(state, g, i, restricted):
+    """``coengine._loop_moves`` as it was before it picked its candidates
+    first: one ``charge(1)`` per ancestor, most recent first, and the
+    filters applied to each in turn.  The reference the picking version
+    must agree with, charge for charge."""
+    entry = g[i]
+    atom = entry.atom
+    symbol = atom.symbol if isinstance(atom, Struct) else None
+    ground = atom._ground
+    for ancestor in reversed(entry.ancestors):
+        if not state.charge(1):
+            return False
+        if restricted and ground:
+            continue
+        other = ancestor.symbol
+        if symbol is not None and other is not symbol and other != symbol:
+            continue
+        if restricted:
+            res = restricted_loop(g, i, ancestor)
+            if isinstance(res, LoopFailure):
+                state.loop_failures.append(res)
+                continue
+            g2, theta = res
+        else:
+            if ground and ancestor._ground and atom != ancestor:
+                continue
+            got = colp_loop(g, i, ancestor)
+            if got is None:
+                continue
+            g2, theta = got
+        yield g2, Step(StepKind.LOOP, i, None, None, theta, ancestor, atom), False
+    return True
 
 
 def values_bisimilar(a, b) -> bool:

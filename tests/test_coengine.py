@@ -1,9 +1,25 @@
 """Co-S-resolution: ancestor bookkeeping, loop detection in both modes,
 and the full search."""
 
+import random
+
 import pytest
 
-from conftest import CORPUS_QUERIES, PROGRAMS, load_query, mk, random_term, var_pool
+from conftest import (
+    CONSTS,
+    CORPUS_QUERIES,
+    FUNCS,
+    PROGRAMS,
+    ground_term,
+    load_query,
+    mk,
+    per_candidate_loop_moves,
+    random_program,
+    random_term,
+    seed,
+    var_pool,
+)
+from coresolve import coengine
 from coresolve.coengine import (
     Entry,
     LoopFailReason,
@@ -17,7 +33,7 @@ from coresolve.coengine import (
     preflight_warnings,
     restricted_loop,
 )
-from coresolve.derivation import Limits, Status, StepKind
+from coresolve.derivation import Limits, Status, StepKind, _SearchState
 from coresolve.program import parse_program, parse_query
 from coresolve.terms import (
     FreshVars,
@@ -401,3 +417,80 @@ class TestSameBehaviour:
         p, q, fresh = load_query("nat", f"nat({nat_term(n)})")
         result = co_refute(p, q, mode, Limits(), fresh)
         assert (result.steps_used, result.status) == (steps, status)
+
+
+def deep_ground_term(rnd, depth):
+    """A ground term with one path of exactly ``depth`` constructors."""
+    if depth == 0:
+        return Struct(rnd.choice(CONSTS))
+    f = rnd.choice(FUNCS)
+    k = rnd.randrange(f.arity)
+    return Struct(f, tuple(deep_ground_term(rnd, depth - 1) if j == k else ground_term(rnd, 1)
+                           for j in range(f.arity)))
+
+
+def observed(result):
+    """Everything a search reports, printed answers first."""
+    return (answers_text(result), [a.steps for a in result.answers], result.status,
+            result.steps_used, result.limits_hit, result.diverged, result.loop_failures)
+
+
+class TestLoopCandidates:
+    """``_loop_moves`` tries only the candidates its filters keep and
+    charges each run of dropped ones in one addition; it must report what
+    the per-candidate reference does, also when the budget runs out inside
+    a dropped run."""
+
+    @pytest.fixture
+    def crossings(self, monkeypatch):
+        # Counts bulk charges that run out after paying at least one step
+        # and before reaching the candidate: the budget edge falls inside
+        # a run of dropped candidates.
+        counter = {"n": 0}
+        charge_each = _SearchState.charge_each
+
+        def counted(state, n):
+            if n >= 2 and state.steps_used < state.limits.max_steps < state.steps_used + n - 1:
+                counter["n"] += 1
+            return charge_each(state, n)
+
+        monkeypatch.setattr(_SearchState, "charge_each", counted)
+        return counter
+
+    def same_result(self, monkeypatch, p, q, mode, limits):
+        got = observed(co_refute(p, q, mode, limits))
+        with monkeypatch.context() as m:
+            m.setattr(coengine, "_loop_moves", per_candidate_loop_moves)
+            want = observed(co_refute(p, q, mode, limits))
+        assert got == want
+
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    def test_corpus_at_small_budgets(self, monkeypatch, crossings, mode):
+        for name, query in sorted(CORPUS_QUERIES.items()):
+            p, q, _ = load_query(name, query)
+            for max_steps in range(3, 120, 9):
+                self.same_result(monkeypatch, p, q, mode, Limits(max_steps=max_steps, max_answers=3))
+        assert crossings["n"] > 0
+
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    def test_self_recursive_random_programs(self, monkeypatch, crossings, mode):
+        # Deep ground query arguments give the recursive clauses long
+        # derivations, so the ancestor lists grow past a few entries.
+        rnd = random.Random(seed())
+        tried = 0
+        while tried < 40:
+            fresh = FreshVars()
+            p, _ = random_program(rnd, fresh)
+            looping = [c.head.symbol for c in p.clauses
+                       if any(b.symbol == c.head.symbol for b in c.body)]
+            if not looping:
+                continue
+            tried += 1
+            sym = rnd.choice(looping)
+            args = tuple(fresh.new(f"X{k}") if rnd.random() < 0.3
+                         else deep_ground_term(rnd, rnd.randint(2, 10)) for k in range(sym.arity))
+            max_answers = rnd.randint(1, 3)
+            for max_steps in range(1, 40):
+                limits = Limits(max_steps=max_steps, max_answers=max_answers)
+                self.same_result(monkeypatch, p, [Struct(sym, args)], mode, limits)
+        assert crossings["n"] > 0

@@ -1,11 +1,14 @@
 """Single-step reductions, the compound S-step, and refutation search."""
 
+import random
+
 import pytest
 
-from conftest import const, load_query, mk, replay
+from conftest import const, ground_term, load_query, mk, random_program, replay, seed
 from coresolve import coengine, derivation, unify
 from coresolve.derivation import (
     Limits,
+    _SearchState,
     Status,
     StepKind,
     refute,
@@ -17,6 +20,7 @@ from coresolve.program import parse_program, parse_query
 from coresolve.terms import (
     FreshVars,
     Struct,
+    Substitution,
     apply_raw,
     is_variant,
     term_to_text,
@@ -371,3 +375,55 @@ class TestFairSelection:
     @pytest.mark.parametrize("mode", ["sld", "s", "cos"])
     def test_first_atom_without_fair(self, mode):
         assert all(got == 0 for got, _ in self.selections(mode, fair=False))
+
+
+class TestChargeEach:
+    def test_same_as_that_many_single_charges(self):
+        # The reference stops at the first charge(1) that fails, as the
+        # loop check did per candidate: steps_used ends at max_steps + 1.
+        rnd = random.Random(seed())
+        crossed = 0
+        for _ in range(3000):
+            max_steps = rnd.randint(0, 30)
+            spent, n = rnd.randint(0, max_steps + 3), rnd.randint(0, 40)
+            bulk, single = (_SearchState(Limits(max_steps=max_steps), True) for _ in range(2))
+            bulk.steps_used = single.steps_used = spent
+            want = all(single.charge(1) for _ in range(n))
+            got = bulk.charge_each(n)
+            assert (got, bulk.steps_used, bulk.limits_hit) == (
+                want, single.steps_used, single.limits_hit
+            ), (max_steps, spent, n)
+            crossed += spent < max_steps < spent + n - 1
+        assert crossed > 100
+
+
+class TestGroundSldStep:
+    def test_matching_gives_what_unifying_gives(self):
+        # sld_step reads a ground atom through the matching path: the same
+        # substitution, in the same order, the same body and the same ids.
+        rnd = random.Random(seed())
+        fitted = 0
+        for _ in range(300):
+            p, _ = random_program(rnd, FreshVars())
+            # A ground instance of one head, so that some clauses fit.
+            head = rnd.choice(p.clauses).head
+            atom = apply_raw(Substitution({v: ground_term(rnd, 2) for v in variables_in_order([head])}), head)
+            for c in p.clauses:
+                a = unify.resolve_head(c, atom, FreshVars(100))
+                b = unify.resolve_head(c, atom, FreshVars(100), matching=True)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    fitted += 1
+                    assert a.kind is b.kind is unify.UnifyKind.MATCHER
+                    assert list(a.substitution.items()) == list(b.substitution.items())
+                    assert (a.body, a.renaming) == (b.body, b.renaming)
+        assert fitted > 300
+
+    @pytest.mark.parametrize("mode", ["s", "cos"])
+    def test_no_production_attempt_on_a_ground_atom(self, mode):
+        p, q, fresh = load_query("nat", "nat(s(s(0)))")
+        compound = s_compound if mode == "s" else coengine.co_s_compound
+        goal = q if mode == "s" else coengine.annotate(q)
+        before = fresh.new().id
+        assert compound(p, goal, 0, 1, fresh) is None
+        assert fresh.new().id == before + 1  # no ids drawn

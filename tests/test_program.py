@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import load, load_query, program_to_text, random_program, seed
+from coresolve import coengine, derivation, unify
 from coresolve.coengine import co_refute
-from coresolve.derivation import Limits, Status, refute
+from coresolve.derivation import Limits, Status, _SearchState, refute
 from coresolve.program import (
     Clause,
     ParseError,
@@ -263,6 +264,54 @@ class TestSearchWork:
                 pytest.fail(f"nat(s^{n}(0)) gave {result.status} in {mode}")
             steps.append(result.steps_used)
         assert grows_at_most(steps, 2.1), steps
+
+    @pytest.mark.parametrize("mode", ["s", "colp", "restricted"])
+    def test_ground_atoms_get_no_production_attempt(self, monkeypatch, mode):
+        # On nat(s^96(0)) each of the 65 atoms of the cut rewriting chain is
+        # rewritten once; a substitution step on a ground atom cannot find
+        # a proper unifier, and is no longer attempted (130 heads before).
+        calls = SimpleNamespace(n=0)
+        resolve = unify.resolve_head
+
+        def counted(*args, **kwargs):
+            calls.n += 1
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(derivation, "resolve_head", counted)
+        monkeypatch.setattr(coengine, "resolve_head", counted)
+        prog, query, fresh = load_query("nat", f"nat({numeral(96, '0')})")
+        if mode == "s":
+            result = refute(prog, query, mode, Limits(), fresh)
+        else:
+            result = co_refute(prog, query, mode, Limits(), fresh)
+        assert result.diverged
+        assert calls.n == 65
+
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    def test_co_nat_of_ground_numeral_charges_in_linear_calls(self, monkeypatch, mode):
+        # The loop check still charges every ancestor (steps_used is the
+        # quadratic 351/1,326/5,151 that the xfail above holds against
+        # item 3), but a run of dropped candidates costs one call.
+        calls = SimpleNamespace(n=0)
+        for name in ("charge", "charge_each"):
+            method = getattr(_SearchState, name)
+
+            def counted(state, n, method=method):
+                calls.n += 1
+                return method(state, n)
+
+            monkeypatch.setattr(_SearchState, name, counted)
+        limits = Limits(max_steps=10**6, max_rewrite_chain=10**4)
+        steps, charges = [], []
+        for n in (25, 50, 100):
+            calls.n = 0
+            prog, query, fresh = load_query("nat", f"nat({numeral(n, '0')})")
+            result = co_refute(prog, query, mode, limits, fresh)
+            assert result.status is Status.REFUTED
+            steps.append(result.steps_used)
+            charges.append(calls.n)
+        assert steps == [351, 1326, 5151]
+        assert grows_at_most(charges, 2.1), charges
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_sld_case2_to_its_step_limit_is_linear(self, structs):
