@@ -142,7 +142,9 @@ def _emit_trace(steps, fmt: str, out) -> None:
 def _load(path: str, out_err) -> Optional[tuple[Program, FreshVars]]:
     fresh = FreshVars()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # No newline translation: a lone "\r" is not a line end, as in
+        # ``parse_program``, so positions match its line:col.
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=out_err)
@@ -166,7 +168,10 @@ def cmd_run(args, out=None, err=None) -> int:
     loaded = _load(args.file, err)
     if loaded is None:
         return EXIT_USAGE
-    prog, fresh = loaded
+    return _run(*loaded, args, out, err)
+
+
+def _run(prog: Program, fresh: FreshVars, args, out, err) -> int:
     try:
         query = parse_query(args.query, fresh)
     except ParseError as exc:
@@ -225,7 +230,10 @@ def cmd_check(args, out=None, err=None) -> int:
     loaded = _load(args.file, err)
     if loaded is None:
         return EXIT_USAGE
-    prog, fresh = loaded
+    return _check(*loaded, args, out, err)
+
+
+def _check(prog: Program, fresh: FreshVars, args, out, err) -> int:
     code = EXIT_ANSWER
     if args.universal:
         report = check_universal(prog)
@@ -315,6 +323,10 @@ def repl(args, out=None, err=None, inp=None) -> int:
     loaded = _load(args.file, err)
     if loaded is None:
         return EXIT_USAGE
+    # The program is read once.  Each input draws its variables from the
+    # id the parse left off at, as a fresh load would.
+    prog, fresh = loaded
+    start = fresh.new().id
     # The starting settings are the command line's defaults.
     run = build_parser().parse_args(["run", args.file, "-q", ""])
     check = build_parser().parse_args(["check", args.file])
@@ -352,7 +364,10 @@ def repl(args, out=None, err=None, inp=None) -> int:
             what = parts[1] if len(parts) > 1 else "universal"
             check.universal = what == "universal"
             check.productive = what == "productive"
-            cmd_check(check, out, err)
+            if check.universal or check.productive:
+                _check(prog, FreshVars(start), check, out, err)
+            else:
+                cmd_check(check, out, err)  # the usage error; no file is read
             continue
         if line.startswith(":"):
             print(f"unknown command {line}", file=out)
@@ -360,7 +375,7 @@ def repl(args, out=None, err=None, inp=None) -> int:
         if line.startswith("?-"):
             line = line[2:].strip()
         run.query = line
-        code = cmd_run(run, out, err)
+        code = _run(prog, FreshVars(start), run, out, err)
         if code == EXIT_FAILED:
             print("no", file=out)
         elif code == EXIT_LIMIT:

@@ -89,7 +89,7 @@ def co_rewrite(
     p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[AnnotatedGoal, Step]]:
     entry = g[atom_index]
-    got = resolve_head(p.clauses[clause_index], entry.atom, fresh, matching=True)
+    got = resolve_head(p.clause(clause_index), entry.atom, fresh, matching=True)
     if got is None:
         return None
     grown = entry.ancestors + (entry.atom,)
@@ -108,7 +108,7 @@ def co_s_compound(
     atom = g[atom_index].atom
     if atom._ground:
         return None
-    got = resolve_head(p.clauses[clause_index], atom, fresh)
+    got = resolve_head(p.clause(clause_index), atom, fresh)
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming

@@ -141,7 +141,7 @@ def sld_step(
 ) -> Optional[tuple[Goal, Step]]:
     atom = g[atom_index]
     # A ground atom's unifier is its matcher; matching finds it faster.
-    got = resolve_head(p.clauses[clause_index], atom, fresh, matching=atom._ground)
+    got = resolve_head(p.clause(clause_index), atom, fresh, matching=atom._ground)
     if got is None:
         return None
     sigma = got.substitution
@@ -155,7 +155,7 @@ def sld_step(
 def rewrite_step(
     p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
 ) -> Optional[tuple[Goal, Step]]:
-    got = resolve_head(p.clauses[clause_index], g[atom_index], fresh, matching=True)
+    got = resolve_head(p.clause(clause_index), g[atom_index], fresh, matching=True)
     if got is None:
         return None
     step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
@@ -171,7 +171,7 @@ def s_compound(
     atom = g[atom_index]
     if atom._ground:
         return None
-    got = resolve_head(p.clauses[clause_index], atom, fresh)
+    got = resolve_head(p.clause(clause_index), atom, fresh)
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming

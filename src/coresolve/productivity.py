@@ -8,8 +8,8 @@ exists (variant loops always pump, since rewriting never instantiates the
 rest of the goal; Komendantskaya, Johann and Schmidt, LOPSTR 2016).  Not
 finding one proves nothing: the verdict ``NoLoopFound`` is explicitly
 inconclusive evidence up to the bound, and the root set (one most-general
-atom per predicate plus every clause head) is a pragmatic
-under-approximation of all goals.
+atom per predicate plus every clause head of a predicate with a rule) is
+a pragmatic under-approximation of all goals.
 """
 
 from __future__ import annotations
@@ -82,8 +82,10 @@ def default_roots(p: Program, fresh: FreshVars) -> list[Term]:
     for sym in p.predicates():
         roots.append(Struct(sym, tuple(fresh.new() for _ in range(sym.arity))))
     # The heads need no renaming: the search only matches renamed clauses
-    # against them, so they share no variable with what they meet.
-    roots.extend(c.head for c in p.clauses)
+    # against them, so they share no variable with what they meet.  The
+    # head of a predicate with no rule rewrites to nothing, so it is left
+    # out, and its fact is not built.
+    roots.extend(p.clause(ci).head for ci in p.rule_clauses())
     return roots
 
 
@@ -104,7 +106,7 @@ def check_productive(
 
     def rewrites(atom: Term) -> Iterator[Rewrite]:
         for ci in p.candidates(atom, matching=True):
-            got = resolve_head(p.clauses[ci], atom, fresh, matching=True)
+            got = resolve_head(p.clause(ci), atom, fresh, matching=True)
             if got is not None:
                 for bi, child in enumerate(got.body):
                     yield ci, got.renaming, bi, child

@@ -121,30 +121,49 @@ class _PredicateIndex:
     """The clauses of one predicate, as indices in clause order: all of
     them, those whose head has a variable first argument (or no argument),
     and per principal symbol of a bound first argument, the clauses with
-    that symbol there together with the variable-first ones."""
+    that symbol there together with the variable-first ones; and whether
+    any of them has a body."""
 
-    __slots__ = ("every", "var_first", "by_first")
+    __slots__ = ("every", "var_first", "by_first", "rules")
 
     def __init__(self) -> None:
         self.every: list[int] = []
         self.var_first: list[int] = []
         self.by_first: dict[Symbol, list[int]] = {}
+        self.rules = False
 
 
 class Program:
     """Clauses, with the parser's symbols and warnings; equality and hash
-    read the clauses only.  Immutable; ``_index`` is cached in its dict."""
+    read the clauses only.  Immutable; ``clauses`` and ``_index`` are
+    cached in its dict.
+
+    In place of a clause, the parser passes the ``(symbol, args, line,
+    column)`` of a ground flat fact, such as ``edge(n5,n17).``; ``clause``
+    builds it on first use, so a query pays only for the facts it reads."""
 
     __setattr__ = __delattr__ = immutable_setattr
 
-    clauses: tuple[Clause, ...]
     signature: dict[str, Symbol]
     warnings: tuple[str, ...]
 
-    def __init__(self, clauses: tuple[Clause, ...], signature: Optional[dict[str, Symbol]] = None,
+    def __init__(self, clauses: Sequence[Clause], signature: Optional[dict[str, Symbol]] = None,
                  warnings: tuple[str, ...] = ()) -> None:
-        vars(self).update(clauses=clauses, signature={} if signature is None else signature,
+        vars(self).update(_entries=list(clauses), signature={} if signature is None else signature,
                           warnings=warnings)
+
+    def clause(self, ci: int) -> Clause:
+        """Clause ``ci``, built the first time it is read."""
+        c = self._entries[ci]
+        if c.__class__ is not Clause:
+            sym, args, line, column = c
+            c = self._entries[ci] = Clause(Struct(sym, args), (), Span(line, column), {})
+        return c
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """Every clause, built."""
+        return tuple(map(self.clause, range(len(self._entries))))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Program:
@@ -161,16 +180,23 @@ class Program:
     @cached_property
     def _index(self) -> dict[Symbol, _PredicateIndex]:
         # First-argument indexing (Warren 1983): built on the first lookup,
-        # so parsing a program does not pay for it.
+        # so parsing a program does not pay for it, and from the symbols
+        # alone, so it builds no clause.
         index: dict[Symbol, _PredicateIndex] = {}
-        for ci, c in enumerate(self.clauses):
-            head = c.head
-            assert isinstance(head, Struct)
-            pred = index.get(head.symbol)
+        for ci, c in enumerate(self._entries):
+            if c.__class__ is Clause:
+                head = c.head
+                assert isinstance(head, Struct)
+                sym, args = head.symbol, head.args
+            else:
+                sym, args = c[0], c[1]
+            pred = index.get(sym)
             if pred is None:
-                pred = index[head.symbol] = _PredicateIndex()
+                pred = index[sym] = _PredicateIndex()
             pred.every.append(ci)
-            first = head.args[0] if head.args else None
+            if c.__class__ is Clause and c.body:
+                pred.rules = True
+            first = args[0] if args else None
             if isinstance(first, Struct):
                 bucket = pred.by_first.get(first.symbol)
                 if bucket is None:
@@ -186,6 +212,11 @@ class Program:
         """Head predicate symbols in first-occurrence order."""
         return list(self._index)
 
+    def rule_clauses(self) -> list[int]:
+        """Indices, in clause order, of the clauses of each predicate that
+        has a clause with a body."""
+        return sorted(ci for pred in self._index.values() if pred.rules for ci in pred.every)
+
     def candidates(self, atom: Term, matching: bool = False) -> Sequence[int]:
         """Indices, in clause order, of the clauses whose head may unify
         with ``atom`` -- or, with ``matching``, may match it (the head is
@@ -193,7 +224,7 @@ class Program:
         predicate, or a first argument whose symbol clashes with the
         atom's; and a bound first argument never matches a variable."""
         if isinstance(atom, Var):
-            return () if matching else range(len(self.clauses))
+            return () if matching else range(len(self._entries))
         pred = self._index.get(atom.symbol)
         if pred is None:
             return ()
@@ -305,9 +336,10 @@ class _Parser:
             self.constants[name] = const
         return const
 
-    def _flat(self, tok: str, i: int) -> Struct:
-        """The flat compound of token ``i``.  Its arguments are looked up
-        or declared left to right, then its functor, as ``atoms`` does."""
+    def _flat(self, tok: str, i: int) -> tuple[Symbol, tuple[Term, ...]]:
+        """The functor and arguments of the flat compound of token ``i``.
+        Its arguments are looked up or declared left to right, then its
+        functor, as ``atoms`` does."""
         scope, constants = self.scope, self.constants
         name, _, rest = tok.partition("(")
         names = rest[:-1].split(",")
@@ -322,7 +354,7 @@ class _Parser:
                     t = self._constant(arg, i, within)
             args.append(t)
             within += len(arg) + 1
-        return Struct(self._symbol(name, len(args), i), tuple(args))
+        return self._symbol(name, len(args), i), tuple(args)
 
     def atoms(self, i: int, neck: str) -> tuple[list[Term], int]:
         """Read the terms ``t1 neck t2 , t3 , ... , tn`` from token ``i``:
@@ -358,7 +390,7 @@ class _Parser:
                 elif kind is _SYMBOL:
                     t = self._constant(tok, i - 1)
                 elif kind is _FLAT:
-                    t = self._flat(tok, i - 1)
+                    t = Struct(*self._flat(tok, i - 1))
                 elif tok == "[":
                     if texts[i] == "]":
                         i += 1
@@ -422,15 +454,17 @@ class _Parser:
         Clause starts come in text order, so the newlines are counted on
         from the last clause start."""
         text, texts, matches = self.text, self.texts, self.matches
-        clauses: list[Clause] = []
+        clauses: list = []  # a Clause, or the data of a ground flat fact
         i = at = 0
         line, last_newline = 1, -1
         while texts[i]:
             self.scope = {}
             self.positions = {}
             if texts[i + 1] == "." and _kind(texts[i]) is _FLAT:
-                # A flat fact, such as ``edge(n5,n17).``: two tokens.
-                head, body, end = self._flat(texts[i], i), (), i + 1
+                # A flat fact, such as ``edge(n5,n17).``: two tokens.  A
+                # ground one is built by ``Program.clause`` on first use.
+                sym, args = self._flat(texts[i], i)
+                head, body, end = Struct(sym, args) if self.positions else None, (), i + 1
             else:
                 atoms, end = self.atoms(i, ":-")
                 if texts[end] != ".":
@@ -442,13 +476,16 @@ class _Parser:
                 line += newlines
                 last_newline = text.rfind("\n", at, offset)
             at = offset
-            clauses.append(Clause(head, body, Span(line, offset - last_newline), self.positions))
+            if head is None:
+                clauses.append((sym, args, line, offset - last_newline))
+            else:
+                clauses.append(Clause(head, body, Span(line, offset - last_newline), self.positions))
             i = end + 1
         if clauses and not any(sym.arity == 0 for sym in self.signature.values()):
             self.warnings.append(
                 "signature has no nullary symbol; ground instances are empty"
             )
-        return Program(tuple(clauses), self.signature, tuple(self.warnings))
+        return Program(clauses, self.signature, tuple(self.warnings))
 
     def query(self) -> list[Term]:
         atoms, i = self.atoms(0, ",")
@@ -478,9 +515,9 @@ def check_universal(p: Program) -> UniversalityReport:
     """Flag each clause whose body mentions variables absent from the head;
     those existential variables break the head-driven answer construction."""
     violations: list[tuple[int, Span, tuple[Var, ...]]] = []
-    for i, c in enumerate(p.clauses):
-        if not c.body:
-            continue  # a fact has no body variables
+    for i, c in enumerate(p._entries):
+        if c.__class__ is not Clause or not c.body:
+            continue  # a fact has no body variables, and is left unbuilt
         head_vars = variables_of(c.head)
         extras = [
             v

@@ -14,6 +14,7 @@ from coresolve import cli, coengine, decirc, derivation, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main, repl
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits
+from coresolve.program import ParseError, parse_program
 from coresolve.terms import variables_in_order
 
 
@@ -383,6 +384,17 @@ class TestUsage:
         for argv, message in cases:
             assert run(capsys, *argv) == (3, "", f"error: {message}\n")
 
+    def test_lone_carriage_return_is_not_a_line_end(self, capsys, tmp_path):
+        # The file is read as it is, so its positions are parse_program's.
+        text = "p(a).\rq(b) :- p(a), s(c.\r"
+        path = tmp_path / "cr.lp"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.column) == (1, 24)
+        for argv in (["run", str(path), "-q", "p(a)"], ["check", str(path), "--universal"]):
+            assert run(capsys, *argv) == (3, "", "parse error: 1:24: expected ')'\n")
+
 
 class TestRepeatedMain:
     # Library callers and the benchmark call main many times in one
@@ -462,6 +474,38 @@ class TestRepl:
             "error: --unfold-depth must not be negative",
             "true",
         ]
+
+
+    def test_program_read_once(self, monkeypatch):
+        # r.lp has no nullary symbol, so its one warning shows each parse.
+        parses = []
+        monkeypatch.setattr(cli, "parse_program", lambda *a: parses.append(a) or parse_program(*a))
+        inp = io.StringIO("nats(X)\nnats(X)\n:check productive\n:check universal\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert repl(argparse.Namespace(file=lp("r")), out, err, inp) == 0
+        assert len(parses) == 1
+        assert err.getvalue() == "warning: signature has no nullary symbol; ground instances are empty\n"
+        assert out.getvalue().splitlines()[1:3] == ["no", "no"]
+
+    def test_each_input_as_a_fresh_run(self):
+        # Every input starts from the variable ids a fresh load gives, so
+        # the output is what separate run and check calls print.
+        inputs = ["nats(X)", ":set mode sld", "nats(Y)", ":check productive", ":set mode colp",
+                  "nats(X)", ":check universal"]
+        out, err = io.StringIO(), io.StringIO()
+        repl(argparse.Namespace(file=lp("nats")), out, err, io.StringIO("\n".join(inputs)))
+        expected = ["coresolve repl; :quit to exit"]
+        for argv in (["run", lp("nats"), "-q", "nats(X)"],
+                     ["run", lp("nats"), "-q", "nats(Y)", "--mode", "sld"],
+                     ["check", lp("nats"), "--productive"],
+                     ["run", lp("nats"), "-q", "nats(X)", "--mode", "colp"],
+                     ["check", lp("nats"), "--universal"]):
+            args, one = cli.build_parser().parse_args(argv), io.StringIO()
+            code = args.func(args, one, io.StringIO())
+            expected += one.getvalue().splitlines()
+            if argv[0] == "run":
+                expected += {1: ["no"], 2: ["limit exceeded"]}.get(code, [])
+        assert out.getvalue().splitlines() == expected
 
 
 class TestModuleEntry:

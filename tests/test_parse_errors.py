@@ -107,6 +107,12 @@ CASES = [
     ("flat non-ascii name", "program", "p(Ä,b)."),
     ("flat nil clash", "program", "nil(a). p(x,nil)."),
     ("flat facts over lines", "program", "e(n1,n2). e(n2,n3).\n  e(n3,n4)."),
+    # A ground flat fact is checked as it is read, though its clause is
+    # built only when first used.
+    ("clash with a constant of a ground fact far above", "program",
+     "e(a,b).\n" + "".join(f"e(n{k},n{k + 1}).\n" for k in range(49)) + "p(X) :- b(X).\n"),
+    ("flat fact with variables between ground facts", "program",
+     "e(a,b).\ne(X,X).\ne(b,Y).\ne(c,d).\n"),
 ]
 
 

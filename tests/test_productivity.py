@@ -5,7 +5,7 @@ import sys
 from enum import Enum
 from typing import Sequence
 
-from conftest import load, mk, random_term, seed, var_pool
+from conftest import PROGRAMS, load, mk, program_to_text, random_program, random_term, seed, var_pool
 from coresolve import terms
 from coresolve.productivity import (
     ProductivityStatus,
@@ -163,6 +163,17 @@ class TestExhaustiveness:
         return any(grow(r, []) for r in roots)
 
 
+def witness_shape(w):
+    """The witness with its variables numbered in order of occurrence."""
+    if w is None:
+        return None
+    terms = [w.root]
+    for st in w.steps:
+        terms += [st.clause.head, *st.clause.body, st.atom]
+    key = _variant_key(Struct(Symbol("w", len(terms)), tuple(terms)))
+    return key, [(st.clause_index, st.clause.span, st.body_index) for st in w.steps], w.loop_start
+
+
 def reference_check(p, bound, fresh):
     """The recursive search ``check_productive`` replaced: renames every
     candidate clause, matches its head, and compares each new atom with
@@ -251,6 +262,34 @@ class TestSameVerdicts:
                 # The same fresh ids were drawn, in the same order.
                 assert fresh.new() == fresh_ref.new()
         assert seen == set(ProductivityStatus)
+
+    def test_rule_heads_are_enough_roots(self):
+        # default_roots leaves out the heads of predicates with no rule,
+        # which rewrite to nothing: status, bound and witness are those of
+        # the full root list, up to the ids of renamed clauses (rewriting
+        # the left-out heads drew some).
+        rnd = random.Random(seed())
+        texts = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.lp"))]
+        texts += [program_to_text(random_program(rnd, FreshVars())[0]) for _ in range(200)]
+        texts += [random_rewriting_program(rnd) for _ in range(150)]
+        seen, dropped = set(), 0
+        for text in texts:
+            for bound in (3, 8):
+                p, q = parse_program(text, FreshVars()), parse_program(text, FreshVars())
+                verdict = check_productive(p, bound=bound)
+                fresh = FreshVars(10**7)
+                every = default_roots(q, fresh)[: len(q.predicates())]
+                every += [c.head for c in q.clauses]
+                full = check_productive(q, every, bound=bound, fresh=fresh)
+                assert (verdict.status, verdict.bound) == (full.status, full.bound), text
+                assert witness_shape(verdict.witness) == witness_shape(full.witness), text
+                ruled = {c.head.symbol for c in q.clauses if c.body}
+                assert verdict.roots == tuple(
+                    r for k, r in enumerate(every) if k < len(q.predicates()) or r.symbol in ruled
+                )
+                seen.add(verdict.status)
+                dropped += len(every) - len(verdict.roots)
+        assert seen == set(ProductivityStatus) and dropped
 
     def test_variant_key(self):
         rnd = random.Random(seed())

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import load, load_query, program_to_text, random_program, seed
+from conftest import PROGRAMS, load, load_query, program_to_text, random_program, seed
 from coresolve import coengine, derivation, unify
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, _SearchState, refute
@@ -150,31 +150,71 @@ class TestDeepInputs:
 
 def index_rows(p: Program) -> list:
     """The first-argument index of ``p``, as plain lists."""
-    return [(sym, pred.every, pred.var_first, list(pred.by_first.items()))
+    return [(sym, pred.every, pred.var_first, list(pred.by_first.items()), pred.rules)
             for sym, pred in p._index.items()]
+
+
+def unbuilt(p: Program) -> set[int]:
+    """Indices of the clauses of ``p`` not built yet."""
+    return {ci for ci, c in enumerate(p._entries) if c.__class__ is not Clause}
+
+
+def with_flat_facts(rnd: random.Random, text: str) -> str:
+    """``text`` with flat facts of its predicates put between its lines:
+    each argument a constant, a variable or ``_``, so some are ground."""
+    p = parse_program(text)
+    constants = [name for name, sym in p.signature.items() if sym.arity == 0] or ["k0"]
+    lines = text.splitlines()
+    for sym in p.predicates():
+        if not sym.arity:
+            continue
+        for _ in range(rnd.randint(1, 3)):
+            args = [rnd.choice(constants) if rnd.random() < 0.7 else rnd.choice(["X", "Y", "_"])
+                    for _ in range(sym.arity)]
+            lines.insert(rnd.randint(0, len(lines)), f"{sym.name}({','.join(args)}).")
+    return "\n".join(lines) + "\n"
 
 
 class TestFlatCompounds:
     # A compound whose arguments are all names, with nothing skipped inside,
-    # is read as one token.  A space after each "(" keeps every compound
-    # off that path, and the parse must not change.
+    # is read as one token, and a ground flat fact is built on first use.
+    # A space after each "(" keeps every compound off that path, and the
+    # parse must not change.
     def test_same_parse_as_the_plain_reader(self):
         rnd = random.Random(seed())
-        tokens = spaced_tokens = 0
-        for _ in range(200):
-            text = program_to_text(random_program(rnd, FreshVars())[0])
+        texts = [program_to_text(random_program(rnd, FreshVars())[0]) for _ in range(200)]
+        texts += [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.lp"))]
+        tokens = spaced_tokens = lazy = 0
+        for text in [with_flat_facts(rnd, t) for t in texts]:
             spaced = text.replace("(", "( ")
-            p, q = parse_program(text), parse_program(spaced)
-            assert p.clauses == q.clauses  # spans too: one clause a line
+            fresh, spaced_fresh = FreshVars(), FreshVars()
+            p, q = parse_program(text, fresh), parse_program(spaced, spaced_fresh)
+            assert not unbuilt(q)
+            lazy += len(unbuilt(p))
+            # The variables drawn, a query's included, are the same.
+            assert parse_query("p(X,Y)", fresh) == parse_query("p(X,Y)", spaced_fresh)
+            # Signature, warnings and index come before any clause is built.
+            assert list(p.signature.items()) == list(q.signature.items())
+            assert p.warnings == q.warnings
+            assert p.predicates() == q.predicates()
+            assert index_rows(p) == index_rows(q)
+            for c in q.clauses:
+                assert list(p.candidates(c.head)) == list(q.candidates(c.head))
+                assert list(p.candidates(c.head, True)) == list(q.candidates(c.head, True))
+            order = list(range(len(q.clauses)))
+            rnd.shuffle(order)
+            for ci in order:
+                assert p.clause(ci) == q.clauses[ci]  # spans too: one clause a line
+                assert p.clause(ci) is p.clause(ci)
+            assert p.clauses == q.clauses and not unbuilt(p)
             assert [list(c.var_positions.items()) for c in p.clauses] == [
                 list(c.var_positions.items()) for c in q.clauses
             ]
-            assert list(p.signature.items()) == list(q.signature.items())
-            assert p.warnings == q.warnings
-            assert index_rows(p) == index_rows(q)
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
             tokens += len(_Parser(text).matches)
             spaced_tokens += len(_Parser(spaced).matches)
         assert tokens < spaced_tokens  # the one-token path was taken
+        assert lazy  # and some facts were left unbuilt
 
 
 PATH_RULES = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
@@ -224,9 +264,29 @@ class TestParseWork:
             text = edge_program(n, rnd)
             structs.n = 0
             p = parse_program(text)
-            p.candidates(p.clauses[0].head)
+            p.candidates(p.clause(0).head)
             counts.append(structs.n)
         assert grows_at_most(counts, 2.1), counts
+
+    def test_ground_facts_build_no_clause_and_no_head(self, structs, monkeypatch):
+        # The constants are built, once each; the edge/2 heads and their
+        # clauses are not, until a search reads them.
+        rnd = random.Random(seed())
+        clauses = SimpleNamespace(n=0)
+        construct = Clause.__init__
+
+        def counted(self, *args):
+            clauses.n += 1
+            construct(self, *args)
+
+        monkeypatch.setattr(Clause, "__init__", counted)
+        parse_program(PATH_RULES)
+        rules = (clauses.n, structs.n)
+        for n in self.SIZES:
+            clauses.n = structs.n = 0
+            p = parse_program(edge_program(n, rnd))
+            assert (clauses.n, structs.n - (n + 1)) == rules  # n + 1 node constants
+            assert unbuilt(p) == set(range(n))
 
 
 def numeral(n: int, inner: str) -> str:
@@ -312,6 +372,32 @@ class TestSearchWork:
             charges.append(calls.n)
         assert steps == [351, 1326, 5151]
         assert grows_at_most(charges, 2.1), charges
+
+    @pytest.mark.parametrize("mode", ["sld", "s", "cos"])
+    def test_path_query_builds_only_candidate_clauses(self, monkeypatch, mode):
+        returned: set[int] = set()
+        candidates = Program.candidates
+
+        def recorded(self, atom, matching=False):
+            got = candidates(self, atom, matching)
+            returned.update(got)
+            return got
+
+        monkeypatch.setattr(Program, "candidates", recorded)
+        rnd = random.Random(seed())
+        fresh = FreshVars()
+        p = parse_program(edge_program(300, rnd), fresh)
+        query = parse_query(f"path(n0,n{rnd.randrange(1, 301)})", fresh)
+        if mode == "cos":
+            coengine.preflight_warnings(p)
+            assert unbuilt(p) == set(range(300))  # the preflight reads no edge/2 fact
+            result = co_refute(p, query, "restricted", Limits(), fresh)
+        else:
+            result = refute(p, query, mode, Limits(), fresh)
+        assert result.status is Status.REFUTED
+        built = set(range(len(p._entries))) - unbuilt(p)
+        assert built - {300, 301} <= returned
+        assert unbuilt(p)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_sld_case2_to_its_step_limit_is_linear(self, structs):
