@@ -2,9 +2,9 @@
 detection, in two modes.
 
 Every goal entry carries the set of ancestor atoms its derivation depends
-on (grown by rewriting, instantiated in lockstep by substitution steps).
-When a selected atom unifies with one of its ancestors *without* the occurs
-check, the entry can be closed by a loop:
+on (grown by rewriting; a substitution step's unifier holds for them as it
+does for the atoms).  When a selected atom unifies with one of its
+ancestors *without* the occurs check, the entry can be closed by a loop:
 
 * colp mode closes on any such rational unifier and applies it to the rest
   of the goal (the classic co-SLD rule, kept for comparison).
@@ -22,6 +22,15 @@ Loop detection must come first, otherwise a non-terminating derivation
 would never reach it.  ``co_refute`` gives these rules, in that order, to
 ``derivation.search``, the search loop all four modes share, and returns
 its ``Result``: each answer's loop uses are its LOOP steps.
+
+As in ``derivation``, a substitution step's application is deferred, not
+its meaning: the step pushes its unifier to the search's store, and the
+selected atom and the ancestors that can close a loop at it (those with
+its predicate symbol) are walked through the store when they are read.
+Each ancestor keeps the trail length at which it was last walked, and is
+walked again only once a binding has been pushed since.  A colp loop's
+unifier is circular, which the store cannot hold: the rest of the goal is
+walked and the unifier applied to it at once.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Generator, Iterator, NamedTuple, Optional, Sequence
 
-from .derivation import Limits, Move, Result, Step, StepKind
+from .derivation import Bindings, Limits, Move, Read, Result, Step, StepKind
 from .derivation import _SearchState, clause_moves, search
 from .productivity import ProductivityStatus, check_productive
 from .program import Program, check_universal
@@ -54,6 +63,7 @@ from .unify import (
 class Entry(NamedTuple):
     atom: Term
     ancestors: tuple[Term, ...] = ()  # oldest first
+    walked: tuple[int, ...] = ()  # per ancestor, the trail length when last walked
 
 
 AnnotatedGoal = tuple[Entry, ...]
@@ -85,53 +95,73 @@ class LoopFailure(NamedTuple):
     ancestor: Term
 
 
+def _grown(entry: Entry, store: Bindings) -> tuple[tuple[Term, ...], tuple[int, ...]]:
+    """The ancestors of the entries that replace ``entry``, and when each
+    was walked: the selected atom, read just now, joins its ancestors."""
+    return entry.ancestors + (entry.atom,), entry.walked + (len(store.trail),)
+
+
 def co_rewrite(
-    p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars
+    p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
 ) -> Optional[tuple[AnnotatedGoal, Step]]:
     entry = g[atom_index]
     got = resolve_head(p.clause(clause_index), entry.atom, fresh, matching=True)
     if got is None:
         return None
-    grown = entry.ancestors + (entry.atom,)
-    new_entries = tuple(Entry(b, grown) for b in got.body)
+    grown, walked = _grown(entry, store)
+    new_entries = tuple(Entry(b, grown, walked) for b in got.body)
     step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
     return g[:atom_index] + new_entries + g[atom_index + 1 :], step
 
 
 def co_s_compound(
-    p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars
+    p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
 ) -> Optional[tuple[AnnotatedGoal, list[Step]]]:
-    """The production half of a co-S-step: proper unifier applied to all
-    atoms and ancestors, then the same clause's body replaces the atom with
-    the grown ancestor set.  A ground atom gets no attempt, as in
-    ``derivation.s_compound``."""
-    atom = g[atom_index].atom
+    """The production half of a co-S-step: a proper unifier, which holds
+    for all atoms and ancestors and goes to ``store``, then the same
+    clause's body replaces the atom with the grown ancestor set.  A ground
+    atom gets no attempt, as in ``derivation.s_compound``."""
+    entry = g[atom_index]
+    atom = entry.atom
     if atom._ground:
         return None
     got = resolve_head(p.clause(clause_index), atom, fresh)
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
-    g2 = apply_to_annotated(theta, g)
+    grown, walked = _grown(entry, store)
+    store.push(theta)
     st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
-    grown = g2[atom_index].ancestors + (g2[atom_index].atom,)
-    body_entries = tuple(Entry(b, grown) for b in got.body)
-    g3 = g2[:atom_index] + body_entries + g2[atom_index + 1 :]
+    body_entries = tuple(Entry(b, grown, walked) for b in got.body)
+    g3 = g[:atom_index] + body_entries + g[atom_index + 1 :]
     st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]
 
 
 def colp_loop(
-    g: AnnotatedGoal, atom_index: int, ancestor: Term
+    g: AnnotatedGoal, atom_index: int, ancestor: Term, store: Bindings
 ) -> Optional[tuple[AnnotatedGoal, Substitution]]:
+    """The rest of the goal, walked through ``store`` and with the loop
+    unifier applied once, if the atom has a rational unifier with the
+    ancestor."""
     entry = g[atom_index]
     out = rational_unify(entry.atom, ancestor)
     if not out.ok:
         return None
     theta = out.substitution
     assert theta is not None
-    rest = g[:atom_index] + g[atom_index + 1 :]
-    return apply_to_annotated(theta, rest), theta
+    now = len(store.trail)
+
+    def image(t: Term) -> Term:
+        return apply_raw(theta, store.walk(t))
+
+    rest = tuple(
+        Entry(image(e.atom), tuple(map(image, e.ancestors)), (now,) * len(e.ancestors))
+        for e in g[:atom_index] + g[atom_index + 1 :]
+    )
+    return rest, theta
 
 
 def restricted_loop(
@@ -205,6 +235,41 @@ def preflight_warnings(p: Program) -> list[str]:
     return warnings
 
 
+def _read_entry(restricted: bool) -> Read:
+    """The ``read`` of ``derivation.search`` for an annotated goal: the
+    selected entry's atom is walked through the store if a binding was
+    pushed after ``stamp``, and so is each ancestor that can close a loop
+    at it (one with its predicate symbol; in restricted mode none for a
+    ground atom) if a binding was pushed after it was last walked."""
+
+    def read(store: Bindings, g: AnnotatedGoal, i: int, stamp: int) -> AnnotatedGoal:
+        now = len(store.trail)
+        entry = g[i]
+        atom = entry.atom
+        if stamp < now:
+            atom = store.walk(atom)
+        ancestors, walked = entry.ancestors, entry.walked
+        if restricted and atom._ground:
+            stale = []
+        elif atom.__class__ is Struct:
+            symbol = atom.symbol
+            stale = [k for k, a in enumerate(ancestors)
+                     if walked[k] < now and (a.symbol is symbol or a.symbol == symbol)]
+        else:
+            stale = [k for k, w in enumerate(walked) if w < now]
+        if stale:
+            ancestors, walked = list(ancestors), list(walked)
+            for k in stale:
+                ancestors[k] = store.walk(ancestors[k])
+                walked[k] = now
+            ancestors, walked = tuple(ancestors), tuple(walked)
+        elif atom is entry.atom:
+            return g
+        return g[:i] + (Entry(atom, ancestors, walked),) + g[i + 1 :]
+
+    return read
+
+
 def _loop_moves(
     state: _SearchState, g: AnnotatedGoal, i: int, restricted: bool
 ) -> Generator[Move, None, bool]:
@@ -248,7 +313,7 @@ def _loop_moves(
                 continue
             g2, theta = res
         else:
-            got = colp_loop(g, i, ancestor)
+            got = colp_loop(g, i, ancestor, state.store)
             if got is None:
                 continue
             g2, theta = got
@@ -280,4 +345,5 @@ def co_refute(
         if (yield from _loop_moves(state, g, i, restricted)):
             yield from clauses(state, g, i, chain)
 
-    return search(query, annotate(query), expand, limits, fresh, stop_at_any_limit=True)
+    return search(query, annotate(query), expand, limits, fresh, stop_at_any_limit=True,
+                  read=_read_entry(restricted))

@@ -2,13 +2,13 @@
 
 Three single-step reductions are distinguished:
 
-* SLD step: the selected atom is replaced by a clause body and the unifier
-  is applied to the entire new goal.
+* SLD step: the selected atom is replaced by a clause body, and the
+  unifier holds for the entire new goal.
 * rewriting step: the clause head must match (instantiate to) the atom; the
   matcher is applied to the clause body only, the rest of the goal is
   untouched.  This is the observation step: it never instantiates the query.
-* substitution step: the unifier must be proper (not a matcher); it is
-  applied to every atom and the goal length is unchanged.  This is the
+* substitution step: the unifier must be proper (not a matcher); it holds
+  for every atom and the goal length is unchanged.  This is the
   production step: it is what grows the answer.
 
 An S-step is exhaustive rewriting, then one substitution step, then one
@@ -24,6 +24,14 @@ offers for the selected atom; the ones it leaves out would fail uncharged,
 so the index changes no step, charge or answer.  A step unifies or matches
 the stored clause head in place (``unify.resolve_head``), renaming only the
 variables it keeps; ``Step.clause``, the renamed clause, is built on demand.
+
+The meaning of a step is as above; only its application is deferred.  The
+search keeps one ``Bindings`` store: a step whose unifier binds goal
+variables pushes those bindings there instead of rebuilding the rest of the
+goal, an atom is walked through the store when the search reads it, and
+backtracking unwinds the store's trail.  So every rule sees the atom the
+eager application would have built, and every step, charge and answer is
+the same.
 """
 
 from __future__ import annotations
@@ -33,8 +41,8 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Unio
 
 from . import rational
 from .program import Clause, Program, Renaming
-from .terms import FreshVars, Substitution, Term, apply_raw, immutable_setattr, variables_in_order
-from .unify import UnifyKind, resolve_head
+from .terms import FreshVars, Substitution, Term, immutable_setattr, variables_in_order
+from .unify import UnifyKind, _resolve_full, resolve_head
 
 Goal = tuple[Term, ...]
 
@@ -132,28 +140,68 @@ class Limits:
         return f"Limits({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-def apply_to_goal(s: Substitution, g: Goal) -> Goal:
-    return tuple(apply_raw(s, a) for a in g)
+class Bindings:
+    """The bindings the steps on the current branch made to goal
+    variables, as one map, and the trail of the bound variables in the
+    order they were bound.  The map is triangular: an image may hold a
+    variable bound later, so a term is read through it by a full walk.
+    Every binding is made on a walked atom, whose variables are unbound, so
+    the map never binds a variable twice and stays acyclic."""
+
+    __slots__ = ("map", "trail")
+
+    def __init__(self) -> None:
+        self.map: dict = {}
+        self.trail: list = []
+
+    def push(self, s: Substitution) -> None:
+        b = s._bindings
+        self.map.update(b)
+        self.trail.extend(b)
+
+    def unwind(self, mark: int) -> None:
+        """Undo the bindings made after the trail had ``mark`` entries."""
+        m = self.map
+        for v in self.trail[mark:]:
+            del m[v]
+        del self.trail[mark:]
+
+    def walk(self, t: Term) -> Term:
+        return t if t._ground else _resolve_full(t, self.map)
+
+
+def read_atom(store: Bindings, g: Goal, i: int, stamp: int) -> Goal:
+    """``g`` with ``g[i]`` walked through ``store``, if a binding was pushed
+    after ``stamp``, the trail length when the atom was built or walked."""
+    if stamp < len(store.trail):
+        atom = store.walk(g[i])
+        if atom is not g[i]:
+            return g[:i] + (atom,) + g[i + 1 :]
+    return g
 
 
 def sld_step(
-    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
+    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
 ) -> Optional[tuple[Goal, Step]]:
+    """The body replaces the atom; a proper unifier's bindings go to
+    ``store``, since they hold for the rest of the goal too (a matcher
+    binds no goal variable)."""
     atom = g[atom_index]
     # A ground atom's unifier is its matcher; matching finds it faster.
     got = resolve_head(p.clause(clause_index), atom, fresh, matching=atom._ground)
     if got is None:
         return None
     sigma = got.substitution
-    rest = (g[:atom_index], g[atom_index + 1 :])
-    if got.kind is UnifyKind.PROPER_UNIFIER:  # a matcher binds no goal variable
-        rest = [apply_to_goal(sigma, part) for part in rest]
-    new_goal = rest[0] + got.body + rest[1]
+    if got.kind is UnifyKind.PROPER_UNIFIER:
+        store.push(sigma)
+    new_goal = g[:atom_index] + got.body + g[atom_index + 1 :]
     return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, sigma)
 
 
 def rewrite_step(
-    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
+    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
 ) -> Optional[tuple[Goal, Step]]:
     got = resolve_head(p.clause(clause_index), g[atom_index], fresh, matching=True)
     if got is None:
@@ -163,11 +211,13 @@ def rewrite_step(
 
 
 def s_compound(
-    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars
+    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
 ) -> Optional[tuple[Goal, list[Step]]]:
     """Substitution step followed by a rewrite of the instantiated atom with
-    the same clause instance: the production half of an S-step.  A ground
-    atom has no variable to bind, so it gets no attempt (and draws no ids)."""
+    the same clause instance: the production half of an S-step.  The
+    substitution goes to ``store``.  A ground atom has no variable to bind,
+    so it gets no attempt (and draws no ids)."""
     atom = g[atom_index]
     if atom._ground:
         return None
@@ -175,9 +225,9 @@ def s_compound(
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
-    g2 = apply_to_goal(theta, g)
+    store.push(theta)
     st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
-    g3 = g2[:atom_index] + got.body + g2[atom_index + 1 :]
+    g3 = g[:atom_index] + got.body + g[atom_index + 1 :]
     st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]
 
@@ -189,6 +239,7 @@ Move = tuple[Any, Union[Step, list[Step]], bool]
 
 class _SearchState:
     def __init__(self, limits: Limits, stop_at_any_limit: bool):
+        self.store = Bindings()
         self.limits = limits
         self.stop_at_any_limit = stop_at_any_limit
         self.steps_used = 0
@@ -232,6 +283,10 @@ class _SearchState:
 # Yields a mode's moves at the selected atom g[i] of a goal reached by a
 # rewriting chain of the given length, charging each move to the state.
 Expand = Callable[[_SearchState, Sequence, int, int], Iterator[Move]]
+# Reads the selected atom g[i] through the store: ``read(store, g, i,
+# stamp)`` returns the goal with it walked, where ``stamp`` is the trail
+# length when g[i] was built or last walked.
+Read = Callable[[Bindings, Sequence, int, int], Sequence]
 
 
 def clause_moves(
@@ -242,16 +297,18 @@ def clause_moves(
 ) -> Expand:
     """An ``expand`` for ``search`` that tries each ``(rule, charge,
     rewrite)`` in turn, each over the clauses the index offers for the
-    selected atom ``atom_of(g[i])``, in clause order; a rewrite rule only
-    matches, so it gets the index's matching lookup.  A rewrite past
+    selected atom ``atom_of(g[i])``, in clause order, with the search's
+    store; a rewrite rule only matches, so it gets the index's matching
+    lookup.  A rewrite past
     ``max_rewrite_chain`` is pruned as divergence; each other move is
     charged, and the moves end when the budget does."""
 
     def expand(state: _SearchState, g: Sequence, i: int, chain: int) -> Iterator[Move]:
         atom = atom_of(g[i])
+        store = state.store
         for rule, cost, rewrite in rules:
             for ci in p.candidates(atom, matching=rewrite):
-                got = rule(p, g, i, ci, fresh)
+                got = rule(p, g, i, ci, fresh, store)
                 if got is None:
                     continue
                 if rewrite and chain + 1 > state.limits.max_rewrite_chain:
@@ -266,7 +323,7 @@ def clause_moves(
 
 def search(
     query: Sequence[Term], initial: Sequence, expand: Expand, limits: Limits,
-    fresh: FreshVars, stop_at_any_limit: bool,
+    fresh: FreshVars, stop_at_any_limit: bool, read: Read = read_atom,
 ) -> Result:
     """The depth-first search behind every mode, on an explicit stack.
 
@@ -278,15 +335,27 @@ def search(
     one place that selects atoms, bounds move depth and decides when to
     stop: at ``max_answers``, or at a limit -- any limit when
     ``stop_at_any_limit``, otherwise only while no answer has been found.
+
+    A move may push bindings to ``state.store``.  The selected atom is
+    ``read`` through the store before its moves are made, and each frame
+    unwinds the store to its own trail mark before it makes its next move,
+    so a move never sees a sibling's bindings.  Each goal position has a
+    stamp, the trail length when its atom was built or last walked: the
+    atoms a move builds at the selected position get the trail length
+    after the move, the others keep theirs.  While nothing is bound, every
+    stamp is 0, and the goal's stamps are None.
     """
     state = _SearchState(limits, stop_at_any_limit)
+    store = state.store
+    trail = store.trail
     query_vars = variables_in_order(query)
     path: list[Step] = []
     # One frame per goal on the branch: its moves, its depth in moves, its
-    # rewriting chain and the length of ``path`` at it.
-    stack: list[tuple[Iterator[Move], int, int, int]] = []
+    # rewriting chain, the lengths of ``path`` and of the trail at it, and
+    # the goal's stamps, selected position and length.
+    stack: list[tuple[Iterator[Move], int, int, int, int, Optional[tuple[int, ...]], int, int]] = []
 
-    def enter(g: Sequence, moves: int, chain: int) -> None:
+    def enter(g: Sequence, stamps: Optional[tuple[int, ...]], moves: int, chain: int) -> None:
         if not g:
             steps = tuple(path)
             substs = [st.subst for st in steps if st.kind is not StepKind.REWRITE]
@@ -297,12 +366,18 @@ def search(
             state.limits_hit.add("max_depth")
         else:
             i = moves % len(g) if limits.fair else 0
-            stack.append((expand(state, g, i, chain), moves, chain, len(path)))
+            if trail:
+                g = read(store, g, i, stamps[i])
+            stack.append(
+                (expand(state, g, i, chain), moves, chain, len(path), len(trail), stamps, i, len(g))
+            )
 
     if not state.done:
-        enter(initial, 0, 0)
+        enter(initial, None, 0, 0)
     while stack and not state.done:
-        frame_moves, moves, chain, mark = stack[-1]
+        frame_moves, moves, chain, mark, trail_mark, stamps, i, n = stack[-1]
+        if len(trail) > trail_mark:
+            store.unwind(trail_mark)
         move = next(frame_moves, None)
         if move is None:
             stack.pop()
@@ -313,7 +388,11 @@ def search(
             path.append(taken)
         else:
             path.extend(taken)
-        enter(g2, moves + 1, chain + 1 if rewrite else 0)
+        now = len(trail)
+        if now:
+            stamps = stamps or (0,) * n
+            stamps = stamps[:i] + (now,) * (len(g2) - n + 1) + stamps[i + 1 :]
+        enter(g2, stamps if now else None, moves + 1, chain + 1 if rewrite else 0)
     return Result(state.answers, state.status, state.steps_used, state.diverged,
                   state.loop_failures, tuple(sorted(state.limits_hit)))
 

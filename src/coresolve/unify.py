@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import repeat
 from operator import is_
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .program import Clause, Renaming
 from .rational import Label, build_node, render_class
@@ -77,55 +77,104 @@ def _classify(sigma: Substitution, a: Term, b: Term) -> UnifyOutcome:
     return UnifyOutcome(UnifyKind.PROPER_UNIFIER, sigma)
 
 
+def _cycle(v: Var) -> ValueError:
+    return ValueError(f"binding cycle: variable {v} (id {v.id}) is reached again from its own value")
+
+
 def _walk(t: Term, bind: dict[Var, Term]) -> Term:
-    while isinstance(t, Var):
+    """``t`` with its chain of variable bindings followed.  A chain with
+    more links than the map has bindings has come back to a variable on
+    it, which raises ValueError naming that variable."""
+    hops = 0
+    while t.__class__ is Var:
         nxt = bind.get(t)
         if nxt is None:
             return t
+        hops += 1
+        if hops > len(bind):
+            raise _cycle(t)
         t = nxt
     return t
 
 
 def _occurs_resolved(v: Var, t: Term, bind: dict[Var, Term]) -> bool:
-    stack = [t]
+    """Whether ``v`` occurs in ``t`` resolved through ``bind``.  A bound
+    variable met again while its own value is being searched is a binding
+    cycle, which raises ValueError naming it instead of searching forever."""
+    stack: list = [t]
+    path: set[Var] = set()  # the bound variables whose values are open
     while stack:
-        cur = _walk(stack.pop(), bind)
-        if cur == v:
-            return True
-        # A ground subterm holds no variable: skip it without a walk.
-        if isinstance(cur, Struct) and not cur._ground:
+        cur = stack.pop()
+        if cur.__class__ is tuple:  # the value of cur[0] is searched
+            path.discard(cur[0])
+            continue
+        if cur.__class__ is Var:
+            val = _walk(cur, bind)
+            if val.__class__ is Var:
+                if val == v:
+                    return True
+                continue
+            # A ground subterm holds no variable: skip it without a walk.
+            if val._ground:
+                continue
+            if cur in path:
+                raise _cycle(cur)
+            path.add(cur)
+            stack.append((cur,))
+            stack.extend(val.args)
+        elif not cur._ground:
             stack.extend(cur.args)
     return False
 
 
 def _resolve_full(t: Term, bind: dict[Var, Term]) -> Term:
-    """Fully resolve a term through an acyclic triangular binding map, on an
+    """Fully resolve a term through a triangular binding map, on an
     explicit stack.  A subterm that no binding changes, ground or not,
-    comes back as the same object, not rebuilt."""
-    done: list[Term] = []
-    # (term, False) is a position to resolve; (struct, True) marks that the
-    # struct's arguments are done and it can be put back together.
-    work: list[tuple[Term, bool]] = [(t, False)]
-    while work:
-        cur, args_done = work.pop()
-        if args_done:
-            assert isinstance(cur, Struct)
-            n = len(cur.args)
-            args = tuple(done[-n:])
-            del done[-n:]
-            if all(map(is_, args, cur.args)):
-                done.append(cur)
+    comes back as the same object, not rebuilt.  A bound variable met
+    again while its own value is being resolved is a binding cycle, which
+    raises ValueError naming it instead of growing the term without end."""
+    var = None
+    if t.__class__ is Var:
+        var, t = t, _walk(t, bind)
+    if t._ground or t.__class__ is Var:
+        return t
+    path: set[Var] = set() if var is None else {var}  # the bound variables whose values are open
+    # A frame is an open structure, its argument iterator, the resolved
+    # arguments so far and the bound variable it is the value of, if any.
+    stack: list[tuple[Struct, Iterator[Term], list[Term], Optional[Var]]] = [
+        (t, iter(t.args), [], var)
+    ]
+    while True:
+        node, args, done, var = stack[-1]
+        for a in args:
+            if a._ground:
+                done.append(a)
+                continue
+            if a.__class__ is Var:
+                img = bind.get(a)
+                if img is None:
+                    done.append(a)
+                    continue
+                img = _walk(img, bind)
+                if img._ground or img.__class__ is Var:
+                    done.append(img)
+                    continue
+                if a in path:
+                    raise _cycle(a)
+                path.add(a)
+                stack.append((img, iter(img.args), [], a))
             else:
-                done.append(Struct(cur.symbol, args))
-            continue
-        cur = _walk(cur, bind)
-        # Nullary symbols are ground, so a struct left here has arguments.
-        if cur._ground or isinstance(cur, Var):
-            done.append(cur)
-            continue
-        work.append((cur, True))
-        work.extend((a, False) for a in reversed(cur.args))
-    return done[0]
+                stack.append((a, iter(a.args), [], None))
+            break
+        else:
+            stack.pop()
+            if var is not None:
+                path.discard(var)
+            if not all(map(is_, done, node.args)):
+                node = Struct(node.symbol, tuple(done))
+            if not stack:
+                return node
+            stack[-1][2].append(node)
 
 
 def _solve(stack: list, bind: dict[Var, Term], copies: dict[Var, Var],

@@ -19,6 +19,7 @@ from . import decirc
 from .coengine import annotate, co_refute, co_replay
 from .derivation import (
     Answer,
+    Bindings,
     Goal,
     Limits,
     Status,
@@ -115,6 +116,9 @@ def build_loop_unrolling(
     # atoms a step introduces to the back.  This is fair — a coinductive
     # goal keeps growing, and serving positions by index would starve the
     # older atoms behind the freshly produced tail.
+    # The substitution steps push their bindings to one store, and the
+    # served atom is read through it, as in the search.
+    store = Bindings()
     substs_done = 0
     stuck = 0
     guard = 0
@@ -122,12 +126,13 @@ def build_loop_unrolling(
         guard += 1
         if guard > 200 * (rounds + 1) * (len(initial) + 1):
             raise ValidationRefused("unrolling did not progress")
+        goal = (store.walk(goal[0]),) + goal[1:]
         # The first applicable clause: a rewrite if one matches, else an
         # S-compound (a substitution step and the rewrite it enables).
         for rule, matching in ((rewrite_step, True), (s_compound, False)):
             got = None
             for ci in p.candidates(goal[0], matching=matching):
-                got = rule(p, goal, 0, ci, fresh)
+                got = rule(p, goal, 0, ci, fresh, store)
                 if got is not None:
                     break
             if got is not None:

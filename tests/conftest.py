@@ -1,6 +1,7 @@
 """Shared fixtures and generators for the test suite, and the reference
 definitions the engine does not need: the checked ``apply``, ``compose``,
-``occurs_in``, the dyadic tree metric and the per-candidate loop check.
+``occurs_in``, the dyadic tree metric, the per-candidate loop check and the
+eager step rules the binding store replaced.
 
 Randomized property tests draw from a ``random.Random`` seeded via the
 ``CORESOLVE_SEED`` environment variable (default fixed), so every run is
@@ -16,12 +17,13 @@ from typing import Optional
 
 import pytest
 
-from coresolve import validation
-from coresolve.coengine import LoopFailure, colp_loop, restricted_loop
+from coresolve import coengine, derivation, validation
+from coresolve.coengine import Entry, LoopFailure, apply_to_annotated, colp_loop, restricted_loop
 from coresolve.decirc import unfold
-from coresolve.derivation import Limits, Step, StepKind, apply_to_goal
+from coresolve.derivation import Goal, Limits, Step, StepKind
 from coresolve.program import Clause, Program, clause_to_text, parse_program, parse_query
 from coresolve.rational import build_node, minimize
+from coresolve.unify import UnifyKind, resolve_head
 from coresolve.terms import (
     FreshVars,
     Struct,
@@ -108,6 +110,12 @@ def apply_prefix(prefix, t: Term) -> Term:
     return t
 
 
+def apply_to_goal(s: Substitution, g: Goal) -> Goal:
+    """Every atom of ``g`` under ``s``: the eager application the search
+    defers through its binding store."""
+    return tuple(apply_raw(s, a) for a in g)
+
+
 def replay(g, steps):
     """All intermediate goals of a derivation, starting with the initial
     goal; confirms that a trace is honest."""
@@ -127,6 +135,92 @@ def replay(g, steps):
         else:
             goals.append(cur[:i] + cur[i + 1 :])
     return goals
+
+
+# --- the eager step rules -----------------------------------------------------
+# The rules as they were before the search kept a binding store: each
+# applies its unifier to the rest of the goal, and in colp and cos to every
+# ancestor, and pushes nothing, so plugged into ``derivation.search`` they
+# leave its store empty and it reads no atom through it.
+
+
+def eager_sld_step(p, g, atom_index, clause_index, fresh, store):
+    atom = g[atom_index]
+    got = resolve_head(p.clause(clause_index), atom, fresh, matching=atom._ground)
+    if got is None:
+        return None
+    sigma = got.substitution
+    rest = (g[:atom_index], g[atom_index + 1 :])
+    if got.kind is UnifyKind.PROPER_UNIFIER:
+        rest = [apply_to_goal(sigma, part) for part in rest]
+    new_goal = rest[0] + got.body + rest[1]
+    return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, sigma)
+
+
+def eager_s_compound(p, g, atom_index, clause_index, fresh, store):
+    atom = g[atom_index]
+    if atom._ground:
+        return None
+    got = resolve_head(p.clause(clause_index), atom, fresh)
+    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
+        return None
+    theta, renaming = got.substitution, got.renaming
+    g2 = apply_to_goal(theta, g)
+    st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
+    g3 = g2[:atom_index] + got.body + g2[atom_index + 1 :]
+    st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
+    return g3, [st1, st2]
+
+
+def eager_co_rewrite(p, g, atom_index, clause_index, fresh, store):
+    entry = g[atom_index]
+    got = resolve_head(p.clause(clause_index), entry.atom, fresh, matching=True)
+    if got is None:
+        return None
+    grown = entry.ancestors + (entry.atom,)
+    new_entries = tuple(Entry(b, grown) for b in got.body)
+    step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
+    return g[:atom_index] + new_entries + g[atom_index + 1 :], step
+
+
+def eager_co_s_compound(p, g, atom_index, clause_index, fresh, store):
+    atom = g[atom_index].atom
+    if atom._ground:
+        return None
+    got = resolve_head(p.clause(clause_index), atom, fresh)
+    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
+        return None
+    theta, renaming = got.substitution, got.renaming
+    g2 = apply_to_annotated(theta, g)
+    st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
+    grown = g2[atom_index].ancestors + (g2[atom_index].atom,)
+    body_entries = tuple(Entry(b, grown) for b in got.body)
+    g3 = g2[:atom_index] + body_entries + g2[atom_index + 1 :]
+    st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
+    return g3, [st1, st2]
+
+
+def eager_colp_loop(g, atom_index, ancestor, store):
+    out = coengine.rational_unify(g[atom_index].atom, ancestor)
+    if not out.ok:
+        return None
+    rest = g[:atom_index] + g[atom_index + 1 :]
+    return apply_to_annotated(out.substitution, rest), out.substitution
+
+
+EAGER_RULES = (
+    (derivation, "sld_step", eager_sld_step),
+    (derivation, "s_compound", eager_s_compound),
+    (coengine, "co_rewrite", eager_co_rewrite),
+    (coengine, "co_s_compound", eager_co_s_compound),
+    (coengine, "colp_loop", eager_colp_loop),
+)
+
+
+def use_eager_rules(monkeypatch) -> None:
+    """Make ``refute`` and ``co_refute`` search with the eager rules."""
+    for module, name, rule in EAGER_RULES:
+        monkeypatch.setattr(module, name, rule)
 
 
 def per_candidate_loop_moves(state, g, i, restricted):
@@ -155,7 +249,7 @@ def per_candidate_loop_moves(state, g, i, restricted):
         else:
             if ground and ancestor._ground and atom != ancestor:
                 continue
-            got = colp_loop(g, i, ancestor)
+            got = colp_loop(g, i, ancestor, state.store)
             if got is None:
                 continue
             g2, theta = got

@@ -241,6 +241,20 @@ class TestRun:
         assert out == ""
         assert err == "internal error: RuntimeError: engine fault\n"
 
+    def test_binding_cycle_is_exit_5(self, capsys, monkeypatch):
+        # A fault that binds a variable to a term holding it: the walk of
+        # the next atom reads through that binding, and must stop.
+        push = derivation.Bindings.push
+
+        def cyclic(store, s):
+            push(store, terms.Substitution({v: terms.Struct(terms.Symbol("s", 1), (v,)) for v in s.bindings}))
+
+        monkeypatch.setattr(derivation.Bindings, "push", cyclic)
+        code, out, err = run(capsys, "run", lp("nat"), "-q", "nat(X), nat(X)", "--mode", "sld")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("internal error: ValueError: binding cycle: variable X ")
+
     def test_trace_header(self, capsys):
         code, out, _ = run(
             capsys, "run", lp("nat"), "-q", "nat(0)", "--mode", "sld", "--trace", "text"

@@ -2,6 +2,7 @@
 and the full search."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -33,7 +34,7 @@ from coresolve.coengine import (
     preflight_warnings,
     restricted_loop,
 )
-from coresolve.derivation import Limits, Status, StepKind, _SearchState
+from coresolve.derivation import Bindings, Limits, Status, StepKind, _SearchState
 from coresolve.program import parse_program, parse_query
 from coresolve.terms import (
     FreshVars,
@@ -65,7 +66,7 @@ def answers_text(result):
 class TestCoRewrite:
     def test_body_inherits_grown_ancestors(self):
         p, g, fresh = setup("r(f(A,B,C),s(B)) :- r(A,B).", "r(f(A1,B1,C1),s(B1))")
-        got = co_rewrite(p, g, 0, 0, fresh)
+        got = co_rewrite(p, g, 0, 0, fresh, Bindings())
         assert got is not None
         g2, st = got
         assert len(g2) == 1
@@ -74,7 +75,7 @@ class TestCoRewrite:
 
     def test_fact_use_empties_entry(self):
         p, g, fresh = setup("nat(0).", "nat(0)")
-        g2, _ = co_rewrite(p, g, 0, 0, fresh)
+        g2, _ = co_rewrite(p, g, 0, 0, fresh, Bindings())
         assert g2 == ()
 
     def test_rest_of_goal_untouched(self):
@@ -82,7 +83,7 @@ class TestCoRewrite:
             "p(s(X1),X2,Y1,Y2) :- q(X2,X2,Y1,Y2). q(X1,X2,s(Y1),Y2) :- p(X1,X2,Y2,Y2).",
             "p(s(X),s(Y),s(Z),s(W)), other(X)",
         )
-        got = co_rewrite(p, g, 0, 0, fresh)
+        got = co_rewrite(p, g, 0, 0, fresh, Bindings())
         assert got is not None
         g2, _ = got
         assert g2[0].atom.symbol.name == "q"
@@ -96,22 +97,24 @@ class TestCoSubst:
         p, g, fresh = setup("p(X,s(X)) :- q(X). q(s(X)) :- p(X,X).", "q(X)")
         # Give the entry an ancestor mentioning X, as rewriting would.
         x = g[0].atom.args[0]
-        g = (Entry(g[0].atom, (mk("p", x, mk("s", x)),)),)
-        got = co_s_compound(p, g, 0, 1, fresh)
+        g = (Entry(g[0].atom, (mk("p", x, mk("s", x)),), (0,)),)
+        store = Bindings()
+        got = co_s_compound(p, g, 0, 1, fresh, store)
         assert got is not None
         g3, (st, _) = got
         assert st.kind is StepKind.SUBST
         img = st.subst.get(x)
         assert img is not None and img.symbol.name == "s"
+        assert store.map == dict(st.subst.items())  # pushed, not applied
         g2 = co_replay(g, [st], "restricted")[1]
         # The ancestor saw the same substitution as the atom.
         assert g2[0].ancestors[0].args[0] == img
-        # The body entry inherits both, atom last.
-        assert g3[0].ancestors == g2[0].ancestors + (g2[0].atom,)
+        # The body entry inherits both, atom last, read through the store.
+        assert tuple(map(store.walk, g3[0].ancestors)) == g2[0].ancestors + (g2[0].atom,)
 
     def test_matcher_classified_out(self):
         p, g, fresh = setup("nat(0).", "nat(0)")
-        assert co_s_compound(p, g, 0, 0, fresh) is None
+        assert co_s_compound(p, g, 0, 0, fresh, Bindings()) is None
 
 
 class TestColpLoop:
@@ -122,7 +125,7 @@ class TestColpLoop:
         yp = g[0].atom.args[0]
         ancestor = mk("nats", mk("scons", mk("0"), yp))
         g = (Entry(g[0].atom, (ancestor,)),)
-        got = colp_loop(g, 0, ancestor)
+        got = colp_loop(g, 0, ancestor, Bindings())
         assert got is not None
         rest, theta = got
         assert rest == ()
@@ -135,7 +138,7 @@ class TestColpLoop:
         atom = mk("p", mk("a"))
         ancestor = mk("p", mk("b"))
         g = (Entry(atom, (ancestor,)),)
-        assert colp_loop(g, 0, ancestor) is None
+        assert colp_loop(g, 0, ancestor, Bindings()) is None
 
 
 class TestRestrictedLoop:
@@ -244,7 +247,7 @@ class TestCoRefute:
             g = (Entry(atom, (ancestor,)),)
             restricted = restricted_loop(g, 0, ancestor)
             if not isinstance(restricted, LoopFailure):
-                assert colp_loop(g, 0, ancestor) is not None
+                assert colp_loop(g, 0, ancestor, Bindings()) is not None
 
     def test_preflight_warnings(self):
         p, q, _ = load_query("fibs", "fibs(0,s(0),F)")
@@ -305,7 +308,7 @@ class TestLoopFilters:
         for _ in range(500):
             atom = random_term(rng, 2, [])
             ancestor = _rebuilt(atom) if rng.random() < 0.3 else random_term(rng, 2, [])
-            got = colp_loop(_one_entry(atom, ancestor), 0, ancestor)
+            got = colp_loop(_one_entry(atom, ancestor), 0, ancestor, Bindings())
             assert (got is not None) == (atom == ancestor)
             closed += got is not None
         assert 0 < closed < 500
@@ -322,7 +325,7 @@ class TestLoopFilters:
                 continue
             checked += 1
             g = _one_entry(atom, ancestor)
-            assert colp_loop(g, 0, ancestor) is None
+            assert colp_loop(g, 0, ancestor, Bindings()) is None
             assert isinstance(restricted_loop(g, 0, ancestor), LoopFailure)
         assert checked >= 200
 
@@ -347,11 +350,12 @@ class TestLoopRuleCost:
         for n in (10, 10_000):
             others = tuple(mk("nats", mk(f"c{i}")) for i in range(n - 1))
             g = (Entry(atom, others + (candidate,)),)
-            for rule in (colp_loop, restricted_loop):
+            for name, rule in (("colp_loop", partial(colp_loop, store=Bindings())),
+                               ("restricted_loop", restricted_loop)):
                 calls = 0
                 got = rule(g, 0, candidate)
                 assert not isinstance(got, LoopFailure) and got is not None
-                costs[rule.__name__, n] = calls
+                costs[name, n] = calls
         for name in ("colp_loop", "restricted_loop"):
             assert costs[name, 10_000] == costs[name, 10]
 

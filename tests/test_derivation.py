@@ -1,12 +1,27 @@
 """Single-step reductions, the compound S-step, and refutation search."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import const, ground_term, load_query, mk, random_program, replay, seed
+from conftest import (
+    CORPUS_QUERIES,
+    PROGRAMS,
+    const,
+    ground_term,
+    load_query,
+    mk,
+    program_to_text,
+    random_program,
+    random_term,
+    replay,
+    seed,
+    use_eager_rules,
+)
 from coresolve import coengine, derivation, unify
 from coresolve.derivation import (
+    Bindings,
     Limits,
     _SearchState,
     Status,
@@ -51,10 +66,12 @@ def partial_answer(steps, k, query):
     return t
 
 
-def produce(p, goal, i, fresh):
-    """The first clause's substitution-plus-rewrite at ``goal[i]``."""
+def produce(p, goal, i, fresh, store):
+    """The first clause's substitution-plus-rewrite at ``goal[i]``, read
+    through ``store`` as the search reads it; the step pushes to it."""
+    goal = goal[:i] + (store.walk(goal[i]),) + goal[i + 1 :]
     for ci in range(len(p.clauses)):
-        got = s_compound(p, goal, i, ci, fresh)
+        got = s_compound(p, goal, i, ci, fresh, store)
         if got is not None:
             return got
     raise AssertionError(f"no production step at atom {i}")
@@ -63,7 +80,7 @@ def produce(p, goal, i, fresh):
 class TestSldStep:
     def test_body_replaces_atom(self):
         p, g, fresh = setup(NATS, "nats(X)")
-        got = sld_step(p, g, 0, 2, fresh)
+        got = sld_step(p, g, 0, 2, fresh, Bindings())
         assert got is not None
         g2, st = got
         assert len(g2) == 2
@@ -72,17 +89,17 @@ class TestSldStep:
 
     def test_fact_closes_goal(self):
         p, g, fresh = setup(NATS, "nat(0)")
-        g2, _ = sld_step(p, g, 0, 0, fresh)
+        g2, _ = sld_step(p, g, 0, 0, fresh, Bindings())
         assert g2 == ()
 
     def test_variant_loop_goal(self):
         p, g, fresh = setup(BAD, "bad(f(X))")
-        g2, _ = sld_step(p, g, 0, 0, fresh)
+        g2, _ = sld_step(p, g, 0, 0, fresh, Bindings())
         assert len(g2) == 1 and is_variant(g2[0], g[0])
 
     def test_length_change_is_body_minus_one(self):
         p, g, fresh = setup(NATS, "nats(scons(0,Y))")
-        g2, st = sld_step(p, g, 0, 2, fresh)
+        g2, st = sld_step(p, g, 0, 2, fresh, Bindings())
         assert len(g2) - len(g) == len(st.clause.body) - 1
 
 
@@ -90,7 +107,7 @@ class TestRewriteStep:
     def test_matcher_applied_to_body_only(self):
         p, g, fresh = setup(NATS, "nats(scons(Xp,Y)), marker(Xp)")
         # Add a second atom by hand to watch the frame condition.
-        got = rewrite_step(p, g, 0, 2, fresh)
+        got = rewrite_step(p, g, 0, 2, fresh, Bindings())
         assert got is not None
         g2, st = got
         assert g2[-1] == g[-1]  # untouched
@@ -99,11 +116,11 @@ class TestRewriteStep:
     def test_fails_on_more_general_atom(self):
         p, g, fresh = setup(NATS, "nats(X)")
         for ci in range(len(p.clauses)):
-            assert rewrite_step(p, g, 0, ci, fresh) is None
+            assert rewrite_step(p, g, 0, ci, fresh, Bindings()) is None
 
     def test_self_loop(self):
         p, g, fresh = setup(BAD, "bad(f(X))")
-        g2, _ = rewrite_step(p, g, 0, 0, fresh)
+        g2, _ = rewrite_step(p, g, 0, 0, fresh, Bindings())
         assert len(g2) == 1 and is_variant(g2[0], g[0])
 
 
@@ -112,7 +129,7 @@ class TestSubstStep:
 
     def test_instantiates_whole_goal(self):
         p, g, fresh = setup(NATS, "nats(X), other(X)")
-        got = s_compound(p, g, 0, 2, fresh)
+        got = s_compound(p, g, 0, 2, fresh, Bindings())
         assert got is not None
         g3, pair = got
         assert [st.kind for st in pair] == [StepKind.SUBST, StepKind.REWRITE]
@@ -124,13 +141,13 @@ class TestSubstStep:
 
     def test_fact_instantiation(self):
         p, g, fresh = setup(NATS, "nat(Xp)")
-        g3, pair = s_compound(p, g, 0, 0, fresh)
+        g3, pair = s_compound(p, g, 0, 0, fresh, Bindings())
         assert replay(g, pair)[1] == (mk("nat", zero),)
         assert g3 == ()
 
     def test_matcher_classified_out(self):
         p, g, fresh = setup(NATS, "nat(0)")
-        assert s_compound(p, g, 0, 0, fresh) is None
+        assert s_compound(p, g, 0, 0, fresh, Bindings()) is None
 
 
 class TestSStep:
@@ -199,9 +216,9 @@ class TestPartialAnswer:
         p, g, fresh = setup(NATS, "nats(X)")
         # Production steps at the leftmost atom; nothing here rewrites.
         steps = []
-        goal = g
+        goal, store = g, Bindings()
         for _ in range(6):
-            goal, pair = produce(p, goal, 0, fresh)
+            goal, pair = produce(p, goal, 0, fresh, store)
             steps += pair
         t = partial_answer(steps, len(steps), g[0])
         assert term_to_text(t).startswith("nats(scons(0,scons(0,")
@@ -210,10 +227,10 @@ class TestPartialAnswer:
         # Fair round-robin production steps: both the resource and the
         # zeros atom get to contribute, so the stream head becomes get(0).
         p, q, fresh = load_query("server", "resource(X,Y), zeros(Y)")
-        goal = tuple(q)
+        goal, store = tuple(q), Bindings()
         steps = []
         for k in range(4):
-            goal, pair = produce(p, goal, k % len(goal), fresh)
+            goal, pair = produce(p, goal, k % len(goal), fresh, store)
             steps += pair
         t = partial_answer(steps, len(steps), q[0])
         assert term_to_text(t).startswith("resource(cons(get(0),")
@@ -257,6 +274,76 @@ class TestClauseIndex:
         assert result.status is Status.REFUTED
         assert result.steps_used == steps
         assert renames <= 3 * steps
+
+
+def full_outcome(result):
+    """Every field of a ``Result``, each step's substitution in binding
+    order and each answer's solved form in order included."""
+    answers = [
+        ([(st.kind, st.atom_index, st.clause_index, list(st.subst.items()), st.ancestor, st.atom)
+          for st in a.steps], list(a.solved.items()))
+        for a in result.answers
+    ]
+    return (answers, result.status, result.steps_used, result.diverged, result.limits_hit,
+            result.loop_failures)
+
+
+class TestStoreAgainstEagerRules:
+    """The search with its binding store against the same search with the
+    eager rules of ``conftest``, which apply each step's bindings to the
+    whole goal and push nothing: in all four modes, with and without fair
+    selection, every step, answer and verdict must be the same."""
+
+    @pytest.fixture
+    def pushes(self, monkeypatch):
+        counter = SimpleNamespace(n=0)
+        push = derivation.Bindings.push
+
+        def counted(store, s):
+            counter.n += 1
+            push(store, s)
+
+        monkeypatch.setattr(derivation.Bindings, "push", counted)
+        return counter
+
+    @staticmethod
+    def outcome(text, query, mode, limits):
+        fresh = FreshVars()
+        p = parse_program(text, fresh)
+        q = parse_query(query, fresh)
+        if mode in ("sld", "s"):
+            return full_outcome(refute(p, q, mode, limits, fresh))
+        return full_outcome(coengine.co_refute(p, q, mode, limits, fresh))
+
+    def agree(self, monkeypatch, text, query, max_steps):
+        for mode in ("sld", "s", "colp", "restricted"):
+            for fair in (False, True):
+                limits = Limits(max_steps=max_steps, max_answers=3, fair=fair)
+                got = self.outcome(text, query, mode, limits)
+                with monkeypatch.context() as m:
+                    use_eager_rules(m)
+                    want = self.outcome(text, query, mode, limits)
+                assert got == want, (text, query, mode, fair)
+
+    def test_corpus(self, monkeypatch, pushes):
+        for name, query in sorted(CORPUS_QUERIES.items()):
+            text = (PROGRAMS / f"{name}.lp").read_text(encoding="utf-8")
+            self.agree(monkeypatch, text, query, 300)
+        assert pushes.n > 1000
+
+    def test_random_programs(self, monkeypatch, pushes):
+        # 60 steps: the eager rules rebuild every atom at every step, and
+        # on a program like ``p0(f(H0)) :- p0(H0),p0(H0).`` the goal's
+        # shared subterms are rebuilt as trees, which takes seconds at 200.
+        rnd = random.Random(seed())
+        for _ in range(150):
+            fresh = FreshVars()
+            p, preds = random_program(rnd, fresh)
+            pool = [fresh.new(f"Q{k}") for k in range(3)]
+            sym = rnd.choice(preds)
+            atom = Struct(sym, tuple(random_term(rnd, 2, pool) for _ in range(sym.arity)))
+            self.agree(monkeypatch, program_to_text(p), term_to_text(atom), 60)
+        assert pushes.n > 1000
 
 
 class TestGroundShortcut:
@@ -425,5 +512,5 @@ class TestGroundSldStep:
         compound = s_compound if mode == "s" else coengine.co_s_compound
         goal = q if mode == "s" else coengine.annotate(q)
         before = fresh.new().id
-        assert compound(p, goal, 0, 1, fresh) is None
+        assert compound(p, goal, 0, 1, fresh, Bindings()) is None
         assert fresh.new().id == before + 1  # no ids drawn

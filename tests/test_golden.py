@@ -45,9 +45,12 @@ STREAMS_GOLDEN = GOLDEN.parent / "streams.json"
 VALIDATE_GOLDEN = GOLDEN.parent / "validate.json"
 MODES = ("sld", "s", "colp", "cos")
 MAX_ANSWERS = 3
-# These searches never end and grow their terms as they go, so at the
-# default budget some of their runs take minutes; 200 steps keeps each short.
-MAX_STEPS = {"case2": 200, "ex52": 200, "fibs": 200, "server": 200}
+# These searches never end and grow their terms as they go.  Each step of
+# ex52 still costs time in the size of its growing atom (the proper unifier
+# of ``unify.resolve_head`` is resolved over all of it), and a fibs pin at
+# the default budget would print thousands of trace lines, so 200 steps
+# keeps both short.  case2 and server run at the default budget.
+MAX_STEPS = {"ex52": 200, "fibs": 200}
 WIDE_MAX_ANSWERS = 5
 # Reachable, unreachable, reachable only through the bridge rule, and the
 # two open ends.

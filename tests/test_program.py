@@ -399,7 +399,6 @@ class TestSearchWork:
         assert built - {300, 301} <= returned
         assert unbuilt(p)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
     def test_sld_case2_to_its_step_limit_is_linear(self, structs):
         built = []
         for max_steps in (100, 200, 400):
@@ -408,6 +407,32 @@ class TestSearchWork:
             result = refute(prog, query, "sld", Limits(max_steps=max_steps), fresh)
             if result.limits_hit != ("max_steps",):
                 pytest.fail(f"case2 at {max_steps} steps hit {result.limits_hit}")
+            built.append(structs.n)
+        assert grows_at_most(built, 2.2), built
+
+    @pytest.mark.parametrize("mode", [
+        "sld",
+        "s",
+        *(pytest.param(mode, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="each selection still walks every same-symbol ancestor (ROADMAP item 3)",
+        )) for mode in ("colp", "restricted")),
+    ])
+    def test_fibs_to_its_step_limit_is_linear(self, structs, mode):
+        # The stream's atoms keep a growing non-ground list, so applying
+        # each step's bindings to the whole goal made this quadratic (sld
+        # 6,845 / 23,221 / 112,931 Structs, s 1,623 / 7,096 / 23,722).
+        built = []
+        for max_steps in (250, 500, 1000):
+            structs.n = 0
+            prog, query, fresh = load_query("fibs", "fibs(0,s(0),S)")
+            limits = Limits(max_steps=max_steps)
+            if mode in ("sld", "s"):
+                result = refute(prog, query, mode, limits, fresh)
+            else:
+                result = co_refute(prog, query, mode, limits, fresh)
+            if result.limits_hit != ("max_steps",):
+                pytest.fail(f"fibs at {max_steps} steps hit {result.limits_hit}")
             built.append(structs.n)
         assert grows_at_most(built, 2.2), built
 

@@ -1,7 +1,11 @@
 """Matching, unification with occurs check, and rational-tree unification."""
 
+import contextlib
 import random
+import signal
 from collections import Counter
+
+import pytest
 
 from conftest import (
     CONSTS,
@@ -20,7 +24,7 @@ from conftest import (
 )
 from test_golden import MAX_STEPS
 from coresolve import coengine
-from coresolve.derivation import Limits
+from coresolve.derivation import Bindings, Limits
 from coresolve.program import Clause, clause_instance
 from coresolve.terms import (
     FreshVars,
@@ -38,8 +42,10 @@ from coresolve.unify import (
     UnifyKind,
     UnifyOutcome,
     _extract,
+    _occurs_resolved,
     _rational_solve,
     _resolve_full,
+    _walk,
     mgm,
     mgu,
     rational_unify,
@@ -170,9 +176,9 @@ class TestRationalUnify:
         # object shared.
         pairs = []
         for rule in ("colp_loop", "restricted_loop"):
-            def record(g, i, ancestor, _rule=getattr(coengine, rule)):
+            def record(g, i, ancestor, *store, _rule=getattr(coengine, rule)):
                 pairs.append((g[i].atom, ancestor))
-                return _rule(g, i, ancestor)
+                return _rule(g, i, ancestor, *store)
 
             monkeypatch.setattr(coengine, rule, record)
         for name, query in sorted(CORPUS_QUERIES.items()):
@@ -473,6 +479,60 @@ def hash_consed(*ts):
         return pool.setdefault(u, u)
 
     return [go(t) for t in ts]
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestBindingCycles:
+    # The walks trust no map to be acyclic: a variable reached again from
+    # its own value raises ValueError naming it.  Without the check, a
+    # cyclic map made ``_resolve_full`` grow its stack without end.
+    SELF = {X: s_(X)}
+    LOOP = {X: Y, Y: X}
+
+    def raises(self, call, bind, names):
+        with time_limit(5), pytest.raises(ValueError, match=rf"binding cycle: variable ({names}) "):
+            call(bind)
+
+    @pytest.mark.parametrize("bind", [SELF, LOOP], ids=["X=f(X)", "X=Y,Y=X"])
+    def test_resolve_full(self, bind):
+        self.raises(lambda b: _resolve_full(mk("p", Z, X), b), bind, "X|Y")
+        self.raises(lambda b: _resolve_full(X, b), bind, "X|Y")
+
+    @pytest.mark.parametrize("bind", [SELF, LOOP], ids=["X=f(X)", "X=Y,Y=X"])
+    def test_occurs_resolved(self, bind):
+        self.raises(lambda b: _occurs_resolved(Z, mk("p", X, X), b), bind, "X|Y")
+
+    @pytest.mark.parametrize("bind", [SELF, LOOP], ids=["X=f(X)", "X=Y,Y=X"])
+    def test_store_walk(self, bind):
+        store = Bindings()
+        store.push(Substitution(bind))
+        self.raises(lambda b: store.walk(mk("p", X)), bind, "X|Y")
+
+    def test_walk_follows_variable_chains_only(self):
+        assert _walk(X, self.SELF) == s_(X)
+        self.raises(lambda b: _walk(X, b), self.LOOP, "X|Y")
+        self.raises(lambda b: _walk(Z, b), {Z: X, **self.LOOP}, "X|Y")
+
+    def test_shared_values_are_not_cycles(self):
+        # A variable met twice, but never inside its own value.
+        bind = {X: mk("g", Y, Y), Y: s_(Z)}
+        assert _resolve_full(mk("p", X, Y), bind) == mk("p", mk("g", s_(Z), s_(Z)), s_(Z))
+        assert _occurs_resolved(Z, mk("p", X, Y), bind)
 
 
 class TestGroundShortcuts:
