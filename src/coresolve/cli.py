@@ -400,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mode", choices=["sld", "s", "colp", "cos"], default="cos"
     )
-    run.add_argument("--max-steps", type=int, default=10000)
-    run.add_argument("--max-rewrite", type=int, default=64)
-    run.add_argument("--max-answers", type=int, default=1)
+    run.add_argument("--max-steps", type=int, default=Limits.max_steps)
+    run.add_argument("--max-rewrite", type=int, default=Limits.max_rewrite_chain)
+    run.add_argument("--max-answers", type=int, default=Limits.max_answers)
     run.add_argument("--unfold-depth", type=int, default=0)
     run.add_argument("--fair", action="store_true")
     run.add_argument(

@@ -24,13 +24,12 @@ would never reach it.  ``co_refute`` gives these rules, in that order, to
 its ``Result``: each answer's loop uses are its LOOP steps.
 
 As in ``derivation``, a substitution step's application is deferred, not
-its meaning: the step pushes its unifier to the search's store, and the
-selected atom and the ancestors that can close a loop at it (those with
-its predicate symbol) are walked through the store when they are read.
-Each ancestor keeps the trail length at which it was last walked, and is
-walked again only once a binding has been pushed since.  A colp loop's
-unifier is circular, which the store cannot hold: the rest of the goal is
-walked and the unifier applied to it at once.
+its meaning: the step pushes its unifier to the search's store, the
+selected atom is walked through the store when it is read, and an ancestor
+when the loop check tries it.  An entry's ancestors stay as they were
+built.  A colp loop's unifier is circular, which the store cannot hold:
+the rest of the goal, ancestors included, is walked and the unifier
+applied to it at once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Generator, Iterator, NamedTuple, Optional, Sequence
 
-from .derivation import Bindings, Limits, Move, Read, Result, Step, StepKind
+from .derivation import Bindings, Limits, Move, Result, Step, StepKind
 from .derivation import _SearchState, clause_moves, search
 from .productivity import ProductivityStatus, check_productive
 from .program import Program, check_universal
@@ -62,8 +61,7 @@ from .unify import (
 
 class Entry(NamedTuple):
     atom: Term
-    ancestors: tuple[Term, ...] = ()  # oldest first
-    walked: tuple[int, ...] = ()  # per ancestor, the trail length when last walked
+    ancestors: tuple[Term, ...] = ()  # oldest first, as built
 
 
 AnnotatedGoal = tuple[Entry, ...]
@@ -95,12 +93,6 @@ class LoopFailure(NamedTuple):
     ancestor: Term
 
 
-def _grown(entry: Entry, store: Bindings) -> tuple[tuple[Term, ...], tuple[int, ...]]:
-    """The ancestors of the entries that replace ``entry``, and when each
-    was walked: the selected atom, read just now, joins its ancestors."""
-    return entry.ancestors + (entry.atom,), entry.walked + (len(store.trail),)
-
-
 def co_rewrite(
     p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars,
     store: Bindings,
@@ -109,8 +101,8 @@ def co_rewrite(
     got = resolve_head(p.clause(clause_index), entry.atom, fresh, matching=True)
     if got is None:
         return None
-    grown, walked = _grown(entry, store)
-    new_entries = tuple(Entry(b, grown, walked) for b in got.body)
+    grown = entry.ancestors + (entry.atom,)
+    new_entries = tuple(Entry(b, grown) for b in got.body)
     step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
     return g[:atom_index] + new_entries + g[atom_index + 1 :], step
 
@@ -122,7 +114,8 @@ def co_s_compound(
     """The production half of a co-S-step: a proper unifier, which holds
     for all atoms and ancestors and goes to ``store``, then the same
     clause's body replaces the atom with the grown ancestor set.  A ground
-    atom gets no attempt, as in ``derivation.s_compound``."""
+    atom gets no attempt, as in ``derivation.s_compound``; a variable atom
+    joins its ancestors as its value, so every ancestor has a symbol."""
     entry = g[atom_index]
     atom = entry.atom
     if atom._ground:
@@ -131,10 +124,12 @@ def co_s_compound(
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
-    grown, walked = _grown(entry, store)
     store.push(theta)
+    if atom.__class__ is not Struct:
+        atom = store.walk(atom)
+    grown = entry.ancestors + (atom,)
     st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
-    body_entries = tuple(Entry(b, grown, walked) for b in got.body)
+    body_entries = tuple(Entry(b, grown) for b in got.body)
     g3 = g[:atom_index] + body_entries + g[atom_index + 1 :]
     st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]
@@ -152,13 +147,12 @@ def colp_loop(
         return None
     theta = out.substitution
     assert theta is not None
-    now = len(store.trail)
 
     def image(t: Term) -> Term:
         return apply_raw(theta, store.walk(t))
 
     rest = tuple(
-        Entry(image(e.atom), tuple(map(image, e.ancestors)), (now,) * len(e.ancestors))
+        Entry(image(e.atom), tuple(map(image, e.ancestors)))
         for e in g[:atom_index] + g[atom_index + 1 :]
     )
     return rest, theta
@@ -235,39 +229,16 @@ def preflight_warnings(p: Program) -> list[str]:
     return warnings
 
 
-def _read_entry(restricted: bool) -> Read:
+def _read_entry(store: Bindings, g: AnnotatedGoal, i: int, stamp: int) -> AnnotatedGoal:
     """The ``read`` of ``derivation.search`` for an annotated goal: the
     selected entry's atom is walked through the store if a binding was
-    pushed after ``stamp``, and so is each ancestor that can close a loop
-    at it (one with its predicate symbol; in restricted mode none for a
-    ground atom) if a binding was pushed after it was last walked."""
-
-    def read(store: Bindings, g: AnnotatedGoal, i: int, stamp: int) -> AnnotatedGoal:
-        now = len(store.trail)
+    pushed after ``stamp``; its ancestors are left as they were built."""
+    if stamp < len(store.map):
         entry = g[i]
-        atom = entry.atom
-        if stamp < now:
-            atom = store.walk(atom)
-        ancestors, walked = entry.ancestors, entry.walked
-        if restricted and atom._ground:
-            stale = []
-        elif atom.__class__ is Struct:
-            symbol = atom.symbol
-            stale = [k for k, a in enumerate(ancestors)
-                     if walked[k] < now and (a.symbol is symbol or a.symbol == symbol)]
-        else:
-            stale = [k for k, w in enumerate(walked) if w < now]
-        if stale:
-            ancestors, walked = list(ancestors), list(walked)
-            for k in stale:
-                ancestors[k] = store.walk(ancestors[k])
-                walked[k] = now
-            ancestors, walked = tuple(ancestors), tuple(walked)
-        elif atom is entry.atom:
-            return g
-        return g[:i] + (Entry(atom, ancestors, walked),) + g[i + 1 :]
-
-    return read
+        atom = store.walk(entry.atom)
+        if atom is not entry.atom:
+            return g[:i] + (Entry(atom, entry.ancestors),) + g[i + 1 :]
+    return g
 
 
 def _loop_moves(
@@ -276,25 +247,29 @@ def _loop_moves(
     """The loops that close at ``g[i]``, trying the most recent ancestor
     first; failed restricted loops go to ``state.loop_failures``.  Every
     ancestor is charged one step, but only candidates that can close a
-    loop are tried.  Returns False if the budget ran out."""
+    loop are tried, each walked through the store when it is.  Returns
+    False if the budget ran out."""
     entry = g[i]
     atom = entry.atom
     ancestors = entry.ancestors
+    walk = state.store.walk
     # Cheap filters pick the candidates before any unification: a
     # different predicate symbol always clashes; a ground atom's only
     # instance is itself, whose unifier is not circular, so it never
     # closes a restricted loop; two distinct ground atoms have no rational
-    # unifier.  (A variable atom has no symbol to compare; ancestors never
-    # are variables, each was rewritten against a head.)
+    # unifier.  A walk keeps an ancestor's symbol, so only the last filter
+    # reads a walked ancestor.  (A variable atom has no symbol to compare;
+    # an ancestor is never a variable, see ``co_s_compound``.)
     if restricted and atom._ground:
         picked: list[int] = []
     elif atom.__class__ is not Struct:
         picked = list(range(len(ancestors)))
     else:
-        symbol, h, ground = atom.symbol, atom._hash, atom._ground
-        picked = [k for k, a in enumerate(ancestors)
-                  if ((a._hash == h and a == atom) if ground and a._ground
-                      else (a.symbol is symbol or a.symbol == symbol))]
+        symbol, h = atom.symbol, atom._hash
+        picked = [k for k, a in enumerate(ancestors) if a.symbol is symbol or a.symbol == symbol]
+        if atom._ground:
+            picked = [k for k in picked
+                      if not (b := walk(ancestors[k]))._ground or (b._hash == h and b == atom)]
     # Attempts are charged, not just applications: a divergent derivation
     # grows its ancestor lists without bound, and the quadratically many
     # candidate checks are real work the budget must see.  Each dropped
@@ -305,7 +280,7 @@ def _loop_moves(
         if not state.charge_each(unpaid - k):
             return False
         unpaid = k
-        ancestor = ancestors[k]
+        ancestor = walk(ancestors[k])
         if restricted:
             res = restricted_loop(g, i, ancestor)
             if isinstance(res, LoopFailure):
@@ -346,4 +321,4 @@ def co_refute(
             yield from clauses(state, g, i, chain)
 
     return search(query, annotate(query), expand, limits, fresh, stop_at_any_limit=True,
-                  read=_read_entry(restricted))
+                  read=_read_entry)

@@ -142,38 +142,39 @@ class Limits:
 
 class Bindings:
     """The bindings the steps on the current branch made to goal
-    variables, as one map, and the trail of the bound variables in the
-    order they were bound.  The map is triangular: an image may hold a
-    variable bound later, so a term is read through it by a full walk.
-    Every binding is made on a walked atom, whose variables are unbound, so
-    the map never binds a variable twice and stays acyclic."""
+    variables, as one map, whose insertion order is the order they were
+    bound in: the map is its own trail, and its length the trail mark.
+    The map is triangular: an image may hold a variable bound later, so a
+    term is read through it by a full walk.  Every binding is made on a
+    walked atom, whose variables are unbound, so the map never binds a
+    variable twice and stays acyclic; a push that would is refused."""
 
-    __slots__ = ("map", "trail")
+    __slots__ = ("map",)
 
     def __init__(self) -> None:
         self.map: dict = {}
-        self.trail: list = []
 
     def push(self, s: Substitution) -> None:
-        b = s._bindings
-        self.map.update(b)
-        self.trail.extend(b)
+        m, b = self.map, s._bindings
+        n = len(m)
+        m.update(b)
+        if len(m) != n + len(b):
+            raise ValueError(f"a binding of {s} rebinds a bound variable")
 
     def unwind(self, mark: int) -> None:
-        """Undo the bindings made after the trail had ``mark`` entries."""
+        """Undo the bindings made after the map had ``mark`` entries."""
         m = self.map
-        for v in self.trail[mark:]:
-            del m[v]
-        del self.trail[mark:]
+        for _ in range(len(m) - mark):
+            m.popitem()
 
     def walk(self, t: Term) -> Term:
-        return t if t._ground else _resolve_full(t, self.map)
+        return t if t._ground or not self.map else _resolve_full(t, self.map)
 
 
 def read_atom(store: Bindings, g: Goal, i: int, stamp: int) -> Goal:
     """``g`` with ``g[i]`` walked through ``store``, if a binding was pushed
     after ``stamp``, the trail length when the atom was built or walked."""
-    if stamp < len(store.trail):
+    if stamp < len(store.map):
         atom = store.walk(g[i])
         if atom is not g[i]:
             return g[:i] + (atom,) + g[i + 1 :]
@@ -347,7 +348,7 @@ def search(
     """
     state = _SearchState(limits, stop_at_any_limit)
     store = state.store
-    trail = store.trail
+    bound = store.map
     query_vars = variables_in_order(query)
     path: list[Step] = []
     # One frame per goal on the branch: its moves, its depth in moves, its
@@ -366,17 +367,17 @@ def search(
             state.limits_hit.add("max_depth")
         else:
             i = moves % len(g) if limits.fair else 0
-            if trail:
+            if bound:
                 g = read(store, g, i, stamps[i])
             stack.append(
-                (expand(state, g, i, chain), moves, chain, len(path), len(trail), stamps, i, len(g))
+                (expand(state, g, i, chain), moves, chain, len(path), len(bound), stamps, i, len(g))
             )
 
     if not state.done:
         enter(initial, None, 0, 0)
     while stack and not state.done:
         frame_moves, moves, chain, mark, trail_mark, stamps, i, n = stack[-1]
-        if len(trail) > trail_mark:
+        if len(bound) > trail_mark:
             store.unwind(trail_mark)
         move = next(frame_moves, None)
         if move is None:
@@ -388,7 +389,7 @@ def search(
             path.append(taken)
         else:
             path.extend(taken)
-        now = len(trail)
+        now = len(bound)
         if now:
             stamps = stamps or (0,) * n
             stamps = stamps[:i] + (now,) * (len(g2) - n + 1) + stamps[i + 1 :]

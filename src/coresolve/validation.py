@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from . import decirc
-from .coengine import annotate, co_refute, co_replay
+from .coengine import co_refute
 from .derivation import (
     Answer,
     Bindings,
@@ -35,7 +35,6 @@ from .terms import (
     Struct,
     Symbol,
     Term,
-    apply_raw,
     is_instance,
     is_variant,
     truncate,
@@ -73,6 +72,16 @@ def _require_preconditions(p: Program) -> None:
         )
 
 
+def _store_of(steps: Sequence[Step]) -> Bindings:
+    """A store holding the bindings of the substitution steps of a
+    derivation; a term walked through it reads as every step applied."""
+    store = Bindings()
+    for st in steps:
+        if st.kind is StepKind.SUBST:
+            store.push(st.subst)
+    return store
+
+
 def build_loop_unrolling(
     p: Program,
     query: Sequence[Term],
@@ -103,22 +112,18 @@ def build_loop_unrolling(
     fresh = fresh or FreshVars(10**6)
     initial: Goal = tuple(query)
     steps = [st for st in answer.steps if st.kind is not StepKind.LOOP]
-    # The looped atoms, appended behind the query, are the goal the
-    # refutation leaves: every step acts at an index in front of them, and
-    # each substitution step reaches them just as it reached the live goal.
-    # Substitutions from before a loop leave its atom as it is, since a
-    # substitution step's bindings are applied to the whole goal.
-    looped = annotate([st.atom for st in answer.steps if st.kind is StepKind.LOOP])
-    replayed = co_replay(annotate(query) + looped, answer.steps, "restricted")
-    goal = tuple(e.atom for e in replayed[-1])
+    # The looped atoms are the goal the refutation leaves.  Each substitution
+    # step holds for them just as it held for the live goal, so the answer's
+    # substitution steps go to one store, and an atom is read through it
+    # when it is served, as in the search.
+    store = _store_of(steps)
+    goal: Goal = tuple(st.atom for st in answer.steps if st.kind is StepKind.LOOP)
 
     # Drive the goal as a queue: always serve the first atom, and rotate the
     # atoms a step introduces to the back.  This is fair — a coinductive
     # goal keeps growing, and serving positions by index would starve the
-    # older atoms behind the freshly produced tail.
-    # The substitution steps push their bindings to one store, and the
-    # served atom is read through it, as in the search.
-    store = Bindings()
+    # older atoms behind the freshly produced tail.  The driver's
+    # substitution steps push their bindings to the same store.
     substs_done = 0
     stuck = 0
     guard = 0
@@ -203,9 +208,7 @@ def check_theorem_5_1(
     if answer is None:
         return CorrespondenceReport(qt, None, [], [])
     _, steps = build_loop_unrolling(p, query, answer, rounds, fresh)
-    partial = qt
-    for st in steps:
-        partial = apply_raw(st.subst, partial)
+    partial = _store_of(steps).walk(qt)
     table = []
     for d in range(1, d_max + 1):
         lhs = truncate(d, partial)

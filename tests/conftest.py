@@ -10,9 +10,12 @@ reproducible.
 
 import os
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import total_ordering
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -66,6 +69,45 @@ def seed() -> int:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(seed())
+
+
+@pytest.fixture
+def structs(monkeypatch):
+    """Counts ``Struct`` constructions in ``structs.n`` while the test runs."""
+    counter = SimpleNamespace(n=0)
+    construct = Struct.__init__
+
+    def counted(self, *args):
+        counter.n += 1
+        construct(self, *args)
+
+    monkeypatch.setattr(Struct, "__init__", counted)
+    return counter
+
+
+@contextmanager
+def counting_lines(code):
+    """Counts, in ``.n``, the lines run inside the block in the function
+    whose code object is ``code``, with ``sys.settrace``."""
+    counter = SimpleNamespace(n=0)
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        counter.n += event == "line"
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield counter
+    finally:
+        sys.settrace(previous)
+
+
+def grows_at_most(counts: list[int], ratio: float) -> bool:
+    """Whether each count is at most ``ratio`` times the one before."""
+    return all(b <= ratio * a for a, b in zip(counts, counts[1:]))
 
 
 def load(name: str):
@@ -225,9 +267,10 @@ def use_eager_rules(monkeypatch) -> None:
 
 def per_candidate_loop_moves(state, g, i, restricted):
     """``coengine._loop_moves`` as it was before it picked its candidates
-    first: one ``charge(1)`` per ancestor, most recent first, and the
-    filters applied to each in turn.  The reference the picking version
-    must agree with, charge for charge."""
+    first: one ``charge(1)`` per ancestor, most recent first, each walked
+    through the store as it is read, and the filters applied to each in
+    turn.  The reference the picking version must agree with, charge for
+    charge."""
     entry = g[i]
     atom = entry.atom
     symbol = atom.symbol if isinstance(atom, Struct) else None
@@ -235,6 +278,7 @@ def per_candidate_loop_moves(state, g, i, restricted):
     for ancestor in reversed(entry.ancestors):
         if not state.charge(1):
             return False
+        ancestor = state.store.walk(ancestor)
         if restricted and ground:
             continue
         other = ancestor.symbol

@@ -84,6 +84,16 @@ class TestRun:
         assert code == 0
         assert out == "X = " + "s(" * 1500 + "_A" + ")" * 1500 + "\n"
 
+    @pytest.mark.parametrize("mode", ["colp", "cos"])
+    def test_variable_query_atom(self, capsys, tmp_path, mode):
+        # The atom X joins its ancestors as its value p(f(X)).  Kept as it
+        # was read, it was a variable ancestor, whose symbol the loop
+        # check's filter read: an AttributeError and exit 5.
+        path = tmp_path / "v.lp"
+        path.write_text("p(f(X)) :- q(X).\nq(Y) :- p(Y).\nr(a).\n", encoding="utf-8")
+        code, out, err = run(capsys, "run", str(path), "-q", "X", "--mode", mode)
+        assert (code, out, err) == (0, "X = p(_A)\n", "")
+
     def test_unfold_through_variable_binding(self, capsys):
         # Y = X takes a generation without adding a level; Y's unfolding
         # still reaches the depth asked for, like X's.

@@ -97,7 +97,7 @@ class TestCoSubst:
         p, g, fresh = setup("p(X,s(X)) :- q(X). q(s(X)) :- p(X,X).", "q(X)")
         # Give the entry an ancestor mentioning X, as rewriting would.
         x = g[0].atom.args[0]
-        g = (Entry(g[0].atom, (mk("p", x, mk("s", x)),), (0,)),)
+        g = (Entry(g[0].atom, (mk("p", x, mk("s", x)),)),)
         store = Bindings()
         got = co_s_compound(p, g, 0, 1, fresh, store)
         assert got is not None

@@ -36,6 +36,7 @@ from coresolve.terms import (
     FreshVars,
     Struct,
     Substitution,
+    Var,
     apply_raw,
     is_variant,
     term_to_text,
@@ -288,6 +289,17 @@ def full_outcome(result):
             result.loop_failures)
 
 
+class TestBindings:
+    def test_a_second_binding_of_a_variable_is_refused(self):
+        # The store unwinds by insertion order, so a rebinding would undo
+        # the wrong binding; it must fail where it happens.
+        x = Var(1, "X")
+        store = Bindings()
+        store.push(Substitution({x: zero}))
+        with pytest.raises(ValueError, match="rebinds"):
+            store.push(Substitution({x: const("1")}))
+
+
 class TestStoreAgainstEagerRules:
     """The search with its binding store against the same search with the
     eager rules of ``conftest``, which apply each step's bindings to the
@@ -341,7 +353,10 @@ class TestStoreAgainstEagerRules:
             p, preds = random_program(rnd, fresh)
             pool = [fresh.new(f"Q{k}") for k in range(3)]
             sym = rnd.choice(preds)
-            atom = Struct(sym, tuple(random_term(rnd, 2, pool) for _ in range(sym.arity)))
+            if rnd.random() < 0.2:
+                atom = pool[0]  # a variable query atom
+            else:
+                atom = Struct(sym, tuple(random_term(rnd, 2, pool) for _ in range(sym.arity)))
             self.agree(monkeypatch, program_to_text(p), term_to_text(atom), 60)
         assert pushes.n > 1000
 

@@ -44,6 +44,7 @@ TRACED_ONLY: dict[str, str] = {
     "program.clause_instance": "unify.resolve_head renames the stored clause in place",
     "unify.mgu": "unify.resolve_head unifies against the stored clause head",
     "decirc.decircularize": "decirc.unfold gives a solved form's value to a depth",
+    "coengine.co_replay": "validation reads an answer through a derivation.Bindings store",
 }
 
 

@@ -6,7 +6,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import PROGRAMS, load, load_query, program_to_text, random_program, seed
+from conftest import (
+    PROGRAMS,
+    counting_lines,
+    grows_at_most,
+    load,
+    load_query,
+    program_to_text,
+    random_program,
+    seed,
+)
 from coresolve import coengine, derivation, unify
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, _SearchState, refute
@@ -227,25 +236,6 @@ def edge_program(n: int, rnd: random.Random) -> str:
     return "".join(f"edge({a},{b}).\n" for a, b in edges) + PATH_RULES
 
 
-@pytest.fixture
-def structs(monkeypatch):
-    """Counts ``Struct`` constructions in ``structs.n`` while the test runs."""
-    counter = SimpleNamespace(n=0)
-    construct = Struct.__init__
-
-    def counted(self, *args):
-        counter.n += 1
-        construct(self, *args)
-
-    monkeypatch.setattr(Struct, "__init__", counted)
-    return counter
-
-
-def grows_at_most(counts: list[int], ratio: float) -> bool:
-    """Whether each count is at most ``ratio`` times the one before."""
-    return all(b <= ratio * a for a, b in zip(counts, counts[1:]))
-
-
 class TestParseWork:
     # Counted work of parse_program on wide programs, at three doubling
     # sizes: counts do not depend on machine speed.
@@ -415,7 +405,8 @@ class TestSearchWork:
         "s",
         *(pytest.param(mode, marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
-            reason="each selection still walks every same-symbol ancestor (ROADMAP item 3)",
+            reason="each tried loop candidate is rebuilt through the store from its "
+                   "built form, and a fibs ancestor's stream grows (ROADMAP item 11)",
         )) for mode in ("colp", "restricted")),
     ])
     def test_fibs_to_its_step_limit_is_linear(self, structs, mode):
@@ -435,6 +426,25 @@ class TestSearchWork:
                 pytest.fail(f"fibs at {max_steps} steps hit {result.limits_hit}")
             built.append(structs.n)
         assert grows_at_most(built, 2.2), built
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a proper unifier's bindings are resolved over the whole growing atom "
+               "(ROADMAP item 11)",
+    )
+    def test_sld_ex52_resolves_its_unifiers_in_linear_work(self):
+        # resolve_head walks every binding of a step's unifier over the
+        # atom, which grows by one level a step: _resolve_full ran 78,450 /
+        # 306,900 / 1,213,800 lines at 100 / 200 / 400 steps.
+        lines = []
+        for max_steps in (100, 200, 400):
+            prog, query, fresh = load_query("ex52", "p(Y,s(X))")
+            with counting_lines(unify._resolve_full.__code__) as counted:
+                result = refute(prog, query, "sld", Limits(max_steps=max_steps), fresh)
+            if result.limits_hit != ("max_steps",):
+                pytest.fail(f"ex52 at {max_steps} steps hit {result.limits_hit}")
+            lines.append(counted.n)
+        assert grows_at_most(lines, 2.2), lines
 
 
 class TestClauseObjects:

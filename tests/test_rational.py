@@ -1,6 +1,10 @@
 """Value graphs for rational trees: bisimulation and solved answers."""
 
-from conftest import const, mk, random_term, values_bisimilar, var_pool
+import pytest
+
+from conftest import (
+    const, counting_lines, grows_at_most, mk, random_term, values_bisimilar, var_pool,
+)
 from coresolve import rational
 from coresolve.decirc import unfold
 from coresolve.rational import solved_answer
@@ -133,6 +137,26 @@ class TestOnePass:
             t = s_(t)
         solved = solved_answer([X], [Substitution({X: t})])
         assert solved.get(X) == s_(X)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="minimize refines the nodes above a cycle in Moore rounds, one per "
+               "level of distinguishing depth (ROADMAP item 9)",
+    )
+    def test_minimize_is_linear_in_the_cycle_length(self):
+        # X = s^n(g(X)) is a cycle of n + 1 distinct nodes: minimize ran
+        # 5,715 / 21,415 / 82,815 / 325,615 lines at n = 50 / 100 / 200 / 400.
+        lines = []
+        for n in (50, 100, 200, 400):
+            t = mk("g", X)
+            for _ in range(n):
+                t = s_(t)
+            with counting_lines(rational.minimize.__code__) as counted:
+                solved = solved_answer([X], [Substitution({X: t})])
+            if not values_bisimilar((X, [solved]), (X, [Substitution({X: t})])):
+                pytest.fail(f"a wrong solved form at n = {n}")
+            lines.append(counted.n)
+        assert grows_at_most(lines, 2.2), lines
 
 
 def recomputed_cycle_vars(s: Substitution) -> frozenset:

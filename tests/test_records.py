@@ -44,7 +44,7 @@ RECORDS = [
      (StepKind.LOOP, 1, None, None, Substitution({}), P, A)),
     (Limits, ("max_steps", "max_depth", "max_answers", "max_rewrite_chain", "fair"),
      (), (10000, 2000, 1, 64, False), (5, 6, 7, 8, True)),
-    (Entry, ("atom", "ancestors", "walked"), (P,), ((), ()), (A, (P, B), (0, 1))),
+    (Entry, ("atom", "ancestors"), (P,), ((),), (A, (P, B))),
     (LoopFailure, ("reason", "atom", "ancestor"),
      (LoopFailReason.NOT_AN_INSTANCE, P, A), (), (LoopFailReason.TRIVIAL_UNIFIER, A, P)),
     (WitnessStep, ("clause_index", "clause", "body_index", "atom"), (0, CLAUSE, 0, P), (),
