@@ -229,15 +229,13 @@ def preflight_warnings(p: Program) -> list[str]:
     return warnings
 
 
-def _read_entry(store: Bindings, g: AnnotatedGoal, i: int, stamp: int) -> AnnotatedGoal:
+def _read_entry(store: Bindings, g: AnnotatedGoal, i: int) -> AnnotatedGoal:
     """The ``read`` of ``derivation.search`` for an annotated goal: the
-    selected entry's atom is walked through the store if a binding was
-    pushed after ``stamp``; its ancestors are left as they were built."""
-    if stamp < len(store.map):
-        entry = g[i]
-        atom = store.walk(entry.atom)
-        if atom is not entry.atom:
-            return g[:i] + (Entry(atom, entry.ancestors),) + g[i + 1 :]
+    selected entry's atom is walked through the store, its ancestors not."""
+    entry = g[i]
+    atom = store.walk(entry.atom)
+    if atom is not entry.atom:
+        return g[:i] + (Entry(atom, entry.ancestors),) + g[i + 1 :]
     return g
 
 

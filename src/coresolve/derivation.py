@@ -171,13 +171,11 @@ class Bindings:
         return t if t._ground or not self.map else _resolve_full(t, self.map)
 
 
-def read_atom(store: Bindings, g: Goal, i: int, stamp: int) -> Goal:
-    """``g`` with ``g[i]`` walked through ``store``, if a binding was pushed
-    after ``stamp``, the trail length when the atom was built or walked."""
-    if stamp < len(store.map):
-        atom = store.walk(g[i])
-        if atom is not g[i]:
-            return g[:i] + (atom,) + g[i + 1 :]
+def read_atom(store: Bindings, g: Goal, i: int) -> Goal:
+    """``g`` with ``g[i]`` walked through ``store``."""
+    atom = store.walk(g[i])
+    if atom is not g[i]:
+        return g[:i] + (atom,) + g[i + 1 :]
     return g
 
 
@@ -284,10 +282,9 @@ class _SearchState:
 # Yields a mode's moves at the selected atom g[i] of a goal reached by a
 # rewriting chain of the given length, charging each move to the state.
 Expand = Callable[[_SearchState, Sequence, int, int], Iterator[Move]]
-# Reads the selected atom g[i] through the store: ``read(store, g, i,
-# stamp)`` returns the goal with it walked, where ``stamp`` is the trail
-# length when g[i] was built or last walked.
-Read = Callable[[Bindings, Sequence, int, int], Sequence]
+# Reads the selected atom g[i] through the store: ``read(store, g, i)``
+# returns the goal with it walked.
+Read = Callable[[Bindings, Sequence, int], Sequence]
 
 
 def clause_moves(
@@ -338,13 +335,14 @@ def search(
     ``stop_at_any_limit``, otherwise only while no answer has been found.
 
     A move may push bindings to ``state.store``.  The selected atom is
-    ``read`` through the store before its moves are made, and each frame
-    unwinds the store to its own trail mark before it makes its next move,
-    so a move never sees a sibling's bindings.  Each goal position has a
-    stamp, the trail length when its atom was built or last walked: the
-    atoms a move builds at the selected position get the trail length
-    after the move, the others keep theirs.  While nothing is bound, every
-    stamp is 0, and the goal's stamps are None.
+    ``read`` through the store before its moves are made, if a binding was
+    pushed after its stamp, and each frame unwinds the store to its own
+    trail mark before it makes its next move, so a move never sees a
+    sibling's bindings.  Each goal position has a stamp, the trail length
+    when its atom was built or last walked: the atoms a move builds at the
+    selected position get the trail length after the move, the others keep
+    theirs.  While nothing is bound, every stamp is 0, and the goal's
+    stamps are None.
     """
     state = _SearchState(limits, stop_at_any_limit)
     store = state.store
@@ -367,8 +365,8 @@ def search(
             state.limits_hit.add("max_depth")
         else:
             i = moves % len(g) if limits.fair else 0
-            if bound:
-                g = read(store, g, i, stamps[i])
+            if bound and stamps[i] < len(bound):
+                g = read(store, g, i)
             stack.append(
                 (expand(state, g, i, chain), moves, chain, len(path), len(bound), stamps, i, len(g))
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     FreshVars,
@@ -120,31 +120,36 @@ _set_clause_var_positions = Clause.var_positions.__set__  # type: ignore[attr-de
 class _PredicateIndex:
     """The clauses of one predicate, as indices in clause order: all of
     them, those whose head has a variable first argument (or no argument),
-    and per principal symbol of a bound first argument, the clauses with
-    that symbol there together with the variable-first ones; and whether
-    any of them has a body."""
+    and per principal symbol of a bound first argument (``_first_key``),
+    the clauses with that symbol there together with the variable-first
+    ones; and whether any of them has a body."""
 
     __slots__ = ("every", "var_first", "by_first", "rules")
 
     def __init__(self) -> None:
         self.every: list[int] = []
         self.var_first: list[int] = []
-        self.by_first: dict[Symbol, list[int]] = {}
+        self.by_first: dict[Union[str, Symbol], list[int]] = {}
         self.rules = False
+
+
+def _first_key(sym: Symbol) -> Union[str, Symbol]:
+    """The index key of a first argument's principal symbol: the name of a
+    constant, all that the row of a ground flat fact keeps, or the symbol."""
+    return sym if sym.arity else sym.name
 
 
 class Program:
     """Clauses, with the parser's symbols and warnings; equality and hash
-    read the clauses only.  Immutable; ``clauses`` and ``_index`` are
-    cached in its dict.
+    read the clauses only.  Immutable; ``clauses``, ``_index`` and, for a
+    parsed program, ``signature`` are cached in its dict.
 
-    In place of a clause, the parser passes the ``(symbol, args, line,
-    column)`` of a ground flat fact, such as ``edge(n5,n17).``; ``clause``
-    builds it on first use, so a query pays only for the facts it reads."""
+    A parsed program shares the parser's names, and keeps a ground flat
+    fact, such as ``edge(n5,n17).``, as a ``(name, arg_names, line, column)``
+    row that ``clause`` builds on first use: a query pays for what it reads."""
 
     __setattr__ = __delattr__ = immutable_setattr
 
-    signature: dict[str, Symbol]
     warnings: tuple[str, ...]
 
     def __init__(self, clauses: Sequence[Clause], signature: Optional[dict[str, Symbol]] = None,
@@ -152,12 +157,25 @@ class Program:
         vars(self).update(_entries=list(clauses), signature={} if signature is None else signature,
                           warnings=warnings)
 
+    @cached_property
+    def signature(self) -> dict[str, Symbol]:
+        """Each symbol by name, in declaration order, built on first read."""
+        return {name: self._symbol(name, arity) for name, arity in self._arities.items()}
+
+    def _symbol(self, name: str, arity: int) -> Symbol:
+        return self._symbols.get(name) or self._symbols.setdefault(name, Symbol(name, arity))
+
+    def _constant(self, name: str) -> Struct:
+        constants = self._constants
+        return constants.get(name) or constants.setdefault(name, Struct(self._symbol(name, 0)))
+
     def clause(self, ci: int) -> Clause:
         """Clause ``ci``, built the first time it is read."""
         c = self._entries[ci]
         if c.__class__ is not Clause:
-            sym, args, line, column = c
-            c = self._entries[ci] = Clause(Struct(sym, args), (), Span(line, column), {})
+            name, args, line, column = c
+            head = Struct(self._symbol(name, len(args)), tuple(map(self._constant, args)))
+            c = self._entries[ci] = Clause(head, (), Span(line, column), {})
         return c
 
     @cached_property
@@ -180,27 +198,27 @@ class Program:
     @cached_property
     def _index(self) -> dict[Symbol, _PredicateIndex]:
         # First-argument indexing (Warren 1983): built on the first lookup,
-        # so parsing a program does not pay for it, and from the symbols
-        # alone, so it builds no clause.
+        # so parsing a program does not pay for it.  It builds no clause,
+        # and of a row's symbols only its predicate's.
         index: dict[Symbol, _PredicateIndex] = {}
         for ci, c in enumerate(self._entries):
             if c.__class__ is Clause:
                 head = c.head
                 assert isinstance(head, Struct)
-                sym, args = head.symbol, head.args
+                sym, first = head.symbol, head.args[0] if head.args else None
+                first = _first_key(first.symbol) if isinstance(first, Struct) else None
             else:
-                sym, args = c[0], c[1]
+                sym, first = self._symbols.get(c[0]) or self._symbol(c[0], len(c[1])), c[1][0]
             pred = index.get(sym)
             if pred is None:
                 pred = index[sym] = _PredicateIndex()
             pred.every.append(ci)
             if c.__class__ is Clause and c.body:
                 pred.rules = True
-            first = args[0] if args else None
-            if isinstance(first, Struct):
-                bucket = pred.by_first.get(first.symbol)
+            if first is not None:
+                bucket = pred.by_first.get(first)
                 if bucket is None:
-                    bucket = pred.by_first[first.symbol] = list(pred.var_first)
+                    bucket = pred.by_first[first] = list(pred.var_first)
                 bucket.append(ci)
             else:
                 pred.var_first.append(ci)
@@ -233,7 +251,8 @@ class Program:
         first = atom.args[0]
         if isinstance(first, Var):
             return pred.var_first if matching else pred.every
-        return pred.by_first.get(first.symbol, pred.var_first)
+        sym = first.symbol
+        return pred.by_first.get(sym if sym.arity else sym.name, pred.var_first)  # _first_key
 
 
 class UniversalityReport(NamedTuple):
@@ -254,8 +273,9 @@ class UniversalityReport(NamedTuple):
 # A flat compound, such as ``edge(n5,n17)``, is one token: a symbol name
 # (its first character an ASCII lowercase letter or a digit, so it is
 # never a variable), "(", names separated by "," and ")", nothing skipped.
-_TOKEN = re.compile(r"(?:\s|%[^\n]*)*([a-z0-9]\w*\((?:\w+,)*\w+\)|\w+|:-|[()\[\],.|]|\Z|.)",
-                    re.DOTALL)
+# Group 2 is its functor's name when all its names start so: it is ground.
+_TOKEN = re.compile(r"(?:\s|%[^\n]*)*(([a-z0-9]\w*)\((?:[a-z0-9]\w*,)*[a-z0-9]\w*\)"
+                    r"|[a-z0-9]\w*\((?:\w+,)*\w+\)|\w+|:-|[()\[\],.|]|\Z|.)", re.DOTALL)
 _token_text = itemgetter(1)
 
 # The kinds of token where a term starts: a variable name, a symbol name,
@@ -278,8 +298,8 @@ class _Parser:
     look one token past any token it reads.  Where a position must be
     kept, the reader keeps the token index, and for a name inside a flat
     compound its offset in the token: the line and column are worked out
-    only when a ``Span`` or a ``ParseError`` is built.  Each parse makes
-    one ``Struct`` per nullary symbol and shares it.
+    only when a ``Span`` or a ``ParseError`` is built.  A symbol or constant
+    read outside a ground flat fact is built once per parse, and shared.
     """
 
     def __init__(self, text: str, fresh: Optional[FreshVars] = None):
@@ -289,10 +309,11 @@ class _Parser:
         self.fresh = fresh or FreshVars()
         self.scope: dict[str, Var] = {}
         self.positions: dict[Var, int] = {}  # of the clause being read
-        # Each symbol by name, and where it was declared: a token, and an
-        # offset in it.
-        self.signature: dict[str, Symbol] = {}
+        # Each name's arity in declaration order, where it was declared (a
+        # token, and an offset in it), and the symbols and constants built.
+        self.arities: dict[str, int] = {}
         self.declared_at: dict[str, tuple[int, int]] = {}
+        self.signature: dict[str, Symbol] = {}
         self.constants: dict[str, Struct] = {}
         self.warnings: list[str] = []
 
@@ -313,21 +334,20 @@ class _Parser:
             self.scope[name] = v
         return v
 
+    def _declare(self, name: str, arity: int, i: int, within: int = 0) -> None:
+        """Declare ``name/arity``, used ``within`` token ``i``, or check it
+        against the arity ``name`` was declared with."""
+        declared = self.arities.setdefault(name, arity)
+        if declared != arity:
+            raise self.error(f"symbol {name!r} used with arity {arity} but declared with "
+                             f"arity {declared} at {self.span(*self.declared_at[name])}", i, within)
+        self.declared_at.setdefault(name, (i, within))
+
     def _symbol(self, name: str, arity: int, i: int, within: int = 0) -> Symbol:
         """The symbol ``name/arity`` used ``within`` token ``i``.  One object
         per symbol in a parse, so most symbol tests pass on identity."""
-        sym = self.signature.get(name)
-        if sym is None:
-            sym = self.signature[name] = Symbol(name, arity)
-            self.declared_at[name] = (i, within)
-        elif sym.arity != arity:
-            raise self.error(
-                f"symbol {name!r} used with arity {arity} but declared with "
-                f"arity {sym.arity} at {self.span(*self.declared_at[name])}",
-                i,
-                within,
-            )
-        return sym
+        self._declare(name, arity, i, within)
+        return self.signature.get(name) or self.signature.setdefault(name, Symbol(name, arity))
 
     def _constant(self, name: str, i: int, within: int = 0) -> Struct:
         const = self.constants.get(name)
@@ -336,10 +356,9 @@ class _Parser:
             self.constants[name] = const
         return const
 
-    def _flat(self, tok: str, i: int) -> tuple[Symbol, tuple[Term, ...]]:
-        """The functor and arguments of the flat compound of token ``i``.
-        Its arguments are looked up or declared left to right, then its
-        functor, as ``atoms`` does."""
+    def _flat(self, tok: str, i: int) -> Struct:
+        """The flat compound of token ``i``: its arguments are looked up or
+        declared left to right, then its functor, as ``atoms`` does."""
         scope, constants = self.scope, self.constants
         name, _, rest = tok.partition("(")
         names = rest[:-1].split(",")
@@ -354,7 +373,7 @@ class _Parser:
                     t = self._constant(arg, i, within)
             args.append(t)
             within += len(arg) + 1
-        return self._symbol(name, len(args), i), tuple(args)
+        return Struct(self._symbol(name, len(args), i), tuple(args))
 
     def atoms(self, i: int, neck: str) -> tuple[list[Term], int]:
         """Read the terms ``t1 neck t2 , t3 , ... , tn`` from token ``i``:
@@ -367,7 +386,7 @@ class _Parser:
         of the token that opened it, and ``after_bar`` turns true when
         ``|`` is read.  Symbols are declared when their term closes, inner
         terms first."""
-        texts, signature = self.texts, self.signature
+        texts, signature, arities = self.texts, self.signature, self.arities
         scope, constants = self.scope, self.constants
         atoms: list[Term] = []
         first = i
@@ -378,7 +397,7 @@ class _Parser:
             # is a constant, or a variable in scope.
             tok = texts[i]
             i += 1
-            if texts[i] == "(" and (tok in signature or _kind(tok) is _SYMBOL):
+            if texts[i] == "(" and (tok in arities or _kind(tok) is _SYMBOL):
                 stack.append([tok, i - 1, []])
                 i += 1
                 continue
@@ -390,7 +409,7 @@ class _Parser:
                 elif kind is _SYMBOL:
                     t = self._constant(tok, i - 1)
                 elif kind is _FLAT:
-                    t = Struct(*self._flat(tok, i - 1))
+                    t = self._flat(tok, i - 1)
                 elif tok == "[":
                     if texts[i] == "]":
                         i += 1
@@ -453,19 +472,27 @@ class _Parser:
         """Read the clauses, working out each one's span as it is read.
         Clause starts come in text order, so the newlines are counted on
         from the last clause start."""
-        text, texts, matches = self.text, self.texts, self.matches
-        clauses: list = []  # a Clause, or the data of a ground flat fact
+        text, texts, matches, arities = self.text, self.texts, self.matches, self.arities
+        clauses: list = []  # a Clause, or the row of a ground flat fact
         i = at = 0
         line, last_newline = 1, -1
         while texts[i]:
-            self.scope = {}
-            self.positions = {}
-            if texts[i + 1] == "." and _kind(texts[i]) is _FLAT:
-                # A flat fact, such as ``edge(n5,n17).``: two tokens.  A
-                # ground one is built by ``Program.clause`` on first use.
-                sym, args = self._flat(texts[i], i)
-                head, body, end = Struct(sym, args) if self.positions else None, (), i + 1
+            name = matches[i][2]
+            if name is not None and texts[i + 1] == ".":
+                # A ground flat fact is kept as a row of names, checked as
+                # ``_flat`` checks them: arguments left to right, then functor.
+                within = len(name) + 1
+                args = texts[i][within:-1].split(",")
+                for arg in args:
+                    if arities.get(arg) != 0:
+                        self._declare(arg, 0, i, within)
+                    within += len(arg) + 1
+                if arities.get(name) != len(args):
+                    self._declare(name, len(args), i)
+                end = i + 1
             else:
+                name = None
+                self.scope, self.positions = {}, {}
                 atoms, end = self.atoms(i, ":-")
                 if texts[end] != ".":
                     raise self.error("expected '.'", end)
@@ -476,16 +503,19 @@ class _Parser:
                 line += newlines
                 last_newline = text.rfind("\n", at, offset)
             at = offset
-            if head is None:
-                clauses.append((sym, args, line, offset - last_newline))
+            if name is not None:
+                clauses.append((name, args, line, offset - last_newline))
             else:
                 clauses.append(Clause(head, body, Span(line, offset - last_newline), self.positions))
             i = end + 1
-        if clauses and not any(sym.arity == 0 for sym in self.signature.values()):
+        if clauses and 0 not in arities.values():
             self.warnings.append(
                 "signature has no nullary symbol; ground instances are empty"
             )
-        return Program(clauses, self.signature, tuple(self.warnings))
+        p = Program.__new__(Program)  # sharing this parse's tables, as ``Program`` says
+        vars(p).update(_entries=clauses, warnings=tuple(self.warnings), _arities=arities,
+                       _symbols=self.signature, _constants=self.constants)
+        return p
 
     def query(self) -> list[Term]:
         atoms, i = self.atoms(0, ",")

@@ -116,6 +116,29 @@ CASES = [
 ]
 
 
+# A ground flat fact is checked against the same arity table as every
+# other term, so a clash between such a fact and a rule or a nested term
+# reads the same whichever of the two comes first.
+ROW_AND_RULE_CLASHES = [
+    ("edge(a,b).\nq(X) :- edge(X).",
+     "2:9: symbol 'edge' used with arity 1 but declared with arity 2 at 1:1"),
+    ("edge(a,b).\np(a(X)).", "2:3: symbol 'a' used with arity 1 but declared with arity 0 at 1:6"),
+    ("p(a(b)).\nedge(a,b).", "2:6: symbol 'a' used with arity 0 but declared with arity 1 at 1:3"),
+    ("p(X) :- q(X, edge).\nedge(a,b).",
+     "2:1: symbol 'edge' used with arity 2 but declared with arity 0 at 1:14"),
+    ("edge(a,b).\nedge(c,d,e).",
+     "2:1: symbol 'edge' used with arity 3 but declared with arity 2 at 1:1"),
+    ("e(a,b).\ne(b,a(c)).", "2:5: symbol 'a' used with arity 1 but declared with arity 0 at 1:3"),
+]
+
+
+@pytest.mark.parametrize("text,error", ROW_AND_RULE_CLASHES)
+def test_rows_and_rules_report_arity_errors_alike(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert str(exc.value) == error
+
+
 def corpus_cases():
     return [
         (f"corpus {path.stem}", "program", path.read_text(encoding="utf-8"))

@@ -17,6 +17,7 @@ from conftest import (
     seed,
 )
 from coresolve import coengine, derivation, unify
+from coresolve.cli import main
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, _SearchState, refute
 from coresolve.program import (
@@ -30,7 +31,8 @@ from coresolve.program import (
     parse_program,
     parse_query,
 )
-from coresolve.terms import FreshVars, Struct, Symbol, Var, variables_of
+from coresolve.models import ground_terms
+from coresolve.terms import FreshVars, Struct, Symbol, Var, term_to_text, variables_of
 
 
 class TestParse:
@@ -168,6 +170,11 @@ def unbuilt(p: Program) -> set[int]:
     return {ci for ci, c in enumerate(p._entries) if c.__class__ is not Clause}
 
 
+def one_more_argument(t: Struct) -> Struct:
+    """``t`` with its name at one more arity, and itself as the last argument."""
+    return Struct(Symbol(t.symbol.name, t.symbol.arity + 1), (*t.args, t))
+
+
 def with_flat_facts(rnd: random.Random, text: str) -> str:
     """``text`` with flat facts of its predicates put between its lines:
     each argument a constant, a variable or ``_``, so some are ground."""
@@ -208,8 +215,16 @@ class TestFlatCompounds:
             assert p.predicates() == q.predicates()
             assert index_rows(p) == index_rows(q)
             for c in q.clauses:
-                assert list(p.candidates(c.head)) == list(q.candidates(c.head))
-                assert list(p.candidates(c.head, True)) == list(q.candidates(c.head, True))
+                # Each head, the head with one more argument, and the head
+                # with its first argument given one more argument.
+                head = c.head
+                atoms = [head, one_more_argument(head)]
+                if head.args and isinstance(head.args[0], Struct):
+                    longer = one_more_argument(head.args[0])
+                    atoms.append(Struct(head.symbol, (longer, *head.args[1:])))
+                for atom in atoms:
+                    assert list(p.candidates(atom)) == list(q.candidates(atom))
+                    assert list(p.candidates(atom, True)) == list(q.candidates(atom, True))
             order = list(range(len(q.clauses)))
             rnd.shuffle(order)
             for ci in order:
@@ -224,6 +239,51 @@ class TestFlatCompounds:
             spaced_tokens += len(_Parser(spaced).matches)
         assert tokens < spaced_tokens  # the one-token path was taken
         assert lazy  # and some facts were left unbuilt
+
+    def test_signature_and_ground_terms_are_read_from_the_rows(self, capsys, tmp_path):
+        text = "edge(a,b). edge(b,c).\n"
+        p = parse_program(text)
+        assert list(p.signature) == ["a", "b", "edge", "c"]
+        assert p.signature["edge"] is p.signature["edge"] == Symbol("edge", 2)
+        assert {term_to_text(t) for t in ground_terms(p, 1)} >= {"a", "b", "c"}
+        assert unbuilt(p) == {0, 1}
+        path = tmp_path / "rows.lp"
+        path.write_text(text)
+        assert main(["oracle", str(path), "--cap", "2"]) == 0
+        assert capsys.readouterr().out == "edge(a,b)\nedge(b,c)\n"
+
+
+class TestIndex:
+    def test_name_keyed_index_keeps_symbol_answers(self):
+        # With a constant first argument keyed by its name, the index still
+        # tells symbols apart by arity: a predicate or a first argument the
+        # program uses at another arity is offered what an unknown one is.
+        p = parse_program("edge(a,b).\nedge(b,c).\np(X) :- edge(X,Y).")
+        cases = [
+            ("edge(a)", [], []),
+            ("edge(a,b,c)", [], []),
+            ("edge(a(x),Y)", [], []),
+            ("edge(X,Y)", [0, 1], []),
+            ("edge(b,Y)", [1], [1]),
+        ]
+        for text, unifying, matching in cases:
+            (atom,) = parse_query(text)
+            assert list(p.candidates(atom)) == unifying, text
+            assert list(p.candidates(atom, True)) == matching, text
+
+    def test_a_name_at_two_arities_in_a_program_built_by_hand(self):
+        # The parser rejects such a program, but the constructor takes it.
+        a, b = Struct(Symbol("a", 0)), Struct(Symbol("b", 0))
+        a1 = Struct(Symbol("a", 1), (b,))
+        p1, p2 = Symbol("p", 1), Symbol("p", 2)
+        X = Var(1, "X")
+        p = Program((Clause(Struct(p1, (a,))), Clause(Struct(p2, (a, b))),
+                     Clause(Struct(p1, (a1,))), Clause(Struct(p1, (X,)))))
+        assert p.predicates() == [p1, p2]
+        assert list(p.candidates(Struct(p1, (a,)))) == [0, 3]
+        assert list(p.candidates(Struct(p1, (a1,)))) == [2, 3]
+        assert list(p.candidates(Struct(p2, (a, X)))) == [1]
+        assert list(p.candidates(Struct(Symbol("p", 3), (a, X, X)))) == []
 
 
 PATH_RULES = "path(X,Y) :- edge(X,Y).\npath(X,Y) :- edge(X,Z), path(Z,Y).\n"
@@ -259,8 +319,8 @@ class TestParseWork:
         assert grows_at_most(counts, 2.1), counts
 
     def test_ground_facts_build_no_clause_and_no_head(self, structs, monkeypatch):
-        # The constants are built, once each; the edge/2 heads and their
-        # clauses are not, until a search reads them.
+        # Neither the edge/2 heads and their clauses nor the node constants
+        # and symbols are built until a search reads them.
         rnd = random.Random(seed())
         clauses = SimpleNamespace(n=0)
         construct = Clause.__init__
@@ -275,7 +335,7 @@ class TestParseWork:
         for n in self.SIZES:
             clauses.n = structs.n = 0
             p = parse_program(edge_program(n, rnd))
-            assert (clauses.n, structs.n - (n + 1)) == rules  # n + 1 node constants
+            assert (clauses.n, structs.n) == rules
             assert unbuilt(p) == set(range(n))
 
 
@@ -388,6 +448,32 @@ class TestSearchWork:
         built = set(range(len(p._entries))) - unbuilt(p)
         assert built - {300, 301} <= returned
         assert unbuilt(p)
+
+    def test_path_query_builds_no_name_of_an_unread_fact(self, structs, monkeypatch):
+        # Parse plus an sld path/2 query along a chain of four edges, among
+        # facts it never reads, builds as many Symbols and Structs at every
+        # size.
+        symbols = SimpleNamespace(n=0)
+        construct = Symbol.__init__
+
+        def counted(self, *args):
+            symbols.n += 1
+            construct(self, *args)
+
+        monkeypatch.setattr(Symbol, "__init__", counted)
+        rnd = random.Random(seed())
+        built = []
+        for n in (300, 600, 1200):
+            edges = [f"edge(n{k},n{k + 1}).\n" for k in range(4)]
+            edges += [f"edge(m{rnd.randrange(j)},m{j}).\n" for j in range(1, n - 3)]
+            rnd.shuffle(edges)
+            symbols.n = structs.n = 0
+            fresh = FreshVars()
+            p = parse_program("".join(edges) + PATH_RULES, fresh)
+            result = refute(p, parse_query("path(n0,n4)", fresh), "sld", Limits(), fresh)
+            assert result.status is Status.REFUTED
+            built.append((symbols.n, structs.n))
+        assert built[0] == built[1] == built[2], built
 
     def test_sld_case2_to_its_step_limit_is_linear(self, structs):
         built = []
