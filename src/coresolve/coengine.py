@@ -30,6 +30,9 @@ when the loop check tries it.  An entry's ancestors stay as they were
 built.  A colp loop's unifier is circular, which the store cannot hold:
 the rest of the goal, ancestors included, is walked and the unifier
 applied to it at once.
+
+A search rationally unifies a loop pair whose ancestor is an instance of
+the atom once per shape, up to renaming (``_loop_unifier``).
 """
 
 from __future__ import annotations
@@ -40,23 +43,19 @@ from typing import Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .derivation import Bindings, Limits, Move, Result, Step, StepKind
 from .derivation import _SearchState, clause_moves, search
-from .productivity import ProductivityStatus, check_productive
+from .productivity import ProductivityStatus, _variant_key, check_productive
 from .program import Program, check_universal
 from .terms import (
     FreshVars,
     Struct,
     Substitution,
     Term,
+    Var,
     apply_raw,
+    is_instance,
+    map_vars,
 )
-from .unify import (
-    UnifyKind,
-    _extract as _rational_extract,
-    _rational_solve,
-    mgm,
-    rational_unify,
-    resolve_head,
-)
+from .unify import UnifyKind, UnifyOutcome, mgm, rational_unify, resolve_head
 
 
 class Entry(NamedTuple):
@@ -135,14 +134,44 @@ def co_s_compound(
     return g3, [st1, st2]
 
 
+# A search's loop unifiers: a pair's variant key and the age order of its
+# slot variables -> its ``rational_unify`` outcome and its slot variables.
+LoopMemo = dict[tuple, tuple[UnifyOutcome, list[Var]]]
+
+
+def _loop_unifier(memo: LoopMemo, atom: Term, ancestor: Term) -> UnifyOutcome:
+    """``rational_unify(atom, ancestor)`` through ``memo``.  A unifier
+    depends on its pair only through the structure, the values of ground
+    subterms and the age order of the variables (a class is named after
+    its oldest variable), so a pair met again up to a renaming that keeps
+    that order gets the stored outcome with its own variables put in."""
+    key, slots = _variant_key((atom, ancestor))
+    key = (key, tuple(sorted(range(len(slots)), key=lambda k: slots[k].id)))
+    hit = memo.get(key)
+    if hit is None:
+        out = rational_unify(atom, ancestor)
+        memo[key] = out, slots
+        return out
+    out, old = hit
+    theta = out.substitution
+    if theta is None:
+        return out
+    rename = dict(zip(old, slots)).get
+    return out._replace(substitution=Substitution._with_cycle_vars(
+        {rename(v): map_vars(rename, t) for v, t in theta.items()}, map(rename, theta.cycle_vars())
+    ))
+
+
 def colp_loop(
-    g: AnnotatedGoal, atom_index: int, ancestor: Term, store: Bindings
+    g: AnnotatedGoal, atom_index: int, ancestor: Term, store: Bindings, memo: LoopMemo
 ) -> Optional[tuple[AnnotatedGoal, Substitution]]:
     """The rest of the goal, walked through ``store`` and with the loop
     unifier applied once, if the atom has a rational unifier with the
-    ancestor."""
-    entry = g[atom_index]
-    out = rational_unify(entry.atom, ancestor)
+    ancestor.  A pair whose ancestor is an instance of the atom, the kind
+    a regular derivation repeats, is unified through ``memo``."""
+    atom = g[atom_index].atom
+    out = (_loop_unifier(memo, atom, ancestor) if is_instance(atom, ancestor)
+           else rational_unify(atom, ancestor))
     if not out.ok:
         return None
     theta = out.substitution
@@ -162,6 +191,7 @@ def restricted_loop(
     g: AnnotatedGoal,
     atom_index: int,
     ancestor: Term,
+    memo: LoopMemo,
 ) -> tuple[AnnotatedGoal, Substitution] | LoopFailure:
     entry = g[atom_index]
     # The instance condition is stated against a fresh-variable variant of
@@ -174,16 +204,15 @@ def restricted_loop(
     # Once the ancestor is an instance, the equations reduce to one binding
     # per variable of the atom, which always has a rational solution; the
     # clash branch is a defensive check only.
-    solved = _rational_solve(entry.atom, ancestor)
-    if isinstance(solved, str):
+    out = _loop_unifier(memo, entry.atom, ancestor)
+    if not out.ok:
         return LoopFailure(LoopFailReason.NO_RATIONAL_UNIFIER, entry.atom, ancestor)
-    theta = _rational_extract(solved, [entry.atom, ancestor])
-    if not theta.circular:
+    if out.kind is not UnifyKind.RATIONAL_UNIFIER:
         # The loop closed without tying any infinite value; accepting it
         # would bless derivations that compute nothing at infinity.
         return LoopFailure(LoopFailReason.TRIVIAL_UNIFIER, entry.atom, ancestor)
     rest = g[:atom_index] + g[atom_index + 1 :]
-    return rest, theta
+    return rest, out.substitution
 
 
 def co_replay(g: AnnotatedGoal, steps: Sequence[Step], mode: str) -> list[AnnotatedGoal]:
@@ -240,13 +269,13 @@ def _read_entry(store: Bindings, g: AnnotatedGoal, i: int) -> AnnotatedGoal:
 
 
 def _loop_moves(
-    state: _SearchState, g: AnnotatedGoal, i: int, restricted: bool
+    state: _SearchState, g: AnnotatedGoal, i: int, restricted: bool, memo: LoopMemo
 ) -> Generator[Move, None, bool]:
     """The loops that close at ``g[i]``, trying the most recent ancestor
     first; failed restricted loops go to ``state.loop_failures``.  Every
     ancestor is charged one step, but only candidates that can close a
-    loop are tried, each walked through the store when it is.  Returns
-    False if the budget ran out."""
+    loop are tried, each walked through the store when it is and unified
+    through the search's ``memo``.  Returns False if the budget ran out."""
     entry = g[i]
     atom = entry.atom
     ancestors = entry.ancestors
@@ -280,13 +309,13 @@ def _loop_moves(
         unpaid = k
         ancestor = walk(ancestors[k])
         if restricted:
-            res = restricted_loop(g, i, ancestor)
+            res = restricted_loop(g, i, ancestor, memo)
             if isinstance(res, LoopFailure):
                 state.loop_failures.append(res)
                 continue
             g2, theta = res
         else:
-            got = colp_loop(g, i, ancestor, state.store)
+            got = colp_loop(g, i, ancestor, state.store, memo)
             if got is None:
                 continue
             g2, theta = got
@@ -312,10 +341,11 @@ def co_refute(
         p, ((co_rewrite, 1, True), (co_s_compound, 2, False)), fresh,
         atom_of=attrgetter("atom"),
     )
+    memo: LoopMemo = {}
 
     def expand(state: _SearchState, g: AnnotatedGoal, i: int, chain: int) -> Iterator[Move]:
         # The clause moves run only if the loop attempts left some budget.
-        if (yield from _loop_moves(state, g, i, restricted)):
+        if (yield from _loop_moves(state, g, i, restricted, memo)):
             yield from clauses(state, g, i, chain)
 
     return search(query, annotate(query), expand, limits, fresh, stop_at_any_limit=True,

@@ -55,26 +55,26 @@ class ProductivityVerdict(NamedTuple):
 Rewrite = tuple[int, Renaming, int, Term]
 
 
-def _variant_key(t: Term) -> object:
-    """A key that two atoms share exactly when they are variants: the atom
-    in preorder, with each variable replaced by the rank of its first
-    occurrence.  Each symbol carries its arity, so the sequence reads back
-    as one term.  A ground atom is its own key."""
-    if t._ground:
-        return t
-    names: dict[Var, int] = {}
+def _variant_key(terms: Sequence[Term]) -> tuple[tuple, list[Var]]:
+    """A key that two sequences of terms share exactly when one renaming
+    makes them equal, and their variables in the order of their slots:
+    the terms in preorder, left to right, with each variable replaced by
+    its slot, the rank of its first occurrence, and each ground subterm
+    and each symbol kept by value.  Each symbol carries its arity, so the
+    sequence reads back as the terms."""
+    slots: dict[Var, int] = {}
     key: list = []
-    stack = [t]
+    stack = list(reversed(terms))
     while stack:
         u = stack.pop()
         if u._ground:
             key.append(u)
         elif u.__class__ is Var:
-            key.append(names.setdefault(u, len(names)))
+            key.append(slots.setdefault(u, len(slots)))
         else:
             key.append(u.symbol)
             stack.extend(reversed(u.args))
-    return tuple(key)
+    return tuple(key), list(slots)
 
 
 def default_roots(p: Program, fresh: FreshVars) -> list[Term]:
@@ -116,7 +116,7 @@ def check_productive(
         # chain (a repeat ends the search, so the keys are distinct), the
         # rewrites still to try at each atom, and the step to each atom
         # after the root.
-        keys = [_variant_key(root)]
+        keys = [_variant_key((root,))[0]]
         index = {keys[0]: 0}
         frames = [rewrites(root)]
         taken: list[Rewrite] = []
@@ -128,7 +128,7 @@ def check_productive(
                 if taken:
                     taken.pop()
                 continue
-            key = _variant_key(step[3])
+            key = _variant_key((step[3],))[0]
             loop_start = index.get(key)
             if loop_start is not None:
                 steps = tuple(

@@ -18,7 +18,8 @@ the next one.  A single circular answer is simply the one-element list.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, Union
+from bisect import bisect_left
+from typing import Callable, Optional, Sequence, Union
 
 from .terms import (
     FreshVars,
@@ -35,50 +36,54 @@ from .terms import (
 Label = Union[Symbol, Var]
 
 
-def _resolve(
-    term: Term, level: int, maps: Sequence[Mapping[Var, Term]]
-) -> tuple[Term, int]:
-    """Chase variable bindings starting at ``level``; returns the first
-    non-variable term (with the level it lives at) or an unbound variable."""
-    seen: Optional[set[tuple[Var, int]]] = None
-    while isinstance(term, Var) and level < len(maps):
-        img = maps[level].get(term)
-        if img is None:
-            level += 1
-            continue
-        if isinstance(img, Var):
-            if seen is None:
-                seen = set()
-            elif (term, level) in seen:
-                # A pure variable cycle (X = Y, Y = X): no structure.
-                return oldest_on_variable_cycle(term, maps[level]), level
-            seen.add((term, level))
-        term = img
-    return term, level
-
-
 def build_node(
     terms: Sequence[Term], substs: Sequence[Substitution]
 ) -> tuple[list[int], list[Label], list[Sequence[int]]]:
     """The value graph of ``terms`` under the substitution list: the node
     of each term, and the label and children of each node, numbered from 0.
     Only nodes the terms reach are built, and a value they share is one
-    node.  Iterative, so term depth is not bounded by the recursion limit."""
+    node.  Iterative, so term depth is not bounded by the recursion limit.
+
+    A variable is looked up at the first level from its own that binds it,
+    in an index of binding levels built at the first lookup.  A pure
+    variable cycle (X = Y, Y = X) is its oldest variable, a leaf."""
     maps = [s.bindings for s in substs]
+    levels: Optional[dict[Var, list[int]]] = None
     memo: dict[tuple[Term, int], int] = {}
     labels: list[Label] = []
     kids: list[Sequence[int]] = []
     unfilled: list[tuple[int, tuple[Term, ...], int]] = []
 
     def node_for(t: Term, level: int) -> int:
-        if isinstance(t, Var):
-            t, level = _resolve(t, level, maps)
+        nonlocal levels
+        seen: Optional[set[tuple[Var, int]]] = None
+        while t.__class__ is Var:
+            if levels is None:
+                levels = {}
+                for k, m in enumerate(maps):
+                    for v in m:
+                        levels.setdefault(v, []).append(k)
+            at = levels.get(t, ())
+            k = bisect_left(at, level)
+            if k == len(at):
+                level = len(maps)
+                break
+            level = at[k]
+            img = maps[level][t]
+            if img.__class__ is Var:
+                if seen is None:
+                    seen = set()
+                elif (t, level) in seen:
+                    t = oldest_on_variable_cycle(t, maps[level])
+                    break
+                seen.add((t, level))
+            t = img
         key = (t, level)
         n = memo.get(key)
         if n is None:
             n = memo[key] = len(labels)
             kids.append(())
-            if isinstance(t, Var):
+            if t.__class__ is Var:
                 labels.append(t)
             else:
                 labels.append(t.symbol)

@@ -478,7 +478,7 @@ def truncate_value(
     generation and any other bound variable keeps its own; a free variable
     at generation g is its generation g-1 copy.  A pure variable cycle
     (X ↦ Y, Y ↦ X) has no structure, and its oldest variable stands for
-    it, as in ``rational._resolve``."""
+    it, as in ``rational.build_node``."""
     root: list[Term] = []
     # A frame is a Struct being rebuilt: its symbol, an iterator over its
     # arguments, their generation, the depth left at them and the arguments

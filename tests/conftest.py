@@ -1,7 +1,8 @@
 """Shared fixtures and generators for the test suite, and the reference
 definitions the engine does not need: the checked ``apply``, ``compose``,
-``occurs_in``, the dyadic tree metric, the per-candidate loop check and the
-eager step rules the binding store replaced.
+``occurs_in``, the dyadic tree metric, the per-candidate, memo-free loop
+check, the eager step rules the binding store replaced and the scanning
+value graph that ``rational.build_node``'s level index replaced.
 
 Randomized property tests draw from a ``random.Random`` seeded via the
 ``CORESOLVE_SEED`` environment variable (default fixed), so every run is
@@ -37,6 +38,7 @@ from coresolve.terms import (
     apply_raw,
     immutable_setattr,
     iter_subterms,
+    oldest_on_variable_cycle,
     truncate,
     variables_in_order,
 )
@@ -183,7 +185,8 @@ def replay(g, steps):
 # The rules as they were before the search kept a binding store: each
 # applies its unifier to the rest of the goal, and in colp and cos to every
 # ancestor, and pushes nothing, so plugged into ``derivation.search`` they
-# leave its store empty and it reads no atom through it.
+# leave its store empty and it reads no atom through it.  The loop rules
+# ignore the search's memo of loop unifiers and unify every pair afresh.
 
 
 def eager_sld_step(p, g, atom_index, clause_index, fresh, store):
@@ -242,12 +245,16 @@ def eager_co_s_compound(p, g, atom_index, clause_index, fresh, store):
     return g3, [st1, st2]
 
 
-def eager_colp_loop(g, atom_index, ancestor, store):
+def eager_colp_loop(g, atom_index, ancestor, store, memo):
     out = coengine.rational_unify(g[atom_index].atom, ancestor)
     if not out.ok:
         return None
     rest = g[:atom_index] + g[atom_index + 1 :]
     return apply_to_annotated(out.substitution, rest), out.substitution
+
+
+def memo_free_restricted_loop(g, atom_index, ancestor, memo):
+    return restricted_loop(g, atom_index, ancestor, {})
 
 
 EAGER_RULES = (
@@ -256,6 +263,7 @@ EAGER_RULES = (
     (coengine, "co_rewrite", eager_co_rewrite),
     (coengine, "co_s_compound", eager_co_s_compound),
     (coengine, "colp_loop", eager_colp_loop),
+    (coengine, "restricted_loop", memo_free_restricted_loop),
 )
 
 
@@ -265,11 +273,12 @@ def use_eager_rules(monkeypatch) -> None:
         monkeypatch.setattr(module, name, rule)
 
 
-def per_candidate_loop_moves(state, g, i, restricted):
+def per_candidate_loop_moves(state, g, i, restricted, memo):
     """``coengine._loop_moves`` as it was before it picked its candidates
-    first: one ``charge(1)`` per ancestor, most recent first, each walked
-    through the store as it is read, and the filters applied to each in
-    turn.  The reference the picking version must agree with, charge for
+    first and kept a memo of loop unifiers: one ``charge(1)`` per ancestor,
+    most recent first, each walked through the store as it is read, the
+    filters applied to each in turn, and each rule given a fresh memo.  The
+    reference the picking, memoized version must agree with, charge for
     charge."""
     entry = g[i]
     atom = entry.atom
@@ -285,7 +294,7 @@ def per_candidate_loop_moves(state, g, i, restricted):
         if symbol is not None and other is not symbol and other != symbol:
             continue
         if restricted:
-            res = restricted_loop(g, i, ancestor)
+            res = restricted_loop(g, i, ancestor, {})
             if isinstance(res, LoopFailure):
                 state.loop_failures.append(res)
                 continue
@@ -293,12 +302,66 @@ def per_candidate_loop_moves(state, g, i, restricted):
         else:
             if ground and ancestor._ground and atom != ancestor:
                 continue
-            got = colp_loop(g, i, ancestor, state.store)
+            got = colp_loop(g, i, ancestor, state.store, {})
             if got is None:
                 continue
             g2, theta = got
         yield g2, Step(StepKind.LOOP, i, None, None, theta, ancestor, atom), False
     return True
+
+
+# --- the scanning value graph ---------------------------------------------------
+# ``rational.build_node`` as it was before it indexed each variable's binding
+# levels: the reference its graphs must equal, root for root, label for
+# label and child for child.
+
+
+def scanning_resolve(term: Term, level: int, maps) -> tuple[Term, int]:
+    """Chase variable bindings starting at ``level``, trying each later
+    substitution in turn; returns the first non-variable term (with the
+    level it lives at) or an unbound variable."""
+    seen = None
+    while isinstance(term, Var) and level < len(maps):
+        img = maps[level].get(term)
+        if img is None:
+            level += 1
+            continue
+        if isinstance(img, Var):
+            if seen is None:
+                seen = set()
+            elif (term, level) in seen:
+                # A pure variable cycle (X = Y, Y = X): no structure.
+                return oldest_on_variable_cycle(term, maps[level]), level
+            seen.add((term, level))
+        term = img
+    return term, level
+
+
+def scanning_build_node(terms, substs):
+    maps = [s.bindings for s in substs]
+    memo = {}
+    labels, kids, unfilled = [], [], []
+
+    def node_for(t, level):
+        if isinstance(t, Var):
+            t, level = scanning_resolve(t, level, maps)
+        n = memo.get((t, level))
+        if n is None:
+            n = memo[t, level] = len(labels)
+            kids.append(())
+            if isinstance(t, Var):
+                labels.append(t)
+            else:
+                labels.append(t.symbol)
+                if t.args:
+                    unfilled.append((n, t.args, level))
+        return n
+
+    roots = [node_for(t, 0) for t in terms]
+    while unfilled:
+        n, args, level = unfilled.pop()
+        kids[n] = [node_for(a, level) for a in args]
+    return roots, labels, kids
 
 
 def values_bisimilar(a, b) -> bool:

@@ -2,7 +2,9 @@
 and the full search."""
 
 import random
+import sys
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +22,7 @@ from conftest import (
     seed,
     var_pool,
 )
-from coresolve import coengine
+from coresolve import coengine, unify
 from coresolve.coengine import (
     Entry,
     LoopFailReason,
@@ -46,7 +48,7 @@ from coresolve.terms import (
     is_variant,
     term_to_text,
 )
-from coresolve.unify import _rational_solve
+from coresolve.unify import _rational_solve, rational_unify
 
 
 def setup(text, query):
@@ -125,7 +127,7 @@ class TestColpLoop:
         yp = g[0].atom.args[0]
         ancestor = mk("nats", mk("scons", mk("0"), yp))
         g = (Entry(g[0].atom, (ancestor,)),)
-        got = colp_loop(g, 0, ancestor, Bindings())
+        got = colp_loop(g, 0, ancestor, Bindings(), {})
         assert got is not None
         rest, theta = got
         assert rest == ()
@@ -138,7 +140,7 @@ class TestColpLoop:
         atom = mk("p", mk("a"))
         ancestor = mk("p", mk("b"))
         g = (Entry(atom, (ancestor,)),)
-        assert colp_loop(g, 0, ancestor, Bindings()) is None
+        assert colp_loop(g, 0, ancestor, Bindings(), {}) is None
 
 
 class TestRestrictedLoop:
@@ -149,7 +151,7 @@ class TestRestrictedLoop:
         atom = mk("r", a1, b1)
         ancestor = mk("r", mk("f", a1, b1, c1), mk("s", b1))
         g = (Entry(atom, (ancestor,)),)
-        got = restricted_loop(g, 0, ancestor)
+        got = restricted_loop(g, 0, ancestor, {})
         assert not isinstance(got, LoopFailure)
         rest, theta = got
         assert rest == ()
@@ -163,7 +165,7 @@ class TestRestrictedLoop:
         atom = mk("p", x1, x1)
         ancestor = mk("p", mk("s", x1), mk("s", mk("s", x1)))
         g = (Entry(atom, (ancestor,)),)
-        got = restricted_loop(g, 0, ancestor)
+        got = restricted_loop(g, 0, ancestor, {})
         assert isinstance(got, LoopFailure)
         assert got.reason is LoopFailReason.NOT_AN_INSTANCE
 
@@ -174,7 +176,7 @@ class TestRestrictedLoop:
         atom = mk("q", x, y)
         ancestor = mk("q", x, y)
         g = (Entry(atom, (ancestor,)),)
-        got = restricted_loop(g, 0, ancestor)
+        got = restricted_loop(g, 0, ancestor, {})
         assert isinstance(got, LoopFailure)
         assert got.reason is LoopFailReason.TRIVIAL_UNIFIER
 
@@ -186,7 +188,7 @@ class TestRestrictedLoop:
         ancestor = mk("r", mk("f", a1, b1, c1), mk("s", b1))
         other = Entry(mk("w", a1), ())
         g = (Entry(atom, (ancestor,)), other)
-        got = restricted_loop(g, 0, ancestor)
+        got = restricted_loop(g, 0, ancestor, {})
         rest, _ = got
         assert rest == (other,)  # untouched, per the displayed rule
 
@@ -245,9 +247,9 @@ class TestCoRefute:
         ]
         for atom, ancestor in cases:
             g = (Entry(atom, (ancestor,)),)
-            restricted = restricted_loop(g, 0, ancestor)
+            restricted = restricted_loop(g, 0, ancestor, {})
             if not isinstance(restricted, LoopFailure):
-                assert colp_loop(g, 0, ancestor, Bindings()) is not None
+                assert colp_loop(g, 0, ancestor, Bindings(), {}) is not None
 
     def test_preflight_warnings(self):
         p, q, _ = load_query("fibs", "fibs(0,s(0),F)")
@@ -300,7 +302,7 @@ class TestLoopFilters:
             ancestor = rng.choice(
                 [atom, _rebuilt(atom), random_term(rng, 3, []), random_term(rng, 3, pool)]
             )
-            got = restricted_loop(_one_entry(atom, ancestor), 0, ancestor)
+            got = restricted_loop(_one_entry(atom, ancestor), 0, ancestor, {})
             assert isinstance(got, LoopFailure)
 
     def test_colp_on_ground_pair_closes_iff_equal(self, rng):
@@ -308,7 +310,7 @@ class TestLoopFilters:
         for _ in range(500):
             atom = random_term(rng, 2, [])
             ancestor = _rebuilt(atom) if rng.random() < 0.3 else random_term(rng, 2, [])
-            got = colp_loop(_one_entry(atom, ancestor), 0, ancestor, Bindings())
+            got = colp_loop(_one_entry(atom, ancestor), 0, ancestor, Bindings(), {})
             assert (got is not None) == (atom == ancestor)
             closed += got is not None
         assert 0 < closed < 500
@@ -325,8 +327,8 @@ class TestLoopFilters:
                 continue
             checked += 1
             g = _one_entry(atom, ancestor)
-            assert colp_loop(g, 0, ancestor, Bindings()) is None
-            assert isinstance(restricted_loop(g, 0, ancestor), LoopFailure)
+            assert colp_loop(g, 0, ancestor, Bindings(), {}) is None
+            assert isinstance(restricted_loop(g, 0, ancestor, {}), LoopFailure)
         assert checked >= 200
 
 
@@ -350,14 +352,91 @@ class TestLoopRuleCost:
         for n in (10, 10_000):
             others = tuple(mk("nats", mk(f"c{i}")) for i in range(n - 1))
             g = (Entry(atom, others + (candidate,)),)
-            for name, rule in (("colp_loop", partial(colp_loop, store=Bindings())),
-                               ("restricted_loop", restricted_loop)):
+            for name, rule in (("colp_loop", partial(colp_loop, store=Bindings(), memo={})),
+                               ("restricted_loop", partial(restricted_loop, memo={}))):
                 calls = 0
                 got = rule(g, 0, candidate)
                 assert not isinstance(got, LoopFailure) and got is not None
                 costs[name, n] = calls
         for name in ("colp_loop", "restricted_loop"):
             assert costs[name, 10_000] == costs[name, 10]
+
+
+STREAMS = [("nats", "nats(X)"), ("server", "resource(X,Y)"), ("r", "r(X,Y)")]
+
+
+class TestLoopUnifierMemo:
+    """A search unifies each loop shape once: a later pair of the shape,
+    up to a renaming that keeps the age order of its variables, gets the
+    stored unifier with its own variables put in."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # Counts rational solves through every module global that refers
+        # to ``unify._rational_solve``, however it was imported.
+        counter = SimpleNamespace(n=0)
+        original = unify._rational_solve
+
+        def counted(a, b):
+            counter.n += 1
+            return original(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name == "coresolve" or name.startswith("coresolve."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return counter
+
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    @pytest.mark.parametrize("name,query", STREAMS)
+    def test_a_stream_solves_few_loop_pairs(self, solves, name, query, mode):
+        # One solve per answer without the memo: 20 / 40 / 60.
+        counts = []
+        for k in (20, 40, 60):
+            p, q, fresh = load_query(name, query)
+            solves.n = 0
+            result = co_refute(p, q, mode, Limits(max_answers=k), fresh)
+            assert len(result.answers) == k
+            counts.append(solves.n)
+        assert counts[-1] <= 10, counts
+        assert all(n <= k / 4 + 5 for n, k in zip(counts, (20, 40, 60))), counts
+
+    @pytest.mark.parametrize("shape", [
+        lambda x, y: mk("p", y, x),  # X and Y are one class
+        lambda x, y: mk("p", mk("f", y), x),  # X = f(X)
+    ], ids=["swapped", "circular"])
+    def test_renamings_of_other_age_order_get_their_own_unifier(self, solves, shape):
+        # A class is named after its oldest variable, so the pairs with X
+        # older and with Y older have different unifiers.  Each pair must
+        # get what a fresh rational_unify gives, named by its own variables
+        # (their hints show in --trace text, which prints the repr).
+        memo = {}
+        for x_id, y_id in ((1, 2), (4, 3), (5, 6), (8, 7)):
+            x, y = Var(x_id, f"X{x_id}"), Var(y_id, f"Y{y_id}")
+            atom, ancestor = mk("p", x, y), shape(x, y)
+            want = rational_unify(atom, ancestor)
+            solves.n = 0
+            got = coengine._loop_unifier(memo, atom, ancestor)
+            assert solves.n == (x_id < 5)  # the last two pairs are hits
+            assert got.kind is want.kind
+            assert list(got.substitution.items()) == list(want.substitution.items())
+            assert got.substitution.cycle_vars() == want.substitution.cycle_vars()
+            assert repr(got.substitution) == repr(want.substitution)
+        assert len(memo) == 2
+
+    def test_loop_rules_agree_with_fresh_unification_on_hits(self):
+        # The same, through both loop rules, on the circular shape.
+        memo = {}
+        for x_id, y_id in ((1, 2), (4, 3), (5, 6), (8, 7)):
+            x, y = Var(x_id, f"X{x_id}"), Var(y_id, f"Y{y_id}")
+            atom, ancestor = mk("p", x, y), mk("p", mk("f", y), x)
+            g = (Entry(atom, (ancestor,)),)
+            want = rational_unify(atom, ancestor).substitution
+            for rule in (partial(colp_loop, store=Bindings()), restricted_loop):
+                rest, theta = rule(g, 0, ancestor, memo=memo)
+                assert rest == ()
+                assert repr(theta) == repr(want) and theta.cycle_vars() == want.cycle_vars()
 
 
 def nat_term(n):
@@ -434,8 +513,12 @@ def deep_ground_term(rnd, depth):
 
 
 def observed(result):
-    """Everything a search reports, printed answers first."""
-    return (answers_text(result), [a.steps for a in result.answers], result.status,
+    """Everything a search reports, printed answers first, and each loop
+    unifier's bindings in the order traces print them and its cycle
+    variables, which ``Step`` equality does not compare."""
+    loops = [(list(st.subst.items()), st.subst.cycle_vars())
+             for a in result.answers for st in a.steps if st.kind is StepKind.LOOP]
+    return (answers_text(result), [a.steps for a in result.answers], loops, result.status,
             result.steps_used, result.limits_hit, result.diverged, result.loop_failures)
 
 

@@ -279,9 +279,11 @@ class TestClauseIndex:
 
 def full_outcome(result):
     """Every field of a ``Result``, each step's substitution in binding
-    order and each answer's solved form in order included."""
+    order, each loop unifier's cycle variables and each answer's solved
+    form in order included."""
     answers = [
-        ([(st.kind, st.atom_index, st.clause_index, list(st.subst.items()), st.ancestor, st.atom)
+        ([(st.kind, st.atom_index, st.clause_index, list(st.subst.items()), st.ancestor, st.atom,
+           st.subst.cycle_vars() if st.kind is StepKind.LOOP else None)
           for st in a.steps], list(a.solved.items()))
         for a in result.answers
     ]

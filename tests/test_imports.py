@@ -2,9 +2,10 @@
 function and class of the engine is used by other engine code, and no
 function of the engine calls itself unless the depth of that recursion is
 bounded by something other than the size of a term, no engine code
-calls the builtin ``id``, and importing the command line loads none of the
-modules in ``SLOW_IMPORTS`` nor those that only ``oracle`` and ``validate``
-use.
+calls the builtin ``id``, no module keeps a container or a cache at
+module level that every search of the process would share, and importing
+the command line loads none of the modules in ``SLOW_IMPORTS`` nor those
+that only ``oracle`` and ``validate`` use.
 
 A name counts as used when it appears as a name anywhere in the module,
 annotations included; ``__init__.py`` is left out because it imports to
@@ -343,6 +344,89 @@ class TestNoObjectIdentity:
 
     def test_src_calls_no_id(self):
         assert identity_calls(src_sources()) == []
+
+
+# Module-level state of the engine that may outlive one search, with the
+# reason it is not process-wide mutable state: {"module.name": "the reason"}.
+MODULE_STATE: dict[str, str] = {
+    "__init__.__all__": "the export list, read by ``from coresolve import *``",
+    "cli.build_parser": "the command-line parser, built once and only ever parsed with",
+}
+
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+CACHES = {"cache", "lru_cache"}
+
+
+def module_state(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each dict, list or set that a module binds at
+    module level, as a display, a comprehension or a constructor call, and
+    of each function decorated with a ``functools`` cache.  A search keeps
+    its memos in its own frame, so they die with it; such a binding would
+    be shared by every search of the process."""
+    found: list[str] = []
+
+    def called(node: ast.AST) -> str:
+        f = node.func if isinstance(node, ast.Call) else node
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+    def visit(body: list, module: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.extend(
+                    f"{module}.{f.name}" for f in ast.walk(node)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(called(d) in CACHES for d in f.decorator_list)
+                )
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                value = node.value
+                if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                                      ast.SetComp)) or (
+                    isinstance(value, ast.Call) and called(value) in CONTAINERS
+                ):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.extend(f"{module}.{ast.unparse(t)}" for t in targets)
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []), module)
+
+    for module, source in sources.items():
+        visit(ast.parse(source).body, module)
+    return found
+
+
+class TestNoProcessWideState:
+    def test_detects_module_level_containers_and_caches(self):
+        source = (
+            "import functools\n"
+            "from functools import lru_cache\n"
+            "from collections import defaultdict\n"
+            "NAMES = ('a', 'b')\n"
+            "TABLE: dict = {}\n"
+            "seen = set()\n"
+            "if True:\n"
+            "    counts = defaultdict(int)\n"
+            "squares = [i * i for i in range(3)]\n"
+            "@functools.cache\n"
+            "def parser():\n"
+            "    local = {}\n"
+            "    return local\n"
+            "class K:\n"
+            "    @lru_cache(maxsize=None)\n"
+            "    def size(self):\n"
+            "        return 1\n"
+            "    @property\n"
+            "    def name(self):\n"
+            "        return 'k'\n"
+        )
+        assert module_state({"m": source}) == [
+            "m.TABLE", "m.seen", "m.counts", "m.squares", "m.parser", "m.size"
+        ]
+
+    def test_src_keeps_no_process_wide_state(self):
+        assert set(module_state(src_sources())) - set(MODULE_STATE) == set()
+
+    def test_exemptions_are_needed(self):
+        assert set(MODULE_STATE) <= set(module_state(src_sources()))
 
 
 # Modules a fresh ``coresolve`` process must not load: ``dataclasses``

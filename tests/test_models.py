@@ -4,12 +4,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from conftest import CORPUS_QUERIES, const, load, load_query, mk, random_term, seed, var_pool
+from conftest import (
+    CORPUS_QUERIES, const, load, load_query, mk, random_term, scanning_resolve, seed, var_pool,
+)
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, refute
 from coresolve.models import gfp_local_check, ground_terms, lfp_enumerate, term_depth
 from coresolve.program import Clause, Program, clause_instance, parse_program
-from coresolve.rational import _resolve
 from coresolve.terms import FreshVars, Substitution, Symbol, Var, apply_raw
 
 X = Var(1, "X")
@@ -128,7 +129,7 @@ def ref_build_node(term, subst):
 
     def node_for(t, level):
         if isinstance(t, Var):
-            t, level = _resolve(t, level, maps)
+            t, level = scanning_resolve(t, level, maps)
         key = (t, level)
         node = memo.get(key)
         if node is None:

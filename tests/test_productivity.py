@@ -26,6 +26,7 @@ from coresolve.terms import (
     apply_raw,
     is_variant,
     term_to_text,
+    variables_in_order,
 )
 from coresolve.unify import mgm
 
@@ -170,7 +171,7 @@ def witness_shape(w):
     terms = [w.root]
     for st in w.steps:
         terms += [st.clause.head, *st.clause.body, st.atom]
-    key = _variant_key(Struct(Symbol("w", len(terms)), tuple(terms)))
+    key, _ = _variant_key(terms)
     return key, [(st.clause_index, st.clause.span, st.body_index) for st in w.steps], w.loop_start
 
 
@@ -301,7 +302,13 @@ class TestSameVerdicts:
             # A renaming of a's variables onto the pool, often merging two.
             b = apply_raw(Substitution({v: rnd.choice(pool) for v in pool}), a)
             variant = is_variant(a, b)
-            assert (_variant_key(a) == _variant_key(b)) == variant
+            (key_a, slots_a), (key_b, _) = _variant_key((a,)), _variant_key((b,))
+            assert (key_a == key_b) == variant
+            assert slots_a == variables_in_order([a])
+            # Several terms are keyed as the arguments of one term.
+            assert a._ground and b._ground or _variant_key((a, b)) == (
+                _variant_key((Struct(p, (a, b)),))[0][1:], variables_in_order([a, b])
+            )
             outcomes.add(variant)
         assert outcomes == {True, False}
 

@@ -3,7 +3,8 @@
 import pytest
 
 from conftest import (
-    const, counting_lines, grows_at_most, mk, random_term, values_bisimilar, var_pool,
+    const, counting_lines, grows_at_most, mk, random_term, scanning_build_node, values_bisimilar,
+    var_pool,
 )
 from coresolve import rational
 from coresolve.decirc import unfold
@@ -42,6 +43,29 @@ class TestBisimulation:
     def test_free_variables_by_identity(self):
         assert rational_equal(mk("p", X, X), mk("p", X, X))
         assert not rational_equal(mk("p", X, X), mk("p", X, Y))
+
+
+class TestIndexedBuild:
+    """``build_node`` finds a variable's binding level in an index; its
+    graph must be the scanning build's, node for node."""
+
+    def test_same_graph_as_the_scanning_build(self, rng):
+        pool = var_pool(6)
+        cycles = multi_level = 0
+        for _ in range(4000):
+            substs = []
+            for _ in range(rng.randint(1, 4)):
+                bind = {v: random_term(rng, 2, pool) for v in pool if rng.random() < 0.35}
+                if rng.random() < 0.3:
+                    # A variable-to-variable cycle, or a chain into one.
+                    ring = rng.sample(pool, rng.randint(2, 4))
+                    bind.update(zip(ring, ring[1:] + ring[:1]))
+                    cycles += 1
+                substs.append(Substitution(bind))
+            multi_level += any(sum(v in s for s in substs) > 1 for v in pool)
+            terms = [random_term(rng, 3, pool) for _ in range(rng.randint(1, 3))]
+            assert rational.build_node(terms, substs) == scanning_build_node(terms, substs)
+        assert cycles > 500 and multi_level > 1000
 
 
 class TestSolvedAnswer:
