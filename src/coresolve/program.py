@@ -13,7 +13,9 @@ input.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -145,8 +147,9 @@ class Program:
     parsed program, ``signature`` are cached in its dict.
 
     A parsed program shares the parser's names, and keeps a ground flat
-    fact, such as ``edge(n5,n17).``, as a ``(name, arg_names, line, column)``
-    row that ``clause`` builds on first use: a query pays for what it reads."""
+    fact, such as ``edge(n5,n17).``, as a ``(name, arg_names, offset)`` row
+    that ``clause`` builds on first use, its span read off ``_line_starts``:
+    a query pays for what it reads."""
 
     __setattr__ = __delattr__ = immutable_setattr
 
@@ -173,10 +176,17 @@ class Program:
         """Clause ``ci``, built the first time it is read."""
         c = self._entries[ci]
         if c.__class__ is not Clause:
-            name, args, line, column = c
+            name, args, offset = c
+            starts = self._line_starts
+            line = bisect(starts, offset)
             head = Struct(self._symbol(name, len(args)), tuple(map(self._constant, args)))
-            c = self._entries[ci] = Clause(head, (), Span(line, column), {})
+            c = self._entries[ci] = Clause(head, (), Span(line, offset - starts[line - 1] + 1), {})
         return c
+
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        """Where each line of the parsed text starts, in text order."""
+        return [0, *accumulate(len(line) + 1 for line in self._text.split("\n"))]
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
@@ -263,69 +273,82 @@ class UniversalityReport(NamedTuple):
         return not self.violations
 
 
-# One pass over the text (Python ``re`` docs, "Writing a Tokenizer"): each
-# match is the whitespace and ``%`` comments before one token, then the
-# token, in group 1.  The token's text gives its kind (``_kind``): a name
-# starts with a name character; "" is the end of the text, where the ``\Z``
-# alternative takes the trailing skip so that finditer never rescans it;
-# any other token is punctuation, or one character that is an error.  So
-# comparing a token's text with a punctuation string never needs its kind.
-# A flat compound, such as ``edge(n5,n17)``, is one token: a symbol name
-# (its first character an ASCII lowercase letter or a digit, so it is
-# never a variable), "(", names separated by "," and ")", nothing skipped.
-# Group 2 is its functor's name when all its names start so: it is ground.
-_TOKEN = re.compile(r"(?:\s|%[^\n]*)*(([a-z0-9]\w*)\((?:[a-z0-9]\w*,)*[a-z0-9]\w*\)"
-                    r"|[a-z0-9]\w*\((?:\w+,)*\w+\)|\w+|:-|[()\[\],.|]|\Z|.)", re.DOTALL)
+# One pass over a clause or a query (Python ``re`` docs, "Writing a
+# Tokenizer"): each match is the whitespace and ``%`` comments before one
+# token, then the token, in group 1.  The token's text gives its kind
+# (``_kind``): a name starts with a name character; "" is the end of the
+# text, where the ``\Z`` alternative takes the trailing skip so that
+# finditer never rescans it; any other token is punctuation, or one
+# character that is an error.  So comparing a token's text with a
+# punctuation string never needs its kind.
+_SKIP = r"\s*(?:%[^\n]*(?![^\n])\s*)*"  # no backtracking into a comment
+_TOKEN = re.compile(_SKIP + r"(\w+|:-|[()\[\],.|]|\Z|.)", re.DOTALL)
 _token_text = itemgetter(1)
+# A clause's text: up to its "." token, the first "." outside a comment.
+_CLAUSE = re.compile(r"[^.%]*(?:%[^\n]*[^.%]*)*\.?")
 
-# The kinds of token where a term starts: a variable name, a symbol name,
-# a flat compound, or any other token.
-_OTHER, _VARIABLE, _SYMBOL, _FLAT = 0, 1, 2, 3
+# A ground flat fact, such as ``edge(n5,n17).``, after a skip: a symbol name
+# (its first character an ASCII lowercase letter or a digit, so it is never
+# a variable), "(", such names separated by "," and ")" with nothing skipped,
+# then a skip and "."; the functor is group 1 and the arguments group 2.
+_FACT = re.compile(_SKIP + r"([a-z0-9]\w*)\(([a-z0-9]\w*(?:,[a-z0-9]\w*)*)\)" + _SKIP + r"\.")
+
+# The kinds of token where a term starts: variable name, symbol name, other.
+_OTHER, _VARIABLE, _SYMBOL = 0, 1, 2
 
 
 def _kind(tok: str) -> int:
     c = tok[:1]
     if not (c.isalnum() or c == "_"):
         return _OTHER
-    return _VARIABLE if c.isupper() or c == "_" else _FLAT if tok[-1] == ")" else _SYMBOL
+    return _VARIABLE if c.isupper() or c == "_" else _SYMBOL
 
 
 class _Parser:
-    """An explicit-stack reader over the token list of one text.
+    """An explicit-stack reader over the tokens of one text.
 
-    Token ``i`` has text ``texts[i]`` and match ``matches[i]``.  The
-    tokens end with "", and ``texts`` has one "" more, so the reader can
-    look one token past any token it reads.  Where a position must be
-    kept, the reader keeps the token index, and for a name inside a flat
-    compound its offset in the token: the line and column are worked out
-    only when a ``Span`` or a ``ParseError`` is built.  A symbol or constant
-    read outside a ground flat fact is built once per parse, and shared.
+    A program is read clause by clause: a ground flat fact is one ``_FACT``
+    match, and makes no token; any other clause is tokenized up to its "."
+    (``_tokenize``), a query as a whole.  Token ``i`` has text ``texts[i]``
+    and match ``matches[i]``; ``texts`` has one "" more, so the reader can
+    look one token past any token it reads.  Positions are text offsets.  A
+    symbol or constant read outside a ground flat fact is built once per
+    parse, and shared.  The wide program of the benchmark (seed 5) parses in
+    0.42 ms, against 0.67 ms when every clause was tokenized (README "Programs").
     """
 
     def __init__(self, text: str, fresh: Optional[FreshVars] = None):
         self.text = text
-        self.matches = list(_TOKEN.finditer(text))
-        self.texts: list[str] = [*map(_token_text, self.matches), ""]
+        self.matches: list[re.Match[str]] = []
+        self.texts: list[str] = [""]
         self.fresh = fresh or FreshVars()
         self.scope: dict[str, Var] = {}
         self.positions: dict[Var, int] = {}  # of the clause being read
-        # Each name's arity in declaration order, where it was declared (a
-        # token, and an offset in it), and the symbols and constants built.
+        # Each name's arity in declaration order, where it was declared, and
+        # the symbols and constants built.
         self.arities: dict[str, int] = {}
-        self.declared_at: dict[str, tuple[int, int]] = {}
+        self.declared_at: dict[str, int] = {}
         self.signature: dict[str, Symbol] = {}
         self.constants: dict[str, Struct] = {}
         self.warnings: list[str] = []
 
-    def span(self, i: int, within: int = 0) -> Span:
-        """Line and column of the character ``within`` token ``i``."""
-        offset = self.matches[i].start(1) + within
+    def span(self, offset: int) -> Span:
+        """Line and column of ``offset`` in the text."""
         return Span(self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset))
 
-    def error(self, message: str, i: int, within: int = 0) -> ParseError:
-        """A ParseError at the character ``within`` token ``i``."""
-        span = self.span(i, within)
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at ``offset`` in the text."""
+        span = self.span(offset)
         return ParseError(message, span.line, span.column)
+
+    def _tokenize(self, pos: int) -> int:
+        """Tokenize one clause from ``pos``, up to its "." or the end of the
+        text, and return the index of its first token.  Its tokens end with
+        "", the end of its text; after a "." no reader reaches it."""
+        first = len(self.matches)
+        self.matches += _TOKEN.finditer(self.text, pos, _CLAUSE.match(self.text, pos).end())
+        self.texts[first:] = [*map(_token_text, self.matches[first:]), ""]
+        return first
 
     def _variable(self, name: str) -> Var:
         v = self.fresh.new(name)
@@ -334,46 +357,27 @@ class _Parser:
             self.scope[name] = v
         return v
 
-    def _declare(self, name: str, arity: int, i: int, within: int = 0) -> None:
-        """Declare ``name/arity``, used ``within`` token ``i``, or check it
-        against the arity ``name`` was declared with."""
+    def _declare(self, name: str, arity: int, offset: int) -> None:
+        """Declare ``name/arity``, used at ``offset``, or check it against
+        the arity ``name`` was declared with."""
         declared = self.arities.setdefault(name, arity)
         if declared != arity:
             raise self.error(f"symbol {name!r} used with arity {arity} but declared with "
-                             f"arity {declared} at {self.span(*self.declared_at[name])}", i, within)
-        self.declared_at.setdefault(name, (i, within))
+                             f"arity {declared} at {self.span(self.declared_at[name])}", offset)
+        self.declared_at.setdefault(name, offset)
 
-    def _symbol(self, name: str, arity: int, i: int, within: int = 0) -> Symbol:
-        """The symbol ``name/arity`` used ``within`` token ``i``.  One object
-        per symbol in a parse, so most symbol tests pass on identity."""
-        self._declare(name, arity, i, within)
+    def _symbol(self, name: str, arity: int, offset: int) -> Symbol:
+        """The symbol ``name/arity`` used at ``offset``.  One object per
+        symbol in a parse, so most symbol tests pass on identity."""
+        self._declare(name, arity, offset)
         return self.signature.get(name) or self.signature.setdefault(name, Symbol(name, arity))
 
-    def _constant(self, name: str, i: int, within: int = 0) -> Struct:
+    def _constant(self, name: str, offset: int) -> Struct:
         const = self.constants.get(name)
         if const is None:
-            const = Struct(self._symbol(name, 0, i, within))
+            const = Struct(self._symbol(name, 0, offset))
             self.constants[name] = const
         return const
-
-    def _flat(self, tok: str, i: int) -> Struct:
-        """The flat compound of token ``i``: its arguments are looked up or
-        declared left to right, then its functor, as ``atoms`` does."""
-        scope, constants = self.scope, self.constants
-        name, _, rest = tok.partition("(")
-        names = rest[:-1].split(",")
-        args: list[Term] = []
-        within = len(name) + 1
-        for arg in names:
-            t = constants.get(arg) or scope.get(arg)
-            if t is None:
-                if _kind(arg) is _VARIABLE:
-                    t = self._variable(arg)
-                else:
-                    t = self._constant(arg, i, within)
-            args.append(t)
-            within += len(arg) + 1
-        return Struct(self._symbol(name, len(args), i), tuple(args))
 
     def atoms(self, i: int, neck: str) -> tuple[list[Term], int]:
         """Read the terms ``t1 neck t2 , t3 , ... , tn`` from token ``i``:
@@ -386,7 +390,7 @@ class _Parser:
         of the token that opened it, and ``after_bar`` turns true when
         ``|`` is read.  Symbols are declared when their term closes, inner
         terms first."""
-        texts, signature, arities = self.texts, self.signature, self.arities
+        texts, matches, signature, arities = self.texts, self.matches, self.signature, self.arities
         scope, constants = self.scope, self.constants
         atoms: list[Term] = []
         first = i
@@ -407,20 +411,18 @@ class _Parser:
                 if kind is _VARIABLE:
                     t = self._variable(tok)
                 elif kind is _SYMBOL:
-                    t = self._constant(tok, i - 1)
-                elif kind is _FLAT:
-                    t = self._flat(tok, i - 1)
+                    t = self._constant(tok, matches[i - 1].start(1))
                 elif tok == "[":
                     if texts[i] == "]":
                         i += 1
-                        t = self._constant("nil", i - 2)
+                        t = self._constant("nil", matches[i - 2].start(1))
                     else:
                         stack.append([None, i - 1, [], False])
                         continue
                 elif not tok:
-                    raise self.error("unexpected end of input", i - 1)
+                    raise self.error("unexpected end of input", matches[i - 1].start(1))
                 else:
-                    raise self.error("expected a name", i - 1)
+                    raise self.error("expected a name", matches[i - 1].start(1))
             # Hand the finished term to the open frames, closing each one
             # that the next token ends.
             while stack:
@@ -432,13 +434,13 @@ class _Parser:
                         i += 1
                         break
                     if tok != ")":
-                        raise self.error("expected ')'", i)
+                        raise self.error("expected ')'", matches[i].start(1))
                     i += 1
                     stack.pop()
                     name, opened, args = frame
                     sym = signature.get(name)
                     if sym is None or sym.arity != len(args):
-                        sym = self._symbol(name, len(args), opened)
+                        sym = self._symbol(name, len(args), matches[opened].start(1))
                     t = Struct(sym, tuple(args))
                     continue
                 _, opened, items, after_bar = frame
@@ -451,78 +453,84 @@ class _Parser:
                         i += 1
                         frame[3] = True
                         break
-                    t = self._constant("nil", opened)
+                    t = self._constant("nil", matches[opened].start(1))
                 if tok != "]":
-                    raise self.error("expected ']'", i)
+                    raise self.error("expected ']'", matches[i].start(1))
                 i += 1
                 stack.pop()
-                cons = self._symbol("cons", 2, opened)
+                cons = self._symbol("cons", 2, matches[opened].start(1))
                 for item in reversed(items):
                     t = Struct(cons, (item, t))
             else:
                 # A whole term: the head, a body atom or a query atom.
                 if not atoms and neck == ":-" and isinstance(t, Var):
-                    raise self.error("clause head must not be a variable", first)
+                    raise self.error("clause head must not be a variable", matches[first].start(1))
                 atoms.append(t)
                 if texts[i] != (neck if len(atoms) == 1 else ","):
                     return atoms, i
                 i += 1
 
     def program(self) -> Program:
-        """Read the clauses, working out each one's span as it is read.
-        Clause starts come in text order, so the newlines are counted on
-        from the last clause start."""
-        text, texts, matches, arities = self.text, self.texts, self.matches, self.arities
+        """Read the clauses, working out the span of each one but a row as
+        it is read.  Clause starts come in text order, so the newlines are
+        counted on from the last such start."""
+        text, texts, matches = self.text, self.texts, self.matches
+        arities, declared_at = self.arities, self.declared_at
         clauses: list = []  # a Clause, or the row of a ground flat fact
-        i = at = 0
+        pos = at = 0  # where the next clause's skip starts; the last span's offset
         line, last_newline = 1, -1
-        while texts[i]:
-            name = matches[i][2]
-            if name is not None and texts[i + 1] == ".":
+        while True:
+            fact = _FACT.match(text, pos)
+            if fact is not None:
                 # A ground flat fact is kept as a row of names, checked as
-                # ``_flat`` checks them: arguments left to right, then functor.
-                within = len(name) + 1
-                args = texts[i][within:-1].split(",")
+                # ``atoms`` checks them: arguments left to right, then functor.
+                name, args = fact[1], fact[2].split(",")
+                offset = fact.start(1)
+                within = offset + len(name) + 1
                 for arg in args:
-                    if arities.get(arg) != 0:
-                        self._declare(arg, 0, i, within)
+                    if arg not in arities:
+                        arities[arg] = 0
+                        declared_at[arg] = within
+                    elif arities[arg]:
+                        self._declare(arg, 0, within)  # raises: declared at another arity
                     within += len(arg) + 1
                 if arities.get(name) != len(args):
-                    self._declare(name, len(args), i)
-                end = i + 1
-            else:
-                name = None
-                self.scope, self.positions = {}, {}
-                atoms, end = self.atoms(i, ":-")
-                if texts[end] != ".":
-                    raise self.error("expected '.'", end)
-                head, body = atoms[0], tuple(atoms[1:])
-            offset = matches[i].start(1)
+                    self._declare(name, len(args), offset)
+                clauses.append((name, args, offset))
+                pos = fact.end()
+                continue
+            i = self._tokenize(pos)
+            if not texts[i]:
+                break
+            self.scope, self.positions = {}, {}
+            atoms, end = self.atoms(i, ":-")
+            if texts[end] != ".":
+                raise self.error("expected '.'", matches[end].start(1))
+            offset, pos = matches[i].start(1), matches[end].end()
             newlines = text.count("\n", at, offset)
             if newlines:
                 line += newlines
                 last_newline = text.rfind("\n", at, offset)
             at = offset
-            if name is not None:
-                clauses.append((name, args, line, offset - last_newline))
-            else:
-                clauses.append(Clause(head, body, Span(line, offset - last_newline), self.positions))
-            i = end + 1
+            clauses.append(Clause(atoms[0], tuple(atoms[1:]), Span(line, offset - last_newline),
+                                  self.positions))
         if clauses and 0 not in arities.values():
             self.warnings.append(
                 "signature has no nullary symbol; ground instances are empty"
             )
         p = Program.__new__(Program)  # sharing this parse's tables, as ``Program`` says
         vars(p).update(_entries=clauses, warnings=tuple(self.warnings), _arities=arities,
-                       _symbols=self.signature, _constants=self.constants)
+                       _symbols=self.signature, _constants=self.constants, _text=text)
         return p
 
     def query(self) -> list[Term]:
+        self.matches = list(_TOKEN.finditer(self.text))
+        self.texts = [*map(_token_text, self.matches), ""]
         atoms, i = self.atoms(0, ",")
         if self.texts[i] == ".":
             i += 1
         if self.texts[i]:
-            raise self.error("trailing input after query", i)
+            raise self.error("trailing input after query", self.matches[i].start(1))
         return atoms
 
 

@@ -317,7 +317,7 @@ class Substitution:
         b: dict[Var, Term] = {}
         if bindings:
             for v, t in bindings.items():
-                if t != v:
+                if t.__class__ is not Var or t.id != v.id:  # t != v, but no __eq__ call
                     b[v] = t
         self._bindings = b
         self._cycle_vars: Optional[frozenset[Var]] = None

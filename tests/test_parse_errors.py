@@ -92,8 +92,9 @@ CASES = [
     ("query conjunction", "query", "resource(X,Y), zeros(Y)"),
     ("query with period", "query", "nat(0)."),
     ("query lists", "query", "p([a,b|T], _, _, [])"),
-    # Compounds whose arguments are all names, with nothing skipped inside,
-    # are read as one token: these pin that path against the plain one.
+    # Compounds whose arguments are all names, with nothing skipped inside:
+    # a ground one as a fact is read with one pattern match, any other as a
+    # clause of tokens.
     ("flat variable functor", "program", "X(a)."),
     ("flat variable functor inside", "program", "p(X(a))."),
     ("flat compound applied", "program", "f(a,b)(c)."),
@@ -113,6 +114,21 @@ CASES = [
      "e(a,b).\n" + "".join(f"e(n{k},n{k + 1}).\n" for k in range(49)) + "p(X) :- b(X).\n"),
     ("flat fact with variables between ground facts", "program",
      "e(a,b).\ne(X,X).\ne(b,Y).\ne(c,d).\n"),
+    # A ground flat fact is read with one pattern match, and any other
+    # clause is tokenized on its own: these pin the edges of a run of facts.
+    ("fact argument declared as a functor", "program", "edge(a,b). edge(b,edge)."),
+    ("functor at another arity after a run", "program", "e(a,b).\ne(b,c).\n  e(c)."),
+    ("functor at another arity in a rule after a run", "program",
+     "e(a,b).\ne(b,c).\np(X) :- e(X)."),
+    ("comment between paren and period", "program", "e(a,b) % c\n. e(b,c).\n"),
+    ("period in a comment after a fact", "program", "e(a,b). % e(b,c).\ne(c,d) % e.\n.\n"),
+    ("fact in a comment before a rule", "program", "e(a,b). % e(b,c).\np(X) :- e(X,Y).\n"),
+    ("period in a comment inside a rule", "program", "p(X) :- % see q.\n  q(X).\nq(a).\n"),
+    ("newline before period then a fact", "program", "e(a,b)\n.\ne(b,c).\n  e(c,d)\n\n.e(d,f).\n"),
+    ("run ending in an unclosed fact", "program", "e(a,b).\ne(b,c).\ne(c,d"),
+    ("run ending in a fact without period", "program", "e(a,b).\ne(b,c)\n"),
+    ("crlf fact run", "program", "e(a,b).\r\ne(b,c)\r\n.\r\n e(c,d).\r\n"),
+    ("crlf fact run with an error", "program", "e(a,b).\r\ne(b,c).\r\n  e(c,$).\r\n"),
 ]
 
 

@@ -136,6 +136,13 @@ class TestApply:
         t = mk("f", mk("g", X, zero))
         assert apply(Substitution(), t) == t
 
+    def test_identity_bindings_dropped(self):
+        # A binding to an equal but distinct variable is an identity binding.
+        f_x = mk("f", X)
+        sigma = Substitution({X: Var(X.id, "other"), Y: X, S: f_x})
+        assert list(sigma.items()) == [(Y, X), (S, f_x)]
+        assert sigma.get(S) is f_x
+
     def test_single_pass_matches_chained_application(self):
         # {X↦s(Y), Y↦0} as one solved-form map applies like the two
         # single-binding substitutions in sequence.
