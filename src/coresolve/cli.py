@@ -2,7 +2,9 @@
 
 Subcommands: ``run`` (query a program in one of four engine modes),
 ``check`` (static checks), ``validate`` (answer/derivation correspondence),
-``oracle`` (bounded least-model enumeration), ``repl``.
+``oracle`` (bounded least-model enumeration), ``repl``.  ``main`` checks
+the bounds and ``check``'s flags, reads and parses the program file once,
+and calls the subcommand as ``func(program, fresh, args, out, err)``.
 
 Exit codes for ``run``: 0 at least one answer, 1 finite failure, 2 limit
 exceeded (a stderr line names the bounds that fired), 3 usage or parse
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import decirc
 from .coengine import co_refute, preflight_warnings
-from .derivation import Limits, Status, StepKind, refute
+from .derivation import Limits, Status, refute
 from .productivity import ProductivityStatus, check_productive
 from .program import ParseError, Program, check_universal, parse_program, parse_query
 from .terms import (
@@ -45,6 +47,8 @@ EXIT_LIMIT = 2
 EXIT_USAGE = 3
 EXIT_CHECK = 4
 EXIT_INTERNAL = 5
+
+CHECK_USAGE = "check: at least one of --universal / --productive is required"
 
 # Bounds from the command line or ``:set``: each must be positive, except
 # the unfolding depth, where 0 means no unfolding.
@@ -108,35 +112,32 @@ def _print_answer(
 
 def _emit_trace(steps, fmt: str, out) -> None:
     print(TRACE_HEADER, file=out)
-    if fmt == "text":
-        for n, st in enumerate(steps):
-            extra = (
-                f" ancestor={term_to_text(st.ancestor)}"
-                if st.kind is StepKind.LOOP and st.ancestor is not None
-                else ""
-            )
-            clause = "-" if st.clause_index is None else str(st.clause_index)
+    if fmt == "structured":
+        import json  # only here: a one-shot process need not load it
+    for n, st in enumerate(steps):
+        # Only a LOOP step has an ancestor.
+        ancestor = None if st.ancestor is None else term_to_text(st.ancestor)
+        if fmt == "text":
+            clause = "-" if st.clause_index is None else st.clause_index
+            extra = "" if ancestor is None else f" ancestor={ancestor}"
             print(
                 f"{n} {st.kind.value} clause={clause} atom={st.atom_index} "
                 f"subst={st.subst!r}{extra}",
                 file=out,
             )
-    else:
-        import json  # only here: a one-shot process need not load it
-
-        for n, st in enumerate(steps):
-            rec = {
-                "n": n,
-                "kind": st.kind.value,
-                "clause": st.clause_index,
-                "atom": st.atom_index,
-                "subst": {
-                    v.display: term_to_text(t) for v, t in st.subst.items()
-                },
-            }
-            if st.ancestor is not None:
-                rec["ancestor"] = term_to_text(st.ancestor)
-            print(json.dumps(rec, sort_keys=True), file=out)
+            continue
+        rec = {
+            "n": n,
+            "kind": st.kind.value,
+            "clause": st.clause_index,
+            "atom": st.atom_index,
+            "subst": {
+                v.display: term_to_text(t) for v, t in st.subst.items()
+            },
+        }
+        if ancestor is not None:
+            rec["ancestor"] = ancestor
+        print(json.dumps(rec, sort_keys=True), file=out)
 
 
 def _load(path: str, out_err) -> Optional[tuple[Program, FreshVars]]:
@@ -162,20 +163,18 @@ def _load(path: str, out_err) -> Optional[tuple[Program, FreshVars]]:
     return prog, fresh
 
 
-def cmd_run(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    loaded = _load(args.file, err)
-    if loaded is None:
-        return EXIT_USAGE
-    return _run(*loaded, args, out, err)
-
-
-def _run(prog: Program, fresh: FreshVars, args, out, err) -> int:
+def _query(args, fresh: FreshVars, err) -> Optional[list[Term]]:
+    """The atoms of ``args.query``, or None after printing its parse error."""
     try:
-        query = parse_query(args.query, fresh)
+        return parse_query(args.query, fresh)
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)
+        return None
+
+
+def cmd_run(prog: Program, fresh: FreshVars, args, out, err) -> int:
+    query = _query(args, fresh, err)
+    if query is None:
         return EXIT_USAGE
     limits = Limits(
         max_steps=args.max_steps,
@@ -218,22 +217,7 @@ def _run(prog: Program, fresh: FreshVars, args, out, err) -> int:
     return EXIT_LIMIT
 
 
-def cmd_check(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    if not (args.universal or args.productive):
-        print(
-            "check: at least one of --universal / --productive is required",
-            file=err,
-        )
-        return EXIT_USAGE
-    loaded = _load(args.file, err)
-    if loaded is None:
-        return EXIT_USAGE
-    return _check(*loaded, args, out, err)
-
-
-def _check(prog: Program, fresh: FreshVars, args, out, err) -> int:
+def cmd_check(prog: Program, fresh: FreshVars, args, out, err) -> int:
     code = EXIT_ANSWER
     if args.universal:
         report = check_universal(prog)
@@ -269,19 +253,11 @@ def _check(prog: Program, fresh: FreshVars, args, out, err) -> int:
     return code
 
 
-def cmd_validate(args, out=None, err=None) -> int:
+def cmd_validate(prog: Program, fresh: FreshVars, args, out, err) -> int:
     from .validation import ValidationRefused, check_theorem_5_1  # off the path of ``run``
 
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    loaded = _load(args.file, err)
-    if loaded is None:
-        return EXIT_USAGE
-    prog, fresh = loaded
-    try:
-        query = parse_query(args.query, fresh)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=err)
+    query = _query(args, fresh, err)
+    if query is None:
         return EXIT_USAGE
     try:
         report = check_theorem_5_1(
@@ -301,37 +277,25 @@ def cmd_validate(args, out=None, err=None) -> int:
     return EXIT_ANSWER if report.agrees else EXIT_FAILED
 
 
-def cmd_oracle(args, out=None, err=None) -> int:
+def cmd_oracle(prog: Program, fresh: FreshVars, args, out, err) -> int:
     from .models import lfp_enumerate  # off the path of ``run``
 
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    loaded = _load(args.file, err)
-    if loaded is None:
-        return EXIT_USAGE
-    prog, _ = loaded
     atoms = lfp_enumerate(prog, args.cap)
     for a in atoms.sorted():
         print(term_to_text(a), file=out)
     return EXIT_ANSWER
 
 
-def repl(args, out=None, err=None, inp=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    inp = inp if inp is not None else sys.stdin
-    loaded = _load(args.file, err)
-    if loaded is None:
-        return EXIT_USAGE
-    # The program is read once.  Each input draws its variables from the
-    # id the parse left off at, as a fresh load would.
-    prog, fresh = loaded
+def repl(prog: Program, fresh: FreshVars, args, out, err) -> int:
+    """Answer each line of standard input with the program ``main`` read.
+    Each input draws its variables from the id the parse left off at, as a
+    fresh load would."""
     start = fresh.new().id
     # The starting settings are the command line's defaults.
     run = build_parser().parse_args(["run", args.file, "-q", ""])
     check = build_parser().parse_args(["check", args.file])
     print("coresolve repl; :quit to exit", file=out)
-    for line in inp:
+    for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
@@ -365,9 +329,9 @@ def repl(args, out=None, err=None, inp=None) -> int:
             check.universal = what == "universal"
             check.productive = what == "productive"
             if check.universal or check.productive:
-                _check(prog, FreshVars(start), check, out, err)
+                cmd_check(prog, FreshVars(start), check, out, err)
             else:
-                cmd_check(check, out, err)  # the usage error; no file is read
+                print(CHECK_USAGE, file=err)
             continue
         if line.startswith(":"):
             print(f"unknown command {line}", file=out)
@@ -375,7 +339,7 @@ def repl(args, out=None, err=None, inp=None) -> int:
         if line.startswith("?-"):
             line = line[2:].strip()
         run.query = line
-        code = _run(prog, FreshVars(start), run, out, err)
+        code = cmd_run(prog, FreshVars(start), run, out, err)
         if code == EXIT_FAILED:
             print("no", file=out)
         elif code == EXIT_LIMIT:
@@ -451,8 +415,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if error:
             print(error, file=sys.stderr)
             return EXIT_USAGE
+    if args.command == "check" and not (args.universal or args.productive):
+        print(CHECK_USAGE, file=sys.stderr)
+        return EXIT_USAGE
     try:
-        return args.func(args)
+        loaded = _load(args.file, sys.stderr)
+        if loaded is None:
+            return EXIT_USAGE
+        return args.func(*loaded, args, sys.stdout, sys.stderr)
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

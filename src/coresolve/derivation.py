@@ -28,10 +28,10 @@ variables it keeps; ``Step.clause``, the renamed clause, is built on demand.
 The meaning of a step is as above; only its application is deferred.  The
 search keeps one ``Bindings`` store: a step whose unifier binds goal
 variables pushes those bindings there instead of rebuilding the rest of the
-goal, an atom is walked through the store when the search reads it, and
-backtracking unwinds the store's trail.  So every rule sees the atom the
-eager application would have built, and every step, charge and answer is
-the same.
+goal, a selected atom is walked through the store unless the move into its
+goal built it, and backtracking unwinds the store's trail.  So every rule
+sees the atom the eager application would have built, and every step,
+charge and answer is the same.
 """
 
 from __future__ import annotations
@@ -334,15 +334,14 @@ def search(
     stop: at ``max_answers``, or at a limit -- any limit when
     ``stop_at_any_limit``, otherwise only while no answer has been found.
 
-    A move may push bindings to ``state.store``.  The selected atom is
-    ``read`` through the store before its moves are made, if a binding was
-    pushed after its stamp, and each frame unwinds the store to its own
-    trail mark before it makes its next move, so a move never sees a
-    sibling's bindings.  Each goal position has a stamp, the trail length
-    when its atom was built or last walked: the atoms a move builds at the
-    selected position get the trail length after the move, the others keep
-    theirs.  While nothing is bound, every stamp is 0, and the goal's
-    stamps are None.
+    A move may push bindings to ``state.store``, and each frame unwinds the
+    store to its own trail mark before it makes its next move, so a move
+    never sees a sibling's bindings.  The selected atom is ``read`` through
+    the store before its moves are made, unless the store is empty or the
+    atom is one the move into the goal built: those lie at
+    ``range(i, i + len(g2) - n + 1)`` around the parent's selected ``i``, and
+    are current, since a move builds them from a walked atom under its own
+    resolved unifier.
     """
     state = _SearchState(limits, stop_at_any_limit)
     store = state.store
@@ -351,10 +350,10 @@ def search(
     path: list[Step] = []
     # One frame per goal on the branch: its moves, its depth in moves, its
     # rewriting chain, the lengths of ``path`` and of the trail at it, and
-    # the goal's stamps, selected position and length.
-    stack: list[tuple[Iterator[Move], int, int, int, int, Optional[tuple[int, ...]], int, int]] = []
+    # the goal's selected position and length.
+    stack: list[tuple[Iterator[Move], int, int, int, int, int, int]] = []
 
-    def enter(g: Sequence, stamps: Optional[tuple[int, ...]], moves: int, chain: int) -> None:
+    def enter(g: Sequence, built: range, moves: int, chain: int) -> None:
         if not g:
             steps = tuple(path)
             substs = [st.subst for st in steps if st.kind is not StepKind.REWRITE]
@@ -365,16 +364,16 @@ def search(
             state.limits_hit.add("max_depth")
         else:
             i = moves % len(g) if limits.fair else 0
-            if bound and stamps[i] < len(bound):
+            if bound and i not in built:
                 g = read(store, g, i)
             stack.append(
-                (expand(state, g, i, chain), moves, chain, len(path), len(bound), stamps, i, len(g))
+                (expand(state, g, i, chain), moves, chain, len(path), len(bound), i, len(g))
             )
 
     if not state.done:
-        enter(initial, None, 0, 0)
+        enter(initial, range(0), 0, 0)
     while stack and not state.done:
-        frame_moves, moves, chain, mark, trail_mark, stamps, i, n = stack[-1]
+        frame_moves, moves, chain, mark, trail_mark, i, n = stack[-1]
         if len(bound) > trail_mark:
             store.unwind(trail_mark)
         move = next(frame_moves, None)
@@ -387,11 +386,7 @@ def search(
             path.append(taken)
         else:
             path.extend(taken)
-        now = len(bound)
-        if now:
-            stamps = stamps or (0,) * n
-            stamps = stamps[:i] + (now,) * (len(g2) - n + 1) + stamps[i + 1 :]
-        enter(g2, stamps if now else None, moves + 1, chain + 1 if rewrite else 0)
+        enter(g2, range(i, i + len(g2) - n + 1), moves + 1, chain + 1 if rewrite else 0)
     return Result(state.answers, state.status, state.steps_used, state.diverged,
                   state.loop_failures, tuple(sorted(state.limits_hit)))
 

@@ -148,8 +148,8 @@ class Program:
 
     A parsed program shares the parser's names, and keeps a ground flat
     fact, such as ``edge(n5,n17).``, as a ``(name, arg_names, offset)`` row
-    that ``clause`` builds on first use, its span read off ``_line_starts``:
-    a query pays for what it reads."""
+    that ``clause`` builds on first use, its span read off the parse's
+    ``_line_starts``: a query pays for what it reads."""
 
     __setattr__ = __delattr__ = immutable_setattr
 
@@ -177,16 +177,9 @@ class Program:
         c = self._entries[ci]
         if c.__class__ is not Clause:
             name, args, offset = c
-            starts = self._line_starts
-            line = bisect(starts, offset)
             head = Struct(self._symbol(name, len(args)), tuple(map(self._constant, args)))
-            c = self._entries[ci] = Clause(head, (), Span(line, offset - starts[line - 1] + 1), {})
+            c = self._entries[ci] = Clause(head, (), _span(self._line_starts, offset), {})
         return c
-
-    @cached_property
-    def _line_starts(self) -> list[int]:
-        """Where each line of the parsed text starts, in text order."""
-        return [0, *accumulate(len(line) + 1 for line in self._text.split("\n"))]
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
@@ -297,6 +290,12 @@ _FACT = re.compile(_SKIP + r"([a-z0-9]\w*)\(([a-z0-9]\w*(?:,[a-z0-9]\w*)*)\)" + 
 _OTHER, _VARIABLE, _SYMBOL = 0, 1, 2
 
 
+def _span(line_starts: list[int], offset: int) -> Span:
+    """Line and column of ``offset`` in a text whose lines start at ``line_starts``."""
+    line = bisect(line_starts, offset)
+    return Span(line, offset - line_starts[line - 1] + 1)
+
+
 def _kind(tok: str) -> int:
     c = tok[:1]
     if not (c.isalnum() or c == "_"):
@@ -332,9 +331,15 @@ class _Parser:
         self.constants: dict[str, Struct] = {}
         self.warnings: list[str] = []
 
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """Where each line starts: the one position table of a parse, which
+        its ``Program`` keeps for the spans of its rows."""
+        return [0, *accumulate(len(line) + 1 for line in self.text.split("\n"))]
+
     def span(self, offset: int) -> Span:
         """Line and column of ``offset`` in the text."""
-        return Span(self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset))
+        return _span(self.line_starts, offset)
 
     def error(self, message: str, offset: int) -> ParseError:
         """A ParseError at ``offset`` in the text."""
@@ -472,13 +477,11 @@ class _Parser:
 
     def program(self) -> Program:
         """Read the clauses, working out the span of each one but a row as
-        it is read.  Clause starts come in text order, so the newlines are
-        counted on from the last such start."""
+        it is read."""
         text, texts, matches = self.text, self.texts, self.matches
         arities, declared_at = self.arities, self.declared_at
         clauses: list = []  # a Clause, or the row of a ground flat fact
-        pos = at = 0  # where the next clause's skip starts; the last span's offset
-        line, last_newline = 1, -1
+        pos = 0  # where the next clause's skip starts
         while True:
             fact = _FACT.match(text, pos)
             if fact is not None:
@@ -506,13 +509,8 @@ class _Parser:
             atoms, end = self.atoms(i, ":-")
             if texts[end] != ".":
                 raise self.error("expected '.'", matches[end].start(1))
-            offset, pos = matches[i].start(1), matches[end].end()
-            newlines = text.count("\n", at, offset)
-            if newlines:
-                line += newlines
-                last_newline = text.rfind("\n", at, offset)
-            at = offset
-            clauses.append(Clause(atoms[0], tuple(atoms[1:]), Span(line, offset - last_newline),
+            pos = matches[end].end()
+            clauses.append(Clause(atoms[0], tuple(atoms[1:]), self.span(matches[i].start(1)),
                                   self.positions))
         if clauses and 0 not in arities.values():
             self.warnings.append(
@@ -520,7 +518,8 @@ class _Parser:
             )
         p = Program.__new__(Program)  # sharing this parse's tables, as ``Program`` says
         vars(p).update(_entries=clauses, warnings=tuple(self.warnings), _arities=arities,
-                       _symbols=self.signature, _constants=self.constants, _text=text)
+                       _symbols=self.signature, _constants=self.constants,
+                       _line_starts=self.line_starts)
         return p
 
     def query(self) -> list[Term]:

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import PROGRAMS, load_query
 from coresolve import cli, coengine, decirc, derivation, rational, terms, unify
-from coresolve.cli import TRACE_HEADER, main, repl
+from coresolve.cli import TRACE_HEADER, main
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits
 from coresolve.program import ParseError, parse_program
@@ -308,9 +308,13 @@ class TestCheck:
         assert "universal" in out and "no rewriting loop" in out
 
     def test_requires_a_flag(self, capsys):
-        code, _, err = run(capsys, "check", lp("nats"))
-        assert code == 3
-        assert "at least one" in err
+        # The flag error comes before the file is read, so a missing file
+        # reports it too.
+        for path in (lp("nats"), "no-such-file.lp"):
+            code, _, err = run(capsys, "check", path)
+            assert code == 3
+            assert "at least one" in err
+            assert err == "check: at least one of --universal / --productive is required\n"
 
 
 class TestValidate:
@@ -381,8 +385,13 @@ class TestOracle:
 
 class TestUsage:
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "run", "no-such-file.lp", "-q", "p(X)")
-        assert code == 3
+        path = "no-such-file.lp"
+        for argv in (["run", path, "-q", "p(X)"], ["check", path, "--universal"],
+                     ["validate", path, "-q", "p(X)"], ["oracle", path], ["repl", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert out == "" and err.startswith("error: ") and path in err
+            assert err.count("\n") == 1
 
     def test_program_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.lp"
@@ -463,73 +472,78 @@ class TestRepeatedMain:
         assert built == 0
 
 
+def repl(capsys, monkeypatch, name, inp):
+    """``coresolve repl`` on program ``name``, reading the lines of ``inp``."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(inp))
+    return run(capsys, "repl", lp(name))
+
+
 class TestRepl:
-    def test_query_set_and_check(self):
-        inp = io.StringIO(
+    def test_query_set_and_check(self, capsys, monkeypatch):
+        inp = (
             "?- nats(X).\n"
             ":set mode sld\n"
             "nats(X).\n"
             ":check productive\n"
             ":quit\n"
         )
-        out, err = io.StringIO(), io.StringIO()
-        args = argparse.Namespace(file=lp("nats"))
-        code = repl(args, out, err, inp)
+        code, text, _ = repl(capsys, monkeypatch, "nats", inp)
         assert code == 0
-        text = out.getvalue()
         assert "X = scons(0,X)" in text
         assert "limit exceeded" in text
         assert "no rewriting loop" in text
 
-    def test_set_rejects_out_of_range_bounds(self):
-        inp = io.StringIO(
+    def test_set_rejects_out_of_range_bounds(self, capsys, monkeypatch):
+        inp = (
             ":set max_answers 0\n"
             ":set max_steps -5\n"
             ":set unfold_depth -1\n"
             ":set unfold_depth 0\n"
             "nat(0).\n"
         )
-        out, err = io.StringIO(), io.StringIO()
-        code = repl(argparse.Namespace(file=lp("nat")), out, err, inp)
+        code, out, _ = repl(capsys, monkeypatch, "nat", inp)
         assert code == 0
-        assert out.getvalue().splitlines()[1:] == [
+        assert out.splitlines()[1:] == [
             "error: --max-answers must be positive",
             "error: --max-steps must be positive",
             "error: --unfold-depth must not be negative",
             "true",
         ]
 
+    def test_check_without_a_known_check_is_a_usage_line(self, capsys, monkeypatch):
+        code, out, err = repl(capsys, monkeypatch, "nat", ":check termination\n:check\n")
+        assert code == 0
+        assert err == "check: at least one of --universal / --productive is required\n"
+        assert out.splitlines()[1:] == ["universal: every body variable occurs in its head"]
 
-    def test_program_read_once(self, monkeypatch):
+    def test_program_read_once(self, capsys, monkeypatch):
         # r.lp has no nullary symbol, so its one warning shows each parse.
         parses = []
         monkeypatch.setattr(cli, "parse_program", lambda *a: parses.append(a) or parse_program(*a))
-        inp = io.StringIO("nats(X)\nnats(X)\n:check productive\n:check universal\n")
-        out, err = io.StringIO(), io.StringIO()
-        assert repl(argparse.Namespace(file=lp("r")), out, err, inp) == 0
+        inp = "nats(X)\nnats(X)\n:check productive\n:check universal\n"
+        code, out, err = repl(capsys, monkeypatch, "r", inp)
+        assert code == 0
         assert len(parses) == 1
-        assert err.getvalue() == "warning: signature has no nullary symbol; ground instances are empty\n"
-        assert out.getvalue().splitlines()[1:3] == ["no", "no"]
+        assert err == "warning: signature has no nullary symbol; ground instances are empty\n"
+        assert out.splitlines()[1:3] == ["no", "no"]
 
-    def test_each_input_as_a_fresh_run(self):
+    def test_each_input_as_a_fresh_run(self, capsys, monkeypatch):
         # Every input starts from the variable ids a fresh load gives, so
         # the output is what separate run and check calls print.
         inputs = ["nats(X)", ":set mode sld", "nats(Y)", ":check productive", ":set mode colp",
                   "nats(X)", ":check universal"]
-        out, err = io.StringIO(), io.StringIO()
-        repl(argparse.Namespace(file=lp("nats")), out, err, io.StringIO("\n".join(inputs)))
+        _, got, _ = repl(capsys, monkeypatch, "nats", "\n".join(inputs))
         expected = ["coresolve repl; :quit to exit"]
         for argv in (["run", lp("nats"), "-q", "nats(X)"],
                      ["run", lp("nats"), "-q", "nats(Y)", "--mode", "sld"],
                      ["check", lp("nats"), "--productive"],
                      ["run", lp("nats"), "-q", "nats(X)", "--mode", "colp"],
                      ["check", lp("nats"), "--universal"]):
-            args, one = cli.build_parser().parse_args(argv), io.StringIO()
-            code = args.func(args, one, io.StringIO())
-            expected += one.getvalue().splitlines()
+            code, one, _ = run(capsys, *argv)
+            expected += one.splitlines()
             if argv[0] == "run":
                 expected += {1: ["no"], 2: ["limit exceeded"]}.get(code, [])
-        assert out.getvalue().splitlines() == expected
+        assert got.splitlines() == expected
 
 
 class TestModuleEntry:

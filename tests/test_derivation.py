@@ -434,6 +434,29 @@ class TestGroundShortcut:
         assert result.steps_used == n + 1
         assert walks <= 8 * result.steps_used
 
+    @pytest.mark.parametrize("mode", ["sld", "s"])
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_built_atoms_are_not_walked_again(self, monkeypatch, mode, n):
+        # q(Z) binds Z, so every later atom is selected with a bound store.
+        # Only nat(s^n(X)) was built before that binding; each atom after
+        # it is built by the move into its goal and is already current.
+        # Walking every selected atom made n + 1 store walks, each a copy
+        # of the atom: quadratic in n.
+        walks = 0
+        resolve = derivation._resolve_full
+
+        def counted(t, bind):
+            nonlocal walks
+            walks += 1
+            return resolve(t, bind)
+
+        monkeypatch.setattr(derivation, "_resolve_full", counted)
+        query = "q(Z), nat(" + "s(" * n + "X" + ")" * n + ")"
+        p, q, fresh = setup("q(a). nat(0). nat(s(X)) :- nat(X).", query)
+        result = refute(p, q, mode, Limits(max_rewrite_chain=2 * n), fresh)
+        assert result.status is Status.REFUTED
+        assert walks == 1
+
 
 def first_steps_of_moves(steps):
     """The position of each move's first step: a substitution step and the
