@@ -48,8 +48,6 @@ EXIT_USAGE = 3
 EXIT_CHECK = 4
 EXIT_INTERNAL = 5
 
-CHECK_USAGE = "check: at least one of --universal / --productive is required"
-
 # Bounds from the command line or ``:set``: each must be positive, except
 # the unfolding depth, where 0 means no unfolding.
 BOUNDS = ("max_steps", "max_rewrite", "max_answers", "unfold_depth",
@@ -331,7 +329,7 @@ def repl(prog: Program, fresh: FreshVars, args, out, err) -> int:
             if check.universal or check.productive:
                 cmd_check(prog, FreshVars(start), check, out, err)
             else:
-                print(CHECK_USAGE, file=err)
+                print("usage: :check universal|productive", file=out)
             continue
         if line.startswith(":"):
             print(f"unknown command {line}", file=out)
@@ -364,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--mode", choices=["sld", "s", "colp", "cos"], default="cos"
     )
-    run.add_argument("--max-steps", type=int, default=Limits.max_steps)
-    run.add_argument("--max-rewrite", type=int, default=Limits.max_rewrite_chain)
-    run.add_argument("--max-answers", type=int, default=Limits.max_answers)
+    limits = Limits._field_defaults
+    run.add_argument("--max-steps", type=int, default=limits["max_steps"])
+    run.add_argument("--max-rewrite", type=int, default=limits["max_rewrite_chain"])
+    run.add_argument("--max-answers", type=int, default=limits["max_answers"])
     run.add_argument("--unfold-depth", type=int, default=0)
     run.add_argument("--fair", action="store_true")
     run.add_argument(
@@ -416,7 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(error, file=sys.stderr)
             return EXIT_USAGE
     if args.command == "check" and not (args.universal or args.productive):
-        print(CHECK_USAGE, file=sys.stderr)
+        print("check: at least one of --universal / --productive is required", file=sys.stderr)
         return EXIT_USAGE
     try:
         loaded = _load(args.file, sys.stderr)

@@ -16,12 +16,13 @@ ancestors *without* the occurs check, the entry can be closed by a loop:
 
 Rule priority per selected atom is fixed: loop detection first (scanning
 ancestors most recent first; every ancestor is charged a step, but only
-those that can close a loop are tried), then rewriting, then the
-substitution-plus-rewrite production step, which a ground atom skips.
-Loop detection must come first, otherwise a non-terminating derivation
-would never reach it.  ``co_refute`` gives these rules, in that order, to
-``derivation.search``, the search loop all four modes share, and returns
-its ``Result``: each answer's loop uses are its LOOP steps.
+those that can close a loop are tried), then the S rules of ``derivation``
+with ancestors grown by the selected atom: rewriting, then the production
+step, which a ground atom skips.  Loop detection must come first,
+otherwise a non-terminating derivation would never reach it.
+``co_refute`` gives these rules, in that order, to ``derivation.search``,
+the search loop all four modes share, and returns its ``Result``: each
+answer's loop uses are its LOOP steps.
 
 As in ``derivation``, a substitution step's application is deferred, not
 its meaning: the step pushes its unifier to the search's store, the
@@ -42,7 +43,7 @@ from operator import attrgetter
 from typing import Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .derivation import Bindings, Limits, Move, Result, Step, StepKind
-from .derivation import _SearchState, clause_moves, search
+from .derivation import _SearchState, clause_moves, produce_atom, rewrite_atom, search
 from .productivity import ProductivityStatus, _variant_key, check_productive
 from .program import Program, check_universal
 from .terms import (
@@ -55,7 +56,7 @@ from .terms import (
     is_instance,
     map_vars,
 )
-from .unify import UnifyKind, UnifyOutcome, mgm, rational_unify, resolve_head
+from .unify import UnifyKind, UnifyOutcome, mgm, rational_unify
 
 
 class Entry(NamedTuple):
@@ -92,46 +93,37 @@ class LoopFailure(NamedTuple):
     ancestor: Term
 
 
+def _co_splice(g: AnnotatedGoal, i: int, atom: Term, got: Optional[tuple]) -> Optional[tuple]:
+    """``derivation._splice`` for an annotated goal: each body atom has
+    ``g[i]``'s ancestors grown by ``atom``."""
+    if got is None:
+        return None
+    grown = g[i].ancestors + (atom,)
+    return g[:i] + tuple(Entry(b, grown) for b in got[0]) + g[i + 1 :], got[1]
+
+
 def co_rewrite(
     p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars,
     store: Bindings,
 ) -> Optional[tuple[AnnotatedGoal, Step]]:
-    entry = g[atom_index]
-    got = resolve_head(p.clause(clause_index), entry.atom, fresh, matching=True)
-    if got is None:
-        return None
-    grown = entry.ancestors + (entry.atom,)
-    new_entries = tuple(Entry(b, grown) for b in got.body)
-    step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
-    return g[:atom_index] + new_entries + g[atom_index + 1 :], step
+    atom = g[atom_index].atom
+    return _co_splice(g, atom_index, atom,
+                      rewrite_atom(p, atom, atom_index, clause_index, fresh, store))
 
 
 def co_s_compound(
     p: Program, g: AnnotatedGoal, atom_index: int, clause_index: int, fresh: FreshVars,
     store: Bindings,
 ) -> Optional[tuple[AnnotatedGoal, list[Step]]]:
-    """The production half of a co-S-step: a proper unifier, which holds
-    for all atoms and ancestors and goes to ``store``, then the same
-    clause's body replaces the atom with the grown ancestor set.  A ground
-    atom gets no attempt, as in ``derivation.s_compound``; a variable atom
-    joins its ancestors as its value, so every ancestor has a symbol."""
-    entry = g[atom_index]
-    atom = entry.atom
-    if atom._ground:
-        return None
-    got = resolve_head(p.clause(clause_index), atom, fresh)
-    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
-        return None
-    theta, renaming = got.substitution, got.renaming
-    store.push(theta)
-    if atom.__class__ is not Struct:
+    """The production half of a co-S-step: ``derivation.produce_atom``,
+    whose unifier holds for all atoms and ancestors, with the grown ancestor
+    set.  A variable atom joins its ancestors as its value, so every
+    ancestor has a symbol."""
+    atom = g[atom_index].atom
+    got = produce_atom(p, atom, atom_index, clause_index, fresh, store)
+    if got is not None and atom.__class__ is not Struct:
         atom = store.walk(atom)
-    grown = entry.ancestors + (atom,)
-    st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
-    body_entries = tuple(Entry(b, grown) for b in got.body)
-    g3 = g[:atom_index] + body_entries + g[atom_index + 1 :]
-    st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
-    return g3, [st1, st2]
+    return _co_splice(g, atom_index, atom, got)
 
 
 # A search's loop unifiers: a pair's variant key and the age order of its
@@ -230,12 +222,8 @@ def co_replay(g: AnnotatedGoal, steps: Sequence[Step], mode: str) -> list[Annota
             goals.append(apply_to_annotated(st.subst, cur))
         else:
             assert st.clause is not None
-            entry = cur[i]
-            grown = entry.ancestors + (entry.atom,)
-            body = tuple(
-                Entry(apply_raw(st.subst, b), grown) for b in st.clause.body
-            )
-            goals.append(cur[:i] + body + cur[i + 1 :])
+            body = tuple(apply_raw(st.subst, b) for b in st.clause.body)
+            goals.append(_co_splice(cur, i, cur[i].atom, (body, st))[0])
     return goals
 
 

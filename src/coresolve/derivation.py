@@ -12,7 +12,10 @@ Three single-step reductions are distinguished:
   production step: it is what grows the answer.
 
 An S-step is exhaustive rewriting, then one substitution step, then one
-rewriting step with the same clause at the now-instantiated atom.
+rewriting step with the same clause at the now-instantiated atom.  Each S
+rule is one function of one atom, ``rewrite_atom`` and ``produce_atom``,
+that gives a clause body and steps; ``rewrite_step`` and ``s_compound``
+splice the body into a plain goal, the co-S rules into an annotated one.
 
 ``search`` is the one depth-first search loop of all four modes: ``refute``
 runs it with the SLD or S rules, ``coengine.co_refute`` with the colp or
@@ -41,7 +44,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Unio
 
 from . import rational
 from .program import Clause, Program, Renaming
-from .terms import FreshVars, Substitution, Term, immutable_setattr, variables_in_order
+from .terms import FreshVars, Substitution, Term, variables_in_order
 from .unify import UnifyKind, _resolve_full, resolve_head
 
 Goal = tuple[Term, ...]
@@ -100,7 +103,7 @@ class Result(NamedTuple):
     limits_hit: tuple[str, ...]
 
 
-class Limits:
+class Limits(NamedTuple):
     """Bounds on one search.
 
     ``max_steps`` (charged moves) and ``max_depth`` (moves on one branch)
@@ -109,35 +112,15 @@ class Limits:
     did not cut.  In colp and cos mode it stops at any limit.  A rewriting
     chain longer than ``max_rewrite_chain`` is pruned as divergence and the
     search goes on.  A search that ends without an answer reports
-    LIMIT_EXCEEDED if a limit fired or a chain was pruned.
-    Immutable; the defaults are the class attributes, which ``__init__``
-    takes, and equality, hash and ``repr`` go by the fields in order.
+    LIMIT_EXCEEDED if a limit fired or a chain was pruned.  The defaults
+    are in ``Limits._field_defaults``.
     """
-
-    __setattr__ = __delattr__ = immutable_setattr
 
     max_steps: int = 10000
     max_depth: int = 2000
     max_answers: int = 1
     max_rewrite_chain: int = 64
     fair: bool = False
-
-    def __init__(self, max_steps: int = max_steps, max_depth: int = max_depth,
-                 max_answers: int = max_answers, max_rewrite_chain: int = max_rewrite_chain,
-                 fair: bool = fair) -> None:
-        vars(self).update(max_steps=max_steps, max_depth=max_depth, max_answers=max_answers,
-                          max_rewrite_chain=max_rewrite_chain, fair=fair)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Limits:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return f"Limits({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 class Bindings:
@@ -198,26 +181,28 @@ def sld_step(
     return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, sigma)
 
 
-def rewrite_step(
-    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+def rewrite_atom(
+    p: Program, atom: Term, atom_index: int, clause_index: int, fresh: FreshVars,
     store: Bindings,
 ) -> Optional[tuple[Goal, Step]]:
-    got = resolve_head(p.clause(clause_index), g[atom_index], fresh, matching=True)
+    """The rewriting step at the goal's ``atom_index``-th atom ``atom``: the
+    clause body under the matcher, and the step."""
+    got = resolve_head(p.clause(clause_index), atom, fresh, matching=True)
     if got is None:
         return None
     step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
-    return g[:atom_index] + got.body + g[atom_index + 1 :], step
+    return got.body, step
 
 
-def s_compound(
-    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+def produce_atom(
+    p: Program, atom: Term, atom_index: int, clause_index: int, fresh: FreshVars,
     store: Bindings,
 ) -> Optional[tuple[Goal, list[Step]]]:
-    """Substitution step followed by a rewrite of the instantiated atom with
-    the same clause instance: the production half of an S-step.  The
-    substitution goes to ``store``.  A ground atom has no variable to bind,
+    """The production step at the goal's ``atom_index``-th atom ``atom``: a
+    substitution step, whose proper unifier goes to ``store``, then a
+    rewrite of the instantiated atom with the same clause instance; the
+    clause body and the two steps.  A ground atom has no variable to bind,
     so it gets no attempt (and draws no ids)."""
-    atom = g[atom_index]
     if atom._ground:
         return None
     got = resolve_head(p.clause(clause_index), atom, fresh)
@@ -225,10 +210,34 @@ def s_compound(
         return None
     theta, renaming = got.substitution, got.renaming
     store.push(theta)
-    st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
-    g3 = g[:atom_index] + got.body + g[atom_index + 1 :]
-    st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
-    return g3, [st1, st2]
+    return got.body, [
+        Step(StepKind.SUBST, atom_index, clause_index, renaming, theta),
+        Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta)),
+    ]
+
+
+def _splice(g: Goal, i: int, got: Optional[tuple[Goal, Any]]) -> Optional[tuple[Goal, Any]]:
+    """``g`` with the body of an atom-level step in place of ``g[i]``."""
+    if got is None:
+        return None
+    return g[:i] + got[0] + g[i + 1 :], got[1]
+
+
+def rewrite_step(
+    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
+) -> Optional[tuple[Goal, Step]]:
+    return _splice(g, atom_index, rewrite_atom(p, g[atom_index], atom_index, clause_index,
+                                               fresh, store))
+
+
+def s_compound(
+    p: Program, g: Goal, atom_index: int, clause_index: int, fresh: FreshVars,
+    store: Bindings,
+) -> Optional[tuple[Goal, list[Step]]]:
+    """The production half of an S-step, at ``g[atom_index]``."""
+    return _splice(g, atom_index, produce_atom(p, g[atom_index], atom_index, clause_index,
+                                               fresh, store))
 
 
 # A move at a selected atom: the next goal, the step or steps to it, and

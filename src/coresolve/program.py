@@ -34,37 +34,14 @@ from .terms import (
 )
 
 
-class Span:
+class Span(NamedTuple):
     """Where a clause starts: line and column, both counted from 1."""
-
-    __slots__ = ("line", "column")
-    __setattr__ = __delattr__ = immutable_setattr
 
     line: int
     column: int
 
-    def __init__(self, line: int, column: int) -> None:
-        _set_span_line(self, line)
-        _set_span_column(self, column)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Span:
-            return NotImplemented
-        return (self.line, self.column) == (other.line, other.column)
-
-    def __hash__(self) -> int:
-        return hash((self.line, self.column))
-
-    def __repr__(self) -> str:
-        return f"Span(line={self.line!r}, column={self.column!r})"
-
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
-
-
-# The slot setters the constructors use, since the classes refuse setattr.
-_set_span_line = Span.line.__set__  # type: ignore[attr-defined]
-_set_span_column = Span.column.__set__  # type: ignore[attr-defined]
 
 
 class ParseError(ValueError):
@@ -343,8 +320,7 @@ class _Parser:
 
     def error(self, message: str, offset: int) -> ParseError:
         """A ParseError at ``offset`` in the text."""
-        span = self.span(offset)
-        return ParseError(message, span.line, span.column)
+        return ParseError(message, *self.span(offset))
 
     def _tokenize(self, pos: int) -> int:
         """Tokenize one clause from ``pos``, up to its "." or the end of the

@@ -3,9 +3,10 @@
 ``check_theorem_5_1``: a loop-detected (restricted-mode) answer must be the
 limit of an honest derivation.  We rebuild the derivation from the
 answer's steps with the loop steps skipped (their atoms stay open) and then
-drive the open goal forward with deterministic fair S-moves; at every
-depth d the truncation of the accumulated partial answer must equal the
-depth-d unfolding of the loop answer, up to variable renaming.
+drive the open goal forward with deterministic fair S-moves, ``derivation``'s
+S rules on the atom at the front of a queue; at every depth d the truncation
+of the accumulated partial answer must equal the depth-d unfolding of the
+loop answer, up to variable renaming.
 
 The check refuses programs that fail the universality or productivity
 preconditions, since the property is only promised under them.
@@ -17,17 +18,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import decirc
 from .coengine import co_refute
-from .derivation import (
-    Answer,
-    Bindings,
-    Goal,
-    Limits,
-    Status,
-    Step,
-    StepKind,
-    rewrite_step,
-    s_compound,
-)
+from .derivation import Answer, Bindings, Goal, Limits, Status, Step, StepKind
+from .derivation import produce_atom, rewrite_atom
 from .productivity import ProductivityStatus, check_productive
 from .program import Program, check_universal
 from .terms import (
@@ -131,31 +123,26 @@ def build_loop_unrolling(
         guard += 1
         if guard > 200 * (rounds + 1) * (len(initial) + 1):
             raise ValidationRefused("unrolling did not progress")
-        goal = (store.walk(goal[0]),) + goal[1:]
-        # The first applicable clause: a rewrite if one matches, else an
-        # S-compound (a substitution step and the rewrite it enables).
-        for rule, matching in ((rewrite_step, True), (s_compound, False)):
-            got = None
-            for ci in p.candidates(goal[0], matching=matching):
-                got = rule(p, goal, 0, ci, fresh, store)
-                if got is not None:
-                    break
-            if got is not None:
-                break
-        else:
+        atom = store.walk(goal[0])
+        # The first applicable clause: a rewrite if one matches, else a
+        # production step (a substitution step and the rewrite it enables).
+        moves = (rule(p, atom, 0, ci, fresh, store)
+                 for rule, matching in ((rewrite_atom, True), (produce_atom, False))
+                 for ci in p.candidates(atom, matching=matching))
+        got = next((move for move in moves if move is not None), None)
+        if got is None:
             # The head atom cannot advance; rotate it to the back and let
             # the others run.  A full fruitless cycle ends the unrolling.
-            goal = goal[1:] + goal[:1]
+            goal = goal[1:] + (atom,)
             stuck += 1
             continue
-        goal2, made = got
-        if matching:
+        body, made = got
+        if isinstance(made, Step):
             steps.append(made)
         else:
             steps.extend(made)
             substs_done += 1
-        body_len = len(goal2) - len(goal) + 1
-        goal = goal2[body_len:] + goal2[:body_len]
+        goal = goal[1:] + body
         stuck = 0
     return initial, steps
 

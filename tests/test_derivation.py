@@ -266,7 +266,6 @@ class TestClauseIndex:
             return resolve(c, atom, fresh, matching)
 
         monkeypatch.setattr(derivation, "resolve_head", counted)
-        monkeypatch.setattr(coengine, "resolve_head", counted)
         p, q, fresh = setup(tree_program(), "path(a,b)")
         if mode == "sld":
             result = refute(p, q, "sld", Limits(), fresh)

@@ -18,6 +18,10 @@ code for the three stream queries in cos and colp, at ``--max-answers 60
 ``coresolve validate`` on each corpus query (but ex52, whose refusal alone
 takes seconds), and on the three stream queries at a larger depth and more
 rounds: the unfolding Theorem 5.1 is checked against shows here.
+``tests/golden/commands.json`` records stdout, stderr and exit code of
+``coresolve check --universal --productive`` and ``coresolve oracle --cap 3``
+on every corpus program: each violation's source position, each loop
+witness and each bounded least model shows here.
 
 Regenerate only when a behaviour change is intended, and say so:
 
@@ -43,6 +47,7 @@ WIDE = GOLDEN.parent / "wide.lp"
 WIDE_GOLDEN = GOLDEN.parent / "wide.json"
 STREAMS_GOLDEN = GOLDEN.parent / "streams.json"
 VALIDATE_GOLDEN = GOLDEN.parent / "validate.json"
+COMMANDS_GOLDEN = GOLDEN.parent / "commands.json"
 MODES = ("sld", "s", "colp", "cos")
 MAX_ANSWERS = 3
 # These searches never end and grow their terms as they go.  Each step of
@@ -51,6 +56,7 @@ MAX_ANSWERS = 3
 # the default budget would print thousands of trace lines, so 200 steps
 # keeps both short.  case2 and server run at the default budget.
 MAX_STEPS = {"ex52": 200, "fibs": 200}
+DEFAULT_STEPS = Limits._field_defaults["max_steps"]
 WIDE_MAX_ANSWERS = 5
 # Reachable, unreachable, reachable only through the bridge rule, and the
 # two open ends.
@@ -60,6 +66,8 @@ STREAM_QUERIES = (("nats", "nats(X)"), ("server", "resource(X,Y)"), ("r", "r(X,Y
 STREAM_BOUNDS = ((60, 5), (10, 1), (10, 12))
 # (depth, rounds): validate's defaults, and a deeper run on the streams.
 VALIDATE_BOUNDS = ((8, 16), (12, 24))
+# The arguments after the program file, by subcommand.
+COMMANDS = {"check": ("--universal", "--productive"), "oracle": ("--cap", "3")}
 
 
 def observe(
@@ -93,20 +101,20 @@ def observe(
 
 def observe_corpus(name: str, mode: str) -> dict:
     query = CORPUS_QUERIES[name]
-    max_steps = MAX_STEPS.get(name, Limits.max_steps)
+    max_steps = MAX_STEPS.get(name, DEFAULT_STEPS)
     got = observe(PROGRAMS / f"{name}.lp", query, mode, MAX_ANSWERS, max_steps)
     return {"program": name, "query": query, "mode": mode, **got}
 
 
 def observe_wide(query: str, mode: str) -> dict:
-    got = observe(WIDE, query, mode, WIDE_MAX_ANSWERS, Limits.max_steps)
+    got = observe(WIDE, query, mode, WIDE_MAX_ANSWERS, DEFAULT_STEPS)
     return {"query": query, "mode": mode, **got}
 
 
 def observe_stream(name: str, mode: str, max_answers: int, unfold_depth: int) -> dict:
     query = dict(STREAM_QUERIES)[name]
     got = observe(
-        PROGRAMS / f"{name}.lp", query, mode, max_answers, Limits.max_steps, unfold_depth
+        PROGRAMS / f"{name}.lp", query, mode, max_answers, DEFAULT_STEPS, unfold_depth
     )
     return {
         "program": name, "query": query, "mode": mode,
@@ -125,6 +133,17 @@ def observe_validate(name: str, depth: int, rounds: int) -> dict:
         code = main(argv)
     return {
         "program": name, "query": query, "depth": depth, "rounds": rounds,
+        "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+    }
+
+
+def observe_command(name: str, command: str) -> dict:
+    argv = [command, str(PROGRAMS / f"{name}.lp"), *COMMANDS[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {
+        "program": name, "command": command,
         "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
     }
 
@@ -157,6 +176,10 @@ def validate_calls():
     ]
 
 
+def command_calls():
+    return [(path.stem, command) for path in sorted(PROGRAMS.glob("*.lp")) for command in COMMANDS]
+
+
 def load_golden() -> dict:
     records = json.loads(GOLDEN.read_text(encoding="utf-8"))
     return {(r["program"], r["mode"]): r for r in records}
@@ -180,6 +203,11 @@ def load_validate_golden() -> dict:
     return {(r["program"], r["depth"], r["rounds"]): r for r in records}
 
 
+def load_commands_golden() -> dict:
+    records = json.loads(COMMANDS_GOLDEN.read_text(encoding="utf-8"))
+    return {(r["program"], r["command"]): r for r in records}
+
+
 def test_golden_covers_every_call():
     assert sorted(load_golden()) == sorted(calls())
 
@@ -194,6 +222,10 @@ def test_streams_golden_covers_every_call():
 
 def test_validate_golden_covers_every_call():
     assert sorted(load_validate_golden()) == sorted(validate_calls())
+
+
+def test_commands_golden_covers_every_call():
+    assert sorted(load_commands_golden()) == sorted(command_calls())
 
 
 @pytest.mark.parametrize("name,mode", calls())
@@ -218,6 +250,11 @@ def test_validate_matches_golden(name, depth, rounds):
     assert got == load_validate_golden()[(name, depth, rounds)]
 
 
+@pytest.mark.parametrize("name,command", command_calls())
+def test_commands_match_golden(name, command):
+    assert observe_command(name, command) == load_commands_golden()[(name, command)]
+
+
 def _write(path: Path, records: list) -> None:
     path.write_text(
         json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
@@ -230,3 +267,4 @@ if __name__ == "__main__":
     _write(WIDE_GOLDEN, [observe_wide(query, mode) for query, mode in wide_calls()])
     _write(STREAMS_GOLDEN, [observe_stream(*call) for call in stream_calls()])
     _write(VALIDATE_GOLDEN, [observe_validate(*call) for call in validate_calls()])
+    _write(COMMANDS_GOLDEN, [observe_command(*call) for call in command_calls()])

@@ -16,7 +16,7 @@ from conftest import (
     random_program,
     seed,
 )
-from coresolve import coengine, derivation, unify
+from coresolve import coengine, derivation, rational, unify
 from coresolve.cli import main
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, _SearchState, refute
@@ -353,6 +353,34 @@ class TestParseWork:
             assert (clauses.n, structs.n) == rules
             assert unbuilt(p) == set(range(n))
 
+    RULE_SIZES = (1000, 2000, 4000)
+
+    def test_rules_make_22_tokens_each(self):
+        one = tokens_read(rule_program(1))
+        for n in self.RULE_SIZES:
+            assert tokens_read(rule_program(n)) - one == 22 * (n - 1)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+    def test_a_run_of_rules_is_tokenized_at_most_twice(self, monkeypatch):
+        # Each rule is tokenized on its own: 1,001 / 2,001 / 4,001 calls.
+        calls = SimpleNamespace(n=0)
+        tokenize = _Parser._tokenize
+
+        def counted(self, pos):
+            calls.n += 1
+            return tokenize(self, pos)
+
+        monkeypatch.setattr(_Parser, "_tokenize", counted)
+        for n in self.RULE_SIZES:
+            calls.n = 0
+            parse_program(rule_program(n))
+            assert calls.n <= 2, (n, calls.n)
+
+
+def rule_program(n: int) -> str:
+    """``n`` rules, each with a body of two atoms and a predicate of its own."""
+    return "".join(f"p{k}(X,Y) :- q(X,Z), r{k}(Z,Y).\n" for k in range(n))
+
 
 def numeral(n: int, inner: str) -> str:
     return "s(" * n + inner + ")" * n
@@ -403,7 +431,6 @@ class TestSearchWork:
             return resolve(*args, **kwargs)
 
         monkeypatch.setattr(derivation, "resolve_head", counted)
-        monkeypatch.setattr(coengine, "resolve_head", counted)
         prog, query, fresh = load_query("nat", f"nat({numeral(96, '0')})")
         if mode == "s":
             result = refute(prog, query, mode, Limits(), fresh)
@@ -548,15 +575,57 @@ class TestSearchWork:
         assert grows_at_most(lines, 2.2), lines
 
 
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    def test_nats_answers_charge_linear_steps(self, mode):
+        # 65 / 121 / 223 steps for 20 / 40 / 80 answers.
+        steps = []
+        for k in (20, 40, 80):
+            prog, query, fresh = load_query("nats", "nats(X)")
+            result = co_refute(prog, query, mode, Limits(max_answers=k), fresh)
+            assert len(result.answers) == k
+            steps.append(result.steps_used)
+        assert grows_at_most(steps, 2.1), steps
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 15")
+    @pytest.mark.parametrize("mode", ["colp", "restricted"])
+    def test_nats_answers_build_linear_work(self, structs, monkeypatch, mode):
+        # Each answer's solved form is built over every step of its
+        # refutation, so the search builds 185 / 417 / 1,027 Structs and
+        # value graphs of 275 / 718 / 1,925 nodes (240 / 650 / 1,799 of
+        # them for the answers) for 20 / 40 / 80 answers.
+        nodes = SimpleNamespace(n=0)
+        build = rational.build_node
+
+        def counted(*args):
+            graph = build(*args)
+            nodes.n += len(graph[1])
+            return graph
+
+        monkeypatch.setattr(rational, "build_node", counted)
+        monkeypatch.setattr(unify, "build_node", counted)
+        built, graphs = [], []
+        for k in (20, 40, 80):
+            prog, query, fresh = load_query("nats", "nats(X)")
+            structs.n = nodes.n = 0
+            result = co_refute(prog, query, mode, Limits(max_answers=k), fresh)
+            if len(result.answers) != k:
+                pytest.fail(f"nats(X) gave {len(result.answers)} answers of {k} in {mode}")
+            built.append(structs.n)
+            graphs.append(nodes.n)
+        assert grows_at_most(built, 2.2), built
+        assert grows_at_most(graphs, 2.2), graphs
+
+
 class TestClauseObjects:
     # Pinned like the term objects: the frozen dataclasses they replace
-    # compared, hashed and printed the same way.
+    # compared, hashed and printed the same way.  A ``Span`` is a named
+    # tuple, so it also equals the plain tuple of its fields.
     def test_equality_hash_and_repr(self):
         head = Struct(Symbol("p", 1), (Var(1, "X"),))
         body = (Struct(Symbol("q", 1), (Var(1, "X"),)),)
         c = Clause(head, body, Span(2, 3))
         assert Span(2, 3) == Span(2, 3) and Span(2, 3) != Span(3, 2)
-        assert Span(2, 3) != (2, 3) and hash(Span(2, 3)) == hash((2, 3))
+        assert Span(2, 3) == (2, 3) and hash(Span(2, 3)) == hash((2, 3))
         assert c == Clause(head, body, Span(2, 3)) and c is not Clause(head, body, Span(2, 3))
         assert c != Clause(head, body) and c != Clause(head, (), Span(2, 3))
         assert hash(c) == hash((head, body, Span(2, 3)))

@@ -97,8 +97,10 @@ def test_program_compares_and_hashes_clauses_only():
 
 
 def test_limits_defaults_read_on_the_class():
-    assert (Limits.max_steps, Limits.max_depth, Limits.max_answers) == (10000, 2000, 1)
-    assert (Limits.max_rewrite_chain, Limits.fair) == (64, False)
+    assert Limits._field_defaults == {
+        "max_steps": 10000, "max_depth": 2000, "max_answers": 1,
+        "max_rewrite_chain": 64, "fair": False,
+    }
     assert Limits(max_answers=3) == Limits(10000, 2000, 3, 64, False)
 
 

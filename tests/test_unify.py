@@ -184,7 +184,8 @@ class TestRationalUnify:
         for name, query in sorted(CORPUS_QUERIES.items()):
             for mode in ("colp", "restricted"):
                 p, q, fresh = load_query(name, query)
-                limits = Limits(max_steps=MAX_STEPS.get(name, Limits.max_steps), max_answers=3)
+                max_steps = MAX_STEPS.get(name, Limits._field_defaults["max_steps"])
+                limits = Limits(max_steps=max_steps, max_answers=3)
                 coengine.co_refute(p, q, mode, limits, fresh)
         circular = 0
         for a, b in pairs:
