@@ -25,26 +25,26 @@ refutation's steps and its answer in solved form.  Each rule is tried only on
 the clauses the program's first-argument index (``Program.candidates``)
 offers for the selected atom; the ones it leaves out would fail uncharged,
 so the index changes no step, charge or answer.  A step unifies or matches
-the stored clause head in place (``unify.resolve_head``), renaming only the
-variables it keeps; ``Step.clause``, the renamed clause, is built on demand.
+the stored clause head in place (``unify.resolve_head``) and keeps the map
+it made; ``Step.subst`` is built from it when first read, ``Step.clause`` too.
 
 The meaning of a step is as above; only its application is deferred.  The
 search keeps one ``Bindings`` store: a step whose unifier binds goal
-variables pushes those bindings there instead of rebuilding the rest of the
-goal, a selected atom is walked through the store unless the move into its
-goal built it, and backtracking unwinds the store's trail.  So every rule
-sees the atom the eager application would have built, and every step,
-charge and answer is the same.
+variables pushes its map there instead of rebuilding the rest of the goal,
+a selected atom is walked through the store unless the move into its goal
+built it, and backtracking unwinds the store's trail.  So every rule sees
+the atom the eager application would have built, and every step, its
+substitution once read, every charge and every answer is the same.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import rational
 from .program import Clause, Program, Renaming
-from .terms import FreshVars, Substitution, Term, variables_in_order
+from .terms import DeferredSubstitution, FreshVars, Substitution, Term, Var, variables_in_order
 from .unify import UnifyKind, _resolve_full, resolve_head
 
 Goal = tuple[Term, ...]
@@ -80,9 +80,9 @@ class Step(NamedTuple):
 class Answer(NamedTuple):
     """One refutation: its steps, and its answer in solved form over the
     query variables (``rational.solved_answer`` of the substitutions of
-    every step but the REWRITE steps, which bind no goal variable).  A
-    loop use is a LOOP step: it carries the atom that closed, the ancestor
-    it closed on and the loop unifier."""
+    every step but the matchers, which bind no goal variable, so the answer
+    reads none of theirs).  A loop use is a LOOP step: it carries the atom
+    that closed, the ancestor it closed on and the loop unifier."""
 
     steps: tuple[Step, ...]
     solved: Substitution
@@ -124,25 +124,24 @@ class Limits(NamedTuple):
 
 
 class Bindings:
-    """The bindings the steps on the current branch made to goal
-    variables, as one map, whose insertion order is the order they were
-    bound in: the map is its own trail, and its length the trail mark.
-    The map is triangular: an image may hold a variable bound later, so a
-    term is read through it by a full walk.  Every binding is made on a
-    walked atom, whose variables are unbound, so the map never binds a
-    variable twice and stays acyclic; a push that would is refused."""
+    """The bindings the steps on the current branch made to goal variables,
+    as one map in the order they were bound: the map is its own trail, and
+    its length the trail mark.  A push keeps a unifier's bindings as
+    unification left them, triangular within the push, so a term is read
+    through the map by a full walk.  Every binding is made on a walked
+    atom, whose variables are unbound, so the map never binds a variable
+    twice and stays acyclic; a push that would is refused."""
 
     __slots__ = ("map",)
 
     def __init__(self) -> None:
         self.map: dict = {}
 
-    def push(self, s: Substitution) -> None:
-        m, b = self.map, s._bindings
-        n = len(m)
+    def push(self, b: Mapping[Var, Term]) -> None:
+        m, n = self.map, len(self.map)
         m.update(b)
         if len(m) != n + len(b):
-            raise ValueError(f"a binding of {s} rebinds a bound variable")
+            raise ValueError(f"a binding of {Substitution(b)} rebinds a bound variable")
 
     def unwind(self, mark: int) -> None:
         """Undo the bindings made after the map had ``mark`` entries."""
@@ -174,16 +173,15 @@ def sld_step(
     got = resolve_head(p.clause(clause_index), atom, fresh, matching=atom._ground)
     if got is None:
         return None
-    sigma = got.substitution
     if got.kind is UnifyKind.PROPER_UNIFIER:
-        store.push(sigma)
+        store.push(got.bindings)
     new_goal = g[:atom_index] + got.body + g[atom_index + 1 :]
-    return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, sigma)
+    return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, got.substitution)
 
 
 def rewrite_atom(
     p: Program, atom: Term, atom_index: int, clause_index: int, fresh: FreshVars,
-    store: Bindings,
+    store: Optional[Bindings],
 ) -> Optional[tuple[Goal, Step]]:
     """The rewriting step at the goal's ``atom_index``-th atom ``atom``: the
     clause body under the matcher, and the step."""
@@ -209,10 +207,11 @@ def produce_atom(
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
-    store.push(theta)
+    store.push(got.bindings)
+    own = DeferredSubstitution(renaming.own, (theta,), True)
     return got.body, [
         Step(StepKind.SUBST, atom_index, clause_index, renaming, theta),
-        Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta)),
+        Step(StepKind.REWRITE, atom_index, clause_index, renaming, own),
     ]
 
 
@@ -365,7 +364,7 @@ def search(
     def enter(g: Sequence, built: range, moves: int, chain: int) -> None:
         if not g:
             steps = tuple(path)
-            substs = [st.subst for st in steps if st.kind is not StepKind.REWRITE]
+            substs = [st.subst for st in steps if not st.subst.matcher]
             state.answers.append(
                 Answer(steps, rational.solved_answer(query_vars, substs, fresh))
             )

@@ -17,9 +17,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
+from .derivation import rewrite_atom
 from .program import Clause, Program, Renaming
 from .terms import FreshVars, Struct, Term, Var
-from .unify import resolve_head
 
 
 class ProductivityStatus(Enum):
@@ -106,10 +106,10 @@ def check_productive(
 
     def rewrites(atom: Term) -> Iterator[Rewrite]:
         for ci in p.candidates(atom, matching=True):
-            got = resolve_head(p.clause(ci), atom, fresh, matching=True)
+            got = rewrite_atom(p, atom, 0, ci, fresh, None)
             if got is not None:
-                for bi, child in enumerate(got.body):
-                    yield ci, got.renaming, bi, child
+                for bi, child in enumerate(got[0]):
+                    yield ci, got[1].renaming, bi, child
 
     for root in root_list:
         # The current chain: each atom's variant key and its index on the

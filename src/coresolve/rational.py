@@ -47,7 +47,7 @@ def build_node(
     A variable is looked up at the first level from its own that binds it,
     in an index of binding levels built at the first lookup.  A pure
     variable cycle (X = Y, Y = X) is its oldest variable, a leaf."""
-    maps = [s.bindings for s in substs]
+    maps = [s._bindings for s in substs]
     levels: Optional[dict[Var, list[int]]] = None
     memo: dict[tuple[Term, int], int] = {}
     labels: list[Label] = []

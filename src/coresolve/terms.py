@@ -312,6 +312,7 @@ class Substitution:
     """
 
     __slots__ = ("_bindings", "_cycle_vars")
+    matcher = False  # known to bind only a search step's own clause variables
 
     def __init__(self, bindings: Optional[Mapping[Var, Term]] = None):
         b: dict[Var, Term] = {}
@@ -384,6 +385,24 @@ class Substitution:
             for v, t in sorted(self._bindings.items(), key=lambda kv: kv[0].id)
         )
         return "{" + inner + "}"
+
+
+class DeferredSubstitution(Substitution):
+    """A substitution whose bindings ``make(*args)`` builds, as a map or a
+    substitution, when they are first read.  A ``matcher`` binds only a
+    search step's own clause variables, which no goal term holds."""
+
+    __slots__ = ("_make", "_args", "matcher")
+
+    def __init__(self, make: Callable[..., object], args: tuple, matcher: bool) -> None:
+        self._make, self._args, self.matcher = make, args, matcher
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only while the slots ``Substitution`` fills are empty.
+        if name not in ("_bindings", "_cycle_vars"):
+            raise AttributeError(name)
+        Substitution.__init__(self, self._make(*self._args))
+        return getattr(self, name)
 
 
 def oldest_on_variable_cycle(v: Var, bindings: Mapping[Var, Term]) -> Var:

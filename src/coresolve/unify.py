@@ -24,6 +24,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from .program import Clause, Renaming
 from .rational import Label, build_node, render_class
 from .terms import (
+    DeferredSubstitution,
     FreshVars,
     Struct,
     Substitution,
@@ -247,12 +248,13 @@ def mgu(a: Term, b: Term) -> UnifyOutcome:
 
 
 class Resolvent(NamedTuple):
-    """A head unified or matched: kind, substitution, renamed body, renaming."""
+    """A head unified or matched: kind, substitution, body, renaming, bindings."""
 
     kind: UnifyKind
     substitution: Substitution
     body: tuple[Term, ...]
     renaming: Renaming
+    bindings: dict[Var, Term]
 
 
 def resolve_head(
@@ -264,7 +266,10 @@ def resolve_head(
     in place, as in WAM head unification (Aït-Kaci 1991).  The renamed head
     shares no variable with ``atom``, so the result is a matcher exactly
     when no variable of ``atom`` is bound; then every binding is an
-    unchanged subterm of ``atom``, and needs no resolving walk."""
+    unchanged subterm of ``atom``.  ``bindings`` is the map as unification
+    left it: triangular, and a matcher's keyed by the stored clause's own
+    variables.  The body is built from it, renaming only the variables it
+    leaves unbound; ``substitution`` is renamed and resolved when read."""
     positions = c.var_positions
     n = len(positions)
     first = fresh.block(n) if n else 0
@@ -276,26 +281,31 @@ def resolve_head(
             r = copies[v] = Var(first + positions[v], v.hint)
         return r
 
-    kind = UnifyKind.MATCHER
     bind: dict[Var, Term] = {}
     if matching:
         if not _match_into(c.head, atom, bind):
             return None
-        bind = {copy(v): t for v, t in bind.items()}
     elif _solve([(c.head, atom, True)], bind, copies, copy) is not None:
         return None
-    elif not all(first <= v.id < first + n for v in bind):
-        kind = UnifyKind.PROPER_UNIFIER
-        bind = {v: _resolve_full(t, bind) for v, t in bind.items()}
-    sigma = Substitution(bind)
-    get = sigma._bindings.get
+    proper = not matching and not all(first <= v.id < first + n for v in bind)
 
     def image(v: Var) -> Term:
-        r = copy(v)
-        return get(r, r)
+        if matching:
+            return bind.get(v) or copy(v)
+        t = bind.get(r := copy(v), r)
+        return _resolve_full(t, bind) if proper and t is not r and not t._ground else t
 
-    body = tuple(map_vars(image, b) for b in c.body)
-    return Resolvent(kind, sigma, body, Renaming(c, first))
+    # Matching binds every head variable: only a body-only one needs a copy.
+    body = tuple(map_vars(bind.get if matching and len(bind) == n else image, b) for b in c.body)
+    kind = UnifyKind.PROPER_UNIFIER if proper else UnifyKind.MATCHER
+    sigma = DeferredSubstitution(_renamed_resolved, (bind, positions, first, matching), not proper)
+    return Resolvent(kind, sigma, body, Renaming(c, first), bind)
+
+
+def _renamed_resolved(bind: dict, positions: dict, first: int, matching: bool) -> dict[Var, Term]:
+    if matching:
+        return {Var(first + positions[v], v.hint): t for v, t in bind.items()}
+    return {v: _resolve_full(t, bind) for v, t in bind.items()}
 
 
 # Rational unification's classes: the value graph of the two terms (node

@@ -70,7 +70,7 @@ def _store_of(steps: Sequence[Step]) -> Bindings:
     store = Bindings()
     for st in steps:
         if st.kind is StepKind.SUBST:
-            store.push(st.subst)
+            store.push(st.subst.bindings)
     return store
 
 

@@ -73,18 +73,29 @@ def rng() -> random.Random:
     return random.Random(seed())
 
 
+def counting_constructions(monkeypatch, cls):
+    """Counts, in ``.n``, the instances of ``cls`` built while the test runs."""
+    counter = SimpleNamespace(n=0)
+    construct = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        counter.n += 1
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return counter
+
+
 @pytest.fixture
 def structs(monkeypatch):
     """Counts ``Struct`` constructions in ``structs.n`` while the test runs."""
-    counter = SimpleNamespace(n=0)
-    construct = Struct.__init__
+    return counting_constructions(monkeypatch, Struct)
 
-    def counted(self, *args):
-        counter.n += 1
-        construct(self, *args)
 
-    monkeypatch.setattr(Struct, "__init__", counted)
-    return counter
+@pytest.fixture
+def variables(monkeypatch):
+    """Counts ``Var`` constructions in ``variables.n`` while the test runs."""
+    return counting_constructions(monkeypatch, Var)
 
 
 @contextmanager

@@ -256,8 +256,8 @@ class TestRun:
         # the next atom reads through that binding, and must stop.
         push = derivation.Bindings.push
 
-        def cyclic(store, s):
-            push(store, terms.Substitution({v: terms.Struct(terms.Symbol("s", 1), (v,)) for v in s.bindings}))
+        def cyclic(store, b):
+            push(store, {v: terms.Struct(terms.Symbol("s", 1), (v,)) for v in b})
 
         monkeypatch.setattr(derivation.Bindings, "push", cyclic)
         code, out, err = run(capsys, "run", lp("nat"), "-q", "nat(X), nat(X)", "--mode", "sld")

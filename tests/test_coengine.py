@@ -563,9 +563,13 @@ class TestLoopCandidates:
     def test_self_recursive_random_programs(self, monkeypatch, crossings, mode):
         # Deep ground query arguments give the recursive clauses long
         # derivations, so the ancestor lists grow past a few entries.
+        # Programs are drawn until 40 are tried and a budget edge has fallen
+        # inside a dropped run, which a seed may take more programs to reach.
         rnd = random.Random(seed())
         tried = 0
-        while tried < 40:
+        while tried < 40 or not crossings["n"]:
+            if tried == 400:
+                pytest.fail(f"no budget edge fell inside a dropped run in {tried} programs")
             fresh = FreshVars()
             p, _ = random_program(rnd, fresh)
             looping = [c.head.symbol for c in p.clauses

@@ -296,9 +296,9 @@ class TestBindings:
         # the wrong binding; it must fail where it happens.
         x = Var(1, "X")
         store = Bindings()
-        store.push(Substitution({x: zero}))
+        store.push({x: zero})
         with pytest.raises(ValueError, match="rebinds"):
-            store.push(Substitution({x: const("1")}))
+            store.push({x: const("1")})
 
 
 class TestStoreAgainstEagerRules:

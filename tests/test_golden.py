@@ -51,10 +51,11 @@ COMMANDS_GOLDEN = GOLDEN.parent / "commands.json"
 MODES = ("sld", "s", "colp", "cos")
 MAX_ANSWERS = 3
 # These searches never end and grow their terms as they go.  Each step of
-# ex52 still costs time in the size of its growing atom (the proper unifier
-# of ``unify.resolve_head`` is resolved over all of it), and a fibs pin at
-# the default budget would print thousands of trace lines, so 200 steps
-# keeps both short.  case2 and server run at the default budget.
+# ex52 still costs time in the size of its growing atom (``unify.resolve_head``
+# builds the clause body by resolving a head variable's value, which holds
+# the whole atom's first argument), and a fibs pin at the default budget
+# would print thousands of trace lines, so 200 steps keeps both short.
+# case2 and server run at the default budget.
 MAX_STEPS = {"ex52": 200, "fibs": 200}
 DEFAULT_STEPS = Limits._field_defaults["max_steps"]
 WIDE_MAX_ANSWERS = 5

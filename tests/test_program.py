@@ -32,7 +32,8 @@ from coresolve.program import (
     parse_query,
 )
 from coresolve.models import ground_terms
-from coresolve.terms import FreshVars, Struct, Symbol, Var, term_to_text, variables_of
+from coresolve.terms import FreshVars, Struct, Symbol, Var, apply_raw, term_to_text, variables_of
+from coresolve.unify import mgm
 
 
 class TestParse:
@@ -405,6 +406,28 @@ class TestSearchWork:
         assert grows_at_most(steps, 2.1), steps
         assert grows_at_most(built, 2.1), built
 
+    @pytest.mark.parametrize("mode", ["sld", "s"])
+    def test_ground_numeral_steps_build_no_variable(self, variables, mode):
+        # Every step on nat(s^n(0)) matches ``nat(s(X)) :- nat(X).``, which
+        # binds the clause's one variable, so the search renames none; each
+        # step's substitution is built only when it is read (one copy of X
+        # per step before, n in all).
+        limits = Limits(max_rewrite_chain=1000)
+        for n in (100, 200, 400):
+            prog, query, fresh = load_query("nat", f"nat({numeral(n, '0')})")
+            variables.n = 0
+            result = refute(prog, query, mode, limits, fresh)
+            assert (result.status, variables.n) == (Status.REFUTED, 0)
+            (answer,) = result.answers
+            assert len(answer.steps) == n + 1
+            replay = FreshVars(answer.steps[0].renaming.first)
+            atom = query[0]
+            for st in answer.steps:
+                inst = clause_instance(prog.clause(st.clause_index), replay)
+                want = mgm(inst.head, atom)
+                assert list(st.subst.items()) == list(want.substitution.items())
+                atom = apply_raw(want.substitution, inst.body[0]) if inst.body else None
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
     @pytest.mark.parametrize("mode", ["colp", "restricted"])
     def test_co_nat_of_ground_numeral_is_linear(self, mode):
@@ -557,13 +580,15 @@ class TestSearchWork:
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="a proper unifier's bindings are resolved over the whole growing atom "
+        reason="a proper unifier's body is built by resolving over the whole growing atom "
                "(ROADMAP item 11)",
     )
     def test_sld_ex52_resolves_its_unifiers_in_linear_work(self):
-        # resolve_head walks every binding of a step's unifier over the
-        # atom, which grows by one level a step: _resolve_full ran 78,450 /
-        # 306,900 / 1,213,800 lines at 100 / 200 / 400 steps.
+        # resolve_head builds the body p(f(Y),X) by resolving Y's value, the
+        # atom's first argument, which grows by one level a step:
+        # _resolve_full ran 76,850 / 303,700 / 1,207,400 lines at 100 / 200 /
+        # 400 steps (78,450 / 306,900 / 1,213,800 when every binding of the
+        # unifier was resolved at the step).
         lines = []
         for max_steps in (100, 200, 400):
             prog, query, fresh = load_query("ex52", "p(Y,s(X))")
