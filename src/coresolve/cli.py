@@ -25,7 +25,6 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from . import decirc
 from .coengine import co_refute, preflight_warnings
 from .derivation import Limits, Status, refute
 from .productivity import ProductivityStatus, check_productive
@@ -36,6 +35,7 @@ from .terms import (
     Term,
     Var,
     term_to_text,
+    truncated_text,
     variables_in_order,
 )
 
@@ -65,11 +65,12 @@ def _bound_error(key: str, value: int) -> Optional[str]:
 def _canonical_names(query_vars: Sequence[Var], terms: Sequence[Term]) -> dict[Var, str]:
     """Display names _A, _B, ... for every non-query variable in the answer
     terms, in order of appearance, so output is byte-stable."""
-    taken = {v.display for v in query_vars}
+    query = set(query_vars)
+    taken = {v.display for v in query}
     names: dict[Var, str] = {}
     counter = 0
     for v in variables_in_order(terms):
-        if v in query_vars:
+        if v in query:
             continue
         while True:
             name = "_" + _letters(counter)
@@ -96,6 +97,8 @@ def _print_answer(
     unfold_depth: int,
     out,
 ) -> None:
+    """Print ``X = …`` per bound query variable, and for a circular answer at a positive
+    ``unfold_depth`` ``X ~ …``: the value cut at that depth, written as it is cut."""
     shown = [(v, img) for v in query_vars if (img := solved.get(v)) is not None]
     if not shown:
         print("true", file=out)
@@ -104,8 +107,8 @@ def _print_answer(
     for v, img in shown:
         print(f"{v.display} = {term_to_text(img, names)}", file=out)
         if unfold_depth > 0 and solved.circular:
-            unfolded = decirc.unfold(solved, v, unfold_depth)
-            print(f"{v.display} ~ {term_to_text(unfolded, names)}", file=out)
+            text = truncated_text(unfold_depth, v, solved.bindings, solved.cycle_vars(), names)
+            print(f"{v.display} ~ {text}", file=out)
 
 
 def _emit_trace(steps, fmt: str, out) -> None:

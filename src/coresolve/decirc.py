@@ -8,7 +8,9 @@ passes a cycle variable it enters the next generation of the succession.
 Free variables the circular images mention are renamed per generation —
 each unrolling round of a binding stands for one more clause application,
 which would have introduced its own copies of those variables — and the
-renaming is deterministic (``terms.generation_var``).
+renaming is deterministic (``terms.generation_var``).  ``validate`` and
+library callers read the cut value as a term; the printer's ``X ~ …`` lines
+do not come here but write the same walk's text (``terms.truncated_text``).
 
 ``decircularize`` materializes a finite prefix of the succession as a list
 of non-circular substitutions, one per generation.  Mutually circular
@@ -40,11 +42,9 @@ from .terms import (
 def unfold(s: Substitution, t: Term, depth: int) -> Term:
     """Depth-bounded truncation of t's value under s: the positions at depth
     ``depth`` become the reserved leaf.  A circular s is unrolled one
-    generation per cycle variable the walk passes, and a free variable
-    inside a cycle body gets one copy per generation.  A non-circular s is
-    resolved, so on an idempotent solved form it is applied once.  Both
-    are one iterative walk (``terms.truncate_value``).  An answer is
-    unfolded from its solved form (``rational.solved_answer``)."""
+    generation per cycle variable the walk passes, with one copy per
+    generation of each free variable in a cycle body; a non-circular s is
+    resolved.  One iterative walk (``terms.truncate_value``)."""
     if depth < 0:
         raise ValueError("unfold depth must be non-negative")
     return truncate_value(depth, t, s.bindings, s.cycle_vars())

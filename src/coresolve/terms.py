@@ -174,12 +174,8 @@ def term_to_text(t: Term, names: Optional[Mapping[Var, str]] = None) -> str:
     """Render a term in the program syntax (no whitespace, no list sugar).
     A variable in ``names`` is shown by the name given there, any other by
     its own display name."""
-    parts: list[str] = []
-    _render(t, parts, names or {})
-    return "".join(parts)
-
-
-def _render(t: Term, out: list[str], names: Mapping[Var, str]) -> None:
+    names = names or {}
+    out: list[str] = []
     # Iterative: answers can be as deep as the terms a derivation builds.
     # The stack holds the argument iterators of the open structures.
     open_args: list[Iterator[Term]] = []
@@ -204,7 +200,7 @@ def _render(t: Term, out: list[str], names: Mapping[Var, str]) -> None:
                 t = nxt
                 break
         else:
-            return
+            return "".join(out)
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:
@@ -491,56 +487,87 @@ def truncate_value(
 ) -> Term:
     """The depth-``n`` truncation of t's value under ``bindings``, whose
     cycle variables are ``cycle_vars``, by one iterative walk; with no
-    bindings, the truncation of t itself.  Each position is visited with
-    the generation it belongs to: t itself is generation 0, a bound
-    variable of t moves to generation 1, a cycle variable moves to the next
-    generation and any other bound variable keeps its own; a free variable
-    at generation g is its generation g-1 copy.  A pure variable cycle
-    (X ↦ Y, Y ↦ X) has no structure, and its oldest variable stands for
-    it, as in ``rational.build_node``."""
-    root: list[Term] = []
-    # A frame is a Struct being rebuilt: its symbol, an iterator over its
-    # arguments, their generation, the depth left at them and the arguments
-    # done so far.  The bottom frame holds t itself.
-    stack = [(None, iter((t,)), 0, n, root)]
-    while stack:
+    bindings, the truncation of t itself.  ``_unfolding_step`` gives what
+    each position holds."""
+    # A frame is a Struct being rebuilt: its symbol, an iterator over its arguments,
+    # their generation, the depth left at them and the arguments done so far.
+    stack = [(None, iter((t,)), 0, n, [])]
+    while True:
         symbol, args, gen, left, done = stack[-1]
         for term in args:
-            if not left:
-                done.append(TRUNCATED)
-                continue
             g = gen
-            if term.__class__ is Var:
-                seen: Optional[set[Var]] = None
-                while term.__class__ is Var:
-                    img = bindings.get(term)
-                    if img is None:
-                        if g > 1:
-                            term = generation_var(term, g - 1)
-                        break
-                    if img.__class__ is Var:
-                        if seen is None:
-                            seen = set()
-                        elif term in seen:
-                            term = oldest_on_variable_cycle(term, bindings)
-                            break
-                        seen.add(term)
-                    if not g or term in cycle_vars:
-                        g += 1
-                    term = img
-                if term.__class__ is Var:
-                    done.append(term)
-                    continue
-            if not term.args:
+            if not left or term.__class__ is Var:  # a structure above the cut is itself
+                term, g = _unfolding_step(term, gen, left, bindings, cycle_vars)
+            if term.__class__ is Var or not term.args:
                 done.append(term)
                 continue
             stack.append((term.symbol, iter(term.args), g, left - 1, []))
             break
         else:
             stack.pop()
-            if symbol is not None:
-                stack[-1][4].append(Struct(symbol, tuple(done)))
-    return root[0]
+            if not stack:
+                return done[0]
+            stack[-1][4].append(Struct(symbol, tuple(done)))
+
+
+def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term],
+                   cycle_vars: AbstractSet[Var], names: Mapping[Var, str]) -> str:
+    """``term_to_text(truncate_value(n, t, bindings, cycle_vars), names)``,
+    written by the walk that cuts the value, so no truncated term is built."""
+    parts: list[str] = []
+    # A frame is an open structure's argument iterator, generation and depth left.
+    # Each argument's text is followed by ","; closing puts ")" in place of its last.
+    stack = [(iter((t,)), 0, n)]
+    while stack:
+        args, gen, left = stack[-1]
+        for term in args:
+            g = gen
+            if not left or term.__class__ is Var:
+                term, g = _unfolding_step(term, gen, left, bindings, cycle_vars)
+            if term.__class__ is Var:
+                parts.append(names.get(term) or term.display)
+            elif not term.args:
+                parts.append(term.symbol.name)
+            else:
+                parts.append(term.symbol.name + "(")
+                stack.append((iter(term.args), g, left - 1))
+                break
+            parts.append(",")
+        else:
+            stack.pop()
+            parts[-1] = ")"
+            parts.append(",")
+    del parts[-2:]  # what closing the bottom frame wrote
+    return "".join(parts)
+
+
+def _unfolding_step(term: Term, gen: int, left: int, bindings: Mapping[Var, Term],
+                    cycle_vars: AbstractSet[Var]) -> tuple[Term, int]:
+    """What a truncated unfolding holds where ``term`` is at generation
+    ``gen`` with ``left`` levels above the cut, and its arguments'
+    generation.  With no level left, the reserved leaf.  A bound variable
+    met at generation 0 moves to generation 1, a cycle variable to the next,
+    any other keeps its own; a free one at generation g is its g-1 copy.  A
+    pure variable cycle (X ↦ Y, Y ↦ X) has no structure: its oldest
+    variable stands for it, as in ``rational.build_node``."""
+    if not left:
+        return TRUNCATED, gen
+    hops = 0  # variable-to-variable bindings passed: more than there are is a cycle
+    while term.__class__ is Var:
+        img = bindings.get(term)
+        if img is None:
+            if gen > 1:
+                term = generation_var(term, gen - 1)
+            break
+        if img.__class__ is Var:
+            hops += 1
+            if hops > len(bindings):
+                term = oldest_on_variable_cycle(term, bindings)
+                break
+        if not gen or term in cycle_vars:
+            gen += 1
+        term = img
+    return term, gen
 
 
 def _match_into(pattern: Term, target: Term, binding: dict[Var, Term]) -> bool:

@@ -13,8 +13,8 @@ from conftest import PROGRAMS, load_query
 from coresolve import cli, coengine, decirc, derivation, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main
 from coresolve.coengine import co_refute
-from coresolve.derivation import Limits
-from coresolve.program import ParseError, parse_program
+from coresolve.derivation import Limits, refute
+from coresolve.program import ParseError, parse_program, parse_query
 from coresolve.terms import variables_in_order
 
 
@@ -133,6 +133,44 @@ class TestRun:
         cli._print_answer(variables_in_order(q), answer.solved, 5, out)
         assert out.getvalue().count(" ~ ") == 2
         assert calls == 0
+
+    def test_unfolded_lines_build_no_term(self, structs):
+        # Each line is written as its value is cut.  Cutting the value
+        # into a new term and rendering that built five per line.
+        p, q, fresh = load_query("nats", "nats(X)")
+        answers = co_refute(p, q, "restricted", Limits(max_answers=20), fresh).answers
+        out = io.StringIO()
+        structs.n = 0
+        for answer in answers:
+            cli._print_answer(variables_in_order(q), answer.solved, 5, out)
+        assert out.getvalue().count("X ~ scons(0,scons(0,scons(0,scons(0,scons(◇,◇)))))") == 20
+        assert structs.n == 0
+
+    def test_naming_is_linear_in_the_query_variables(self, monkeypatch):
+        # Query variables were looked up in a list: each of the n answer
+        # variables was compared with all n of them.
+        compare = terms.Var.__eq__
+        calls = 0
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return compare(self, other)
+
+        counts = []
+        for n in (500, 1000, 2000):
+            fresh = terms.FreshVars()
+            p = parse_program("p(f(Y)).", fresh)
+            q = parse_query(",".join(f"p(X{i})" for i in range(n)), fresh)
+            (answer,) = refute(p, q, "sld", Limits(max_depth=3 * n), fresh).answers
+            out = io.StringIO()
+            with monkeypatch.context() as patch:
+                patch.setattr(terms.Var, "__eq__", counted)
+                calls = 0
+                cli._print_answer(variables_in_order(q), answer.solved, 0, out)
+            assert out.getvalue().count(" = f(_") == n
+            counts.append(calls)
+        assert all(c <= size for c, size in zip(counts, (500, 1000, 2000))), counts
 
     @pytest.mark.parametrize("mode", ["cos", "colp"])
     @pytest.mark.parametrize("name,query", [

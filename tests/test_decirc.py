@@ -1,12 +1,19 @@
 """Decircularization and bounded unfolding of circular substitutions."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from conftest import apply, apply_prefix, const, mk, random_term, var_pool
+from conftest import apply, apply_prefix, const, load_query, mk, random_term, var_pool
+from coresolve.cli import _canonical_names
+from coresolve.coengine import co_refute
 from coresolve.decirc import decircularize, unfold
+from coresolve.derivation import Limits
 from coresolve.rational import build_node, solved_answer
 from coresolve.terms import (
     TRUNCATED,
+    FreshVars,
     Struct,
     Substitution,
     Var,
@@ -14,6 +21,7 @@ from coresolve.terms import (
     iter_subterms,
     term_to_text,
     truncate,
+    truncated_text,
     variables_in_order,
     variables_of,
 )
@@ -302,3 +310,106 @@ class TestWalkCost:
             built = 0
             got = unfold(sigma, t, 5)
             assert built <= sum(1 for _ in iter_subterms(got))
+
+
+STREAMS = Path(__file__).resolve().parent / "golden" / "streams.json"
+
+
+def text_and_term(sigma, v, depth, names):
+    """The unfolding of v written by the text walk, and the text of the
+    term walk's unfolding."""
+    got = truncated_text(depth, v, sigma.bindings, sigma.cycle_vars(), names)
+    return got, term_to_text(unfold(sigma, v, depth), names)
+
+
+def random_case(rng, pool):
+    """A seeded solved form, or a raw substitution of the pool (which the
+    walk takes as well), with the variables it answers for."""
+    if rng.random() < 0.5:
+        seq = [
+            Substitution({
+                v: rng.choice(pool) if rng.random() < 0.3 else random_term(rng, 2, pool)
+                for v in pool
+                if rng.random() < 0.6
+            })
+            for _ in range(rng.randint(1, 3))
+        ]
+        query = [v for v in pool if rng.random() < 0.7] or pool[:1]
+        return solved_answer(query, seq, FreshVars(10**6)), query
+    bindings = {v: random_term(rng, 2, pool) for v in pool if rng.random() < 0.5}
+    if rng.random() < 0.3:
+        # A variable-to-variable cycle, or a chain into one.
+        ring = rng.sample(pool, rng.randint(2, 3))
+        bindings.update(zip(ring, ring[1:] + ring[:1]))
+    return Substitution(bindings), pool
+
+
+KINDS = {
+    "depth 0",
+    "alias of a cycle variable",
+    "free leaf at generation >= 2",
+    "copy of a variable with no hint",
+    "pure variable cycle",
+}
+
+
+def kinds_of(sigma, v, depth, unfolded):
+    """Which of KINDS, the walk's special cases, one unfolding of v shows."""
+    img, cycle = sigma.get(v), sigma.cycle_vars()
+    copies = [w for w in iter_subterms(unfolded) if isinstance(w, Var) and w.id < 0]
+    shown = {
+        "depth 0": depth == 0,
+        "alias of a cycle variable": v not in cycle and isinstance(img, Var) and img in cycle,
+        "free leaf at generation >= 2": any(not w.hint.startswith("_G") for w in copies),
+        "copy of a variable with no hint": any(w.hint.startswith("_G") for w in copies),
+        # Only the oldest variable of a pure variable cycle is left bound.
+        "pure variable cycle": any(w in sigma for w in variables_of(unfolded)),
+    }
+    return {kind for kind, there in shown.items() if there}
+
+
+class TestTextWalk:
+    """``truncated_text`` writes what ``term_to_text`` writes for the term
+    ``unfold`` builds, with the names an answer is printed with."""
+
+    @pytest.mark.parametrize("mode", ["cos", "colp"])
+    @pytest.mark.parametrize("name,query", sorted({
+        (r["program"], r["query"]) for r in json.loads(STREAMS.read_text(encoding="utf-8"))
+    }))
+    def test_stream_answers(self, mode, name, query):
+        p, q, fresh = load_query(name, query)
+        engine = "restricted" if mode == "cos" else "colp"
+        result = co_refute(p, q, engine, Limits(max_answers=60), fresh)
+        query_vars = variables_in_order(q)
+        assert len(result.answers) == 60
+        for answer in result.answers:
+            solved = answer.solved
+            shown = [v for v in query_vars if v in solved]
+            names = _canonical_names(query_vars, [solved.get(v) for v in shown])
+            for v in shown:
+                for depth in range(9):
+                    got, want = text_and_term(solved, v, depth, names)
+                    assert got == want, (answer, v, depth)
+
+    def test_random_substitutions(self, rng):
+        pool = [*var_pool(3, start=300), Var(303)]  # the last has no hint
+        seen: set[str] = set()
+        cases = 0
+        while cases < 2000 or seen != KINDS:
+            if cases == 50_000:
+                pytest.fail(f"no case of {sorted(KINDS - seen)} in {cases} draws")
+            sigma, answered = random_case(rng, pool)
+            names = _canonical_names(answered, [t for _, t in sigma.items()])
+            v = rng.choice(pool)
+            depth = rng.randint(0, 8)
+            got, want = text_and_term(sigma, v, depth, names)
+            assert got == want, (sigma, v, depth)
+            seen |= kinds_of(sigma, v, depth, unfold(sigma, v, depth))
+            cases += 1
+
+    def test_depth_three_thousand(self):
+        p, q, fresh = load_query("nats", "nats(X)")
+        solved = co_refute(p, q, "restricted", Limits(max_answers=1), fresh).answers[0].solved
+        (x,) = variables_in_order(q)
+        got, want = text_and_term(solved, x, 3000, {})
+        assert got == want == "scons(0," * 2999 + "scons(◇,◇)" + ")" * 2999

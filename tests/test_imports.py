@@ -485,8 +485,10 @@ class TestStartUpImports:
         assert loaded_by_cli_import(set(SLOW_IMPORTS)) == []
 
     def test_fresh_process_loads_no_oracle_module(self):
-        # Only ``oracle`` and ``validate`` use them, and import them when called.
-        assert loaded_by_cli_import({"coresolve.models", "coresolve.validation"}) == []
+        # Only ``oracle`` and ``validate`` use them, and import them when
+        # called; ``decirc`` only ``validate`` and library callers use.
+        oracles = {"coresolve.models", "coresolve.validation", "coresolve.decirc"}
+        assert loaded_by_cli_import(oracles) == []
 
     def test_lazy_exports_resolve(self):
         import coresolve
