@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from typing import Optional, Sequence
 
@@ -62,26 +63,6 @@ def _bound_error(key: str, value: int) -> Optional[str]:
     return f"error: {flag} must be positive" if value <= 0 else None
 
 
-def _canonical_names(query_vars: Sequence[Var], terms: Sequence[Term]) -> dict[Var, str]:
-    """Display names _A, _B, ... for every non-query variable in the answer
-    terms, in order of appearance, so output is byte-stable."""
-    query = set(query_vars)
-    taken = {v.display for v in query}
-    names: dict[Var, str] = {}
-    counter = 0
-    for v in variables_in_order(terms):
-        if v in query:
-            continue
-        while True:
-            name = "_" + _letters(counter)
-            counter += 1
-            if name not in taken:
-                break
-        taken.add(name)
-        names[v] = name
-    return names
-
-
 def _letters(n: int) -> str:
     out = ""
     while True:
@@ -98,16 +79,30 @@ def _print_answer(
     out,
 ) -> None:
     """Print ``X = …`` per bound query variable, and for a circular answer at a positive
-    ``unfold_depth`` ``X ~ …``: the value cut at that depth, written as it is cut."""
+    ``unfold_depth`` ``X ~ …``: the value cut at that depth, written as it is cut.
+    Every other variable is named _A, _B, ... where the ``=`` lines first meet it,
+    skipping the query's own names, so output is byte-stable."""
     shown = [(v, img) for v in query_vars if (img := solved.get(v)) is not None]
     if not shown:
         print("true", file=out)
         return
-    names = _canonical_names(query_vars, [img for _, img in shown])
-    for v, img in shown:
-        print(f"{v.display} = {term_to_text(img, names)}", file=out)
+    query = set(query_vars)
+    taken = {v.display for v in query}
+    unused = (s for s in ("_" + _letters(n) for n in itertools.count()) if s not in taken)
+    names: dict[Var, str] = {}
+
+    def name(v: Var) -> Optional[str]:
+        if v in query:
+            return None
+        return names.get(v) or names.setdefault(v, next(unused))
+
+    # Every ``=`` line is named before any is printed, so each ``~`` line
+    # knows the names of them all.
+    equations = [(v, term_to_text(img, name)) for v, img in shown]
+    for v, text in equations:
+        print(f"{v.display} = {text}", file=out)
         if unfold_depth > 0 and solved.circular:
-            text = truncated_text(unfold_depth, v, solved.bindings, solved.cycle_vars(), names)
+            text = truncated_text(unfold_depth, v, solved.bindings, solved.cycle_vars(), names.get)
             print(f"{v.display} ~ {text}", file=out)
 
 
@@ -202,7 +197,8 @@ def cmd_run(prog: Program, fresh: FreshVars, args, out, err) -> int:
             traces = [()]
         for steps in traces:
             _emit_trace(steps, args.trace, out)
-    query_vars = variables_in_order(query)
+    # A lone ``_`` is a fresh variable at each occurrence: it gets no line of its own.
+    query_vars = [v for v in variables_in_order(query) if v.hint != "_"]
     for k, answer in enumerate(result.answers):
         if k:
             print("", file=out)
@@ -308,8 +304,11 @@ def repl(prog: Program, fresh: FreshVars, args, out, err) -> int:
                 print("usage: :set KEY VALUE", file=out)
                 continue
             key, value = parts[1], parts[2]
-            if key == "mode" and value in ("sld", "s", "colp", "cos"):
-                run.mode = value
+            if key == "mode":
+                if value in ("sld", "s", "colp", "cos"):
+                    run.mode = value
+                else:
+                    print("usage: :set mode sld|s|colp|cos", file=out)
             elif key in ("max_steps", "max_answers", "unfold_depth"):
                 try:
                     number = int(value)

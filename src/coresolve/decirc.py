@@ -10,7 +10,8 @@ each unrolling round of a binding stands for one more clause application,
 which would have introduced its own copies of those variables — and the
 renaming is deterministic (``terms.generation_var``).  ``validate`` and
 library callers read the cut value as a term; the printer's ``X ~ …`` lines
-do not come here but write the same walk's text (``terms.truncated_text``).
+do not come here but write the same walk's text (``terms.truncated_text``,
+the one text writer, which also writes the ``X = …`` lines uncut).
 
 ``decircularize`` materializes a finite prefix of the succession as a list
 of non-circular substitutions, one per generation.  Mutually circular
@@ -70,7 +71,7 @@ def decircularize(
     def gen(v: Var, n: int) -> Var:
         got = gen_cache.get((v, n))
         if got is None:
-            got = gen_cache[(v, n)] = fresh.new(f"{v.hint or f'_G{v.id}'}_{n}")
+            got = gen_cache[(v, n)] = fresh.new(f"{v.display}_{n}")
         return got
 
     resolved: dict[tuple[Var, int], Term] = {}

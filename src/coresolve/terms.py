@@ -170,37 +170,12 @@ DIAMOND = Symbol("◇", 0)
 TRUNCATED = Struct(DIAMOND)
 
 
-def term_to_text(t: Term, names: Optional[Mapping[Var, str]] = None) -> str:
-    """Render a term in the program syntax (no whitespace, no list sugar).
-    A variable in ``names`` is shown by the name given there, any other by
-    its own display name."""
-    names = names or {}
-    out: list[str] = []
-    # Iterative: answers can be as deep as the terms a derivation builds.
-    # The stack holds the argument iterators of the open structures.
-    open_args: list[Iterator[Term]] = []
-    while True:
-        if isinstance(t, Var):
-            out.append(names.get(t) or t.display)
-        elif t.args:
-            out.append(t.symbol.name + "(")
-            args = iter(t.args)
-            open_args.append(args)
-            t = next(args)
-            continue
-        else:
-            out.append(t.symbol.name)
-        while open_args:
-            nxt = next(open_args[-1], None)
-            if nxt is None:
-                open_args.pop()
-                out.append(")")
-            else:
-                out.append(",")
-                t = nxt
-                break
-        else:
-            return "".join(out)
+def term_to_text(t: Term, names: Optional[Callable[[Var], Optional[str]]] = None) -> str:
+    """Render a term in the program syntax (no whitespace, no list sugar):
+    ``truncated_text`` with no bindings and no cut.  A variable is shown by
+    the name ``names`` gives it, or by its own display name where that is
+    None."""
+    return truncated_text(-1, t, {}, frozenset(), names or {}.get)
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:
@@ -478,8 +453,7 @@ def generation_var(v: Var, gen: int) -> Var:
         return v
     if not 0 < gen < _GEN_STRIDE:
         raise ValueError("generation out of range")
-    base = v.hint or f"_G{v.id}"
-    return Var(-(abs(v.id) * _GEN_STRIDE + gen), f"{base}_{gen}")
+    return Var(-(abs(v.id) * _GEN_STRIDE + gen), f"{v.display}_{gen}")
 
 
 def truncate_value(
@@ -487,8 +461,8 @@ def truncate_value(
 ) -> Term:
     """The depth-``n`` truncation of t's value under ``bindings``, whose
     cycle variables are ``cycle_vars``, by one iterative walk; with no
-    bindings, the truncation of t itself.  ``_unfolding_step`` gives what
-    each position holds."""
+    bindings, the truncation of t itself, and at a negative ``n``, uncut.
+    ``_unfolding_step`` gives what each position holds."""
     # A frame is a Struct being rebuilt: its symbol, an iterator over its arguments,
     # their generation, the depth left at them and the arguments done so far.
     stack = [(None, iter((t,)), 0, n, [])]
@@ -510,10 +484,13 @@ def truncate_value(
             stack[-1][4].append(Struct(symbol, tuple(done)))
 
 
-def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term],
-                   cycle_vars: AbstractSet[Var], names: Mapping[Var, str]) -> str:
-    """``term_to_text(truncate_value(n, t, bindings, cycle_vars), names)``,
-    written by the walk that cuts the value, so no truncated term is built."""
+def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term], cycle_vars: AbstractSet[Var],
+                   names: Callable[[Var], Optional[str]]) -> str:
+    """The text of ``truncate_value(n, t, bindings, cycle_vars)``, written
+    by the walk that cuts the value, so no truncated term is built: the one
+    text writer (``term_to_text`` is this walk with no bindings and no cut).
+    A variable is shown by the name ``names`` gives it, or by its own
+    display name where that is None; a mapping passes its ``get``."""
     parts: list[str] = []
     # A frame is an open structure's argument iterator, generation and depth left.
     # Each argument's text is followed by ","; closing puts ")" in place of its last.
@@ -525,7 +502,7 @@ def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term],
             if not left or term.__class__ is Var:
                 term, g = _unfolding_step(term, gen, left, bindings, cycle_vars)
             if term.__class__ is Var:
-                parts.append(names.get(term) or term.display)
+                parts.append(names(term) or term.display)
             elif not term.args:
                 parts.append(term.symbol.name)
             else:
@@ -545,11 +522,12 @@ def _unfolding_step(term: Term, gen: int, left: int, bindings: Mapping[Var, Term
                     cycle_vars: AbstractSet[Var]) -> tuple[Term, int]:
     """What a truncated unfolding holds where ``term`` is at generation
     ``gen`` with ``left`` levels above the cut, and its arguments'
-    generation.  With no level left, the reserved leaf.  A bound variable
-    met at generation 0 moves to generation 1, a cycle variable to the next,
-    any other keeps its own; a free one at generation g is its g-1 copy.  A
-    pure variable cycle (X ↦ Y, Y ↦ X) has no structure: its oldest
-    variable stands for it, as in ``rational.build_node``."""
+    generation.  With no level left, the reserved leaf; a negative ``left``
+    never reaches the cut.  A bound variable met at generation 0 moves to
+    generation 1, a cycle variable to the next, any other keeps its own; a
+    free one at generation g is its g-1 copy.  A pure variable cycle
+    (X ↦ Y, Y ↦ X) has no structure: its oldest variable stands for it, as
+    in ``rational.build_node``."""
     if not left:
         return TRUNCATED, gen
     hops = 0  # variable-to-variable bindings passed: more than there are is a cycle

@@ -1,14 +1,16 @@
 """Shared fixtures and generators for the test suite, and the reference
 definitions the engine does not need: the checked ``apply``, ``compose``,
 ``occurs_in``, the dyadic tree metric, the per-candidate, memo-free loop
-check, the eager step rules the binding store replaced and the scanning
-value graph that ``rational.build_node``'s level index replaced.
+check, the eager step rules the binding store replaced, the scanning
+value graph that ``rational.build_node``'s level index replaced and the
+term writer that the uncut text walk replaced.
 
 Randomized property tests draw from a ``random.Random`` seeded via the
 ``CORESOLVE_SEED`` environment variable (default fixed), so every run is
 reproducible.
 """
 
+import itertools
 import os
 import random
 import sys
@@ -385,6 +387,56 @@ def values_bisimilar(a, b) -> bool:
         labels_a + labels_b, kids_a + [[k + shift for k in ks] for ks in kids_b]
     )
     return block[root_a] == block[root_b + shift]
+
+
+# --- the term writer ------------------------------------------------------------
+# ``terms.term_to_text`` and the printer's naming as they were before both
+# became the uncut text walk: the references its text must equal.
+
+
+def reference_text(t: Term, names: Optional[dict] = None) -> str:
+    """A term in the program syntax, a variable in ``names`` by the name
+    given there and any other by its display name.  The stack holds the
+    argument iterators of the open structures."""
+    names = names or {}
+    out: list[str] = []
+    open_args = []
+    while True:
+        if isinstance(t, Var):
+            out.append(names.get(t) or t.display)
+        elif t.args:
+            out.append(t.symbol.name + "(")
+            args = iter(t.args)
+            open_args.append(args)
+            t = next(args)
+            continue
+        else:
+            out.append(t.symbol.name)
+        while open_args:
+            nxt = next(open_args[-1], None)
+            if nxt is None:
+                open_args.pop()
+                out.append(")")
+            else:
+                out.append(",")
+                t = nxt
+                break
+        else:
+            return "".join(out)
+
+
+def reference_names(query_vars, terms) -> dict:
+    """_A, _B, ... for the non-query variables of ``terms`` in order of
+    first occurrence, skipping the query variables' own names."""
+    taken = {v.display for v in query_vars}
+    others = [v for v in variables_in_order(terms) if v not in query_vars]
+    labels = (f"_{n}" for n in map(letters, itertools.count()) if f"_{n}" not in taken)
+    return dict(zip(others, labels))
+
+
+def letters(n: int) -> str:
+    """A, B, ..., Z, BA, BB, ...: ``n`` in base 26 with digits A to Z."""
+    return (letters(n // 26) if n >= 26 else "") + chr(ord("A") + n % 26)
 
 
 # --- checked substitution and the tree metric ---------------------------------

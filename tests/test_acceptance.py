@@ -10,6 +10,8 @@
 6. Decircularization faithfulness, exact equality.
 7. Model-oracle coherence (bounded least model; backward closure of
    restricted answers).
+
+Last, the library's entry points refuse out-of-range arguments.
 """
 
 import random
@@ -57,6 +59,7 @@ from coresolve.terms import (
     Symbol,
     Var,
     apply_raw,
+    generation_var,
     is_variant,
     term_to_text,
     truncate,
@@ -637,3 +640,19 @@ class TestCriterion7ModelOracle:
         answer = result.answers[0]
         for atom in q:
             assert gfp_local_check(p, (atom, answer.solved), 8)
+
+
+# --- argument errors ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, q: unfold(Substitution(), q[0], -1),
+    lambda p, q: check_productive(p, bound=0),
+    lambda p, q: refute(p, q, mode="x"),
+    lambda p, q: co_refute(p, q, mode="x"),
+    lambda p, q: generation_var(Var(1, "X"), 1 << 20),
+], ids=["unfold", "check_productive", "refute", "co_refute", "generation_var"])
+def test_out_of_range_argument_is_a_value_error(call):
+    p, q, _ = load_query("nats", "nats(X)")
+    with pytest.raises(ValueError):
+        call(p, q)

@@ -94,6 +94,16 @@ class TestRun:
         code, out, err = run(capsys, "run", str(path), "-q", "X", "--mode", mode)
         assert (code, out, err) == (0, "X = p(_A)\n", "")
 
+    def test_anonymous_query_variables_get_no_line(self, capsys, tmp_path):
+        # Each lone _ is its own variable: printed as a query variable, two
+        # of them shared the one name _.
+        code, out, _ = run(capsys, "run", lp("nats"), "-q", "nats(_),nats(_)")
+        assert (code, out) == (0, "true\n")
+        path = tmp_path / "p.lp"
+        path.write_text("p(f(Y),Y).\n", encoding="utf-8")
+        code, out, _ = run(capsys, "run", str(path), "-q", "p(X,_),p(_,Z)", "--mode", "sld")
+        assert (code, out) == (0, "X = f(_A)\n")
+
     def test_unfold_through_variable_binding(self, capsys):
         # Y = X takes a generation without adding a level; Y's unfolding
         # still reaches the depth asked for, like X's.
@@ -145,6 +155,23 @@ class TestRun:
             cli._print_answer(variables_in_order(q), answer.solved, 5, out)
         assert out.getvalue().count("X ~ scons(0,scons(0,scons(0,scons(0,scons(◇,◇)))))") == 20
         assert structs.n == 0
+
+    def test_printing_names_variables_as_it_writes(self, monkeypatch):
+        # The text walk names each variable the first time it writes it.
+        # A separate pass over the printed images named them first.
+        p, q, fresh = load_query("case3", "resource(X,Y,Z)")
+        (answer,) = co_refute(p, q, "colp", Limits(max_answers=1), fresh).answers
+        query_vars = variables_in_order(q)
+        passes = []
+        walk, order = terms.iter_subterms, terms.variables_in_order
+        monkeypatch.setattr(terms, "iter_subterms", lambda t: passes.append(t) or walk(t))
+        monkeypatch.setattr(cli, "variables_in_order", lambda ts: passes.append(ts) or order(ts))
+        out = io.StringIO()
+        cli._print_answer(query_vars, answer.solved, 3, out)
+        assert passes == []
+        assert out.getvalue().splitlines()[:2] == [
+            "X = cons(get(_A),X)", "X ~ cons(get(_A),cons(get(◇),cons(◇,◇)))",
+        ]
 
     def test_naming_is_linear_in_the_query_variables(self, monkeypatch):
         # Query variables were looked up in a list: each of the n answer
@@ -555,6 +582,19 @@ class TestRepl:
         assert out.splitlines()[1:] == [
             "usage: :check universal|productive",
             "universal: every body variable occurs in its head",
+        ]
+
+    def test_every_usage_line(self, capsys, monkeypatch):
+        inp = ":set mode\n\n:set max_steps abc\n:set foo 1\n:set mode xyz\n:bogus\nnat(0).\n"
+        code, out, err = repl(capsys, monkeypatch, "nat", inp)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "usage: :set KEY VALUE",
+            "value must be an integer",
+            "unknown setting foo",
+            "usage: :set mode sld|s|colp|cos",
+            "unknown command :bogus",
+            "true",
         ]
 
     def test_program_read_once(self, capsys, monkeypatch):

@@ -1,12 +1,15 @@
 """Decircularization and bounded unfolding of circular substitutions."""
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from conftest import apply, apply_prefix, const, load_query, mk, random_term, var_pool
-from coresolve.cli import _canonical_names
+from conftest import (
+    apply, apply_prefix, const, load_query, mk, random_term, reference_names, reference_text, var_pool,
+)
+from coresolve.cli import _print_answer
 from coresolve.coengine import co_refute
 from coresolve.decirc import decircularize, unfold
 from coresolve.derivation import Limits
@@ -316,10 +319,10 @@ STREAMS = Path(__file__).resolve().parent / "golden" / "streams.json"
 
 
 def text_and_term(sigma, v, depth, names):
-    """The unfolding of v written by the text walk, and the text of the
-    term walk's unfolding."""
-    got = truncated_text(depth, v, sigma.bindings, sigma.cycle_vars(), names)
-    return got, term_to_text(unfold(sigma, v, depth), names)
+    """The unfolding of v written by the text walk, and the reference text
+    of the term walk's unfolding."""
+    got = truncated_text(depth, v, sigma.bindings, sigma.cycle_vars(), names.get)
+    return got, reference_text(unfold(sigma, v, depth), names)
 
 
 def random_case(rng, pool):
@@ -369,8 +372,9 @@ def kinds_of(sigma, v, depth, unfolded):
 
 
 class TestTextWalk:
-    """``truncated_text`` writes what ``term_to_text`` writes for the term
-    ``unfold`` builds, with the names an answer is printed with."""
+    """``truncated_text`` writes what the reference writer writes for the
+    term ``unfold`` builds, with the names an answer is printed with, and
+    ``term_to_text`` writes what it writes for the term itself."""
 
     @pytest.mark.parametrize("mode", ["cos", "colp"])
     @pytest.mark.parametrize("name,query", sorted({
@@ -385,11 +389,17 @@ class TestTextWalk:
         for answer in result.answers:
             solved = answer.solved
             shown = [v for v in query_vars if v in solved]
-            names = _canonical_names(query_vars, [solved.get(v) for v in shown])
+            names = reference_names(query_vars, [solved.get(v) for v in shown])
+            printed = []
             for v in shown:
                 for depth in range(9):
                     got, want = text_and_term(solved, v, depth, names)
                     assert got == want, (answer, v, depth)
+                printed.append(f"{v} = {reference_text(solved.get(v), names)}")
+                printed.append(f"{v} ~ {reference_text(unfold(solved, v, 8), names)}")
+            out = io.StringIO()
+            _print_answer(query_vars, solved, 8, out)
+            assert out.getvalue().splitlines() == printed
 
     def test_random_substitutions(self, rng):
         pool = [*var_pool(3, start=300), Var(303)]  # the last has no hint
@@ -399,11 +409,12 @@ class TestTextWalk:
             if cases == 50_000:
                 pytest.fail(f"no case of {sorted(KINDS - seen)} in {cases} draws")
             sigma, answered = random_case(rng, pool)
-            names = _canonical_names(answered, [t for _, t in sigma.items()])
+            names = reference_names(answered, [t for _, t in sigma.items()])
             v = rng.choice(pool)
             depth = rng.randint(0, 8)
             got, want = text_and_term(sigma, v, depth, names)
             assert got == want, (sigma, v, depth)
+            assert term_to_text(sigma.get(v) or v, names.get) == reference_text(sigma.get(v) or v, names)
             seen |= kinds_of(sigma, v, depth, unfold(sigma, v, depth))
             cases += 1
 
