@@ -81,12 +81,13 @@ def _print_answer(
     """Print ``X = …`` per bound query variable, and for a circular answer at a positive
     ``unfold_depth`` ``X ~ …``: the value cut at that depth, written as it is cut.
     Every other variable is named _A, _B, ... where the ``=`` lines first meet it,
-    skipping the query's own names, so output is byte-stable."""
-    shown = [(v, img) for v in query_vars if (img := solved.get(v)) is not None]
+    skipping the query's own names, so output is byte-stable; a lone ``_``, fresh at
+    each occurrence, gets lines only under the name one of these gave it."""
+    query = {v for v in query_vars if v.hint != "_"}
+    shown = [(v, img) for v in query_vars if v in query and (img := solved.get(v)) is not None]
     if not shown:
         print("true", file=out)
         return
-    query = set(query_vars)
     taken = {v.display for v in query}
     unused = (s for s in ("_" + _letters(n) for n in itertools.count()) if s not in taken)
     names: dict[Var, str] = {}
@@ -94,16 +95,22 @@ def _print_answer(
     def name(v: Var) -> Optional[str]:
         if v in query:
             return None
-        return names.get(v) or names.setdefault(v, next(unused))
+        if v not in names:
+            names[v] = next(unused)
+            # A bound ``_`` (a cycle reached through it) is shown too: its value is nowhere else.
+            if v.hint == "_" and (img := solved.get(v)) is not None:
+                shown.append((v, img))
+        return names[v]
 
-    # Every ``=`` line is named before any is printed, so each ``~`` line
-    # knows the names of them all.
-    equations = [(v, term_to_text(img, name)) for v, img in shown]
-    for v, text in equations:
-        print(f"{v.display} = {text}", file=out)
+    # Every ``=`` line is written before any is printed, so each ``~`` line
+    # knows the names of them all.  ``shown`` grows while it is read.
+    equations = [term_to_text(img, name) for _, img in shown]
+    for (v, _), text in zip(shown, equations):
+        label = names.get(v) or v.display
+        print(f"{label} = {text}", file=out)
         if unfold_depth > 0 and solved.circular:
             text = truncated_text(unfold_depth, v, solved.bindings, solved.cycle_vars(), names.get)
-            print(f"{v.display} ~ {text}", file=out)
+            print(f"{label} ~ {text}", file=out)
 
 
 def _emit_trace(steps, fmt: str, out) -> None:
@@ -197,8 +204,7 @@ def cmd_run(prog: Program, fresh: FreshVars, args, out, err) -> int:
             traces = [()]
         for steps in traces:
             _emit_trace(steps, args.trace, out)
-    # A lone ``_`` is a fresh variable at each occurrence: it gets no line of its own.
-    query_vars = [v for v in variables_in_order(query) if v.hint != "_"]
+    query_vars = variables_in_order(query)
     for k, answer in enumerate(result.answers):
         if k:
             print("", file=out)
@@ -304,11 +310,10 @@ def repl(prog: Program, fresh: FreshVars, args, out, err) -> int:
                 print("usage: :set KEY VALUE", file=out)
                 continue
             key, value = parts[1], parts[2]
-            if key == "mode":
-                if value in ("sld", "s", "colp", "cos"):
-                    run.mode = value
-                else:
-                    print("usage: :set mode sld|s|colp|cos", file=out)
+            if key == "mode" and value in ("sld", "s", "colp", "cos"):
+                run.mode = value
+            elif key == "mode":
+                print("usage: :set mode sld|s|colp|cos", file=out)
             elif key in ("max_steps", "max_answers", "unfold_depth"):
                 try:
                     number = int(value)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
@@ -169,13 +170,16 @@ _is_ground = operator.attrgetter("_ground")
 DIAMOND = Symbol("◇", 0)
 TRUNCATED = Struct(DIAMOND)
 
+# What ``term_to_text`` walks under: no binding and no name.
+_NOTHING: Mapping = MappingProxyType({})
+
 
 def term_to_text(t: Term, names: Optional[Callable[[Var], Optional[str]]] = None) -> str:
     """Render a term in the program syntax (no whitespace, no list sugar):
     ``truncated_text`` with no bindings and no cut.  A variable is shown by
     the name ``names`` gives it, or by its own display name where that is
     None."""
-    return truncated_text(-1, t, {}, frozenset(), names or {}.get)
+    return truncated_text(-1, t, _NOTHING, frozenset(), names or _NOTHING.get)
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:
@@ -499,7 +503,8 @@ def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term], cycle_vars: Ab
         args, gen, left = stack[-1]
         for term in args:
             g = gen
-            if not left or term.__class__ is Var:
+            # With no bindings a variable stands for itself: no step to take.
+            if not left or (bindings and term.__class__ is Var):
                 term, g = _unfolding_step(term, gen, left, bindings, cycle_vars)
             if term.__class__ is Var:
                 parts.append(names(term) or term.display)

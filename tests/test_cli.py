@@ -104,6 +104,21 @@ class TestRun:
         code, out, _ = run(capsys, "run", str(path), "-q", "p(X,_),p(_,Z)", "--mode", "sld")
         assert (code, out) == (0, "X = f(_A)\n")
 
+    @pytest.mark.parametrize("mode", ["colp", "cos"])
+    def test_anonymous_variable_a_line_names_gets_its_equation(self, capsys, tmp_path, mode):
+        # The cycle X reaches through _ is bound only in _'s own equation:
+        # without that line, X = f(_A) would read as if _A were free.
+        path = tmp_path / "r.lp"
+        path.write_text("nats(scons(0,Y)) :- nats(Y).\nr(f(Y),Y) :- nats(Y).\n", encoding="utf-8")
+        for depth, unfolded in (("0", []), ("2", ["X ~ f(scons(◇,◇))", "_A ~ scons(0,scons(◇,◇))"])):
+            code, out, _ = run(
+                capsys, "run", str(path), "-q", "r(X,_)", "--mode", mode, "--unfold-depth", depth,
+            )
+            expected = ["X = f(_A)", "_A = scons(0,_A)"]
+            for k, line in enumerate(unfolded):
+                expected.insert(2 * k + 1, line)
+            assert (code, out.splitlines()) == (0, expected)
+
     def test_unfold_through_variable_binding(self, capsys):
         # Y = X takes a generation without adding a level; Y's unfolding
         # still reaches the depth asked for, like X's.
