@@ -6,17 +6,18 @@ Terms are immutable values; structural sharing is allowed but never observable.
 Variables carry globally unique integer ids handed out by a ``FreshVars``
 source; display names are hints only and never affect identity.
 
-``Symbol``, ``Var`` and ``Struct`` are ``__slots__`` classes built millions of
-times per query.  Each computes its hash once, at construction, and refuses
-attribute assignment afterwards; their constructors fill the slots through
-the slot descriptors.  ``Struct.__init__`` is the one place a structure is
-built.
+``Var`` and ``Struct`` are ``__slots__`` classes built millions of times per
+query.  Each computes its hash once, at construction, and refuses attribute
+assignment afterwards; their constructors fill the slots through the slot
+descriptors.  ``Struct.__init__`` is the one place a structure is built.
+``Symbol`` is a named tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import namedtuple
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
@@ -26,37 +27,18 @@ def immutable_setattr(self: object, *_: object) -> None:
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Symbol:
-    """A function/predicate symbol. Same name with different arities is a
-    different symbol."""
+class Symbol(namedtuple("Symbol", ("name", "arity"))):
+    """A function/predicate symbol, as a named tuple. Same name with
+    different arities is a different symbol."""
 
-    __slots__ = ("name", "arity", "_hash")
-    __setattr__ = __delattr__ = immutable_setattr
+    __slots__ = ()
 
-    name: str
-    arity: int
-
-    def __init__(self, name: str, arity: int) -> None:
+    def __new__(cls, name: str, arity: int) -> Symbol:
         if not name:
             raise ValueError("symbol name must be non-empty")
         if arity < 0:
             raise ValueError("arity must be non-negative")
-        _set_symbol_name(self, name)
-        _set_symbol_arity(self, arity)
-        _set_symbol_hash(self, hash((name, arity)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Symbol:
-            return NotImplemented
-        return self.name == other.name and self.arity == other.arity
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Symbol(name={self.name!r}, arity={self.arity!r})"
+        return tuple.__new__(cls, (name, arity))
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -150,9 +132,6 @@ class Struct:
 
 
 # The slot setters the constructors use, since the classes refuse setattr.
-_set_symbol_name = Symbol.name.__set__  # type: ignore[attr-defined]
-_set_symbol_arity = Symbol.arity.__set__  # type: ignore[attr-defined]
-_set_symbol_hash = Symbol._hash.__set__  # type: ignore[attr-defined]
 _set_var_id = Var.id.__set__  # type: ignore[attr-defined]
 _set_var_hint = Var.hint.__set__  # type: ignore[attr-defined]
 _set_var_hash = Var._hash.__set__  # type: ignore[attr-defined]
@@ -445,14 +424,17 @@ def truncate(n: int, t: Term) -> Term:
 
 
 # Generation copies get negative ids: deterministic across calls and
-# disjoint from engine-issued (positive) variable ids.
-_GEN_STRIDE = 1 << 20
+# disjoint from engine-issued (positive) variable ids.  A walk takes a step
+# per generation, so none reaches the stride, and the copies of distinct
+# variables stay distinct.
+_GEN_STRIDE = 1 << 64
 
 
 def generation_var(v: Var, gen: int) -> Var:
-    """The generation-``gen`` copy of a free variable (generation 0 is the
+    """The generation-``gen`` copy of a variable (generation 0 is the
     variable itself): the copy that ``gen`` unrollings of a circular
-    binding give it (``decirc``)."""
+    binding give a free variable, or a cycle variable's name in generation
+    ``gen`` of ``decirc.decircularize``."""
     if gen == 0:
         return v
     if not 0 < gen < _GEN_STRIDE:

@@ -99,17 +99,23 @@ def _walk(t: Term, bind: dict[Var, Term]) -> Term:
 
 
 def _occurs_resolved(v: Var, t: Term, bind: dict[Var, Term]) -> bool:
-    """Whether ``v`` occurs in ``t`` resolved through ``bind``.  A bound
-    variable met again while its own value is being searched is a binding
-    cycle, which raises ValueError naming it instead of searching forever."""
+    """Whether ``v`` occurs in ``t`` resolved through ``bind``, searching
+    each bound variable's value once: the search marks the variable open
+    while its value is searched and done after, and passes a done one by.
+    A bound variable met again while open is a binding cycle, which raises
+    ValueError naming it instead of searching forever."""
     stack: list = [t]
-    path: set[Var] = set()  # the bound variables whose values are open
+    done: dict[Var, bool] = {}  # each bound variable met: whether its value is searched
     while stack:
         cur = stack.pop()
         if cur.__class__ is tuple:  # the value of cur[0] is searched
-            path.discard(cur[0])
+            done[cur[0]] = True
             continue
         if cur.__class__ is Var:
+            if cur in done:
+                if done[cur]:
+                    continue
+                raise _cycle(cur)
             val = _walk(cur, bind)
             if val.__class__ is Var:
                 if val == v:
@@ -118,9 +124,7 @@ def _occurs_resolved(v: Var, t: Term, bind: dict[Var, Term]) -> bool:
             # A ground subterm holds no variable: skip it without a walk.
             if val._ground:
                 continue
-            if cur in path:
-                raise _cycle(cur)
-            path.add(cur)
+            done[cur] = False
             stack.append((cur,))
             stack.extend(val.args)
         elif not cur._ground:
@@ -130,16 +134,20 @@ def _occurs_resolved(v: Var, t: Term, bind: dict[Var, Term]) -> bool:
 
 def _resolve_full(t: Term, bind: dict[Var, Term]) -> Term:
     """Fully resolve a term through a triangular binding map, on an
-    explicit stack.  A subterm that no binding changes, ground or not,
-    comes back as the same object, not rebuilt.  A bound variable met
-    again while its own value is being resolved is a binding cycle, which
-    raises ValueError naming it instead of growing the term without end."""
+    explicit stack, resolving each bound variable once: a variable met
+    again takes its value as first resolved, so values that share
+    variables are built as one graph, in time linear in its size.  A
+    subterm that no binding changes, ground or not, comes back as the same
+    object, not rebuilt.  A bound variable met again while its own value
+    is being resolved is a binding cycle, which raises ValueError naming it
+    instead of growing the term without end."""
     var = None
     if t.__class__ is Var:
         var, t = t, _walk(t, bind)
     if t._ground or t.__class__ is Var:
         return t
-    path: set[Var] = set() if var is None else {var}  # the bound variables whose values are open
+    # Each bound variable met: None while its value is open, that value resolved after.
+    resolved: dict[Var, Optional[Term]] = {} if var is None else {var: None}
     # A frame is an open structure, its argument iterator, the resolved
     # arguments so far and the bound variable it is the value of, if any.
     stack: list[tuple[Struct, Iterator[Term], list[Term], Optional[Var]]] = [
@@ -156,23 +164,27 @@ def _resolve_full(t: Term, bind: dict[Var, Term]) -> Term:
                 if img is None:
                     done.append(a)
                     continue
+                if a in resolved:
+                    img = resolved[a]
+                    if img is None:
+                        raise _cycle(a)
+                    done.append(img)
+                    continue
                 img = _walk(img, bind)
                 if img._ground or img.__class__ is Var:
                     done.append(img)
                     continue
-                if a in path:
-                    raise _cycle(a)
-                path.add(a)
+                resolved[a] = None
                 stack.append((img, iter(img.args), [], a))
             else:
                 stack.append((a, iter(a.args), [], None))
             break
         else:
             stack.pop()
-            if var is not None:
-                path.discard(var)
             if not all(map(is_, done, node.args)):
                 node = Struct(node.symbol, tuple(done))
+            if var is not None:
+                resolved[var] = node
             if not stack:
                 return node
             stack[-1][2].append(node)

@@ -650,7 +650,7 @@ class TestCriterion7ModelOracle:
     lambda p, q: check_productive(p, bound=0),
     lambda p, q: refute(p, q, mode="x"),
     lambda p, q: co_refute(p, q, mode="x"),
-    lambda p, q: generation_var(Var(1, "X"), 1 << 20),
+    lambda p, q: generation_var(Var(1, "X"), -1),
 ], ids=["unfold", "check_productive", "refute", "co_refute", "generation_var"])
 def test_out_of_range_argument_is_a_value_error(call):
     p, q, _ = load_query("nats", "nats(X)")

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    apply, apply_prefix, const, load_query, mk, random_term, reference_names, reference_text, var_pool,
+    apply, apply_prefix, const, grows_at_most, load_query, mk, random_term, reference_names,
+    reference_text, var_pool,
 )
 from coresolve.cli import _print_answer
 from coresolve.coengine import co_refute
@@ -20,6 +21,7 @@ from coresolve.terms import (
     Struct,
     Substitution,
     Var,
+    _unfolding_step,
     generation_var,
     iter_subterms,
     term_to_text,
@@ -88,6 +90,31 @@ class TestDecircularize:
                 introduced |= (variables_of(t) | {v}) - forbidden
         assert A not in introduced and B not in introduced
 
+    def test_generations_are_named_by_generation_var(self):
+        # Generation n binds the generation n-1 copies of the cycle variables.
+        first, second = decircularize(SIGMA_AB, 2)
+        assert first.domain() == {A, B}
+        assert second.domain() == {generation_var(A, 1), generation_var(B, 1)}
+        assert second.get(generation_var(B, 1)) == s_(generation_var(B, 2))
+
+    def test_calls_agree(self):
+        assert decircularize(SIGMA_AB, 4) == decircularize(SIGMA_AB, 4)
+        assert decircularize(CLOSED_CHAIN, 2) == decircularize(CLOSED_CHAIN, 2)
+
+    def test_chain_into_a_cycle_is_linear(self, structs):
+        # Y0 ↦ f(Y1), …, Yn-1 ↦ f(X), X ↦ s(X): each generation resolves all
+        # its images in one walk, so the chain's values share their tails.
+        built = []
+        for n in (250, 500, 1000):
+            ys = [Var(1000 + i, f"Y{i}") for i in range(n)]
+            sigma = Substitution({**{y: mk("f", z) for y, z in zip(ys, ys[1:] + [X])}, X: s_(X)})
+            structs.n = 0
+            first, second = decircularize(sigma, 2)
+            built.append(structs.n)
+            assert first.get(ys[0]).args[0] == first.get(ys[1])
+            assert len(first) == n + 1 and len(second) == 1
+        assert grows_at_most(built, 2.2), built
+
 
 # Chains of 10,000 bindings X_i ↦ f(X_{i+1}), once left open at X_10000 and
 # once closed back to X_0: deep enough to overflow a recursive analysis.
@@ -139,6 +166,14 @@ class TestUnfold:
         second = Substitution({Y: zero})
         got = unfold(solved_answer([X], [first, second]), X, 3)
         assert term_to_text(got) == "scons(0,scons(0,scons(◇,◇)))"
+
+    def test_generations_past_two_to_the_twenty(self):
+        # Each generation has its own copy, whatever its number, and the
+        # copies of distinct variables stay apart.
+        gen = (1 << 20) + 2
+        term, g = _unfolding_step(X, gen, 1, {}, frozenset())
+        assert (term, g) == (generation_var(X, gen - 1), gen) and term.hint == "X_1048577"
+        assert term.id < 0 and term not in {generation_var(X, 1), generation_var(Y, 1)}
 
     def test_free_variables_copied_per_round(self):
         got = unfold(Substitution({X: mk("f", X, Y)}), X, 3)

@@ -519,13 +519,13 @@ class TestSearchWork:
         # facts it never reads, builds as many Symbols and Structs at every
         # size.
         symbols = SimpleNamespace(n=0)
-        construct = Symbol.__init__
+        construct = Symbol.__new__
 
-        def counted(self, *args):
+        def counted(cls, *args):
             symbols.n += 1
-            construct(self, *args)
+            return construct(cls, *args)
 
-        monkeypatch.setattr(Symbol, "__init__", counted)
+        monkeypatch.setattr(Symbol, "__new__", counted)
         rnd = random.Random(seed())
         built = []
         for n in (300, 600, 1200):

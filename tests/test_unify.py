@@ -4,6 +4,7 @@ import contextlib
 import random
 import signal
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     FUNCS,
     apply,
     const,
+    grows_at_most,
     load_query,
     mk,
     occurs_in,
@@ -23,7 +25,7 @@ from conftest import (
     var_pool,
 )
 from test_golden import MAX_STEPS
-from coresolve import coengine
+from coresolve import coengine, unify
 from coresolve.derivation import Bindings, Limits
 from coresolve.program import Clause, clause_instance
 from coresolve.terms import (
@@ -534,6 +536,45 @@ class TestBindingCycles:
         bind = {X: mk("g", Y, Y), Y: s_(Z)}
         assert _resolve_full(mk("p", X, Y), bind) == mk("p", mk("g", s_(Z), s_(Z)), s_(Z))
         assert _occurs_resolved(Z, mk("p", X, Y), bind)
+
+
+def martelli_montanari(n, occurs):
+    """f(X1,…,Xn) and f(g(X0,X0),…,g(Xn-1,Xn-1)) (Martelli and Montanari
+    1982), whose mgu binds Xn to a tree of 2^n leaves; with ``occurs``, Z
+    and h(Xn) go in front, and the occurs check on Z searches that tree."""
+    xs = var_pool(n + 1, start=100)
+    left, right = xs[1:], [mk("g", x, x) for x in xs[:-1]]
+    if occurs:
+        left, right = [Z, *left], [mk("h", xs[-1]), *right]
+    return mk("f", *left), mk("f", *right), xs
+
+
+class TestSharedValues:
+    # Each walk takes a bound variable's value once, so mgu's work on
+    # values that share variables grows with the bindings, not the tree.
+    @pytest.mark.parametrize("occurs", [False, True], ids=["resolve", "occurs check"])
+    def test_mgu_work_is_quadratic(self, occurs, monkeypatch):
+        walks = SimpleNamespace(n=0)
+
+        def counted(t, bind):
+            walks.n += 1
+            if walks.n > 100_000:
+                raise RuntimeError("mgu walks a tree of bindings' values")
+            return _walk(t, bind)
+
+        monkeypatch.setattr(unify, "_walk", counted)
+        counts = []
+        for n in (20, 40, 80):
+            a, b, xs = martelli_montanari(n, occurs)
+            walks.n = 0
+            got = mgu(a, b)
+            counts.append(walks.n)
+            value = got.substitution.get(xs[-1])
+            for _ in range(n):
+                assert value.args[0] is value.args[1]
+                value = value.args[0]
+            assert value == xs[0]
+        assert grows_at_most(counts, 4.5), counts
 
 
 class TestGroundShortcuts:
