@@ -212,11 +212,11 @@ def cmd_run(prog: Program, fresh: FreshVars, args, out, err) -> int:
     if result.status is not Status.LIMIT_EXCEEDED:
         return EXIT_ANSWER if result.status is Status.REFUTED else EXIT_FAILED
     # Exit 2 names each bound that fired on stderr, so stdout holds answers only.
-    named = [f"--max-steps {limits.max_steps}" if name == "max_steps"
-             else f"depth bound {limits.max_depth}" for name in result.limits_hit]
-    if result.diverged:
-        named.append(f"--max-rewrite {limits.max_rewrite_chain}")
-    print(f"limit exceeded: {', '.join(named)}", file=err)
+    named = {"max_depth": f"depth bound {limits.max_depth}",
+             "max_steps": f"--max-steps {limits.max_steps}",
+             "max_rewrite_chain": f"--max-rewrite {limits.max_rewrite_chain}"}
+    fired = [text for name, text in named.items() if name in result.limits_hit]
+    print(f"limit exceeded: {', '.join(fired)}", file=err)
     return EXIT_LIMIT
 
 

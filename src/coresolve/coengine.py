@@ -30,17 +30,18 @@ selected atom is walked through the store when it is read, and an ancestor
 when the loop check tries it.  An entry's ancestors stay as they were
 built.  A colp loop's unifier is circular, which the store cannot hold:
 the rest of the goal, ancestors included, is walked and the unifier
-applied to it at once.
+applied to it at once, by ``apply_to_annotated`` as ``co_replay`` applies
+it to a recorded goal.
 
-A search rationally unifies a loop pair whose ancestor is an instance of
-the atom once per shape, up to renaming (``_loop_unifier``).
+A search rationally unifies each loop pair, colp or restricted, once per
+shape, up to renaming (``_loop_unifier``).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import Generator, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Iterator, NamedTuple, Optional, Sequence
 
 from .derivation import Bindings, Limits, Move, Result, Step, StepKind
 from .derivation import _SearchState, clause_moves, produce_atom, rewrite_atom, search
@@ -53,7 +54,6 @@ from .terms import (
     Term,
     Var,
     apply_raw,
-    is_instance,
     map_vars,
 )
 from .unify import UnifyKind, UnifyOutcome, mgm, rational_unify
@@ -71,14 +71,19 @@ def annotate(atoms: Sequence[Term]) -> AnnotatedGoal:
     return tuple(Entry(a) for a in atoms)
 
 
-def _apply_entry(s: Substitution, e: Entry) -> Entry:
+def _apply_entry(s: Substitution, e: Entry, read: Callable[[Term], Term]) -> Entry:
     return Entry(
-        apply_raw(s, e.atom), tuple(apply_raw(s, b) for b in e.ancestors)
+        apply_raw(s, read(e.atom)), tuple(apply_raw(s, read(b)) for b in e.ancestors)
     )
 
 
-def apply_to_annotated(s: Substitution, g: AnnotatedGoal) -> AnnotatedGoal:
-    return tuple(_apply_entry(s, e) for e in g)
+def apply_to_annotated(
+    s: Substitution, g: AnnotatedGoal, read: Callable[[Term], Term]
+) -> AnnotatedGoal:
+    """``s`` applied to every atom and ancestor of ``g``, each first read
+    by ``read``: ``Bindings.walk`` in a search, the identity on a goal
+    built eagerly."""
+    return tuple(_apply_entry(s, e, read) for e in g)
 
 
 class LoopFailReason(Enum):
@@ -158,25 +163,14 @@ def colp_loop(
     g: AnnotatedGoal, atom_index: int, ancestor: Term, store: Bindings, memo: LoopMemo
 ) -> Optional[tuple[AnnotatedGoal, Substitution]]:
     """The rest of the goal, walked through ``store`` and with the loop
-    unifier applied once, if the atom has a rational unifier with the
-    ancestor.  A pair whose ancestor is an instance of the atom, the kind
-    a regular derivation repeats, is unified through ``memo``."""
-    atom = g[atom_index].atom
-    out = (_loop_unifier(memo, atom, ancestor) if is_instance(atom, ancestor)
-           else rational_unify(atom, ancestor))
+    unifier applied once, if the atom has a rational unifier, through
+    ``memo``, with the ancestor."""
+    out = _loop_unifier(memo, g[atom_index].atom, ancestor)
     if not out.ok:
         return None
     theta = out.substitution
     assert theta is not None
-
-    def image(t: Term) -> Term:
-        return apply_raw(theta, store.walk(t))
-
-    rest = tuple(
-        Entry(image(e.atom), tuple(map(image, e.ancestors)))
-        for e in g[:atom_index] + g[atom_index + 1 :]
-    )
-    return rest, theta
+    return apply_to_annotated(theta, g[:atom_index] + g[atom_index + 1 :], store.walk), theta
 
 
 def restricted_loop(
@@ -209,6 +203,7 @@ def restricted_loop(
 
 def co_replay(g: AnnotatedGoal, steps: Sequence[Step], mode: str) -> list[AnnotatedGoal]:
     """Intermediate annotated goals of a recorded co-derivation."""
+    same = lambda t: t  # the goals are built eagerly, so each atom is read as it is
     goals = [g]
     for st in steps:
         cur = goals[-1]
@@ -216,10 +211,10 @@ def co_replay(g: AnnotatedGoal, steps: Sequence[Step], mode: str) -> list[Annota
         if st.kind is StepKind.LOOP:
             rest = cur[:i] + cur[i + 1 :]
             if mode == "colp":
-                rest = apply_to_annotated(st.subst, rest)
+                rest = apply_to_annotated(st.subst, rest, same)
             goals.append(rest)
         elif st.kind is StepKind.SUBST:
-            goals.append(apply_to_annotated(st.subst, cur))
+            goals.append(apply_to_annotated(st.subst, cur, same))
         else:
             assert st.clause is not None
             body = tuple(apply_raw(st.subst, b) for b in st.clause.body)
@@ -320,7 +315,7 @@ def co_refute(
 ) -> Result:
     """Depth-first co-S-refutation search, loop > rewrite > production per
     selected atom; returns answers in solved form over the query variables.
-    Unlike ``refute``, the search stops at any limit, even after answers."""
+    The bounds are those of ``Limits``, as in ``refute``."""
     if mode not in ("colp", "restricted"):
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
@@ -336,5 +331,4 @@ def co_refute(
         if (yield from _loop_moves(state, g, i, restricted, memo)):
             yield from clauses(state, g, i, chain)
 
-    return search(query, annotate(query), expand, limits, fresh, stop_at_any_limit=True,
-                  read=_read_entry)
+    return search(query, annotate(query), expand, limits, fresh, read=_read_entry)

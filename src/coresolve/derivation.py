@@ -92,13 +92,12 @@ class Result(NamedTuple):
     """What one search found, in every mode.  ``loop_failures`` lists the
     failed ``coengine.restricted_loop`` calls (candidates the loop filters
     drop before the call are charged but not listed); it is empty in the
-    other modes.  ``limits_hit`` names the limits that fired (``max_depth``,
-    ``max_steps``); ``diverged``, a chain cut at ``max_rewrite_chain``."""
+    other modes.  ``limits_hit`` names the bounds that fired, of
+    ``max_depth``, ``max_rewrite_chain`` and ``max_steps``, sorted."""
 
     answers: list[Answer]
     status: Status
     steps_used: int
-    diverged: bool
     loop_failures: list
     limits_hit: tuple[str, ...]
 
@@ -106,13 +105,13 @@ class Result(NamedTuple):
 class Limits(NamedTuple):
     """Bounds on one search.
 
-    ``max_steps`` (charged moves) and ``max_depth`` (moves on one branch)
-    are limits.  In sld and s mode the search stops at a limit only while
-    it has no answer yet; after one, it goes on with the branches the limit
-    did not cut.  In colp and cos mode it stops at any limit.  A rewriting
-    chain longer than ``max_rewrite_chain`` is pruned as divergence and the
-    search goes on.  A search that ends without an answer reports
-    LIMIT_EXCEEDED if a limit fired or a chain was pruned.  The defaults
+    The same rule holds in every mode.  A goal ``max_depth`` moves deep,
+    and a rewrite that would make a rewriting chain longer than
+    ``max_rewrite_chain``, are pruned: that branch ends and the search goes
+    on with the others.  The search stops at ``max_answers`` answers, or
+    when a move would take the charged steps past ``max_steps``.  Each
+    bound that fired is named in ``Result.limits_hit``, and a search that
+    ends without an answer reports LIMIT_EXCEEDED if any did.  The defaults
     are in ``Limits._field_defaults``.
     """
 
@@ -245,13 +244,11 @@ Move = tuple[Any, Union[Step, list[Step]], bool]
 
 
 class _SearchState:
-    def __init__(self, limits: Limits, stop_at_any_limit: bool):
+    def __init__(self, limits: Limits):
         self.store = Bindings()
         self.limits = limits
-        self.stop_at_any_limit = stop_at_any_limit
         self.steps_used = 0
         self.limits_hit: set[str] = set()
-        self.diverged = False
         self.answers: list[Answer] = []
         self.loop_failures: list = []
 
@@ -274,15 +271,13 @@ class _SearchState:
 
     @property
     def done(self) -> bool:
-        return len(self.answers) >= self.limits.max_answers or (
-            self.limits_hit and (self.stop_at_any_limit or not self.answers)
-        )
+        return len(self.answers) >= self.limits.max_answers or "max_steps" in self.limits_hit
 
     @property
     def status(self) -> Status:
         if self.answers:
             return Status.REFUTED
-        if self.limits_hit or self.diverged:
+        if self.limits_hit:
             return Status.LIMIT_EXCEEDED
         return Status.FAILED
 
@@ -305,9 +300,9 @@ def clause_moves(
     rewrite)`` in turn, each over the clauses the index offers for the
     selected atom ``atom_of(g[i])``, in clause order, with the search's
     store; a rewrite rule only matches, so it gets the index's matching
-    lookup.  A rewrite past
-    ``max_rewrite_chain`` is pruned as divergence; each other move is
-    charged, and the moves end when the budget does."""
+    lookup.  A rewrite past ``max_rewrite_chain`` is pruned as divergence
+    and named in ``limits_hit``; each other move is charged, and the moves
+    end when the budget does."""
 
     def expand(state: _SearchState, g: Sequence, i: int, chain: int) -> Iterator[Move]:
         atom = atom_of(g[i])
@@ -318,7 +313,7 @@ def clause_moves(
                 if got is None:
                     continue
                 if rewrite and chain + 1 > state.limits.max_rewrite_chain:
-                    state.diverged = True
+                    state.limits_hit.add("max_rewrite_chain")
                     continue
                 if not state.charge(cost):
                     return
@@ -329,7 +324,7 @@ def clause_moves(
 
 def search(
     query: Sequence[Term], initial: Sequence, expand: Expand, limits: Limits,
-    fresh: FreshVars, stop_at_any_limit: bool, read: Read = read_atom,
+    fresh: FreshVars, read: Read = read_atom,
 ) -> Result:
     """The depth-first search behind every mode, on an explicit stack.
 
@@ -339,8 +334,9 @@ def search(
     Each refutation is recorded as an ``Answer`` in solved form over the
     variables of ``query``, with fresh names from ``fresh``.  This is the
     one place that selects atoms, bounds move depth and decides when to
-    stop: at ``max_answers``, or at a limit -- any limit when
-    ``stop_at_any_limit``, otherwise only while no answer has been found.
+    stop, by one rule for every mode: a goal ``max_depth`` moves deep gets
+    no moves, so only its branch ends, and the search stops at
+    ``max_answers`` answers or when the step budget is spent.
 
     A move may push bindings to ``state.store``, and each frame unwinds the
     store to its own trail mark before it makes its next move, so a move
@@ -351,7 +347,7 @@ def search(
     are current, since a move builds them from a walked atom under its own
     resolved unifier.
     """
-    state = _SearchState(limits, stop_at_any_limit)
+    state = _SearchState(limits)
     store = state.store
     bound = store.map
     query_vars = variables_in_order(query)
@@ -395,8 +391,8 @@ def search(
         else:
             path.extend(taken)
         enter(g2, range(i, i + len(g2) - n + 1), moves + 1, chain + 1 if rewrite else 0)
-    return Result(state.answers, state.status, state.steps_used, state.diverged,
-                  state.loop_failures, tuple(sorted(state.limits_hit)))
+    return Result(state.answers, state.status, state.steps_used, state.loop_failures,
+                  tuple(sorted(state.limits_hit)))
 
 
 def refute(
@@ -410,8 +406,7 @@ def refute(
 
     mode "sld" applies SLD steps; mode "s" applies, per selected atom,
     every rewriting step and every substitution-plus-rewrite compound (one
-    S-move each).  Rewriting chains longer than the bound are pruned and
-    reported as divergence.
+    S-move each).  The bounds are those of ``Limits``.
     """
     if mode == "sld":
         rules = ((sld_step, 1, False),)
@@ -421,4 +416,4 @@ def refute(
         raise ValueError(f"unknown mode {mode!r}")
     fresh = fresh or FreshVars(10**6)
     expand = clause_moves(p, rules, fresh)
-    return search(query, tuple(query), expand, limits, fresh, stop_at_any_limit=False)
+    return search(query, tuple(query), expand, limits, fresh)

@@ -58,20 +58,15 @@ def ground_terms(p: Program, depth_cap: int) -> list[Struct]:
     functions = [
         s for s in p.signature.values() if s not in predicates
     ]
-    by_depth: list[list[Struct]] = [
-        [Struct(s) for s in functions if s.arity == 0]
-    ]
-    upto: list[Struct] = list(by_depth[0])
+    upto: list[Struct] = [Struct(s) for s in functions if s.arity == 0]
     for d in range(1, depth_cap + 1):
         layer: list[Struct] = []
-        prev_upto = list(upto)
         for s in functions:
             if s.arity == 0:
                 continue
-            for args in product(prev_upto, repeat=s.arity):
+            for args in product(upto, repeat=s.arity):
                 if 1 + max(term_depth(a) for a in args) == d:
                     layer.append(Struct(s, args))
-        by_depth.append(layer)
         upto.extend(layer)
     return upto
 

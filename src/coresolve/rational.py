@@ -7,8 +7,9 @@ of node labels and children, minimizes it by bisimulation, and renders
 solved-form answers whose circular bindings come out as fixpoint equations
 such as ``X = scons(0,X)``.  Rational unification (``unify``) merges
 node classes of the same graph and renders them with ``render_class``, and
-``models.gfp_local_check`` reads the same graph.  Bounded unfolding lives
-in ``decirc``.
+``models.gfp_local_check`` reads the same graph.  Bounded unfolding is
+the walk of ``terms.truncate_value`` and ``terms.truncated_text``, which
+``decirc.unfold`` wraps.
 
 Resolution is stratified: a variable is looked up in the first substitution
 of the list; cycles are followed within one substitution (that is what makes

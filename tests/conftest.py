@@ -249,7 +249,7 @@ def eager_co_s_compound(p, g, atom_index, clause_index, fresh, store):
     if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
         return None
     theta, renaming = got.substitution, got.renaming
-    g2 = apply_to_annotated(theta, g)
+    g2 = apply_to_annotated(theta, g, lambda t: t)
     st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
     grown = g2[atom_index].ancestors + (g2[atom_index].atom,)
     body_entries = tuple(Entry(b, grown) for b in got.body)
@@ -263,7 +263,7 @@ def eager_colp_loop(g, atom_index, ancestor, store, memo):
     if not out.ok:
         return None
     rest = g[:atom_index] + g[atom_index + 1 :]
-    return apply_to_annotated(out.substitution, rest), out.substitution
+    return apply_to_annotated(out.substitution, rest, lambda t: t), out.substitution
 
 
 def memo_free_restricted_loop(g, atom_index, ancestor, memo):

@@ -229,14 +229,9 @@ def answers_of(p, query, mode, limits, fresh):
         apply_raw(answer_substitution(answer.steps, qvars), query)
         for answer in result.answers
     ]
-    # The search reports LIMIT_EXCEEDED as soon as any branch hits a
-    # bound, so only limit-free runs enumerate their tree exhaustively.
-    exhaustive = (
-        result.status is not Status.LIMIT_EXCEEDED
-        and result.steps_used <= limits.max_steps
-        and len(answers) < limits.max_answers
-        and not result.diverged
-    )
+    # A bound prunes its branch and the search goes on, so only a run no
+    # bound cut, answers found or not, enumerates its tree exhaustively.
+    exhaustive = not result.limits_hit and len(answers) < limits.max_answers
     return result.status, answers, exhaustive
 
 

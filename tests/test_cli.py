@@ -304,6 +304,26 @@ class TestRun:
             assert (code, out) == (2, "")
             assert err.splitlines()[-1] == f"limit exceeded: {named}"
 
+    @pytest.mark.parametrize("mode", ["sld", "s", "colp", "cos"])
+    def test_a_bound_cuts_its_branch_not_the_search(self, capsys, tmp_path, mode):
+        # The first clause never ends: sld runs it to the depth bound, the
+        # other modes to the rewrite bound.  The fact is found after it.
+        (tmp_path / "p.lp").write_text("p(X) :- p(s(X)).\np(a).\n", encoding="utf-8")
+        code, out, _ = run(capsys, "run", str(tmp_path / "p.lp"), "-q", "p(a)", "--mode", mode)
+        assert (code, out) == (0, "true\n")
+
+    @pytest.mark.parametrize("mode", ["s", "colp", "cos"])
+    def test_a_cut_chain_is_a_limit_hit(self, capsys, mode):
+        query = "nat(" + "s(" * 96 + "0" + ")" * 96 + ")"
+        p, q, fresh = load_query("nat", query)
+        if mode == "s":
+            result = refute(p, q, mode, Limits(), fresh)
+        else:
+            result = co_refute(p, q, "restricted" if mode == "cos" else mode, Limits(), fresh)
+        assert result.limits_hit == ("max_rewrite_chain",)
+        code, out, err = run(capsys, "run", lp("nat"), "-q", query, "--mode", mode)
+        assert (code, out, err.splitlines()[-1]) == (2, "", "limit exceeded: --max-rewrite 64")
+
     def test_no_limit_line_without_exit_2(self, capsys):
         for argv in (["nats(X)"], ["nats(X)", "--mode", "colp", "--max-answers", "3"]):
             code, _, err = run(capsys, "run", lp("nats"), "-q", *argv)

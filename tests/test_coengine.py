@@ -7,6 +7,8 @@ from functools import partial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from conftest import (
     CONSTS,
@@ -439,6 +441,44 @@ class TestLoopUnifierMemo:
                 assert repr(theta) == repr(want) and theta.cycle_vars() == want.cycle_vars()
 
 
+# Loop pair sides over a small signature, as shapes: a variable is its
+# rank in age order among the three the sides share, a term a tuple.
+SHAPES = st.recursive(
+    st.sampled_from([("c0",), ("c1",)]) | st.integers(0, 2),
+    lambda kids: st.tuples(st.just("f"), kids) | st.tuples(st.just("g"), kids, kids),
+    max_leaves=6,
+)
+
+
+def _pool_term(shape, pool):
+    if isinstance(shape, int):
+        return pool[shape]
+    return mk(shape[0], *(_pool_term(k, pool) for k in shape[1:]))
+
+
+@hypothesis_seed(seed())
+@settings(database=None, deadline=None, max_examples=150)
+@given(
+    sides=st.tuples(SHAPES, SHAPES, SHAPES, SHAPES),
+    ids=st.lists(st.integers(4, 99), min_size=3, max_size=3, unique=True),
+)
+def test_memo_gives_every_pair_a_fresh_unifier(sides, ids):
+    # Every pair colp tries goes through the memo, instance or not, so a
+    # pair, its renaming that keeps the age order of its variables (a hit)
+    # and one that may not must each get what a fresh rational_unify gives.
+    memo = {}
+    for order in (range(1, 4), sorted(ids), ids):
+        pool = [Var(i, f"V{i}") for i in order]
+        atom, ancestor = (mk("p", *(_pool_term(shape, pool) for shape in pair))
+                          for pair in (sides[:2], sides[2:]))
+        want = rational_unify(atom, ancestor)
+        got = coengine._loop_unifier(memo, atom, ancestor)
+        assert (got.kind, got.reason) == (want.kind, want.reason)
+        if want.ok:
+            assert list(got.substitution.items()) == list(want.substitution.items())
+            assert got.substitution.cycle_vars() == want.substitution.cycle_vars()
+
+
 def nat_term(n):
     return "s(" * n + "0" + ")" * n
 
@@ -519,7 +559,7 @@ def observed(result):
     loops = [(list(st.subst.items()), st.subst.cycle_vars())
              for a in result.answers for st in a.steps if st.kind is StepKind.LOOP]
     return (answers_text(result), [a.steps for a in result.answers], loops, result.status,
-            result.steps_used, result.limits_hit, result.diverged, result.loop_failures)
+            result.steps_used, result.limits_hit, result.loop_failures)
 
 
 class TestLoopCandidates:

@@ -55,6 +55,7 @@ def setup(text, query):
 
 NATS = "nat(0). nat(s(X)) :- nat(X). nats(scons(X,Y)) :- nat(X), nats(Y)."
 BAD = "bad(f(X)) :- bad(f(X))."
+GROW = "p(a). p(X) :- grow(z,X). p(b). grow(A,s(X)) :- grow(f(A),X)."
 
 
 def partial_answer(steps, k, query):
@@ -174,7 +175,7 @@ class TestSStep:
         p, g, fresh = setup(BAD, "bad(f(X))")
         result = refute(p, g, "s", Limits(max_rewrite_chain=1), fresh)
         assert result.status is Status.LIMIT_EXCEEDED
-        assert result.diverged and not result.answers
+        assert "max_rewrite_chain" in result.limits_hit and not result.answers
         assert result.steps_used == 1
 
 
@@ -189,6 +190,17 @@ class TestRefute:
         p, g, fresh = setup(NATS, "nats(X)")
         result = refute(p, g, "sld", Limits(max_steps=50), fresh)
         assert result.status is Status.LIMIT_EXCEEDED
+
+    @pytest.mark.parametrize("mode", ["sld", "s", "colp", "restricted"])
+    def test_depth_bound_prunes_only_its_branch(self, mode):
+        # Every mode but sld goes down the endless grow branch before it
+        # tries p(b); the depth bound ends that branch, not the search.
+        p, g, fresh = setup(GROW, "p(X)")
+        search = refute if mode in ("sld", "s") else coengine.co_refute
+        result = search(p, g, mode, Limits(max_depth=20, max_answers=2), fresh)
+        (x,) = variables_in_order(g)
+        assert [term_to_text(a.solved.get(x)) for a in result.answers] == ["a", "b"]
+        assert (result.status, result.limits_hit) == (Status.REFUTED, ("max_depth",))
 
     def test_no_clause_fails(self):
         p, g, fresh = setup(NATS, "nat(f(0))")
@@ -286,8 +298,7 @@ def full_outcome(result):
           for st in a.steps], list(a.solved.items()))
         for a in result.answers
     ]
-    return (answers, result.status, result.steps_used, result.diverged, result.limits_hit,
-            result.loop_failures)
+    return (answers, result.status, result.steps_used, result.limits_hit, result.loop_failures)
 
 
 class TestBindings:
@@ -512,7 +523,7 @@ class TestChargeEach:
         for _ in range(3000):
             max_steps = rnd.randint(0, 30)
             spent, n = rnd.randint(0, max_steps + 3), rnd.randint(0, 40)
-            bulk, single = (_SearchState(Limits(max_steps=max_steps), True) for _ in range(2))
+            bulk, single = (_SearchState(Limits(max_steps=max_steps)) for _ in range(2))
             bulk.steps_used = single.steps_used = spent
             want = all(single.charge(1) for _ in range(n))
             got = bulk.charge_each(n)
