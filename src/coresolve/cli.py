@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 from typing import Optional, Sequence
 
@@ -63,54 +62,29 @@ def _bound_error(key: str, value: int) -> Optional[str]:
     return f"error: {flag} must be positive" if value <= 0 else None
 
 
-def _letters(n: int) -> str:
-    out = ""
-    while True:
-        out = chr(ord("A") + n % 26) + out
-        n //= 26
-        if n == 0:
-            return out
-
-
 def _print_answer(
     query_vars: Sequence[Var],
     solved: Substitution,
     unfold_depth: int,
     out,
 ) -> None:
-    """Print ``X = …`` per bound query variable, and for a circular answer at a positive
-    ``unfold_depth`` ``X ~ …``: the value cut at that depth, written as it is cut.
-    Every other variable is named _A, _B, ... where the ``=`` lines first meet it,
-    skipping the query's own names, so output is byte-stable; a lone ``_``, fresh at
-    each occurrence, gets lines only under the name one of these gave it."""
-    query = {v for v in query_vars if v.hint != "_"}
-    shown = [(v, img) for v in query_vars if v in query and (img := solved.get(v)) is not None]
-    if not shown:
+    """Print the solved form as it is: ``V = …`` for each binding but a
+    ``_``'s, in its order, and for a circular answer at a positive
+    ``unfold_depth`` ``X ~ …`` after each query variable's own line: the
+    value cut at that depth, written as it is cut.  ``true`` when no query
+    variable but a ``_`` is bound."""
+    own = {v for v in query_vars if v.hint != "_"}
+    if own.isdisjoint(solved.bindings):
         print("true", file=out)
         return
-    taken = {v.display for v in query}
-    unused = (s for s in ("_" + _letters(n) for n in itertools.count()) if s not in taken)
-    names: dict[Var, str] = {}
-
-    def name(v: Var) -> Optional[str]:
-        if v in query:
-            return None
-        if v not in names:
-            names[v] = next(unused)
-            # A bound ``_`` (a cycle reached through it) is shown too: its value is nowhere else.
-            if v.hint == "_" and (img := solved.get(v)) is not None:
-                shown.append((v, img))
-        return names[v]
-
-    # Every ``=`` line is written before any is printed, so each ``~`` line
-    # knows the names of them all.  ``shown`` grows while it is read.
-    equations = [term_to_text(img, name) for _, img in shown]
-    for (v, _), text in zip(shown, equations):
-        label = names.get(v) or v.display
-        print(f"{label} = {text}", file=out)
-        if unfold_depth > 0 and solved.circular:
-            text = truncated_text(unfold_depth, v, solved.bindings, solved.cycle_vars(), names.get)
-            print(f"{label} ~ {text}", file=out)
+    cycle_vars = unfold_depth > 0 and solved.cycle_vars()
+    for v, img in solved.items():
+        if v.hint == "_":
+            continue
+        print(f"{v.display} = {term_to_text(img)}", file=out)
+        if cycle_vars and v in own:
+            text = truncated_text(unfold_depth, v, solved.bindings, cycle_vars)
+            print(f"{v.display} ~ {text}", file=out)
 
 
 def _emit_trace(steps, fmt: str, out) -> None:

@@ -8,10 +8,10 @@ passes a cycle variable it enters the next generation of the succession.
 Free variables the circular images mention are renamed per generation —
 each unrolling round of a binding stands for one more clause application,
 which would have introduced its own copies of those variables — and the
-renaming is deterministic (``terms.generation_var``).  ``validate`` and
-library callers read the cut value as a term; the printer's ``X ~ …`` lines
-do not come here but write the same walk's text (``terms.truncated_text``,
-the one text writer, which also writes the ``X = …`` lines uncut).
+renaming is deterministic: ``_A_1`` for the solved form's ``_A``
+(``terms.generation_var``).  ``validate`` and library callers read the cut
+value as a term; the printer's ``X ~ …`` lines write the same walk's text
+(``terms.truncated_text``, which also writes the ``X = …`` lines uncut).
 
 ``decircularize`` materializes a finite prefix of the succession as a list
 of non-circular substitutions, one per generation, each resolved by one

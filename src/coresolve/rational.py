@@ -19,6 +19,7 @@ the next one.  A single circular answer is simply the one-element list.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from typing import Callable, Optional, Sequence, Union
 
@@ -174,20 +175,38 @@ def render_class(
     return rendered[c]
 
 
+def _letters(n: int) -> str:
+    """A, B, ..., Z, BA, BB, ...: ``n`` in base 26 with digits A to Z."""
+    out = chr(ord("A") + n % 26)
+    while n >= 26:
+        n //= 26
+        out = chr(ord("A") + n % 26) + out
+    return out
+
+
 def solved_answer(
     query_vars: Sequence[Var],
     substs: Sequence[Substitution],
     fresh: Optional[FreshVars] = None,
 ) -> Substitution:
     """Collapse an ordered substitution sequence into one solved-form answer
-    for the query variables.  Circular values come out as fixpoint bindings
-    reusing the query variables' own names where possible; cycles not owned
-    by any query variable get fresh auxiliary variables.  A free leaf named
-    by a query variable that the answer binds is that variable's copy at a
-    later substitution, a different variable, so it gets a fresh name too."""
+    for the query variables: the answer ``run`` prints, a ``V = t`` line per
+    binding but a ``_``'s.  Circular values come out as fixpoint bindings.
+    A query variable, a ``_`` aside, names the first cycle that is its value
+    and stands for itself where it is free.  Every other variable the answer
+    writes is fresh: a cycle no query variable owns (bound after the
+    bindings that meet it), a free variable (a clause's or a ``_``) and a
+    later copy of a bound query variable.  The query's own variables are
+    bound first, then their cycles, then each ``_`` and its cycles.  The
+    fresh variables of the first group are ``_A``, ``_B``, ... in the order
+    its bindings meet them, skipping the query's names, and those of the
+    second, which no printed line meets, are ``_``s.  A ``_`` keeps its
+    binding for callers that read the whole query term, such as ``validate``."""
     fresh = fresh or FreshVars(10**9)
-    nodes, labels, kids = build_node(query_vars, substs)
-    roots = dict(zip(query_vars, nodes))
+    own = [v for v in query_vars if v.hint != "_"]
+    anonymous = [v for v in query_vars if v.hint == "_"]
+    nodes, labels, kids = build_node(own + anonymous, substs)
+    roots = dict(zip(own + anonymous, nodes))
     block = minimize(labels, kids)
 
     # One node stands for its block: the nodes of a block have the same
@@ -195,52 +214,45 @@ def solved_answer(
     rep = dict(zip(block, range(len(block))))
     blabels = [labels[rep[b]] for b in range(len(rep))]
     succ = [[block[c] for c in kids[rep[b]]] for b in range(len(rep))]
-    # Cyclic blocks (a node reaching its own block again) need a variable
-    # name; prefer the first query variable whose value lives in the block.
+    # Cyclic blocks (a node reaching its own block again) need a variable name.
     cyclic = cycle_members(range(len(succ)), succ.__getitem__)
 
-    bound = {v for v, n in roots.items() if labels[n] != v}
-    name_of = {block[n]: v for v, n in reversed(roots.items()) if labels[n].__class__ is Symbol}
-
+    # A query variable names its block if it owns the cycle there (the
+    # first does) or stands for itself there.
+    name_of = {block[roots[v]]: v for v in reversed(own)
+               if block[roots[v]] in cyclic or labels[roots[v]] == v}
+    taken = {v.display for v in query_vars}
+    unused = (s for s in ("_" + _letters(n) for n in itertools.count()) if s not in taken)
     pending: list[int] = []
     rendered: dict[int, Term] = {}
 
     def name(b: int) -> Optional[Term]:
-        # A cycle nobody named yet is named when it is first reached, and
-        # its own binding is emitted afterwards.
-        label = blabels[b]
-        if isinstance(label, Var):
-            return fresh.new() if label in bound else label
-        if b not in cyclic:
-            return None
+        # Any other free leaf or cycle gets a fresh name when it is first
+        # reached; a cycle's own binding is emitted afterwards.
         got = name_of.get(b)
-        if got is None:
-            got = name_of[b] = fresh.new()
-            pending.append(b)
+        if got is None and (b in cyclic or blabels[b].__class__ is Var):
+            got = name_of[b] = fresh.new(hint or next(unused))
+            if b in cyclic:
+                pending.append(b)
         return got
 
-    def expand(b: int) -> Term:
+    def expand(v: Var, b: int) -> None:
         args = [render_class(c, blabels, succ, name, rendered) for c in succ[b]]
-        return Struct(blabels[b], tuple(args))
+        bindings[v] = Struct(blabels[b], tuple(args))
+        cycle_vars.append(v)
 
     bindings: dict[Var, Term] = {}
-    done_blocks: set[int] = set()
-    for v, n in roots.items():
-        b = block[n]
-        if isinstance(blabels[b], Var):
-            # v itself, an identity binding, where v is unbound
-            bindings[v] = render_class(b, blabels, succ, name, rendered)
-        elif name_of[b] != v and b in cyclic:
-            bindings[v] = name_of[b]
-        else:
-            bindings[v] = expand(b)
-            done_blocks.add(b)
-    for b in pending:  # grows while it is read
-        bindings[name_of[b]] = expand(b)
-        done_blocks.add(b)
-    # The cycle variables of the answer are the names of the cyclic blocks
-    # it expands: each expansion leads round its cycle to the name of the
-    # next cyclic block on it, and aliases and free leaves lead nowhere.
-    return Substitution._with_cycle_vars(
-        bindings, {name_of[b] for b in cyclic if b in done_blocks}
-    )
+    # Each expansion leads round its cycle to the name of the next cyclic
+    # block on it, so the names it binds are the answer's cycle variables.
+    cycle_vars: list[Var] = []
+    for group, hint in ((own, None), (anonymous, "_")):  # ``name`` reads ``hint``
+        for v in group:
+            b = block[roots[v]]
+            if b in cyclic and name_of.get(b) is v:
+                expand(v, b)
+            else:
+                bindings[v] = render_class(b, blabels, succ, name, rendered)
+        for b in pending:  # grows while it is read
+            expand(name_of[b], b)
+        pending.clear()
+    return Substitution._with_cycle_vars(bindings, cycle_vars)

@@ -149,16 +149,15 @@ _is_ground = operator.attrgetter("_ground")
 DIAMOND = Symbol("◇", 0)
 TRUNCATED = Struct(DIAMOND)
 
-# What ``term_to_text`` walks under: no binding and no name.
+# What ``term_to_text`` walks under: no binding.
 _NOTHING: Mapping = MappingProxyType({})
 
 
-def term_to_text(t: Term, names: Optional[Callable[[Var], Optional[str]]] = None) -> str:
-    """Render a term in the program syntax (no whitespace, no list sugar):
-    ``truncated_text`` with no bindings and no cut.  A variable is shown by
-    the name ``names`` gives it, or by its own display name where that is
-    None."""
-    return truncated_text(-1, t, _NOTHING, frozenset(), names or _NOTHING.get)
+def term_to_text(t: Term) -> str:
+    """Render a term in the program syntax (no whitespace, no list sugar),
+    each variable by its display name: ``truncated_text`` with no bindings
+    and no cut."""
+    return truncated_text(-1, t, _NOTHING, frozenset())
 
 
 def iter_subterms(t: Term) -> Iterator[Term]:
@@ -470,13 +469,13 @@ def truncate_value(
             stack[-1][4].append(Struct(symbol, tuple(done)))
 
 
-def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term], cycle_vars: AbstractSet[Var],
-                   names: Callable[[Var], Optional[str]]) -> str:
+def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term],
+                   cycle_vars: AbstractSet[Var]) -> str:
     """The text of ``truncate_value(n, t, bindings, cycle_vars)``, written
     by the walk that cuts the value, so no truncated term is built: the one
     text writer (``term_to_text`` is this walk with no bindings and no cut).
-    A variable is shown by the name ``names`` gives it, or by its own
-    display name where that is None; a mapping passes its ``get``."""
+    A variable is shown by its display name, a generation copy by its own
+    (``X_1`` for X)."""
     parts: list[str] = []
     # A frame is an open structure's argument iterator, generation and depth left.
     # Each argument's text is followed by ","; closing puts ")" in place of its last.
@@ -489,7 +488,7 @@ def truncated_text(n: int, t: Term, bindings: Mapping[Var, Term], cycle_vars: Ab
             if not left or (bindings and term.__class__ is Var):
                 term, g = _unfolding_step(term, gen, left, bindings, cycle_vars)
             if term.__class__ is Var:
-                parts.append(names(term) or term.display)
+                parts.append(term.display)
             elif not term.args:
                 parts.append(term.symbol.name)
             else:

@@ -3,20 +3,21 @@ definitions the engine does not need: the checked ``apply``, ``compose``,
 ``occurs_in``, the dyadic tree metric, the per-candidate, memo-free loop
 check, the eager step rules the binding store replaced, the scanning
 value graph that ``rational.build_node``'s level index replaced and the
-term writer that the uncut text walk replaced.
+term writer that the uncut text walk replaced.  ``bench_checks`` loads
+the benchmark's answer checker, which judges printed answers on its own.
 
 Randomized property tests draw from a ``random.Random`` seeded via the
 ``CORESOLVE_SEED`` environment variable (default fixed), so every run is
 reproducible.
 """
 
-import itertools
+import importlib.util
 import os
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -46,6 +47,7 @@ from coresolve.terms import (
 )
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+BENCH_CHECKS = PROGRAMS.parent / "bench" / "checks.py"
 
 DEFAULT_SEED = 20260823
 
@@ -64,6 +66,19 @@ CORPUS_QUERIES = {
     "r": "r(X,Y)",
     "server": "resource(X,Y), zeros(Y)",
 }
+
+
+@cache
+def bench_checks():
+    """The benchmark's own reader and checker of printed answers,
+    ``bench/checks.py``, loaded as it is.  It defines dataclasses, which
+    look their module up in ``sys.modules``, so it is registered there
+    before it runs."""
+    spec = importlib.util.spec_from_file_location("bench_checks", BENCH_CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def seed() -> int:
@@ -390,20 +405,18 @@ def values_bisimilar(a, b) -> bool:
 
 
 # --- the term writer ------------------------------------------------------------
-# ``terms.term_to_text`` and the printer's naming as they were before both
-# became the uncut text walk: the references its text must equal.
+# ``terms.term_to_text`` as it was before it became the uncut text walk, the
+# reference its text must equal, and the names solved forms give.
 
 
-def reference_text(t: Term, names: Optional[dict] = None) -> str:
-    """A term in the program syntax, a variable in ``names`` by the name
-    given there and any other by its display name.  The stack holds the
-    argument iterators of the open structures."""
-    names = names or {}
+def reference_text(t: Term) -> str:
+    """A term in the program syntax, each variable by its display name.
+    The stack holds the argument iterators of the open structures."""
     out: list[str] = []
     open_args = []
     while True:
         if isinstance(t, Var):
-            out.append(names.get(t) or t.display)
+            out.append(t.display)
         elif t.args:
             out.append(t.symbol.name + "(")
             args = iter(t.args)
@@ -423,15 +436,6 @@ def reference_text(t: Term, names: Optional[dict] = None) -> str:
                 break
         else:
             return "".join(out)
-
-
-def reference_names(query_vars, terms) -> dict:
-    """_A, _B, ... for the non-query variables of ``terms`` in order of
-    first occurrence, skipping the query variables' own names."""
-    taken = {v.display for v in query_vars}
-    others = [v for v in variables_in_order(terms) if v not in query_vars]
-    labels = (f"_{n}" for n in map(letters, itertools.count()) if f"_{n}" not in taken)
-    return dict(zip(others, labels))
 
 
 def letters(n: int) -> str:

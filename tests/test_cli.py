@@ -8,14 +8,38 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
-from conftest import PROGRAMS, load_query
+from conftest import PROGRAMS, bench_checks, load_query, seed
 from coresolve import cli, coengine, decirc, derivation, rational, terms, unify
 from coresolve.cli import TRACE_HEADER, main
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, refute
 from coresolve.program import ParseError, parse_program, parse_query
 from coresolve.terms import variables_in_order
+
+# The read-back property's vocabulary: query variables, a _, and the
+# variables of a clause, over a small signature.
+QUERY_VARS = [terms.Var(1, "X"), terms.Var(2, "Y"), terms.Var(3, "Z"), terms.Var(4, "_")]
+POOL = [*QUERY_VARS, terms.Var(5, "U"), terms.Var(6, "V"), terms.Var(7, "W")]
+F, G, A = terms.Symbol("f", 2), terms.Symbol("g", 1), terms.Struct(terms.Symbol("a", 0))
+TERMS = st.recursive(
+    st.sampled_from(POOL) | st.just(A),
+    lambda inner: st.builds(lambda a, b: terms.Struct(F, (a, b)), inner, inner)
+    | st.builds(lambda a: terms.Struct(G, (a,)), inner),
+    max_leaves=5,
+)
+# Bindings among the pool's own variables share values and close cycles.
+SUBSTITUTIONS = st.lists(
+    st.dictionaries(st.sampled_from(POOL), TERMS, min_size=1, max_size=4).map(terms.Substitution),
+    min_size=1, max_size=3,
+)
+
+
+def printed_vars(t) -> list:
+    """The variables of a term as ``bench/checks.py`` reads it."""
+    return [t] if isinstance(t, str) else [v for a in t[1:] for v in printed_vars(a)]
 
 
 def lp(name: str) -> str:
@@ -88,11 +112,12 @@ class TestRun:
     def test_variable_query_atom(self, capsys, tmp_path, mode):
         # The atom X joins its ancestors as its value p(f(X)).  Kept as it
         # was read, it was a variable ancestor, whose symbol the loop
-        # check's filter read: an AttributeError and exit 5.
+        # check's filter read: an AttributeError and exit 5.  The cycle _A
+        # that X's value reaches has its own line.
         path = tmp_path / "v.lp"
         path.write_text("p(f(X)) :- q(X).\nq(Y) :- p(Y).\nr(a).\n", encoding="utf-8")
         code, out, err = run(capsys, "run", str(path), "-q", "X", "--mode", mode)
-        assert (code, out, err) == (0, "X = p(_A)\n", "")
+        assert (code, out, err) == (0, "X = p(_A)\n_A = f(_A)\n", "")
 
     def test_anonymous_query_variables_get_no_line(self, capsys, tmp_path):
         # Each lone _ is its own variable: printed as a query variable, two
@@ -106,18 +131,32 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["colp", "cos"])
     def test_anonymous_variable_a_line_names_gets_its_equation(self, capsys, tmp_path, mode):
-        # The cycle X reaches through _ is bound only in _'s own equation:
-        # without that line, X = f(_A) would read as if _A were free.
+        # The cycle X reaches through _ has its own equation: without that
+        # line, X = f(_A) would read as if _A were free.  Only the query's
+        # own variables get a ~ line.
         path = tmp_path / "r.lp"
         path.write_text("nats(scons(0,Y)) :- nats(Y).\nr(f(Y),Y) :- nats(Y).\n", encoding="utf-8")
-        for depth, unfolded in (("0", []), ("2", ["X ~ f(scons(◇,◇))", "_A ~ scons(0,scons(◇,◇))"])):
+        for depth, unfolded in (("0", []), ("2", ["X ~ f(scons(◇,◇))"])):
             code, out, _ = run(
                 capsys, "run", str(path), "-q", "r(X,_)", "--mode", mode, "--unfold-depth", depth,
             )
-            expected = ["X = f(_A)", "_A = scons(0,_A)"]
-            for k, line in enumerate(unfolded):
-                expected.insert(2 * k + 1, line)
+            expected = ["X = f(_A)", *unfolded, "_A = scons(0,_A)"]
             assert (code, out.splitlines()) == (0, expected)
+
+    def test_query_variables_are_named_before_anonymous_ones(self, capsys, tmp_path):
+        # Names follow the printed lines, and _ gets none: Z, met first in
+        # the query, is not named before W.
+        path = tmp_path / "q.lp"
+        path.write_text("q(g(Z),f(W)).\n", encoding="utf-8")
+        code, out, _ = run(capsys, "run", str(path), "-q", "q(_,X)")
+        assert (code, out) == (0, "X = f(_A)\n")
+
+    def test_a_cycle_only_anonymous_variables_reach_gets_no_line(self, capsys, tmp_path):
+        # No printed line meets _'s stream, so its equation would stand alone.
+        path = tmp_path / "n.lp"
+        path.write_text("nats(scons(0,Y)) :- nats(Y).\nq(a).\n", encoding="utf-8")
+        code, out, _ = run(capsys, "run", str(path), "-q", "nats(_), q(X)")
+        assert (code, out) == (0, "X = a\n")
 
     def test_unfold_through_variable_binding(self, capsys):
         # Y = X takes a generation without adding a level; Y's unfolding
@@ -131,9 +170,9 @@ class TestRun:
             "X = cons(get(_A),X)",
             "X ~ cons(get(_A),cons(get(◇),cons(◇,◇)))",
             "Y = X",
-            "Y ~ cons(get(X_1),cons(get(◇),cons(◇,◇)))",
+            "Y ~ cons(get(_A_1),cons(get(◇),cons(◇,◇)))",
             "Z = cons(_A,Z)",
-            "Z ~ cons(_A,cons(X_1,cons(◇,◇)))",
+            "Z ~ cons(_A,cons(_A_1,cons(◇,◇)))",
         ]
 
     def test_printing_runs_no_cycle_analysis(self, monkeypatch):
@@ -390,6 +429,31 @@ class TestRun:
         assert first.splitlines() == ["X = cons(get(0),X)", "Y = cons(0,Y)"]
 
 
+class TestReadBack:
+    """A printed answer, read back by the benchmark's own reader, is the
+    solved form it was printed from."""
+
+    @hypothesis_seed(seed())
+    @settings(database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.sampled_from(QUERY_VARS), min_size=1, unique=True), SUBSTITUTIONS)
+    def test_printed_equations_unfold_to_the_printed_unfoldings(self, query, substs):
+        checks = bench_checks()
+        solved = rational.solved_answer(query, substs, terms.FreshVars(10**6))
+        out = io.StringIO()
+        cli._print_answer(query, solved, 6, out)
+        (answer,) = checks.parse_answers(out.getvalue())
+        own = {v.display for v in query if v.hint != "_"}
+        for x, unfolded in answer.unfolded.items():
+            assert x in own
+            assert checks.first_mismatch(checks.unfold(answer.equations, x, 6), unfolded) is None, x
+        # Every other variable a line mentions and the solved form binds
+        # has its own line.
+        bound = {v.display for v in solved.bindings}
+        for rhs in answer.equations.values():
+            for name in printed_vars(rhs):
+                assert name in own or name not in bound or name in answer.equations, name
+
+
 class TestCheck:
     def test_fibs_universal_violation(self, capsys):
         code, out, _ = run(capsys, "check", lp("fibs"), "--universal")
@@ -429,6 +493,15 @@ class TestValidate:
             capsys, "validate", lp("server"), "-q", "resource(X,Y), zeros(Y)"
         )
         assert code == 0
+
+    def test_an_anonymous_variable_keeps_its_binding(self, capsys, tmp_path):
+        # validate unfolds the whole query term, so the answer still binds
+        # the _ that no printed line shows.
+        path = tmp_path / "r.lp"
+        path.write_text("nats(scons(0,Y)) :- nats(Y).\nr(f(Y),Y) :- nats(Y).\n", encoding="utf-8")
+        code, out, _ = run(capsys, "validate", str(path), "-q", "r(X,_)", "--depth", "4")
+        assert code == 0
+        assert [line.rsplit(" | ", 1)[1] for line in out.splitlines()] == ["ok"] * 4
 
     def test_ex51_refused(self, capsys):
         code, _, err = run(capsys, "validate", lp("ex51"), "-q", "p(X,s(X))")

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    apply, apply_prefix, const, grows_at_most, load_query, mk, random_term, reference_names,
-    reference_text, var_pool,
+    apply, apply_prefix, const, grows_at_most, letters, load_query, mk, random_term, reference_text,
+    var_pool,
 )
 from coresolve.cli import _print_answer
 from coresolve.coengine import co_refute
@@ -353,16 +353,16 @@ class TestWalkCost:
 STREAMS = Path(__file__).resolve().parent / "golden" / "streams.json"
 
 
-def text_and_term(sigma, v, depth, names):
+def text_and_term(sigma, v, depth):
     """The unfolding of v written by the text walk, and the reference text
     of the term walk's unfolding."""
-    got = truncated_text(depth, v, sigma.bindings, sigma.cycle_vars(), names.get)
-    return got, reference_text(unfold(sigma, v, depth), names)
+    got = truncated_text(depth, v, sigma.bindings, sigma.cycle_vars())
+    return got, reference_text(unfold(sigma, v, depth))
 
 
 def random_case(rng, pool):
     """A seeded solved form, or a raw substitution of the pool (which the
-    walk takes as well), with the variables it answers for."""
+    walk takes as well)."""
     if rng.random() < 0.5:
         seq = [
             Substitution({
@@ -373,13 +373,13 @@ def random_case(rng, pool):
             for _ in range(rng.randint(1, 3))
         ]
         query = [v for v in pool if rng.random() < 0.7] or pool[:1]
-        return solved_answer(query, seq, FreshVars(10**6)), query
+        return solved_answer(query, seq, FreshVars(10**6))
     bindings = {v: random_term(rng, 2, pool) for v in pool if rng.random() < 0.5}
     if rng.random() < 0.3:
         # A variable-to-variable cycle, or a chain into one.
         ring = rng.sample(pool, rng.randint(2, 3))
         bindings.update(zip(ring, ring[1:] + ring[:1]))
-    return Substitution(bindings), pool
+    return Substitution(bindings)
 
 
 KINDS = {
@@ -408,8 +408,9 @@ def kinds_of(sigma, v, depth, unfolded):
 
 class TestTextWalk:
     """``truncated_text`` writes what the reference writer writes for the
-    term ``unfold`` builds, with the names an answer is printed with, and
-    ``term_to_text`` writes what it writes for the term itself."""
+    term ``unfold`` builds, and ``term_to_text`` writes what it writes for
+    the term itself; an answer is printed as its solved form is, with the
+    names the solved form gave."""
 
     @pytest.mark.parametrize("mode", ["cos", "colp"])
     @pytest.mark.parametrize("name,query", sorted({
@@ -423,15 +424,18 @@ class TestTextWalk:
         assert len(result.answers) == 60
         for answer in result.answers:
             solved = answer.solved
-            shown = [v for v in query_vars if v in solved]
-            names = reference_names(query_vars, [solved.get(v) for v in shown])
+            # The other variables are _A, _B, ... in the order the
+            # bindings first write them.
+            others = [w for w in variables_in_order(t for _, t in solved.items()) if w not in query_vars]
+            assert [w.display for w in others] == [f"_{letters(n)}" for n in range(len(others))]
             printed = []
-            for v in shown:
+            for v, img in solved.items():
                 for depth in range(9):
-                    got, want = text_and_term(solved, v, depth, names)
+                    got, want = text_and_term(solved, v, depth)
                     assert got == want, (answer, v, depth)
-                printed.append(f"{v} = {reference_text(solved.get(v), names)}")
-                printed.append(f"{v} ~ {reference_text(unfold(solved, v, 8), names)}")
+                printed.append(f"{v} = {reference_text(img)}")
+                if v in query_vars:
+                    printed.append(f"{v} ~ {reference_text(unfold(solved, v, 8))}")
             out = io.StringIO()
             _print_answer(query_vars, solved, 8, out)
             assert out.getvalue().splitlines() == printed
@@ -443,13 +447,12 @@ class TestTextWalk:
         while cases < 2000 or seen != KINDS:
             if cases == 50_000:
                 pytest.fail(f"no case of {sorted(KINDS - seen)} in {cases} draws")
-            sigma, answered = random_case(rng, pool)
-            names = reference_names(answered, [t for _, t in sigma.items()])
+            sigma = random_case(rng, pool)
             v = rng.choice(pool)
             depth = rng.randint(0, 8)
-            got, want = text_and_term(sigma, v, depth, names)
+            got, want = text_and_term(sigma, v, depth)
             assert got == want, (sigma, v, depth)
-            assert term_to_text(sigma.get(v) or v, names.get) == reference_text(sigma.get(v) or v, names)
+            assert term_to_text(sigma.get(v) or v) == reference_text(sigma.get(v) or v)
             seen |= kinds_of(sigma, v, depth, unfold(sigma, v, depth))
             cases += 1
 
@@ -457,5 +460,5 @@ class TestTextWalk:
         p, q, fresh = load_query("nats", "nats(X)")
         solved = co_refute(p, q, "restricted", Limits(max_answers=1), fresh).answers[0].solved
         (x,) = variables_in_order(q)
-        got, want = text_and_term(solved, x, 3000, {})
+        got, want = text_and_term(solved, x, 3000)
         assert got == want == "scons(0," * 2999 + "scons(◇,◇)" + ")" * 2999

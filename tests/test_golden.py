@@ -26,6 +26,9 @@ witness and each bounded least model shows here.
 Regenerate only when a behaviour change is intended, and say so:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints one line per row it changed (the file, then the call: program or
+query, mode and bounds), and nothing for a row it left as it was.
 """
 
 import contextlib
@@ -35,12 +38,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_QUERIES, PROGRAMS
+from conftest import CORPUS_QUERIES, PROGRAMS, bench_checks
 from coresolve.cli import main
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, refute
 from coresolve.program import parse_program, parse_query
-from coresolve.terms import FreshVars
+from coresolve.terms import FreshVars, variables_in_order
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "corpus.json"
 WIDE = GOLDEN.parent / "wide.lp"
@@ -69,6 +72,8 @@ STREAM_BOUNDS = ((60, 5), (10, 1), (10, 12))
 VALIDATE_BOUNDS = ((8, 16), (12, 24))
 # The arguments after the program file, by subcommand.
 COMMANDS = {"check": ("--universal", "--productive"), "oracle": ("--cap", "3")}
+# The fields of a record that a call observes; the others name the call.
+OBSERVED = ("exit", "steps_used", "stdout", "stderr")
 
 
 def observe(
@@ -245,6 +250,18 @@ def test_streams_match_golden(name, mode, max_answers, unfold_depth):
     assert got == load_streams_golden()[(name, mode, max_answers, unfold_depth)]
 
 
+@pytest.mark.parametrize("name,mode,max_answers,unfold_depth", stream_calls())
+def test_streams_golden_passes_the_bench_checks(name, mode, max_answers, unfold_depth):
+    # The benchmark's checker reads each pinned stream on its own: every
+    # answer has the stream's shape, and its = lines unfold to its ~ lines.
+    row = load_streams_golden()[(name, mode, max_answers, unfold_depth)]
+    variables = tuple(v.display for v in variables_in_order(parse_query(row["query"], FreshVars())))
+    verdict = bench_checks().check_stream(
+        name, variables, max_answers, unfold_depth, row["exit"], row["stdout"]
+    )
+    assert verdict.ok, verdict.failures
+
+
 @pytest.mark.parametrize("name,depth,rounds", validate_calls())
 def test_validate_matches_golden(name, depth, rounds):
     got = observe_validate(name, depth, rounds)
@@ -256,7 +273,24 @@ def test_commands_match_golden(name, command):
     assert observe_command(name, command) == load_commands_golden()[(name, command)]
 
 
+def test_regeneration_names_only_the_rows_it_changes(tmp_path, capsys):
+    path = tmp_path / "pins.json"
+    kept = {"program": "nats", "mode": "cos", "exit": 0, "stdout": "X = scons(0,X)\n"}
+    _write(path, [kept])
+    capsys.readouterr()
+    _write(path, [kept, {"program": "r", "mode": "cos", "max_answers": 10, "exit": 1, "stdout": ""}])
+    assert capsys.readouterr().out == "pins.json program=r mode=cos max_answers=10\n"
+    assert json.loads(path.read_text(encoding="utf-8"))[0] == kept
+
+
 def _write(path: Path, records: list) -> None:
+    """Write the records, and print one line per row that is not in the
+    file as it was: the file, and the row's call without what it observed."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    for record in records:
+        if record not in old:
+            call = (f"{k}={v}" for k, v in record.items() if k not in OBSERVED)
+            print(path.name, *call)
     path.write_text(
         json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )

@@ -76,9 +76,12 @@ class TestSolvedAnswer:
         assert solved.get(Y) == zero
 
     def test_reuses_query_variable_names(self):
+        # The free variable Z is not a query variable: a fresh _A stands for it.
         theta = Substitution({X: mk("f", X, Y, Z), Y: s_(Y)})
         solved = solved_answer([X, Y], [theta])
-        assert solved.get(X) == mk("f", X, Y, Z)
+        free = solved.get(X).args[2]
+        assert solved.get(X) == mk("f", X, Y, free)
+        assert free not in (X, Y, Z) and free.display == "_A" and free not in solved
         assert solved.get(Y) == s_(Y)
 
     def test_plain_variable_aliasing(self):
@@ -91,8 +94,11 @@ class TestSolvedAnswer:
         # and the younger ones are bound to it, as mgu binds them.
         solved = solved_answer([X, Y], [Substitution({X: Y, Y: X})])
         assert solved == Substitution({Y: X}) == mgu(X, Y).substitution
+        # Its oldest is X, no query variable: both are bound to one fresh one.
         solved = solved_answer([Y, Z], [Substitution({X: Z, Z: Y, Y: X})])
-        assert solved == Substitution({Y: X, Z: X})
+        free = solved.get(Y)
+        assert isinstance(free, Var) and free not in (X, Y, Z) and free.display == "_A"
+        assert solved == Substitution({Y: free, Z: free})
 
     def test_non_circular_sequence_collapses(self):
         seq = [Substitution({X: s_(Y)}), Substitution({Y: zero})]
@@ -139,7 +145,7 @@ class TestOnePass:
         W = Var(4, "W")
         theta = Substitution({X: mk("f", X, Y, Z), Y: s_(Y), W: s_(zero)})
         solved = solved_answer([X, Y], [theta])
-        assert solved.get(X) == mk("f", X, Y, Z)
+        assert solved.get(X) == mk("f", X, Y, solved.get(X).args[2])
         assert calls == {"build_node": 1, "minimize": 1}
         # X's value, Y's value and the free leaf Z; W's value is not built.
         assert sizes == [3]
