@@ -172,10 +172,11 @@ def sld_step(
     got = resolve_head(p.clause(clause_index), atom, fresh, matching=atom._ground)
     if got is None:
         return None
-    if got.kind is UnifyKind.PROPER_UNIFIER:
-        store.push(got.bindings)
-    new_goal = g[:atom_index] + got.body + g[atom_index + 1 :]
-    return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, got.substitution)
+    kind, sigma, body, renaming, bindings = got
+    if kind is UnifyKind.PROPER_UNIFIER:
+        store.push(bindings)
+    new_goal = g[:atom_index] + body + g[atom_index + 1 :]
+    return new_goal, Step(StepKind.SLD, atom_index, clause_index, renaming, sigma)
 
 
 def rewrite_atom(
@@ -187,8 +188,8 @@ def rewrite_atom(
     got = resolve_head(p.clause(clause_index), atom, fresh, matching=True)
     if got is None:
         return None
-    step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
-    return got.body, step
+    _, sigma, body, renaming, _ = got
+    return body, Step(StepKind.REWRITE, atom_index, clause_index, renaming, sigma)
 
 
 def produce_atom(
@@ -203,12 +204,12 @@ def produce_atom(
     if atom._ground:
         return None
     got = resolve_head(p.clause(clause_index), atom, fresh)
-    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
+    if got is None or got[0] is not UnifyKind.PROPER_UNIFIER:
         return None
-    theta, renaming = got.substitution, got.renaming
-    store.push(got.bindings)
+    _, theta, body, renaming, bindings = got
+    store.push(bindings)
     own = DeferredSubstitution(renaming.own, (theta,), True)
-    return got.body, [
+    return body, [
         Step(StepKind.SUBST, atom_index, clause_index, renaming, theta),
         Step(StepKind.REWRITE, atom_index, clause_index, renaming, own),
     ]

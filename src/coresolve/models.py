@@ -2,7 +2,9 @@
 
 ``lfp_enumerate`` closes the program's facts forward under clause
 application over ground terms up to a depth cap: a desk-scale stand-in for
-the least Herbrand model.  ``gfp_local_check`` is the dual, local test:
+the least Herbrand model.  A clause applies by matching its body atoms
+into the ground atoms found so far (``terms._match_into``), so no unifier
+is needed.  ``gfp_local_check`` is the dual, local test:
 given a (possibly circular) value, can some clause be applied backward at
 every node of its value graph (``rational.build_node``) down to a
 recursion budget?  A free variable of the value stands for any ground
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .program import Program
+from .program import Clause, Program
 from .rational import build_node
 from .terms import (
     Struct,
@@ -23,13 +25,12 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    apply_raw,
+    _match_into,
     iter_subterms,
+    map_vars,
     term_to_text,
     variables_in_order,
-    variables_of,
 )
-from .unify import mgm
 
 
 class GroundAtomSet(NamedTuple):
@@ -87,30 +88,21 @@ def lfp_enumerate(p: Program, depth_cap: int) -> GroundAtomSet:
 
 
 def _clause_consequences(
-    clause, atoms: set[Struct], universe: Sequence[Struct]
+    clause: Clause, atoms: set[Struct], universe: Sequence[Struct]
 ) -> Iterable[Struct]:
-    def go(i: int, binding: Substitution):
-        if i == len(clause.body):
-            head = apply_raw(binding, clause.head)
-            free = variables_of(head)
-            if not free:
-                yield head
-                return
-            order = variables_in_order([head])
-            for choice in product(universe, repeat=len(order)):
-                env = Substitution(dict(zip(order, choice)))
-                yield apply_raw(env, head)
-            return
-        goal = apply_raw(binding, clause.body[i])
-        for fact in atoms:
-            out = mgm(goal, fact)
-            if out.ok:
-                assert out.substitution is not None
-                merged = dict(binding.items())
-                merged.update(out.substitution.items())
-                yield from go(i + 1, Substitution(merged))
-
-    yield from go(0, Substitution())
+    """The heads ``clause`` derives from ``atoms``: its body atoms, left to
+    right, each matched against every atom into a copy of each binding
+    found so far, then each head variable no body atom binds taken over
+    ``universe``."""
+    found: list[dict[Var, Term]] = [{}]
+    for goal in clause.body:
+        found = [b for binding in found for fact in atoms
+                 if _match_into(goal, fact, b := dict(binding))]
+    for binding in found:
+        head = map_vars(binding.get, clause.head)
+        free = variables_in_order((head,))
+        for choice in product(universe, repeat=len(free)):
+            yield map_vars(dict(zip(free, choice)).get, head)
 
 
 # --- backward closure on rational values ------------------------------------

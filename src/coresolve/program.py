@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
@@ -26,8 +27,8 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    apply_raw,
     immutable_setattr,
+    map_vars,
     term_to_text,
     variables_in_order,
     variables_of,
@@ -52,48 +53,35 @@ class ParseError(ValueError):
         self.column = column
 
 
-class Clause:
-    """``head :- body.``, or the fact ``head.`` when the body is empty.  Slotted
-    like the terms; ``var_positions`` numbers its variables as they occur."""
+class Clause(namedtuple("Clause", ("head", "body", "span", "var_positions"))):
+    """``head :- body.``, or the fact ``head.`` when the body is empty, as a
+    named tuple, like ``Symbol``; ``var_positions`` numbers its variables as
+    they occur.  Equality (with a clause only), hash and repr read ``head``,
+    ``body`` and ``span``."""
 
-    __slots__ = ("head", "body", "span", "var_positions")
-    __setattr__ = __delattr__ = immutable_setattr
+    __slots__ = ()
 
-    head: Term
-    body: tuple[Term, ...]
-    span: Span
-    var_positions: dict[Var, int]
-
-    def __init__(self, head: Term, body: tuple[Term, ...] = (), span: Span = Span(0, 0),
-                 var_positions: Optional[dict[Var, int]] = None) -> None:
+    def __new__(cls, head: Term, body: tuple[Term, ...] = (), span: Span = Span(0, 0),
+                var_positions: Optional[dict[Var, int]] = None) -> Clause:
         if isinstance(head, Var):
             raise ValueError("clause head must not be a variable")
         if var_positions is None:
             var_positions = {v: k for k, v in enumerate(variables_in_order([head, *body]))}
-        _set_clause_head(self, head)
-        _set_clause_body(self, body)
-        _set_clause_span(self, span)
-        _set_clause_var_positions(self, var_positions)
+        return tuple.__new__(cls, (head, body, span, var_positions))
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Clause:
-            return NotImplemented
-        return (self.head, self.body, self.span) == (other.head, other.body, other.span)
+        return other.__class__ is Clause and self[:3] == other[:3]
+
+    __ne__ = object.__ne__  # not tuple's, which reads every field
 
     def __hash__(self) -> int:
-        return hash((self.head, self.body, self.span))
+        return hash(self[:3])
 
     def __repr__(self) -> str:
         return f"Clause(head={self.head!r}, body={self.body!r}, span={self.span!r})"
 
     def __str__(self) -> str:
         return clause_to_text(self)
-
-
-_set_clause_head = Clause.head.__set__  # type: ignore[attr-defined]
-_set_clause_body = Clause.body.__set__  # type: ignore[attr-defined]
-_set_clause_span = Clause.span.__set__  # type: ignore[attr-defined]
-_set_clause_var_positions = Clause.var_positions.__set__  # type: ignore[attr-defined]
 
 
 class _PredicateIndex:
@@ -551,9 +539,8 @@ class Renaming(NamedTuple):
 
     def instance(self) -> Clause:
         c, first = self.clause, self.first
-        renaming = Substitution({v: Var(first + k, v.hint) for v, k in c.var_positions.items()})
-        body = tuple(apply_raw(renaming, b) for b in c.body)
-        return Clause(apply_raw(renaming, c.head), body, c.span)
+        image = {v: Var(first + k, v.hint) for v, k in c.var_positions.items()}.get
+        return Clause(map_vars(image, c.head), tuple(map_vars(image, b) for b in c.body), c.span)
 
     def own(self, s: Substitution) -> Substitution:
         """The bindings of ``s`` on the variables of the renamed clause."""

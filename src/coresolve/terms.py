@@ -171,19 +171,24 @@ def iter_subterms(t: Term) -> Iterator[Term]:
 
 
 def variables_of(t: Term) -> set[Var]:
-    return {s for s in iter_subterms(t) if isinstance(s, Var)}
+    return set(variables_in_order((t,)))
 
 
 def variables_in_order(ts: Iterable[Term]) -> list[Var]:
-    """Distinct variables in first-occurrence order (left to right)."""
-    seen: list[Var] = []
-    have: set[Var] = set()
+    """Distinct variables in first-occurrence order (left to right).  A
+    ground subterm holds none, so the walk passes it by."""
+    seen: dict[Var, None] = {}
     for t in ts:
-        for s in iter_subterms(t):
-            if isinstance(s, Var) and s not in have:
-                have.add(s)
-                seen.append(s)
-    return seen
+        stack = [t]
+        while stack:
+            cur = stack.pop()
+            if cur._ground:
+                continue
+            if cur.__class__ is Var:
+                seen[cur] = None
+            else:
+                stack.extend(reversed(cur.args))
+    return list(seen)
 
 
 class FreshVars:
@@ -535,6 +540,8 @@ def _unfolding_step(term: Term, gen: int, left: int, bindings: Mapping[Var, Term
 
 
 def _match_into(pattern: Term, target: Term, binding: dict[Var, Term]) -> bool:
+    """Extend ``binding`` to a matcher of ``pattern`` onto ``target``, or
+    return False, with ``binding`` extended part of the way."""
     # Iterative: patterns can be as deep as the terms a derivation builds.
     # A ground pattern subterm binds nothing: it is compared whole, which
     # the cached hashes and identity make quick.
@@ -558,16 +565,9 @@ def _match_into(pattern: Term, target: Term, binding: dict[Var, Term]) -> bool:
     return True
 
 
-def match(pattern: Term, target: Term) -> Optional[Substitution]:
-    """Most general matcher sigma with sigma(pattern) == target, or None."""
-    binding: dict[Var, Term] = {}
-    if _match_into(pattern, target, binding):
-        return Substitution(binding)
-    return None
-
-
 def is_instance(general: Term, specific: Term) -> bool:
-    return match(general, specific) is not None
+    """Whether some matcher takes ``general`` to ``specific``."""
+    return _match_into(general, specific, {})
 
 
 def is_variant(a: Term, b: Term) -> bool:

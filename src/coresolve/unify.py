@@ -34,7 +34,6 @@ from .terms import (
     apply_raw,
     cycle_members,
     map_vars,
-    match,
     variables_in_order,
     variables_of,
 )
@@ -66,10 +65,10 @@ def mgm(pattern: Term, target: Term) -> UnifyOutcome:
     """Most general matcher: sigma with sigma(pattern) == target, binding
     only pattern variables.  Never produces circular bindings when the
     arguments are standardised apart."""
-    sigma = match(pattern, target)
-    if sigma is None:
+    binding: dict[Var, Term] = {}
+    if not _match_into(pattern, target, binding):
         return _fail("no matcher")
-    return UnifyOutcome(UnifyKind.MATCHER, sigma)
+    return UnifyOutcome(UnifyKind.MATCHER, Substitution(binding))
 
 
 def _classify(sigma: Substitution, a: Term, b: Term) -> UnifyOutcome:
@@ -259,25 +258,16 @@ def mgu(a: Term, b: Term) -> UnifyOutcome:
     return _classify(solved, a, b)
 
 
-class Resolvent(NamedTuple):
-    """A head unified or matched: kind, substitution, body, renaming, bindings."""
-
-    kind: UnifyKind
-    substitution: Substitution
-    body: tuple[Term, ...]
-    renaming: Renaming
-    bindings: dict[Var, Term]
-
-
 def resolve_head(
     c: Clause, atom: Term, fresh: FreshVars, matching: bool = False
-) -> Optional[Resolvent]:
+) -> Optional[tuple[UnifyKind, Substitution, tuple[Term, ...], Renaming, dict[Var, Term]]]:
     """What ``mgm`` (with ``matching``) or ``mgu`` give on
     ``clause_instance(c, fresh).head`` and ``atom``, with the same ids
-    drawn from ``fresh``, or None where they fail.  The stored head is read
-    in place, as in WAM head unification (Aït-Kaci 1991).  The renamed head
-    shares no variable with ``atom``, so the result is a matcher exactly
-    when no variable of ``atom`` is bound; then every binding is an
+    drawn from ``fresh``, as the tuple ``(kind, substitution, body,
+    renaming, bindings)``, or None where they fail.  The stored head is
+    read in place, as in WAM head unification (Aït-Kaci 1991).  The renamed
+    head shares no variable with ``atom``, so the result is a matcher
+    exactly when no variable of ``atom`` is bound; then every binding is an
     unchanged subterm of ``atom``.  ``bindings`` is the map as unification
     left it: triangular, and a matcher's keyed by the stored clause's own
     variables.  The body is built from it, renaming only the variables it
@@ -311,7 +301,7 @@ def resolve_head(
     body = tuple(map_vars(bind.get if matching and len(bind) == n else image, b) for b in c.body)
     kind = UnifyKind.PROPER_UNIFIER if proper else UnifyKind.MATCHER
     sigma = DeferredSubstitution(_renamed_resolved, (bind, positions, first, matching), not proper)
-    return Resolvent(kind, sigma, body, Renaming(c, first), bind)
+    return kind, sigma, body, Renaming(c, first), bind
 
 
 def _renamed_resolved(bind: dict, positions: dict, first: int, matching: bool) -> dict[Var, Term]:

@@ -31,7 +31,6 @@ from .terms import (
     is_variant,
     truncate,
 )
-from .unify import mgm
 
 
 class ValidationRefused(ValueError):
@@ -97,7 +96,7 @@ def build_loop_unrolling(
     for st in answer.steps:
         if st.kind is StepKind.LOOP:
             assert st.atom is not None and st.ancestor is not None
-            if not (st.subst.circular and mgm(st.atom, st.ancestor)):
+            if not (st.subst.circular and is_instance(st.atom, st.ancestor)):
                 raise ValidationRefused(
                     "loop unrolling is only justified for restricted loops"
                 )

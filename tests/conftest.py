@@ -222,12 +222,12 @@ def eager_sld_step(p, g, atom_index, clause_index, fresh, store):
     got = resolve_head(p.clause(clause_index), atom, fresh, matching=atom._ground)
     if got is None:
         return None
-    sigma = got.substitution
+    kind, sigma, body, renaming, _ = got
     rest = (g[:atom_index], g[atom_index + 1 :])
-    if got.kind is UnifyKind.PROPER_UNIFIER:
+    if kind is UnifyKind.PROPER_UNIFIER:
         rest = [apply_to_goal(sigma, part) for part in rest]
-    new_goal = rest[0] + got.body + rest[1]
-    return new_goal, Step(StepKind.SLD, atom_index, clause_index, got.renaming, sigma)
+    new_goal = rest[0] + body + rest[1]
+    return new_goal, Step(StepKind.SLD, atom_index, clause_index, renaming, sigma)
 
 
 def eager_s_compound(p, g, atom_index, clause_index, fresh, store):
@@ -235,12 +235,12 @@ def eager_s_compound(p, g, atom_index, clause_index, fresh, store):
     if atom._ground:
         return None
     got = resolve_head(p.clause(clause_index), atom, fresh)
-    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
+    if got is None or got[0] is not UnifyKind.PROPER_UNIFIER:
         return None
-    theta, renaming = got.substitution, got.renaming
+    _, theta, body, renaming, _ = got
     g2 = apply_to_goal(theta, g)
     st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
-    g3 = g2[:atom_index] + got.body + g2[atom_index + 1 :]
+    g3 = g2[:atom_index] + body + g2[atom_index + 1 :]
     st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]
 
@@ -250,9 +250,10 @@ def eager_co_rewrite(p, g, atom_index, clause_index, fresh, store):
     got = resolve_head(p.clause(clause_index), entry.atom, fresh, matching=True)
     if got is None:
         return None
+    _, sigma, body, renaming, _ = got
     grown = entry.ancestors + (entry.atom,)
-    new_entries = tuple(Entry(b, grown) for b in got.body)
-    step = Step(StepKind.REWRITE, atom_index, clause_index, got.renaming, got.substitution)
+    new_entries = tuple(Entry(b, grown) for b in body)
+    step = Step(StepKind.REWRITE, atom_index, clause_index, renaming, sigma)
     return g[:atom_index] + new_entries + g[atom_index + 1 :], step
 
 
@@ -261,13 +262,13 @@ def eager_co_s_compound(p, g, atom_index, clause_index, fresh, store):
     if atom._ground:
         return None
     got = resolve_head(p.clause(clause_index), atom, fresh)
-    if got is None or got.kind is not UnifyKind.PROPER_UNIFIER:
+    if got is None or got[0] is not UnifyKind.PROPER_UNIFIER:
         return None
-    theta, renaming = got.substitution, got.renaming
+    _, theta, body, renaming, _ = got
     g2 = apply_to_annotated(theta, g, lambda t: t)
     st1 = Step(StepKind.SUBST, atom_index, clause_index, renaming, theta)
     grown = g2[atom_index].ancestors + (g2[atom_index].atom,)
-    body_entries = tuple(Entry(b, grown) for b in got.body)
+    body_entries = tuple(Entry(b, grown) for b in body)
     g3 = g2[:atom_index] + body_entries + g2[atom_index + 1 :]
     st2 = Step(StepKind.REWRITE, atom_index, clause_index, renaming, renaming.own(theta))
     return g3, [st1, st2]

@@ -551,9 +551,10 @@ class TestGroundSldStep:
                 assert (a is None) == (b is None)
                 if a is not None:
                     fitted += 1
-                    assert a.kind is b.kind is unify.UnifyKind.MATCHER
-                    assert list(a.substitution.items()) == list(b.substitution.items())
-                    assert (a.body, a.renaming) == (b.body, b.renaming)
+                    kind, sigma, body, renaming, _ = a
+                    assert kind is b[0] is unify.UnifyKind.MATCHER
+                    assert list(sigma.items()) == list(b[1].items())
+                    assert (body, renaming) == b[2:4]
         assert fitted > 300
 
     @pytest.mark.parametrize("mode", ["s", "cos"])

@@ -252,7 +252,6 @@ class TestUnreferencedDefinitions:
 # derivations built from them, can be deeper than the interpreter's
 # recursion limit, so a walk over them uses an explicit stack.
 RECURSION_BOUNDED: dict[str, str] = {
-    "models._clause_consequences.go": "one level per atom of a clause body",
     "models.gfp_local_check.derivable": "one level per round of its depth argument",
 }
 

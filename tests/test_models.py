@@ -2,7 +2,11 @@
 
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
+
+from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import seed as hypothesis_seed
 
 from conftest import (
     CORPUS_QUERIES, const, load, load_query, mk, random_term, scanning_resolve, seed, var_pool,
@@ -10,8 +14,8 @@ from conftest import (
 from coresolve.coengine import co_refute
 from coresolve.derivation import Limits, Status, refute
 from coresolve.models import gfp_local_check, ground_terms, lfp_enumerate, term_depth
-from coresolve.program import Clause, Program, clause_instance, parse_program
-from coresolve.terms import FreshVars, Substitution, Symbol, Var, apply_raw
+from coresolve.program import Clause, Program, Renaming, clause_instance, parse_program
+from coresolve.terms import FreshVars, Substitution, Symbol, Var, apply_raw, is_instance
 
 X = Var(1, "X")
 zero = const("0")
@@ -57,6 +61,65 @@ class TestLfpEnumerate:
             assert mk("nat", t) in got
             t = s_(t)
         assert mk("nat", t) not in got  # beyond the cap
+
+
+# Function-free programs over p/1, q/2, r/1 and the constants a and b.
+# A clause's variables need not occur in its head, nor in its body.
+ARGS = st.sampled_from(["a", "b", "X", "Y", "Z"])
+ATOMS = st.one_of(
+    st.builds("p({})".format, ARGS),
+    st.builds("q({},{})".format, ARGS, ARGS),
+    st.builds("r({})".format, ARGS),
+)
+CLAUSES = st.builds(
+    lambda head, body: head + (" :- " + ",".join(body) if body else "") + ".",
+    ATOMS, st.lists(ATOMS, max_size=3),
+)
+PROGRAMS = st.lists(CLAUSES, min_size=1, max_size=6).map("\n".join)
+
+
+@hypothesis_seed(seed())
+@settings(database=None, deadline=None, max_examples=200)
+@given(PROGRAMS)
+def test_sld_and_s_refute_exactly_the_least_model(text):
+    # Over a function-free program every ground atom has depth 1, so
+    # lfp_enumerate at cap 1 is the least Herbrand model; a search that
+    # ends with no bound fired has decided the atom either way.
+    p = parse_program(text)
+    model = lfp_enumerate(p, 1)
+    constants = ground_terms(p, 0)
+    atoms = [mk(name, *args) for name in ("p", "r") for args in zip(constants)]
+    atoms += [mk("q", a, b) for a in constants for b in constants]
+    decided = 0
+    for atom in atoms:
+        for mode in ("sld", "s"):
+            result = refute(p, [atom], mode, Limits(max_steps=100, max_depth=16))
+            if not result.limits_hit:
+                decided += 1
+                assert (result.status is Status.REFUTED) == (atom in model), (text, atom, mode)
+    event("decided comparisons", payload=decided)
+    assume(decided > 0)
+
+
+class TestNoThrowawaySubstitution:
+    def test_oracle_renaming_and_instance_test_build_none(self, monkeypatch):
+        # Each of these only applies or tests a map; none keeps one.
+        built = SimpleNamespace(n=0)
+        construct = Substitution.__init__
+
+        def counted(self, *args):
+            built.n += 1
+            construct(self, *args)
+
+        programs = [load(name)[0] for name in sorted(CORPUS_QUERIES)]
+        monkeypatch.setattr(Substitution, "__init__", counted)
+        for p in programs:
+            lfp_enumerate(p, 3)
+            for c in p.clauses:
+                Renaming(c, 7).instance()
+        assert is_instance(mk("p", X), mk("p", s_(zero)))
+        assert not is_instance(mk("p", s_(zero)), mk("p", X))
+        assert built.n == 0
 
 
 class TestGroundTerms:

@@ -339,13 +339,13 @@ class TestParseWork:
         # and symbols are built until a search reads them.
         rnd = random.Random(seed())
         clauses = SimpleNamespace(n=0)
-        construct = Clause.__init__
+        construct = Clause.__new__
 
-        def counted(self, *args):
+        def counted(cls, *args):
             clauses.n += 1
-            construct(self, *args)
+            return construct(cls, *args)
 
-        monkeypatch.setattr(Clause, "__init__", counted)
+        monkeypatch.setattr(Clause, "__new__", counted)
         parse_program(PATH_RULES)
         rules = (clauses.n, structs.n)
         for n in self.SIZES:

@@ -11,6 +11,7 @@ from conftest import (
     apply,
     compose,
     const,
+    counting_lines,
     distance,
     divergence_depth,
     mk,
@@ -28,8 +29,10 @@ from coresolve.terms import (
     cycle_members,
     is_instance,
     is_variant,
+    iter_subterms,
     term_to_text,
     truncate,
+    variables_in_order,
     variables_of,
 )
 
@@ -309,6 +312,27 @@ class TestVariables:
         for _ in range(300):
             t = random_term(rng, 4, pool)
             assert t._ground == (not variables_of(t))
+
+    def test_in_order_is_the_preorder_scan(self, rng):
+        pool = var_pool(4)
+        for _ in range(300):
+            ts = [random_term(rng, 4, pool) for _ in range(rng.randrange(1, 4))]
+            scan = [s for t in ts for s in iter_subterms(t) if isinstance(s, Var)]
+            assert variables_in_order(ts) == list(dict.fromkeys(scan))
+
+    def test_a_ground_subterm_costs_no_walk(self):
+        # p(X, s^N(0)): both walks pass the ground numeral by, so they run
+        # as many lines at every N; they visited each of its nodes before.
+        counts = []
+        for n in (250, 500, 1000):
+            numeral = zero
+            for _ in range(n):
+                numeral = s_(numeral)
+            t = mk("p", X, numeral)
+            with counting_lines(variables_in_order.__code__) as counted:
+                assert variables_in_order([t]) == [X] and variables_of(t) == {X}
+            counts.append(counted.n)
+        assert counts[0] == counts[1] == counts[2], counts
 
 
 class TestRenameApart:

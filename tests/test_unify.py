@@ -719,21 +719,22 @@ class TestResolveHead:
             seen[want.reason.split(":")[0]] += 1
             return
         assert got is not None, (c, atom, matching)
-        assert got.kind is want.kind
-        if got.kind is UnifyKind.PROPER_UNIFIER:
+        kind, sigma, body, renaming, bindings = got
+        assert kind is want.kind
+        if kind is UnifyKind.PROPER_UNIFIER:
             # The bindings a step hands the store read as the unifier.
             store = Bindings()
-            store.push(got.bindings)
+            store.push(bindings)
             assert [(v, store.walk(v)) for v in want.substitution.bindings] == list(
                 want.substitution.items())
         # The deferred substitution, read twice, is the unifier each time,
         # and reading it draws no id.
         for _ in range(2):
-            assert list(got.substitution.items()) == list(want.substitution.items())
-            assert got.substitution.cycle_vars() == want.substitution.cycle_vars()
+            assert list(sigma.items()) == list(want.substitution.items())
+            assert sigma.cycle_vars() == want.substitution.cycle_vars()
         assert fa.new().id == fb.new().id
-        assert got.body == tuple(apply_raw(want.substitution, b) for b in inst.body)
-        assert got.renaming.instance() == inst
+        assert body == tuple(apply_raw(want.substitution, b) for b in inst.body)
+        assert renaming.instance() == inst
         seen[want.kind] += 1
         copies = {v.id for v in inst.var_positions}
         for v, t in want.substitution.items():
